@@ -168,7 +168,10 @@ BM_ArenaGatherFloat(benchmark::State &state)
  * INT8 argmin-encode at a forced kernel variant: identical codes across
  * every variant (exact int32 scores), timed against the float
  * BM_ArenaEncodeBatch rows at the same shapes — the quantized-encode
- * acceptance comparison. Unsupported variants skip.
+ * acceptance comparison. Args are (rows, K, v); the K = 4608, v = 8 rows
+ * are the hottest resnet18 stage at one served 64-row tile (row-lane
+ * blocks) and at 4 rows (the per-row remainder). Unsupported variants
+ * skip.
  */
 void
 encodeInt8Variant(benchmark::State &state, lutboost::EncodeVariant variant)
@@ -291,7 +294,9 @@ BM_ArenaGatherInt8ShuffleVnni(benchmark::State &state)
  * INT4 gather at a forced kernel variant: same codes, nibble-packed
  * bit-plane bank (two output columns per byte). Compared against the
  * INT8 and float rows at identical shapes, this times the cost of the
- * extra unpack-and-shift against the halved table stream.
+ * extra unpack-and-shift against the halved table stream. Args are
+ * (rows, K, N, v); 64 x 4608 x 512 at v = 8 is the hottest resnet18
+ * stage at one served tile, and 4 rows of it is the scalar-tail path.
  */
 void
 gatherInt4Variant(benchmark::State &state,
@@ -307,8 +312,8 @@ gatherInt4Variant(benchmark::State &state,
         state.SkipWithError("AVX2 not available");
         return;
     }
-    ArenaFixture ax(state.range(0), state.range(1), state.range(2), 4,
-                    16);
+    ArenaFixture ax(state.range(0), state.range(1), state.range(2),
+                    state.range(3), 16);
     for (auto _ : state) {
         ax.arena.gatherAccumulateInt4(ax.scratch.codes, ax.y.data(),
                                       ax.scratch.gather, variant);
@@ -368,18 +373,26 @@ BENCHMARK(BM_ArenaEncodeBatch)
 BENCHMARK(BM_ArenaEncodeInt8)
     ->Args({256, 512, 4})
     ->Args({256, 512, 8})
+    ->Args({64, 4608, 8})
+    ->Args({4, 4608, 8})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ArenaEncodeInt8Scalar)
     ->Args({256, 512, 4})
     ->Args({256, 512, 8})
+    ->Args({64, 4608, 8})
+    ->Args({4, 4608, 8})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ArenaEncodeInt8MaddAvx2)
     ->Args({256, 512, 4})
     ->Args({256, 512, 8})
+    ->Args({64, 4608, 8})
+    ->Args({4, 4608, 8})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ArenaEncodeInt8DotVnni)
     ->Args({256, 512, 4})
     ->Args({256, 512, 8})
+    ->Args({64, 4608, 8})
+    ->Args({4, 4608, 8})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ArenaGatherFloat)
     ->Args({128, 256, 256})
@@ -406,20 +419,28 @@ BENCHMARK(BM_ArenaGatherInt8ShuffleVnni)
     ->Args({256, 512, 512})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ArenaGatherInt4)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
+    ->Args({128, 256, 256, 4})
+    ->Args({256, 512, 512, 4})
+    ->Args({64, 4608, 512, 8})
+    ->Args({4, 4608, 512, 8})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ArenaGatherInt4Scalar)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
+    ->Args({128, 256, 256, 4})
+    ->Args({256, 512, 512, 4})
+    ->Args({64, 4608, 512, 8})
+    ->Args({4, 4608, 512, 8})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ArenaGatherInt4ShuffleAvx512)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
+    ->Args({128, 256, 256, 4})
+    ->Args({256, 512, 512, 4})
+    ->Args({64, 4608, 512, 8})
+    ->Args({4, 4608, 512, 8})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ArenaGatherInt4ShuffleAvx2)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
+    ->Args({128, 256, 256, 4})
+    ->Args({256, 512, 512, 4})
+    ->Args({64, 4608, 512, 8})
+    ->Args({4, 4608, 512, 8})
     ->Unit(benchmark::kMicrosecond);
 
 int

@@ -16,7 +16,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
+#include "lutboost/table_arena.h"
 #include "util/logging.h"
 
 namespace lutdla::lutboost::simd {
@@ -266,39 +268,152 @@ encodeL2GenericRowsAvx2(const float *x, int64_t rows, int64_t stride,
 }
 
 /**
- * INT8 argmin-encode, VNNI tier. Per row: quantize the subvector onto
- * the bank's 7-bit grid in masked 16-float chunks (sub, mul, clamp via
- * max/min — MAXPS(t, 0) returns 0 for NaN, matching the scalar
+ * Quantize 16 floats onto the encode bank's 7-bit grid: sub, mul, clamp
+ * via max/min — MAXPS(t, 0) returns 0 for NaN, matching the scalar
  * reference's `t > 0 ? t : 0` — then CVTPS2DQ under the default
- * round-to-nearest-even mode, matching std::nearbyint), then one
- * VPDPBUSD per dim-quad folds x_u (unsigned) against c_s (signed) for
- * all 16 centroid lanes at once. Bytes past v in the last chunk hold the
- * quantization of 0.0f; the bank's quad layout stores 0 there, so they
- * contribute nothing — the scalar reference simply never reads them.
+ * round-to-nearest-even mode, matching std::nearbyint. Returns 16 int32
+ * levels in [0, 127].
+ */
+__attribute__((target("avx512f"), always_inline)) inline __m512i
+quantizeChunkAvx512(__m512 t, __m512 vlo, __m512 vinv)
+{
+    t = _mm512_mul_ps(_mm512_sub_ps(t, vlo), vinv);
+    t = _mm512_min_ps(_mm512_max_ps(t, _mm512_setzero_ps()),
+                      _mm512_set1_ps(127.0f));
+    return _mm512_cvtps_epi32(t);
+}
+
+/** AVX2 twin of quantizeChunkAvx512 over 8 floats. */
+__attribute__((target("avx2"), always_inline)) inline __m256i
+quantizeChunkAvx2(__m256 t, __m256 vlo, __m256 vinv)
+{
+    t = _mm256_mul_ps(_mm256_sub_ps(t, vlo), vinv);
+    t = _mm256_min_ps(_mm256_max_ps(t, _mm256_setzero_ps()),
+                      _mm256_set1_ps(127.0f));
+    return _mm256_cvtps_epi32(t);
+}
+
+/** Bank dword `i` of a quad-interleaved cs_quad line (the 4 bytes of one
+ * centroid's dim-quad), read without type-punning the int8 bank. */
+inline int32_t
+bankDword(const int8_t *cs_quad, int64_t i)
+{
+    int32_t w;
+    std::memcpy(&w, cs_quad + 4 * i, 4);
+    return w;
+}
+
+/**
+ * INT8 argmin-encode of ONE 16-row block, VNNI tier, rows in lanes: int32
+ * lane r of acc[j] holds row r's key for centroid j,
+ *
+ *     key_j = 2 * dot(x_u, c_s[j]) - ||c_u[j]||^2 = -score_j,
+ *
+ * so the scalar reference's strict-< argmin over score_j is a strict->
+ * argmax over key_j (identical int32 values up to sign, lowest index on
+ * ties). x_u is doubled before the dot (2 * 127 = 254 still fits the u8
+ * operand), and the accumulators start at -norm_j, so each (centroid,
+ * quad) costs exactly one VPDPBUSD against a broadcast bank dword and the
+ * reduction is a 15-step vertical compare/select — no horizontal shuffles.
+ * Pad centroids start at -INT32_MAX against an all-zero bank and can never
+ * win. The rows are quantized exactly like the per-row path, in 8-dim
+ * chunks with two rows per register (so v = 8 wastes no lanes); PACKSSDW
+ * + PACKUSWB turn four such registers into bytes, and one 128-bit lane
+ * shuffle per quad gathers that quad of all 16 rows into one register.
+ */
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void
+encodeInt8LanesVnni(const float *x, int64_t stride, const int8_t *cs_quad,
+                    const int32_t *norms, float lo, float inv, int64_t v,
+                    int32_t *codes)
+{
+    const int64_t vq4 = (v + 3) / 4;
+    const __m512 vlo = _mm512_set1_ps(lo);
+    const __m512 vinv = _mm512_set1_ps(inv);
+    __m512i acc[16];
+    for (int64_t j = 0; j < 16; ++j)
+        acc[j] = _mm512_set1_epi32(-norms[j]);
+    for (int64_t t0 = 0; t0 < v; t0 += 8) {
+        const int64_t lanes = std::min<int64_t>(8, v - t0);
+        const __mmask16 lm = static_cast<__mmask16>((1u << lanes) - 1u);
+        __m512i u[2];
+        for (int64_t h = 0; h < 2; ++h) {
+            // Two rows per register: row 8h + k in lanes 0..7, row
+            // 8h + 4 + k in lanes 8..15.
+            __m512i q[4];
+            for (int64_t k = 0; k < 4; ++k) {
+                const float *r = x + (8 * h + k) * stride + t0;
+                q[k] = quantizeChunkAvx512(
+                    _mm512_shuffle_f32x4(
+                        _mm512_maskz_loadu_ps(lm, r),
+                        _mm512_maskz_loadu_ps(lm, r + 4 * stride), 0x44),
+                    vlo, vinv);
+            }
+            // Levels are <= 127, so neither pack saturates. 128-bit lane
+            // L of u[h] is quad t0 / 4 + (L & 1) of rows 8h + 4 * (L >> 1)
+            // .. + 3.
+            u[h] = _mm512_packus_epi16(_mm512_packs_epi32(q[0], q[1]),
+                                       _mm512_packs_epi32(q[2], q[3]));
+        }
+        const __m512i xl[2] = {_mm512_shuffle_i32x4(u[0], u[1], 0x88),
+                               _mm512_shuffle_i32x4(u[0], u[1], 0xDD)};
+        // A quad past vq4 holds garbage and is never read; dims past v
+        // inside the last quad meet zero bank bytes.
+        const int64_t quads = std::min<int64_t>(2, vq4 - t0 / 4);
+        for (int64_t q = 0; q < quads; ++q) {
+            const __m512i x2 = _mm512_add_epi8(xl[q], xl[q]);
+            const int64_t line = (t0 / 4 + q) * 16;
+            for (int64_t j = 0; j < 16; ++j)
+                acc[j] = _mm512_dpbusd_epi32(
+                    acc[j], x2,
+                    _mm512_set1_epi32(bankDword(cs_quad, line + j)));
+        }
+    }
+    __m512i best = acc[0];
+    __m512i code = _mm512_setzero_si512();
+    for (int64_t j = 1; j < 16; ++j) {
+        const __mmask16 gt = _mm512_cmpgt_epi32_mask(acc[j], best);
+        best = _mm512_mask_mov_epi32(best, gt, acc[j]);
+        code = _mm512_mask_mov_epi32(code, gt,
+                                     _mm512_set1_epi32(static_cast<int>(j)));
+    }
+    _mm512_storeu_si512(codes, code);
+}
+
+/**
+ * INT8 argmin-encode, VNNI tier: whole 16-row blocks run row-lane
+ * (encodeInt8LanesVnni); the remainder of fewer than 16 rows keeps the
+ * per-row kernel, which wins at such small counts. Per row: quantize in
+ * 16-float chunks, one VPDPBUSD per dim-quad folds x_u (unsigned) against
+ * c_s (signed) for all 16 centroid lanes, and a shuffle/min tree finds the
+ * lowest-index minimum of score = norm - 2 * dot. Bytes past v in the
+ * last chunk hold the quantization of 0.0f; the bank's quad layout stores
+ * 0 there, so they contribute nothing — the scalar reference simply never
+ * reads them.
  */
 __attribute__((target("avx512f,avx512bw,avx512vnni"))) void
 encodeInt8RowsVnni(const float *x, int64_t rows, int64_t stride,
                    const int8_t *cs_quad, const int32_t *norms, float lo,
                    float inv, int64_t v, int32_t *codes)
 {
+    int64_t i = 0;
+    for (; i + 16 <= rows; i += 16)
+        encodeInt8LanesVnni(x + i * stride, stride, cs_quad, norms, lo, inv,
+                            v, codes + i);
     const int64_t vq4 = (v + 3) / 4;
     const __m512 vlo = _mm512_set1_ps(lo);
     const __m512 vinv = _mm512_set1_ps(inv);
-    const __m512 vzero = _mm512_setzero_ps();
-    const __m512 vmax = _mm512_set1_ps(127.0f);
     const __m512i vnorm = _mm512_loadu_si512(norms);
     alignas(64) uint8_t xq[128];
-    for (int64_t i = 0; i < rows; ++i) {
+    for (; i < rows; ++i) {
         const float *sub = x + i * stride;
         for (int64_t t0 = 0; t0 < v; t0 += 16) {
             const int64_t lanes = std::min<int64_t>(16, v - t0);
             const __mmask16 lm =
                 static_cast<__mmask16>((1u << lanes) - 1u);
-            __m512 t = _mm512_maskz_loadu_ps(lm, sub + t0);
-            t = _mm512_mul_ps(_mm512_sub_ps(t, vlo), vinv);
-            t = _mm512_min_ps(_mm512_max_ps(t, vzero), vmax);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(xq + t0),
-                             _mm512_cvtepi32_epi8(_mm512_cvtps_epi32(t)));
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(xq + t0),
+                _mm512_cvtepi32_epi8(quantizeChunkAvx512(
+                    _mm512_maskz_loadu_ps(lm, sub + t0), vlo, vinv)));
         }
         __m512i acc = _mm512_setzero_si512();
         for (int64_t qd = 0; qd < vq4; ++qd) {
@@ -325,24 +440,103 @@ encodeInt8RowsVnni(const float *x, int64_t rows, int64_t stride,
 }
 
 /**
- * INT8 argmin-encode, AVX2 tier (also serves plain AVX-512 hosts).
- * VPMADDUBSW pairs x_u (unsigned, <= 127) with c_s (signed, >= -128):
- * a pair sum is bounded by 127 * 128 * 2 = 32512 < 32767, so the int16
- * lanes never saturate; VPMADDWD against ones widens the pairs into the
- * same exact int32 quad-dots VPDPBUSD produces.
+ * INT8 argmin-encode of ONE 8-row block, AVX2 tier, rows in lanes. Unlike
+ * the VNNI tier this keeps score = norm - 2 * dot: VPMADDUBSW pair sums of
+ * a doubled x_u would reach 2 * 254 * 128 = 65024 and saturate int16, so
+ * the doubling rides on VPMADDWD instead (pairs times 2, exact in int32)
+ * and each accumulator starts at norm_j and subtracts. AVX2 has only 16
+ * ymm registers, so the 16 centroids run as two halves of 8 accumulators.
+ * The quantized rows are transposed once into xt (quad-major, one dword
+ * lane per row) and re-read by both halves.
  */
 __attribute__((target("avx2"))) void
-encodeInt8RowsAvx2(const float *x, int64_t rows, int64_t stride,
-                   const int8_t *cs_quad, const int32_t *norms, float lo,
-                   float inv, int64_t v, int32_t *codes)
+encodeInt8LanesAvx2(const float *x, int64_t stride, const int8_t *cs_quad,
+                    const int32_t *norms, float lo, float inv, int64_t v,
+                    int32_t *codes)
 {
     static const int32_t kLaneMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                           0,  0,  0,  0,  0,  0,  0,  0};
     const int64_t vq4 = (v + 3) / 4;
     const __m256 vlo = _mm256_set1_ps(lo);
     const __m256 vinv = _mm256_set1_ps(inv);
-    const __m256 vzero = _mm256_setzero_ps();
-    const __m256 vmax = _mm256_set1_ps(127.0f);
+    // Quad-major transposed levels; an odd vq4's last chunk also writes
+    // a garbage quad vq4, which stays inside the array and is never read.
+    alignas(32) int32_t xt[32][8];
+    for (int64_t t0 = 0; t0 < v; t0 += 8) {
+        const int64_t lanes = std::min<int64_t>(8, v - t0);
+        const __m256i lm = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(kLaneMask + 8 - lanes));
+        __m256i u[2];
+        for (int64_t b = 0; b < 2; ++b) {
+            __m256i q[4];
+            for (int64_t k = 0; k < 4; ++k)
+                q[k] = quantizeChunkAvx2(
+                    _mm256_maskload_ps(x + (4 * b + k) * stride + t0, lm),
+                    vlo, vinv);
+            // 128-bit lane L = quad (t0 / 4 + L) of rows 4b..4b+3.
+            u[b] = _mm256_packus_epi16(_mm256_packs_epi32(q[0], q[1]),
+                                       _mm256_packs_epi32(q[2], q[3]));
+        }
+        _mm256_store_si256(reinterpret_cast<__m256i *>(xt[t0 / 4]),
+                           _mm256_permute2x128_si256(u[0], u[1], 0x20));
+        _mm256_store_si256(reinterpret_cast<__m256i *>(xt[t0 / 4 + 1]),
+                           _mm256_permute2x128_si256(u[0], u[1], 0x31));
+    }
+    const __m256i twos = _mm256_set1_epi16(2);
+    __m256i best = _mm256_set1_epi32(std::numeric_limits<int32_t>::max());
+    __m256i code = _mm256_setzero_si256();
+    for (int64_t h = 0; h < 2; ++h) {
+        __m256i acc[8];
+        for (int64_t j = 0; j < 8; ++j)
+            acc[j] = _mm256_set1_epi32(norms[8 * h + j]);
+        for (int64_t qd = 0; qd < vq4; ++qd) {
+            const __m256i xq = _mm256_load_si256(
+                reinterpret_cast<const __m256i *>(xt[qd]));
+            const int64_t line = qd * 16 + 8 * h;
+            for (int64_t j = 0; j < 8; ++j)
+                acc[j] = _mm256_sub_epi32(
+                    acc[j],
+                    _mm256_madd_epi16(
+                        _mm256_maddubs_epi16(
+                            xq, _mm256_set1_epi32(
+                                    bankDword(cs_quad, line + j))),
+                        twos));
+        }
+        // Strict < over ascending j: the lowest index keeps a tie. Every
+        // real score is far below the INT32_MAX seed, so centroid 0
+        // always takes the first compare.
+        for (int64_t j = 0; j < 8; ++j) {
+            const __m256i lt = _mm256_cmpgt_epi32(best, acc[j]);
+            best = _mm256_min_epi32(best, acc[j]);
+            code = _mm256_blendv_epi8(
+                code, _mm256_set1_epi32(static_cast<int>(8 * h + j)), lt);
+        }
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(codes), code);
+}
+
+/**
+ * INT8 argmin-encode, AVX2 tier (also serves plain AVX-512 hosts): whole
+ * 8-row blocks run row-lane (encodeInt8LanesAvx2), the remainder keeps
+ * the per-row kernel. VPMADDUBSW pairs x_u (unsigned, <= 127) with c_s
+ * (signed, >= -128): a pair sum is bounded by 127 * 128 * 2 = 32512 <
+ * 32767, so the int16 lanes never saturate; VPMADDWD against ones widens
+ * the pairs into the same exact int32 quad-dots VPDPBUSD produces.
+ */
+__attribute__((target("avx2"))) void
+encodeInt8RowsAvx2(const float *x, int64_t rows, int64_t stride,
+                   const int8_t *cs_quad, const int32_t *norms, float lo,
+                   float inv, int64_t v, int32_t *codes)
+{
+    int64_t i = 0;
+    for (; i + 8 <= rows; i += 8)
+        encodeInt8LanesAvx2(x + i * stride, stride, cs_quad, norms, lo, inv,
+                            v, codes + i);
+    static const int32_t kLaneMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                          0,  0,  0,  0,  0,  0,  0,  0};
+    const int64_t vq4 = (v + 3) / 4;
+    const __m256 vlo = _mm256_set1_ps(lo);
+    const __m256 vinv = _mm256_set1_ps(inv);
     const __m256i ones16 = _mm256_set1_epi16(1);
     const __m256i norm0 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i *>(norms));
@@ -350,17 +544,16 @@ encodeInt8RowsAvx2(const float *x, int64_t rows, int64_t stride,
         _mm256_loadu_si256(reinterpret_cast<const __m256i *>(norms + 8));
     alignas(32) int32_t qtmp[8];
     alignas(32) uint8_t xq[128];
-    for (int64_t i = 0; i < rows; ++i) {
+    for (; i < rows; ++i) {
         const float *sub = x + i * stride;
         for (int64_t t0 = 0; t0 < v; t0 += 8) {
             const int64_t lanes = std::min<int64_t>(8, v - t0);
             const __m256i lm = _mm256_loadu_si256(
                 reinterpret_cast<const __m256i *>(kLaneMask + 8 - lanes));
-            __m256 t = _mm256_maskload_ps(sub + t0, lm);
-            t = _mm256_mul_ps(_mm256_sub_ps(t, vlo), vinv);
-            t = _mm256_min_ps(_mm256_max_ps(t, vzero), vmax);
-            _mm256_store_si256(reinterpret_cast<__m256i *>(qtmp),
-                               _mm256_cvtps_epi32(t));
+            _mm256_store_si256(
+                reinterpret_cast<__m256i *>(qtmp),
+                quantizeChunkAvx2(_mm256_maskload_ps(sub + t0, lm), vlo,
+                                  vinv));
             for (int64_t k = 0; k < 8 && t0 + k < 4 * vq4; ++k)
                 xq[t0 + k] = static_cast<uint8_t>(qtmp[k]);
         }
@@ -394,6 +587,42 @@ encodeInt8RowsAvx2(const float *x, int64_t rows, int64_t stride,
         const unsigned eq1 = static_cast<unsigned>(_mm256_movemask_ps(
             _mm256_castsi256_ps(_mm256_cmpeq_epi32(s1, m))));
         codes[i] = static_cast<int32_t>(__builtin_ctz(eq0 | (eq1 << 8)));
+    }
+}
+
+/**
+ * Dequantize one column's 64 rows of int16 group sums (rows 0..31 in lo,
+ * 32..63 in hi) into the column-major output: spill through int32, then
+ * one mul + add per group — the scalar sweep's exact float ops. The first
+ * group stores instead of adding.
+ */
+__attribute__((target("avx512f,avx512bw"), always_inline)) inline void
+spillGroupAvx512(float *out, __m512i lo, __m512i hi, __m512 vs, bool first)
+{
+    const __m256i parts[4] = {
+        _mm512_castsi512_si256(lo), _mm512_extracti64x4_epi64(lo, 1),
+        _mm512_castsi512_si256(hi), _mm512_extracti64x4_epi64(hi, 1)};
+    for (int64_t k = 0; k < 4; ++k) {
+        const __m512 f = _mm512_mul_ps(
+            _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(parts[k])), vs);
+        float *o = out + 16 * k;
+        _mm512_storeu_ps(o, first ? f : _mm512_add_ps(_mm512_loadu_ps(o), f));
+    }
+}
+
+/** AVX2 twin of spillGroupAvx512 over a 32-row column (rows 0..15 in lo,
+ * 16..31 in hi). */
+__attribute__((target("avx2"), always_inline)) inline void
+spillGroupAvx2(float *out, __m256i lo, __m256i hi, __m256 vs, bool first)
+{
+    const __m128i parts[4] = {
+        _mm256_castsi256_si128(lo), _mm256_extracti128_si256(lo, 1),
+        _mm256_castsi256_si128(hi), _mm256_extracti128_si256(hi, 1)};
+    for (int64_t k = 0; k < 4; ++k) {
+        const __m256 f = _mm256_mul_ps(
+            _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(parts[k])), vs);
+        float *o = out + 8 * k;
+        _mm256_storeu_ps(o, first ? f : _mm256_add_ps(_mm256_loadu_ps(o), f));
     }
 }
 
@@ -434,44 +663,9 @@ gatherChunkAvx512(const int8_t *__restrict__ q_il,
                     hi, _mm512_cvtepi8_epi16(
                             _mm512_extracti64x4_epi64(v, 1)));
             }
-            // Spill the int16 lanes through int32 and dequantize with one
-            // mul + add per group (the scalar sweep's exact float ops).
-            const __m512 vs = _mm512_set1_ps(srow[col / block_cols]);
-            const __m512 f0 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_castsi512_si256(lo))),
-                vs);
-            const __m512 f1 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_extracti64x4_epi64(lo, 1))),
-                vs);
-            const __m512 f2 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_castsi512_si256(hi))),
-                vs);
-            const __m512 f3 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_extracti64x4_epi64(hi, 1))),
-                vs);
-            float *out = colmajor + col * kChunk;
-            if (g == 0) {
-                _mm512_storeu_ps(out, f0);
-                _mm512_storeu_ps(out + 16, f1);
-                _mm512_storeu_ps(out + 32, f2);
-                _mm512_storeu_ps(out + 48, f3);
-            } else {
-                _mm512_storeu_ps(
-                    out, _mm512_add_ps(_mm512_loadu_ps(out), f0));
-                _mm512_storeu_ps(
-                    out + 16,
-                    _mm512_add_ps(_mm512_loadu_ps(out + 16), f1));
-                _mm512_storeu_ps(
-                    out + 32,
-                    _mm512_add_ps(_mm512_loadu_ps(out + 32), f2));
-                _mm512_storeu_ps(
-                    out + 48,
-                    _mm512_add_ps(_mm512_loadu_ps(out + 48), f3));
-            }
+            spillGroupAvx512(colmajor + col * kChunk, lo, hi,
+                             _mm512_set1_ps(srow[col / block_cols]),
+                             g == 0);
         }
     }
 }
@@ -509,43 +703,48 @@ gatherChunkAvx2(const int8_t *__restrict__ q_il,
                     hi, _mm256_cvtepi8_epi16(
                             _mm256_extracti128_si256(v, 1)));
             }
-            const __m256 vs = _mm256_set1_ps(srow[col / block_cols]);
-            const __m256 f0 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_castsi256_si128(lo))),
-                vs);
-            const __m256 f1 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(lo, 1))),
-                vs);
-            const __m256 f2 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_castsi256_si128(hi))),
-                vs);
-            const __m256 f3 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(hi, 1))),
-                vs);
-            float *out = colmajor + col * kChunk;
-            if (g == 0) {
-                _mm256_storeu_ps(out, f0);
-                _mm256_storeu_ps(out + 8, f1);
-                _mm256_storeu_ps(out + 16, f2);
-                _mm256_storeu_ps(out + 24, f3);
-            } else {
-                _mm256_storeu_ps(
-                    out, _mm256_add_ps(_mm256_loadu_ps(out), f0));
-                _mm256_storeu_ps(
-                    out + 8, _mm256_add_ps(_mm256_loadu_ps(out + 8), f1));
-                _mm256_storeu_ps(
-                    out + 16,
-                    _mm256_add_ps(_mm256_loadu_ps(out + 16), f2));
-                _mm256_storeu_ps(
-                    out + 24,
-                    _mm256_add_ps(_mm256_loadu_ps(out + 24), f3));
-            }
+            spillGroupAvx2(colmajor + col * kChunk, lo, hi,
+                           _mm256_set1_ps(srow[col / block_cols]), g == 0);
         }
     }
+}
+
+// The INT4 shuffle gathers sum up to one scale group of biased nibbles
+// (each <= 15) in u8 lanes before widening; that is exact only while the
+// group sum fits a byte.
+static_assert(LutTableArena::kInt4ScaleGroup * 15 <= 255,
+              "INT4 group sums must fit the u8 accumulator lanes");
+
+/**
+ * Widen one nibble plane's u8 group sums (64 rows) to int16, remove the
+ * +8 bias of every summed nibble (`bias` = 8 * group size), and spill the
+ * column like spillGroupAvx512.
+ */
+__attribute__((target("avx512f,avx512bw"), always_inline)) inline void
+spillNibblePlaneAvx512(float *out, __m512i sums, __m512i bias, __m512 vs,
+                       bool first)
+{
+    spillGroupAvx512(
+        out,
+        _mm512_sub_epi16(_mm512_cvtepu8_epi16(_mm512_castsi512_si256(sums)),
+                         bias),
+        _mm512_sub_epi16(
+            _mm512_cvtepu8_epi16(_mm512_extracti64x4_epi64(sums, 1)), bias),
+        vs, first);
+}
+
+/** AVX2 twin of spillNibblePlaneAvx512 (32 rows). */
+__attribute__((target("avx2"), always_inline)) inline void
+spillNibblePlaneAvx2(float *out, __m256i sums, __m256i bias, __m256 vs,
+                     bool first)
+{
+    spillGroupAvx2(
+        out,
+        _mm256_sub_epi16(_mm256_cvtepu8_epi16(_mm256_castsi256_si128(sums)),
+                         bias),
+        _mm256_sub_epi16(
+            _mm256_cvtepu8_epi16(_mm256_extracti128_si256(sums, 1)), bias),
+        vs, first);
 }
 
 /**
@@ -553,10 +752,12 @@ gatherChunkAvx2(const int8_t *__restrict__ q_il,
  * gatherChunkAvx512, but each looked-up byte packs TWO adjacent output
  * columns (low nibble = even column, high nibble = odd column, both
  * bias-shifted by +8), so one VPSHUFB + one AND + one shift resolve 64
- * rows of BOTH columns of a pair. Biased nibbles (0..15) accumulate in
- * int16 lanes — at most 16 * 15 = 240, exact — and one subtract of
- * 8 * gs recovers the signed sum before the per-group dequantizing
- * mul + add, the same float op sequence the scalar packed sweep emits.
+ * rows of BOTH columns of a pair. Biased nibbles (0..15) accumulate in u8
+ * lanes across the whole scale group — at most 16 * 15 = 240, exact — so
+ * the subspace loop is 6 byte ops with no widening. Once per (group,
+ * pair) each plane zero-extends to int16, one subtract of 8 * gs recovers
+ * the signed sum, and the per-group dequantizing mul + add follows: the
+ * same float op sequence the scalar packed sweep emits.
  */
 __attribute__((target("avx512f,avx512bw"))) void
 gatherChunkInt4Avx512(const uint8_t *__restrict__ q4_il,
@@ -582,119 +783,32 @@ gatherChunkInt4Avx512(const uint8_t *__restrict__ q4_il,
         const __m512i bias =
             _mm512_set1_epi16(static_cast<short>(8 * gs));
         for (int64_t p = 0; p < half_n; ++p) {
-            __m512i lo_e = _mm512_setzero_si512();
-            __m512i hi_e = _mm512_setzero_si512();
-            __m512i lo_o = _mm512_setzero_si512();
-            __m512i hi_o = _mm512_setzero_si512();
+            __m512i even = _mm512_setzero_si512();
+            __m512i odd = _mm512_setzero_si512();
             for (int64_t i = 0; i < gs; ++i) {
                 const __m512i lut = _mm512_broadcast_i32x4(
                     _mm_loadu_si128(reinterpret_cast<const __m128i *>(
                         q4_il + ((s0 + i) * half_n + p) * 16)));
                 const __m512i v = _mm512_shuffle_epi8(lut, idx[i]);
-                // Nibble-plane split; values stay 0..15, so the
-                // int8 -> int16 widen below is sign-safe.
-                const __m512i ve = _mm512_and_si512(v, nib_mask);
-                const __m512i vo = _mm512_and_si512(
-                    _mm512_srli_epi16(v, 4), nib_mask);
-                lo_e = _mm512_add_epi16(
-                    lo_e,
-                    _mm512_cvtepi8_epi16(_mm512_castsi512_si256(ve)));
-                hi_e = _mm512_add_epi16(
-                    hi_e, _mm512_cvtepi8_epi16(
-                              _mm512_extracti64x4_epi64(ve, 1)));
-                lo_o = _mm512_add_epi16(
-                    lo_o,
-                    _mm512_cvtepi8_epi16(_mm512_castsi512_si256(vo)));
-                hi_o = _mm512_add_epi16(
-                    hi_o, _mm512_cvtepi8_epi16(
-                              _mm512_extracti64x4_epi64(vo, 1)));
+                even = _mm512_add_epi8(even, _mm512_and_si512(v, nib_mask));
+                odd = _mm512_add_epi8(
+                    odd, _mm512_and_si512(_mm512_srli_epi16(v, 4), nib_mask));
             }
-            lo_e = _mm512_sub_epi16(lo_e, bias);
-            hi_e = _mm512_sub_epi16(hi_e, bias);
-            lo_o = _mm512_sub_epi16(lo_o, bias);
-            hi_o = _mm512_sub_epi16(hi_o, bias);
             // block_cols is even, so both columns of the pair live in
             // one scale block: a single broadcast serves the pair.
-            const __m512 vs =
-                _mm512_set1_ps(srow[(2 * p) / block_cols]);
-            const __m512 e0 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_castsi512_si256(lo_e))),
-                vs);
-            const __m512 e1 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_extracti64x4_epi64(lo_e, 1))),
-                vs);
-            const __m512 e2 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_castsi512_si256(hi_e))),
-                vs);
-            const __m512 e3 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_extracti64x4_epi64(hi_e, 1))),
-                vs);
-            float *out = colmajor + (2 * p) * kChunk;
-            if (g == 0) {
-                _mm512_storeu_ps(out, e0);
-                _mm512_storeu_ps(out + 16, e1);
-                _mm512_storeu_ps(out + 32, e2);
-                _mm512_storeu_ps(out + 48, e3);
-            } else {
-                _mm512_storeu_ps(
-                    out, _mm512_add_ps(_mm512_loadu_ps(out), e0));
-                _mm512_storeu_ps(
-                    out + 16,
-                    _mm512_add_ps(_mm512_loadu_ps(out + 16), e1));
-                _mm512_storeu_ps(
-                    out + 32,
-                    _mm512_add_ps(_mm512_loadu_ps(out + 32), e2));
-                _mm512_storeu_ps(
-                    out + 48,
-                    _mm512_add_ps(_mm512_loadu_ps(out + 48), e3));
-            }
+            const __m512 vs = _mm512_set1_ps(srow[(2 * p) / block_cols]);
+            spillNibblePlaneAvx512(colmajor + (2 * p) * kChunk, even, bias,
+                                   vs, g == 0);
             if (2 * p + 1 >= n)
                 continue;  // odd N: the high plane has no partner column
-            const __m512 o0 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_castsi512_si256(lo_o))),
-                vs);
-            const __m512 o1 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_extracti64x4_epi64(lo_o, 1))),
-                vs);
-            const __m512 o2 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_castsi512_si256(hi_o))),
-                vs);
-            const __m512 o3 = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
-                    _mm512_extracti64x4_epi64(hi_o, 1))),
-                vs);
-            float *outo = colmajor + (2 * p + 1) * kChunk;
-            if (g == 0) {
-                _mm512_storeu_ps(outo, o0);
-                _mm512_storeu_ps(outo + 16, o1);
-                _mm512_storeu_ps(outo + 32, o2);
-                _mm512_storeu_ps(outo + 48, o3);
-            } else {
-                _mm512_storeu_ps(
-                    outo, _mm512_add_ps(_mm512_loadu_ps(outo), o0));
-                _mm512_storeu_ps(
-                    outo + 16,
-                    _mm512_add_ps(_mm512_loadu_ps(outo + 16), o1));
-                _mm512_storeu_ps(
-                    outo + 32,
-                    _mm512_add_ps(_mm512_loadu_ps(outo + 32), o2));
-                _mm512_storeu_ps(
-                    outo + 48,
-                    _mm512_add_ps(_mm512_loadu_ps(outo + 48), o3));
-            }
+            spillNibblePlaneAvx512(colmajor + (2 * p + 1) * kChunk, odd,
+                                   bias, vs, g == 0);
         }
     }
 }
 
 /** INT4 shuffle gather, AVX2 tier (32-row chunks); see the AVX-512
- * variant for the nibble-plane contract. */
+ * variant for the nibble-plane and u8-accumulation contract. */
 __attribute__((target("avx2"))) void
 gatherChunkInt4Avx2(const uint8_t *__restrict__ q4_il,
                     const float *__restrict__ scales,
@@ -720,109 +834,24 @@ gatherChunkInt4Avx2(const uint8_t *__restrict__ q4_il,
         const __m256i bias =
             _mm256_set1_epi16(static_cast<short>(8 * gs));
         for (int64_t p = 0; p < half_n; ++p) {
-            __m256i lo_e = _mm256_setzero_si256();
-            __m256i hi_e = _mm256_setzero_si256();
-            __m256i lo_o = _mm256_setzero_si256();
-            __m256i hi_o = _mm256_setzero_si256();
+            __m256i even = _mm256_setzero_si256();
+            __m256i odd = _mm256_setzero_si256();
             for (int64_t i = 0; i < gs; ++i) {
                 const __m256i lut = _mm256_broadcastsi128_si256(
                     _mm_loadu_si128(reinterpret_cast<const __m128i *>(
                         q4_il + ((s0 + i) * half_n + p) * 16)));
                 const __m256i v = _mm256_shuffle_epi8(lut, idx[i]);
-                const __m256i ve = _mm256_and_si256(v, nib_mask);
-                const __m256i vo = _mm256_and_si256(
-                    _mm256_srli_epi16(v, 4), nib_mask);
-                lo_e = _mm256_add_epi16(
-                    lo_e,
-                    _mm256_cvtepi8_epi16(_mm256_castsi256_si128(ve)));
-                hi_e = _mm256_add_epi16(
-                    hi_e, _mm256_cvtepi8_epi16(
-                              _mm256_extracti128_si256(ve, 1)));
-                lo_o = _mm256_add_epi16(
-                    lo_o,
-                    _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vo)));
-                hi_o = _mm256_add_epi16(
-                    hi_o, _mm256_cvtepi8_epi16(
-                              _mm256_extracti128_si256(vo, 1)));
+                even = _mm256_add_epi8(even, _mm256_and_si256(v, nib_mask));
+                odd = _mm256_add_epi8(
+                    odd, _mm256_and_si256(_mm256_srli_epi16(v, 4), nib_mask));
             }
-            lo_e = _mm256_sub_epi16(lo_e, bias);
-            hi_e = _mm256_sub_epi16(hi_e, bias);
-            lo_o = _mm256_sub_epi16(lo_o, bias);
-            hi_o = _mm256_sub_epi16(hi_o, bias);
-            const __m256 vs =
-                _mm256_set1_ps(srow[(2 * p) / block_cols]);
-            const __m256 e0 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_castsi256_si128(lo_e))),
-                vs);
-            const __m256 e1 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(lo_e, 1))),
-                vs);
-            const __m256 e2 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_castsi256_si128(hi_e))),
-                vs);
-            const __m256 e3 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(hi_e, 1))),
-                vs);
-            float *out = colmajor + (2 * p) * kChunk;
-            if (g == 0) {
-                _mm256_storeu_ps(out, e0);
-                _mm256_storeu_ps(out + 8, e1);
-                _mm256_storeu_ps(out + 16, e2);
-                _mm256_storeu_ps(out + 24, e3);
-            } else {
-                _mm256_storeu_ps(
-                    out, _mm256_add_ps(_mm256_loadu_ps(out), e0));
-                _mm256_storeu_ps(
-                    out + 8,
-                    _mm256_add_ps(_mm256_loadu_ps(out + 8), e1));
-                _mm256_storeu_ps(
-                    out + 16,
-                    _mm256_add_ps(_mm256_loadu_ps(out + 16), e2));
-                _mm256_storeu_ps(
-                    out + 24,
-                    _mm256_add_ps(_mm256_loadu_ps(out + 24), e3));
-            }
+            const __m256 vs = _mm256_set1_ps(srow[(2 * p) / block_cols]);
+            spillNibblePlaneAvx2(colmajor + (2 * p) * kChunk, even, bias, vs,
+                                 g == 0);
             if (2 * p + 1 >= n)
                 continue;
-            const __m256 o0 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_castsi256_si128(lo_o))),
-                vs);
-            const __m256 o1 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(lo_o, 1))),
-                vs);
-            const __m256 o2 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_castsi256_si128(hi_o))),
-                vs);
-            const __m256 o3 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
-                    _mm256_extracti128_si256(hi_o, 1))),
-                vs);
-            float *outo = colmajor + (2 * p + 1) * kChunk;
-            if (g == 0) {
-                _mm256_storeu_ps(outo, o0);
-                _mm256_storeu_ps(outo + 8, o1);
-                _mm256_storeu_ps(outo + 16, o2);
-                _mm256_storeu_ps(outo + 24, o3);
-            } else {
-                _mm256_storeu_ps(
-                    outo, _mm256_add_ps(_mm256_loadu_ps(outo), o0));
-                _mm256_storeu_ps(
-                    outo + 8,
-                    _mm256_add_ps(_mm256_loadu_ps(outo + 8), o1));
-                _mm256_storeu_ps(
-                    outo + 16,
-                    _mm256_add_ps(_mm256_loadu_ps(outo + 16), o2));
-                _mm256_storeu_ps(
-                    outo + 24,
-                    _mm256_add_ps(_mm256_loadu_ps(outo + 24), o3));
-            }
+            spillNibblePlaneAvx2(colmajor + (2 * p + 1) * kChunk, odd, bias,
+                                 vs, g == 0);
         }
     }
 }

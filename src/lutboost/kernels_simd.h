@@ -28,11 +28,14 @@
  *    inv), 0, 127)), so argmin ||x - c||^2 collapses to an integer
  *    argmin over (||c_u||^2 - 2 * x_u . c_s) with c_s = c_u - 128 —
  *    the dropped ||x_u||^2 and -256 * sum(x_u) terms are constant
- *    across centroids. The VNNI tier folds 4 dims x 16 centroids per
- *    VPDPBUSD over the quad-interleaved bank; the AVX2 tier pairs
- *    VPMADDUBSW + VPMADDWD (the 7-bit x grid caps a pair sum at
- *    127 * 128 * 2 = 32512, so the int16 maddubs lanes can never
- *    saturate). Every tier computes the identical int32 scores, so the
+ *    across centroids. Both SIMD tiers run whole blocks of rows
+ *    row-lane — one row per int32 lane, one VPDPBUSD (VNNI) or
+ *    VPMADDUBSW + VPMADDWD (AVX2) per (centroid, dim-quad) against a
+ *    broadcast bank dword, then a vertical strict-compare scan over the
+ *    centroids — and the leftover rows per row (4 dims x 16 centroids
+ *    per instruction). The 7-bit x grid caps a VPMADDUBSW pair sum at
+ *    127 * 128 * 2 = 32512, so the int16 lanes can never saturate.
+ *    Every tier computes the identical int32 scores (up to sign), so the
  *    result is bit-identical to the scalar integer reference by
  *    construction.
  *
@@ -50,9 +53,11 @@
  *    machinery over the packed interleaved layout, where each looked-up
  *    byte carries TWO adjacent output columns (low/high nibble plane,
  *    both bias-shifted by +8). One AND + one shift per lookup split the
- *    planes; biased nibbles accumulate in int16 lanes, and one bias-
- *    correcting subtract precedes the per-group dequantizing mul + add
- *    — again bit-identical to the scalar packed sweep.
+ *    planes; biased nibbles accumulate in u8 lanes across the scale
+ *    group (16 * 15 = 240 fits a byte), widen to int16 once per (group,
+ *    column pair), and one bias-correcting subtract precedes the
+ *    per-group dequantizing mul + add — again bit-identical to the
+ *    scalar packed sweep.
  */
 
 #include <cstdint>
@@ -121,10 +126,18 @@ bool int8EncodeSupported(util::SimdLevel level);
  * @param norms    16 int32 centroid norms ||c_u||^2 (INT32_MAX pads).
  * @param lo, inv  the subspace's affine grid (inv = 1 / step).
  *
- * At SimdLevel::Avx512Vnni the dot is one VPDPBUSD per quad; at AVX2 /
- * plain AVX-512 it is VPMADDUBSW + VPMADDWD over two 8-centroid halves.
- * Both produce the identical int32 scores as the scalar reference in
- * LutTableArena, so codes match bit-for-bit.
+ * Whole blocks of 16 rows (SimdLevel::Avx512Vnni) or 8 rows (AVX2 /
+ * plain AVX-512) run row-lane: one row per int32 lane, the quantized
+ * dim-quads transposed into the lanes, one VPDPBUSD (or VPMADDUBSW +
+ * VPMADDWD) per (centroid, quad) against a broadcast bank dword, and a
+ * vertical strict-compare scan over the centroids. The VNNI tier scores
+ * key_j = 2 * dot - norms[j] with a doubled x_u (<= 254, still u8) and
+ * takes the strict-> argmax; the AVX2 tier keeps norms[j] - 2 * dot
+ * (a doubled x_u would saturate VPMADDUBSW) and takes the strict-<
+ * argmin. Fewer leftover rows than one block use the per-row kernel: one
+ * VPDPBUSD (or VPMADDUBSW + VPMADDWD over two 8-centroid halves) per
+ * quad and a horizontal min. Every path produces the scalar reference's
+ * int32 scores up to sign, so codes match bit-for-bit.
  */
 void encodeInt8C16Rows(util::SimdLevel level, const float *x, int64_t rows,
                        int64_t stride, const int8_t *cs_quad,
@@ -176,7 +189,10 @@ void shuffleGatherChunk(util::SimdLevel level, const int8_t *q_il,
  *                   scale block.
  * Other parameters and the colmajor output contract match
  * shuffleGatherChunk (an odd n's final column is still written; the
- * missing odd partner is simply never stored).
+ * missing odd partner is simply never stored). Both nibble planes sum in
+ * u8 lanes across a scale group and widen once per (group, column
+ * pair); that is exact because scale_group <= 16 and 16 * 15 = 240 fits
+ * a byte.
  */
 void shuffleGatherChunkInt4(util::SimdLevel level, const uint8_t *q4_il,
                             const float *scales, const uint8_t *planar,

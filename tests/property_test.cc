@@ -376,6 +376,57 @@ class Int4GatherVariants
 {
 };
 
+/**
+ * Encode `x`, gather it through the scalar packed sweep into `scalar`,
+ * and require every INT4 shuffle tier this host runs (forced and Auto,
+ * whole-buffer and split at rows / 2) to match it bit for bit.
+ */
+void
+expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
+                           const Tensor &x, const std::string &what,
+                           Tensor &scalar)
+{
+    const int64_t rows = x.dim(0), n = arena.outFeatures();
+    lutboost::KernelScratch scratch;
+    lutboost::referenceBackend().encodeBatch(arena, x.data(), rows,
+                                             scratch);
+    scalar = Tensor(Shape{rows, n});
+    arena.gatherAccumulateInt4(scratch.codes, scalar.data(), scratch.gather,
+                               lutboost::Int4GatherVariant::Scalar);
+
+    const util::SimdLevel level = util::simdLevel();
+    std::vector<lutboost::Int4GatherVariant> variants;
+    if (level >= util::SimdLevel::Avx2)
+        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx2);
+    if (level >= util::SimdLevel::Avx512)
+        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx512);
+    if (variants.empty())
+        GTEST_SKIP() << "no SIMD level on this host; scalar-only";
+    for (const auto variant : variants) {
+        Tensor shuffled(Shape{rows, n});
+        arena.gatherAccumulateInt4(scratch.codes, shuffled.data(),
+                                   scratch.gather, variant);
+        EXPECT_TRUE(shuffled.equals(scalar))
+            << lutboost::LutTableArena::int4GatherVariantName(variant)
+            << " diverged: " << what
+            << " maxdiff=" << Tensor::maxAbsDiff(shuffled, scalar);
+        Tensor autod(Shape{rows, n});
+        arena.gatherAccumulateInt4(scratch.codes, autod.data(),
+                                   scratch.gather);
+        EXPECT_TRUE(autod.equals(scalar));
+    }
+
+    Tensor spans(Shape{rows, n});
+    const int64_t half = rows / 2;
+    if (half > 0)
+        arena.gatherAccumulateInt4(scratch.codes, 0, half, spans.data(),
+                                   scratch.gather);
+    arena.gatherAccumulateInt4(scratch.codes, half, rows - half,
+                               spans.data(), scratch.gather);
+    EXPECT_TRUE(spans.equals(scalar))
+        << "span seam changed the INT4 gather result: " << what;
+}
+
 TEST_P(Int4GatherVariants, ShuffleBitExactVsScalar)
 {
     const auto [k, v, c, rows] = GetParam();
@@ -392,48 +443,12 @@ TEST_P(Int4GatherVariants, ShuffleBitExactVsScalar)
     Tensor x(Shape{rows, k});
     for (int64_t i = 0; i < x.numel(); ++i)
         x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
-
-    lutboost::KernelScratch scratch;
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                             scratch);
-
-    Tensor scalar(Shape{rows, 71});
-    arena->gatherAccumulateInt4(scratch.codes, scalar.data(),
-                                scratch.gather,
-                                lutboost::Int4GatherVariant::Scalar);
-
-    const util::SimdLevel level = util::simdLevel();
-    std::vector<lutboost::Int4GatherVariant> variants;
-    if (level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx2);
-    if (level >= util::SimdLevel::Avx512)
-        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx512);
-    if (variants.empty())
-        GTEST_SKIP() << "no SIMD level on this host; scalar-only";
-    for (const auto variant : variants) {
-        Tensor shuffled(Shape{rows, 71});
-        arena->gatherAccumulateInt4(scratch.codes, shuffled.data(),
-                                    scratch.gather, variant);
-        EXPECT_TRUE(shuffled.equals(scalar))
-            << lutboost::LutTableArena::int4GatherVariantName(variant)
-            << " diverged: k=" << k << " v=" << v << " c=" << c
-            << " rows=" << rows
-            << " maxdiff=" << Tensor::maxAbsDiff(shuffled, scalar);
-        Tensor autod(Shape{rows, 71});
-        arena->gatherAccumulateInt4(scratch.codes, autod.data(),
-                                    scratch.gather);
-        EXPECT_TRUE(autod.equals(scalar));
-    }
-
-    Tensor spans(Shape{rows, 71});
-    const int64_t half = rows / 2;
-    if (half > 0)
-        arena->gatherAccumulateInt4(scratch.codes, 0, half, spans.data(),
-                                    scratch.gather);
-    arena->gatherAccumulateInt4(scratch.codes, half, rows - half,
-                                spans.data(), scratch.gather);
-    EXPECT_TRUE(spans.equals(scalar))
-        << "span seam changed the INT4 gather result";
+    Tensor scalar;
+    expectInt4TiersMatchScalar(
+        *arena, x,
+        "k=" + std::to_string(k) + " v=" + std::to_string(v) +
+            " c=" + std::to_string(c) + " rows=" + std::to_string(rows),
+        scalar);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -444,17 +459,111 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<int64_t>(1, 31, 32, 63, 64, 65,
                                                   130)));
 
+/**
+ * The u8 bound of the shuffle tiers, hit exactly: every centroid and
+ * weight is 1, so every LUT entry is v, every entry quantizes to the top
+ * level and every biased nibble is 15. K = 16 * v fills one whole
+ * 16-subspace scale group, so each u8 accumulator lane reaches 16 * 15 =
+ * 240 before the widen — and the dequantized sum must be exactly K.
+ */
+TEST(Int4GatherSaturatedGroup, NibblesOfFifteenReach240BitExact)
+{
+    const int64_t v = 4, k = 16 * v, n = 71;
+    vq::PQConfig pq;
+    pq.v = v;
+    pq.c = 16;
+    lutboost::LutLinear layer(k, n, pq, /*bias=*/false, /*seed=*/3);
+    layer.centroids().value.fill(1.0f);
+    layer.weight().value.fill(1.0f);
+    layer.refreshInferenceLut();
+    const auto arena = layer.inferenceArena();
+    arena->ensureInt4Bank();
+    ASSERT_EQ(arena->numSubspaces(),
+              lutboost::LutTableArena::kInt4ScaleGroup);
+    for (const int64_t rows : {16, 64, 130}) {
+        Rng rng(7 + static_cast<uint64_t>(rows));
+        Tensor x(Shape{rows, k});
+        for (int64_t i = 0; i < x.numel(); ++i)
+            x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
+        Tensor scalar;
+        expectInt4TiersMatchScalar(*arena, x,
+                                   "saturated rows=" + std::to_string(rows),
+                                   scalar);
+        for (int64_t i = 0; i < scalar.numel(); ++i)
+            ASSERT_NEAR(scalar.at(i), static_cast<float>(k), 1e-4f)
+                << "a nibble missed the top level at flat index " << i;
+    }
+}
+
 // ---- Property: every INT8 encode variant is bit-identical --------------
+
+/**
+ * Encode `x` with the scalar integer reference and require every INT8
+ * encode tier this host runs (forced and Auto, whole-buffer and split at
+ * rows / 2) to select the same code for every (row, subspace).
+ */
+void
+expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
+                                 const Tensor &x, const std::string &what)
+{
+    const int64_t rows = x.dim(0);
+    const int64_t nc = arena.numSubspaces();
+    std::vector<float> staging;
+    vq::CodeBuffer scalar;
+    arena.encodeBatchInt8(x.data(), rows, scalar, staging,
+                          lutboost::EncodeVariant::Scalar);
+    ASSERT_EQ(scalar.rows(), rows);
+    ASSERT_EQ(scalar.subspaces(), nc);
+
+    const util::SimdLevel level = util::simdLevel();
+    std::vector<lutboost::EncodeVariant> variants;
+    if (level >= util::SimdLevel::Avx2)
+        variants.push_back(lutboost::EncodeVariant::MaddAvx2);
+    if (level >= util::SimdLevel::Avx512Vnni)
+        variants.push_back(lutboost::EncodeVariant::DotVnni);
+    if (variants.empty())
+        GTEST_SKIP() << "no SIMD level on this host; scalar-only";
+    for (const auto variant : variants) {
+        vq::CodeBuffer simd;
+        arena.encodeBatchInt8(x.data(), rows, simd, staging, variant);
+        for (int64_t r = 0; r < rows; ++r)
+            for (int64_t s = 0; s < nc; ++s)
+                ASSERT_EQ(simd.get(r, s), scalar.get(r, s))
+                    << lutboost::LutTableArena::encodeVariantName(variant)
+                    << " diverged: " << what << " r=" << r << " s=" << s;
+    }
+
+    // Auto must resolve to one of the tiers just proven identical.
+    vq::CodeBuffer autod;
+    arena.encodeBatchInt8(x.data(), rows, autod, staging);
+    for (int64_t r = 0; r < rows; ++r)
+        for (int64_t s = 0; s < nc; ++s)
+            ASSERT_EQ(autod.get(r, s), scalar.get(r, s)) << what;
+
+    // Span-sharded encode (what the engine's parallel-for runs) must
+    // select the same codes as the whole-buffer call across the seam.
+    vq::CodeBuffer spans;
+    spans.reset(rows, nc, arena.numCentroids());
+    const int64_t half = rows / 2;
+    if (half > 0)
+        arena.encodeBlockInt8(x.data(), 0, half, spans, staging);
+    arena.encodeBlockInt8(x.data(), half, rows - half, spans, staging);
+    for (int64_t r = 0; r < rows; ++r)
+        for (int64_t s = 0; s < nc; ++s)
+            ASSERT_EQ(spans.get(r, s), scalar.get(r, s))
+                << "span seam changed the INT8 encode: " << what
+                << " r=" << r;
+}
 
 /**
  * The INT8 encode contract: the VNNI and AVX2 tiers quantize inputs onto
  * the same 7-bit grid and score centroids in the same exact int32
  * arithmetic as the scalar integer reference, so the SELECTED CODES must
- * match BIT FOR BIT across awkward shapes — c in {4, 16}, K % v != 0
- * (zero-padded ragged tail subspace), attention-shaped arenas (K = 64,
- * v | K), and row counts around the SIMD chunk boundaries. Agreement
- * with the float encode is a separate, statistical contract (see the
- * serve tests); THIS test is about exactness across kernels.
+ * match BIT FOR BIT across awkward shapes — c in {4, 16}, v up to 16,
+ * K % v != 0 (zero-padded ragged tail subspace), attention-shaped arenas
+ * (K = 64, v | K), and row counts around the SIMD chunk boundaries.
+ * Agreement with the float encode is a separate, statistical contract
+ * (see the serve tests); THIS test is about exactness across kernels.
  */
 class Int8EncodeVariants
     : public ::testing::TestWithParam<
@@ -480,53 +589,10 @@ TEST_P(Int8EncodeVariants, SimdTiersBitIdenticalToScalarReference)
     Tensor x(Shape{rows, k});
     for (int64_t i = 0; i < x.numel(); ++i)
         x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
-
-    const int64_t nc = arena->numSubspaces();
-    std::vector<float> staging;
-    vq::CodeBuffer scalar;
-    arena->encodeBatchInt8(x.data(), rows, scalar, staging,
-                           lutboost::EncodeVariant::Scalar);
-    ASSERT_EQ(scalar.rows(), rows);
-    ASSERT_EQ(scalar.subspaces(), nc);
-
-    const util::SimdLevel level = util::simdLevel();
-    std::vector<lutboost::EncodeVariant> variants;
-    if (level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::EncodeVariant::MaddAvx2);
-    if (level >= util::SimdLevel::Avx512Vnni)
-        variants.push_back(lutboost::EncodeVariant::DotVnni);
-    if (variants.empty())
-        GTEST_SKIP() << "no SIMD level on this host; scalar-only";
-    for (const auto variant : variants) {
-        vq::CodeBuffer simd;
-        arena->encodeBatchInt8(x.data(), rows, simd, staging, variant);
-        for (int64_t r = 0; r < rows; ++r)
-            for (int64_t s = 0; s < nc; ++s)
-                ASSERT_EQ(simd.get(r, s), scalar.get(r, s))
-                    << lutboost::LutTableArena::encodeVariantName(variant)
-                    << " diverged: k=" << k << " v=" << v << " c=" << c
-                    << " rows=" << rows << " r=" << r << " s=" << s;
-    }
-
-    // Auto must resolve to one of the tiers just proven identical.
-    vq::CodeBuffer autod;
-    arena->encodeBatchInt8(x.data(), rows, autod, staging);
-    for (int64_t r = 0; r < rows; ++r)
-        for (int64_t s = 0; s < nc; ++s)
-            ASSERT_EQ(autod.get(r, s), scalar.get(r, s));
-
-    // Span-sharded encode (what the engine's parallel-for runs) must
-    // select the same codes as the whole-buffer call across the seam.
-    vq::CodeBuffer spans;
-    spans.reset(rows, nc, c);
-    const int64_t half = rows / 2;
-    if (half > 0)
-        arena->encodeBlockInt8(x.data(), 0, half, spans, staging);
-    arena->encodeBlockInt8(x.data(), half, rows - half, spans, staging);
-    for (int64_t r = 0; r < rows; ++r)
-        for (int64_t s = 0; s < nc; ++s)
-            ASSERT_EQ(spans.get(r, s), scalar.get(r, s))
-                << "span seam changed the INT8 encode at r=" << r;
+    expectInt8EncodeTiersMatchScalar(
+        *arena, x,
+        "k=" + std::to_string(k) + " v=" + std::to_string(v) +
+            " c=" + std::to_string(c) + " rows=" + std::to_string(rows));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -534,11 +600,115 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         // K % v != 0 plus the attention-shaped d_model 64 (v | K)
         ::testing::Values<int64_t>(23, 52, 64),
-        ::testing::Values<int64_t>(3, 8),
+        ::testing::Values<int64_t>(3, 8, 16),
         ::testing::Values<int64_t>(4, 16),
         // chunk-boundary row counts: single, sub-chunk, one AVX2 chunk,
         // one AVX-512 chunk +/- 1, ragged multi-chunk
         ::testing::Values<int64_t>(1, 31, 32, 63, 64, 65, 130)));
+
+// Long subvectors up to the SIMD tiers' v <= 128 bound: many 8-dim
+// chunks per row-lane block, odd quad counts, and a ragged tail.
+INSTANTIATE_TEST_SUITE_P(
+    LongSubvectors, Int8EncodeVariants,
+    ::testing::Combine(::testing::Values<int64_t>(300),
+                       ::testing::Values<int64_t>(37, 128),
+                       ::testing::Values<int64_t>(4, 16),
+                       ::testing::Values<int64_t>(16, 17, 48)));
+
+/**
+ * Hostile inputs for the same contract. Rows mix NaN, +/-Inf, denormals
+ * and values far outside the bank's grid (all of which the clamp must
+ * map exactly like the scalar reference), plus rows that reproduce
+ * centroid 0 exactly. Centroid 1 duplicates centroid 0 in every subspace,
+ * so those rows force a score tie that only the lowest-index rule
+ * resolves. Batches of 15, 16, 17 and 48 rows put the row-lane blocks
+ * (16 rows VNNI, 8 rows AVX2), the per-row remainder and the seam between
+ * them all under test.
+ */
+class Int8EncodeHostile
+    : public ::testing::TestWithParam<
+          std::tuple<int64_t, int64_t, int64_t>>
+{
+};
+
+TEST_P(Int8EncodeHostile, SimdTiersMatchScalarOnHostileRows)
+{
+    const auto [v, c, rows] = GetParam();
+    const int64_t k = 52;  // ragged tail for every v here
+    vq::PQConfig pq;
+    pq.v = v;
+    pq.c = c;
+    lutboost::LutLinear layer(k, 10, pq, /*bias=*/false,
+                              /*seed=*/static_cast<uint64_t>(v * 7 + c));
+    Tensor &cent = layer.centroids().value;  // [Nc, c, v]
+    const int64_t nc = cent.dim(0);
+    for (int64_t s = 0; s < nc; ++s)
+        for (int64_t t = 0; t < v; ++t)
+            cent.at((s * c + 1) * v + t) = cent.at((s * c) * v + t);
+    layer.refreshInferenceLut();
+    const auto arena = layer.inferenceArena();
+    arena->ensureInt8EncodeBank();
+
+    const float kHostile[] = {
+        std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::denorm_min(),
+        -1e-40f,  // denormal
+        1e30f,
+        -1e30f,
+        std::numeric_limits<float>::max(),
+        -std::numeric_limits<float>::max(),
+        1000.0f,
+        -1000.0f};
+    constexpr int64_t kNumHostile = sizeof(kHostile) / sizeof(kHostile[0]);
+    Rng rng(17 + static_cast<uint64_t>(rows));
+    Tensor x(Shape{rows, k});
+    for (int64_t r = 0; r < rows; ++r) {
+        float *row = x.data() + r * k;
+        for (int64_t i = 0; i < k; ++i) {
+            switch (r % 4) {
+              case 0:  // one hostile value per row, the rest Gaussian
+                row[i] = i == r % k ? kHostile[r % kNumHostile]
+                                    : static_cast<float>(
+                                          rng.gaussian(0.0, 1.0));
+                break;
+              case 1:  // hostile values everywhere
+                row[i] = kHostile[(r + i) % kNumHostile];
+                break;
+              case 2: {  // centroid 0 of each subspace: a forced tie
+                const int64_t s = i / v, t = i % v;
+                row[i] = cent.at((s * c) * v + t);
+                break;
+              }
+              default:  // Gaussian with occasional far-off-grid spikes
+                row[i] = static_cast<float>(rng.gaussian(0.0, 1.0)) *
+                         (i % 5 == 0 ? 1e4f : 1.0f);
+                break;
+            }
+        }
+    }
+    expectInt8EncodeTiersMatchScalar(
+        *arena, x,
+        "hostile v=" + std::to_string(v) + " c=" + std::to_string(c) +
+            " rows=" + std::to_string(rows));
+
+    // The tie rows really are ties, and they resolve to centroid 0.
+    std::vector<float> staging;
+    vq::CodeBuffer codes;
+    arena->encodeBatchInt8(x.data(), rows, codes, staging,
+                           lutboost::EncodeVariant::Scalar);
+    for (int64_t r = 2; r < rows; r += 4)
+        for (int64_t s = 0; s < nc; ++s)
+            EXPECT_NE(codes.get(r, s), 1)
+                << "duplicated centroid 1 beat centroid 0 at r=" << r;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HostileRows, Int8EncodeHostile,
+    ::testing::Combine(::testing::Values<int64_t>(3, 8, 16),
+                       ::testing::Values<int64_t>(4, 16),
+                       ::testing::Values<int64_t>(15, 16, 17, 48)));
 
 // ---- Property: generic-c float SIMD encode is bit-exact vs scalar ------
 

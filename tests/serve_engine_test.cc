@@ -1028,10 +1028,13 @@ TEST(InferenceEngine, ShardStealingWorkersCountAsActive)
     // encode/gather averages). ONE big sharded batch guarantees exactly
     // one initiator, so before the fix this engine deterministically
     // reported active_workers == 1; the second worker has dozens of
-    // shard blocks across the stage phases to claim.
-    std::vector<sim::GemmShape> gemms{{4, 256, 192, "a"},
-                                      {4, 192, 128, "b"},
-                                      {4, 128, 64, "c"}};
+    // shard blocks across the stage phases to claim. The stages are wide
+    // enough that each phase outlasts the helper's wake-up even with fast
+    // kernels on a loaded host; with 4x narrower stages the initiator
+    // sometimes finished every block alone.
+    std::vector<sim::GemmShape> gemms{{4, 1024, 768, "a"},
+                                      {4, 768, 512, "b"},
+                                      {4, 512, 64, "c"}};
     vq::PQConfig pq;
     pq.v = 4;
     pq.c = 16;
@@ -1043,7 +1046,7 @@ TEST(InferenceEngine, ShardStealingWorkersCountAsActive)
     options.max_batch = 512;
     auto engine = serve::InferenceEngine::create(*model, options);
     ASSERT_TRUE(engine.ok()) << engine.status().toString();
-    auto result = engine.value()->submit(randomRows(512, 256, 300));
+    auto result = engine.value()->submit(randomRows(512, 1024, 300));
     ASSERT_TRUE(result.ok()) << result.status().toString();
     engine.value()->shutdown();
 
