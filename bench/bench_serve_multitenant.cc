@@ -127,6 +127,7 @@ printLane(Table &t, const std::string &name, const serve::LaneStats &lane)
               Table::fmt(lane.p99_latency_us, 0),
               Table::fmt(lane.p99_queue_us, 0),
               Table::fmt(lane.p99_service_us, 0),
+              Table::fmt(lane.avgBatchFill(), 1),
               bench::pct(lane.sloAttainment())});
 }
 
@@ -206,7 +207,7 @@ main(int argc, char **argv)
     Table st("phase 1 — steady mixed traffic (2 models, one pool of 2 "
              "workers)",
              {"model", "accepted", "served", "shed", "p50 us", "p99 us",
-              "q p99", "svc p99", "slo %"});
+              "q p99", "svc p99", "fill", "slo %"});
     printLane(st, "interactive", steady.models.at("interactive"));
     printLane(st, "bulk", steady.models.at("bulk"));
     st.addNote("q = queue wait (submit -> batch start), svc = batch "
@@ -267,7 +268,7 @@ main(int argc, char **argv)
     Table ot("phase 2 — overload (bulk flood of " +
                  std::to_string(kFlood) + " vs queue capacity 64)",
              {"model", "accepted", "served", "shed", "p50 us", "p99 us",
-              "q p99", "svc p99", "slo %"});
+              "q p99", "svc p99", "fill", "slo %"});
     printLane(ot, "interactive", oi);
     printLane(ot, "bulk", ob);
     ot.addNote("bulk sheds with typed ResourceExhausted (never blocks); "

@@ -181,7 +181,7 @@ runConfig(const serve::FrozenModel &model, const Tensor &rows, int threads,
     options.max_batch = max_batch;
     options.max_wait_us = 200;
     options.queue_capacity =
-        static_cast<int64_t>(rows.dim(0)) + 1;  // enqueue without blocking
+        static_cast<int64_t>(rows.dim(0)) + 1;  // room for every request
     auto engine = serve::InferenceEngine::create(model, options);
     if (!engine.ok())
         fatal("engine creation failed: ", engine.status().toString());
@@ -245,8 +245,8 @@ struct JsonRecord
     double avg_fill;
     int64_t arena_bytes;
     int64_t resident_bytes;
-    double encode_s;  ///< per-active-worker average (EngineStats)
-    double gather_s;  ///< per-active-worker average (EngineStats)
+    double encode_s;  ///< per-active-worker average (LaneStats)
+    double gather_s;  ///< per-active-worker average (LaneStats)
     int active_workers;
 };
 

@@ -148,7 +148,7 @@ main(int argc, char **)
 
     Table t("engine vs direct eval forward (mlp-mixture, frozen BF16)",
             {"requests", "rows", "batches", "avg fill", "max |diff|"});
-    t.addRow({std::to_string(stats.requests), std::to_string(stats.rows),
+    t.addRow({std::to_string(stats.served), std::to_string(stats.rows),
               std::to_string(stats.batches),
               Table::fmt(stats.avgBatchFill(), 1),
               Table::fmt(max_diff, 6)});

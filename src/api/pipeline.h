@@ -100,7 +100,8 @@ class PipelineBuilder
     Result<RunArtifacts> report() { return run(); }
 
     /**
-     * Execute all configured stages, then stand up a serving engine on the
+     * Execute all configured stages, then stand up a serving engine (a
+     * one-model serve::FrontDoor behind the InferenceEngine facade) on the
      * converted model (freezing any layer deployPrecision() did not already
      * freeze). `options` carries the engine knobs plus the data-plane plan
      * (table precision, stage fusion); bare serve::EngineOptions convert

@@ -10,10 +10,12 @@
  * and `PipelineBuilder::engine()` forward here; see docs/SERVING.md for the
  * queueing model and tuning guide.
  *
- * Multi-tenant serving goes through makeFrontDoor() instead: one
- * serve::FrontDoor multiplexes every model published into its registry
- * over a single shared worker pool, with per-request deadlines,
- * priorities, cancellation, and typed load shedding. publishModel() /
+ * Both paths run on the same runtime: an engine is a one-model
+ * serve::FrontDoor behind a single-model facade. Multi-tenant serving
+ * goes through makeFrontDoor() directly: one serve::FrontDoor multiplexes
+ * every model published into its registry over a single shared worker
+ * pool, with per-request deadlines, priorities, cancellation, and typed
+ * load shedding. publishModel() /
  * publishTraceModel() lower a model exactly like the makeEngine()
  * builders do and install the snapshot under a name + version; calling
  * either again with the same name is the zero-drain hot-swap.
@@ -73,9 +75,11 @@ struct ServeOptions
     /**
      * SLO fields for multi-tenant deployments: batching window, priority
      * stratum, and default deadline the front-door scheduler applies to
-     * this model. Read by publishModel()/publishTraceModel() (the
-     * single-model makeEngine() path ignores it — the engine has no
-     * scheduler to enforce SLOs).
+     * this model. Read by publishModel()/publishTraceModel(). The
+     * makeEngine() builders do not read it: an engine publishes its one
+     * model with a ModelSlo built from `engine` (max_batch -> max_batch,
+     * max_wait_us -> batch_window_us; no default deadline, and priority is
+     * moot with one model).
      */
     serve::ModelSlo slo;
     /**

@@ -1,215 +1,69 @@
 #include "serve/engine.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cstring>
-#include <string>
 #include <utility>
 
 namespace lutdla::serve {
 
-using Clock = std::chrono::steady_clock;
+namespace {
+
+/** Registry name of the engine's one model. */
+const char kModelName[] = "model";
+
+} // namespace
 
 api::Result<std::shared_ptr<InferenceEngine>>
 InferenceEngine::create(FrozenModel model, const EngineOptions &options)
 {
-    if (options.threads < 0 || options.threads > 1024)
-        return api::Status::invalidArgument(
-            "threads must be in [0, 1024] (got " +
-            std::to_string(options.threads) + ")");
-    if (options.max_batch < 1 || options.max_batch > 65536)
-        return api::Status::invalidArgument(
-            "max_batch must be in [1, 65536] (got " +
-            std::to_string(options.max_batch) + ")");
-    if (options.max_wait_us < 0)
-        return api::Status::invalidArgument(
-            "max_wait_us must be >= 0 (got " +
-            std::to_string(options.max_wait_us) + ")");
-    if (options.queue_capacity < 1)
-        return api::Status::invalidArgument(
-            "queue_capacity must be >= 1 (got " +
-            std::to_string(options.queue_capacity) + ")");
-    if (model.numStages() == 0)
-        return api::Status::failedPrecondition(
-            "cannot serve an empty model");
-    if (options.max_batch < model.rowGroup())
-        return api::Status::invalidArgument(
-            "max_batch " + std::to_string(options.max_batch) +
-            " is smaller than the model's row group " +
-            std::to_string(model.rowGroup()) +
-            " (attention models batch whole sequences of seq_len rows)");
-    return std::make_shared<InferenceEngine>(std::move(model), options);
+    FrontDoorOptions door_options;
+    door_options.threads = options.threads;
+    door_options.queue_capacity = options.queue_capacity;
+    door_options.autostart = false;  // publish before any worker runs
+    api::Result<std::shared_ptr<FrontDoor>> door =
+        FrontDoor::create(door_options);
+    if (!door.ok())
+        return door.status();
+
+    ModelSlo slo;
+    slo.max_batch = options.max_batch;
+    slo.batch_window_us = options.max_wait_us;
+    api::Result<uint64_t> published =
+        door.value()->publish(kModelName, std::move(model), slo);
+    if (!published.ok())
+        return published.status();
+
+    std::shared_ptr<InferenceEngine> engine(new InferenceEngine(
+        door.value(), door.value()->registry().resolve(kModelName),
+        options));
+    if (options.autostart)
+        engine->start();
+    return engine;
 }
 
-InferenceEngine::InferenceEngine(FrozenModel model,
+InferenceEngine::InferenceEngine(std::shared_ptr<FrontDoor> door,
+                                 SnapshotPtr snapshot,
                                  const EngineOptions &options)
-    : model_(std::move(model)), options_(options),
-      queue_(static_cast<size_t>(options.queue_capacity)),
-      batch_fill_(static_cast<size_t>(options.max_batch) + 1, 0)
+    : door_(std::move(door)), snapshot_(std::move(snapshot)),
+      options_(options)
 {
-    if (options_.threads == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        options_.threads = hw == 0 ? 1 : static_cast<int>(hw);
-    }
-    if (options_.autostart)
-        start();
-}
-
-InferenceEngine::~InferenceEngine()
-{
-    shutdown();
+    options_.threads = door_->options().threads;  // 0 resolved to cores
 }
 
 void
 InferenceEngine::start()
 {
-    std::unique_lock<std::mutex> lock(lifecycle_mu_);
-    if (started_ || shut_down_)
-        return;
-    started_ = true;
-    {
-        std::unique_lock<std::mutex> stats_lock(stats_mu_);
-        worker_ran_batch_.assign(static_cast<size_t>(options_.threads), 0);
-    }
-    workers_.reserve(static_cast<size_t>(options_.threads));
-    for (int i = 0; i < options_.threads; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+    door_->start();
 }
 
 void
 InferenceEngine::shutdown()
 {
-    {
-        std::unique_lock<std::mutex> lock(lifecycle_mu_);
-        if (shut_down_)
-            return;
-        shut_down_ = true;
-    }
-    queue_.close();
-    for (std::thread &worker : workers_)
-        worker.join();
-    workers_.clear();
-    // Never-started engines still owe answers for whatever was queued.
-    failRemaining();
-}
-
-void
-InferenceEngine::failRemaining()
-{
-    while (auto request = queue_.tryPop())
-        request->promise.set_value(api::Status::failedPrecondition(
-            "engine shut down before this request was served"));
+    door_->shutdown();
 }
 
 std::future<api::Result<Tensor>>
 InferenceEngine::submitAsync(Tensor rows)
 {
-    return submitAsync(std::move(rows), AdmitOptions{});
-}
-
-std::future<api::Result<Tensor>>
-InferenceEngine::submitAsync(Tensor rows, AdmitOptions admit)
-{
-    std::promise<api::Result<Tensor>> promise;
-    std::future<api::Result<Tensor>> future = promise.get_future();
-
-    api::Status status;
-    if (rows.rank() != 2 ||
-        rows.dim(1) != model_.inputWidth())
-        status = api::Status::invalidArgument(
-            "request must be [rows, " +
-            std::to_string(model_.inputWidth()) + "], got " +
-            shapeStr(rows.shape()));
-    else if (rows.dim(0) < 1)
-        status = api::Status::invalidArgument(
-            "request must carry at least one row");
-    else if (rows.dim(0) > options_.max_batch)
-        status = api::Status::invalidArgument(
-            "request of " + std::to_string(rows.dim(0)) +
-            " rows exceeds max_batch " +
-            std::to_string(options_.max_batch) + "; split it");
-    else if (rows.dim(0) % model_.rowGroup() != 0)
-        status = api::Status::invalidArgument(
-            "request of " + std::to_string(rows.dim(0)) +
-            " rows is not a multiple of the model's sequence length " +
-            std::to_string(model_.rowGroup()) +
-            "; attention models serve whole [B*seq_len, D] sequences");
-    bool workers_running = false;
-    {
-        std::unique_lock<std::mutex> lock(lifecycle_mu_);
-        if (status.ok() && shut_down_)
-            status = api::Status::failedPrecondition(
-                "engine is shut down; create a new one");
-        workers_running = started_;
-    }
-    if (!status.ok()) {
-        {
-            std::unique_lock<std::mutex> lock(stats_mu_);
-            rejected_++;
-        }
-        promise.set_value(status);
-        return future;
-    }
-
-    Request request;
-    request.rows = rows.dim(0);
-    request.input = std::move(rows);
-    request.promise = std::move(promise);
-    request.enqueued = Clock::now();
-    {
-        std::unique_lock<std::mutex> lock(stats_mu_);
-        if (!saw_first_submit_) {
-            saw_first_submit_ = true;
-            first_submit_ = request.enqueued;
-        }
-    }
-    // With no workers running (autostart=false, before start()), a full
-    // queue can never drain, so any wait for space would deadlock the
-    // submitter — always fail fast in that state. Otherwise the admit
-    // policy picks the wait: block forever (classic backpressure),
-    // never (trySubmit), or a bounded wait.
-    bool pushed;
-    if (!workers_running || admit.max_wait_us == 0)
-        pushed = queue_.tryPush(std::move(request));
-    else if (admit.max_wait_us < 0)
-        pushed = queue_.push(std::move(request));
-    else
-        pushed = queue_.pushFor(
-            std::move(request),
-            std::chrono::microseconds(admit.max_wait_us));
-    if (!pushed) {
-        // The request (and its promise) was dropped by the queue; answer
-        // through a fresh pair.
-        const bool overloaded = workers_running && !queue_.closed();
-        std::promise<api::Result<Tensor>> failed_promise;
-        future = failed_promise.get_future();
-        failed_promise.set_value(
-            overloaded
-                ? api::Status::resourceExhausted(
-                      admit.max_wait_us == 0
-                          ? "request queue is full; retry, shed, or "
-                            "raise queue_capacity"
-                          : "request queue stayed full for " +
-                                std::to_string(admit.max_wait_us) +
-                                " us; overloaded — retry, shed, or "
-                                "raise queue_capacity")
-                : api::Status::failedPrecondition(
-                      workers_running
-                          ? "engine shut down while the request was "
-                            "waiting for queue space"
-                          : "request queue is full and no workers are "
-                            "running; call start() or raise "
-                            "queue_capacity"));
-        std::unique_lock<std::mutex> lock(stats_mu_);
-        rejected_++;
-    }
-    return future;
-}
-
-api::Result<Tensor>
-InferenceEngine::trySubmit(const Tensor &rows)
-{
-    return submitAsync(rows, AdmitOptions::nonBlocking()).get();
+    return door_->submitAsync(kModelName, std::move(rows));
 }
 
 api::Result<Tensor>
@@ -218,195 +72,14 @@ InferenceEngine::submit(const Tensor &rows)
     return submitAsync(rows).get();
 }
 
-void
-InferenceEngine::workerLoop(int slot)
-{
-    // Worker-lifetime scratch: the stage chain's ping-pong activation
-    // planes and conv im2col buffers grow to the largest batch seen and
-    // are reused for every subsequent batch this worker executes. With
-    // more than one worker the scratch carries the intra-batch pool, so
-    // the LUT stages this worker initiates can shard across the pool.
-    StageScratch scratch;
-    if (options_.threads > 1)
-        scratch.pool = this;
-    while (true) {
-        std::shared_ptr<ShardTask> task;
-        auto first = queue_.popWork(task);
-        if (task) {
-            // Steal shard blocks from another worker's in-flight batch.
-            // A worker that actually claimed work counts as active even
-            // if it never initiates a batch of its own — otherwise
-            // stats() under-counts active_workers whenever batch
-            // coalescing funnels every request through one initiator.
-            if (runShards(*task, scratch)) {
-                std::unique_lock<std::mutex> lock(stats_mu_);
-                if (slot >= 0 &&
-                    static_cast<size_t>(slot) < worker_ran_batch_.size())
-                    worker_ran_batch_[static_cast<size_t>(slot)] = 1;
-            }
-            continue;
-        }
-        if (!first)
-            return;  // closed and drained (requests AND shard work)
-        std::vector<Request> batch;
-        int64_t rows = first->rows;
-        batch.push_back(std::move(*first));
-        const auto deadline =
-            Clock::now() + std::chrono::microseconds(options_.max_wait_us);
-        while (rows < options_.max_batch) {
-            const auto remaining = deadline - Clock::now();
-            if (remaining <= Clock::duration::zero())
-                break;
-            auto next = queue_.popIf(remaining, [&](const Request &r) {
-                return rows + r.rows <= options_.max_batch;
-            });
-            if (!next)
-                break;  // timeout, over-budget front, or drained
-            rows += next->rows;
-            batch.push_back(std::move(*next));
-        }
-        runBatch(batch, rows, scratch, slot);
-    }
-}
-
-bool
-InferenceEngine::runShards(ShardTask &task, StageScratch &scratch)
-{
-    bool ran = false;
-    while (true) {
-        const int64_t block =
-            task.next.fetch_add(1, std::memory_order_relaxed);
-        if (block >= task.blocks)
-            return ran;
-        task.fn(block, scratch);
-        queue_.finishShard(task);
-        ran = true;
-    }
-}
-
-void
-InferenceEngine::parallelFor(int64_t blocks, const ShardFn &fn,
-                             StageScratch &caller)
-{
-    if (blocks <= 1) {
-        for (int64_t b = 0; b < blocks; ++b)
-            fn(b, caller);
-        return;
-    }
-    // Publish, participate, then wait for stolen stragglers. The caller
-    // always claims blocks itself, so the phase completes even when every
-    // other worker is busy with its own batch.
-    auto task = queue_.publishShards(blocks, fn);
-    runShards(*task, caller);
-    queue_.waitTaskDone(task);
-}
-
-void
-InferenceEngine::runBatch(std::vector<Request> &batch, int64_t rows,
-                          StageScratch &scratch, int slot)
-{
-    const int64_t in_width = model_.inputWidth();
-    const auto exec_start = Clock::now();  // queue wait ends here
-    Tensor packed(Shape{rows, in_width});
-    int64_t offset = 0;
-    for (const Request &request : batch) {
-        std::memcpy(packed.data() + offset * in_width,
-                    request.input.data(),
-                    static_cast<size_t>(request.rows * in_width) *
-                        sizeof(float));
-        offset += request.rows;
-    }
-
-    // The stage chain accumulates its encode/gather phase times into the
-    // worker's scratch; the deltas around this batch are what the batch
-    // contributed.
-    const uint64_t encode_before = scratch.encode_ns;
-    const uint64_t gather_before = scratch.gather_ns;
-    const Tensor output = model_.forwardBatch(packed, scratch);
-    const int64_t out_width = output.dim(1);
-    const auto done = Clock::now();
-
-    // Record stats BEFORE fulfilling promises: a caller woken by its
-    // future must already see this batch reflected in stats().
-    {
-        std::unique_lock<std::mutex> lock(stats_mu_);
-        encode_ns_ += scratch.encode_ns - encode_before;
-        gather_ns_ += scratch.gather_ns - gather_before;
-        if (slot >= 0 &&
-            static_cast<size_t>(slot) < worker_ran_batch_.size())
-            worker_ran_batch_[static_cast<size_t>(slot)] = 1;
-        requests_ += batch.size();
-        rows_ += static_cast<uint64_t>(rows);
-        batches_++;
-        batch_fill_[static_cast<size_t>(
-            std::min<int64_t>(rows, options_.max_batch))]++;
-        // Queue wait (submit -> batch execution start) and service time
-        // (execution start -> done) are recorded separately so overload
-        // is visible: saturation blows up queue wait, not service time.
-        const auto micros = [](std::chrono::steady_clock::duration d) {
-            return static_cast<uint64_t>(std::max<int64_t>(
-                0,
-                std::chrono::duration_cast<std::chrono::microseconds>(d)
-                    .count()));
-        };
-        const uint64_t service_us = micros(done - exec_start);
-        for (const Request &request : batch) {
-            latency_.record(micros(done - request.enqueued));
-            queue_wait_.record(micros(exec_start - request.enqueued));
-            service_.record(service_us);
-        }
-        last_done_ = done;
-    }
-
-    offset = 0;
-    for (Request &request : batch) {
-        Tensor slice(Shape{request.rows, out_width});
-        std::memcpy(slice.data(), output.data() + offset * out_width,
-                    static_cast<size_t>(request.rows * out_width) *
-                        sizeof(float));
-        offset += request.rows;
-        request.promise.set_value(std::move(slice));
-    }
-}
-
 EngineStats
 InferenceEngine::stats() const
 {
-    std::unique_lock<std::mutex> lock(stats_mu_);
+    const FrontDoorStats door = door_->stats();
     EngineStats out;
-    out.requests = requests_;
-    out.rows = rows_;
-    out.batches = batches_;
-    out.rejected = rejected_;
-    out.batch_fill = batch_fill_;
-    for (uint8_t ran : worker_ran_batch_)
-        out.active_workers += ran != 0 ? 1 : 0;
-    // Per-phase times are per-ACTIVE-worker averages: each worker's
-    // per-batch deltas are that batch's phase wall time (sharded phases
-    // time only the initiator), so dividing the cross-worker sum by the
-    // number of workers that did batch OR shard work yields numbers
-    // comparable across thread counts instead of inflating with
-    // concurrency.
-    const double active =
-        out.active_workers > 0 ? static_cast<double>(out.active_workers)
-                               : 1.0;
-    out.encode_cpu_seconds = static_cast<double>(encode_ns_) * 1e-9;
-    out.gather_cpu_seconds = static_cast<double>(gather_ns_) * 1e-9;
-    out.encode_seconds = out.encode_cpu_seconds / active;
-    out.gather_seconds = out.gather_cpu_seconds / active;
-    out.mean_latency_us = latency_.meanMicros();
-    out.p50_latency_us = latency_.percentileMicros(50.0);
-    out.p99_latency_us = latency_.percentileMicros(99.0);
-    out.mean_queue_us = queue_wait_.meanMicros();
-    out.p50_queue_us = queue_wait_.percentileMicros(50.0);
-    out.p99_queue_us = queue_wait_.percentileMicros(99.0);
-    out.mean_service_us = service_.meanMicros();
-    out.p50_service_us = service_.percentileMicros(50.0);
-    out.p99_service_us = service_.percentileMicros(99.0);
-    if (saw_first_submit_ && batches_ > 0)
-        out.wall_seconds =
-            std::chrono::duration<double>(last_done_ - first_submit_)
-                .count();
+    static_cast<LaneStats &>(out) = door.total;  // the one model's lane
+    out.requests = out.served;
+    out.active_workers = door.active_workers;
     return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 namespace lutdla::serve {
@@ -48,6 +49,10 @@ FrontDoor::start()
     if (started_ || closed_)
         return;
     started_ = true;
+    {
+        std::unique_lock<std::mutex> stats_lock(stats_mu_);
+        worker_active_.assign(static_cast<size_t>(options_.threads), 0);
+    }
     workers_.reserve(static_cast<size_t>(options_.threads));
     for (int i = 0; i < options_.threads; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
@@ -74,15 +79,15 @@ FrontDoor::shutdown()
 void
 FrontDoor::failRemaining()
 {
-    std::map<std::string, std::deque<Req>> orphans;
+    std::map<std::string, std::deque<ReqPtr>> orphans;
     {
         std::unique_lock<std::mutex> lock(mu_);
         orphans.swap(queues_);
         total_queued_ = 0;
     }
     for (auto &entry : orphans)
-        for (Req &req : entry.second)
-            req.promise.set_value(api::Status::failedPrecondition(
+        for (ReqPtr &req : entry.second)
+            req->promise.set_value(api::Status::failedPrecondition(
                 "front door shut down before this request was served"));
 }
 
@@ -134,15 +139,14 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
     auto reject = [&](api::Status status) {
         {
             std::unique_lock<std::mutex> stats_lock(stats_mu_);
-            total_accum_.rejected++;
-            model_accum_[model].rejected++;
-            tenant_accum_[tenant].rejected++;
+            forLanes(model, tenant,
+                     [](LaneAccum &lane) { lane.rejected++; });
         }
         promise.set_value(std::move(status));
         return std::move(future);
     };
 
-    const SnapshotPtr snapshot = registry_.resolve(model);
+    SnapshotPtr snapshot = registry_.resolve(model);
     if (!snapshot)
         return reject(api::Status::notFound(
             "model '" + model + "' is not published; publish() it first"));
@@ -161,15 +165,22 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
             "request of " + std::to_string(rows.dim(0)) +
             " rows exceeds '" + model + "' slo.max_batch " +
             std::to_string(slo.max_batch) + "; split it"));
+    if (rows.dim(0) % snapshot->model.rowGroup() != 0)
+        return reject(api::Status::invalidArgument(
+            "request of " + std::to_string(rows.dim(0)) +
+            " rows is not a multiple of '" + model +
+            "' sequence length " +
+            std::to_string(snapshot->model.rowGroup()) +
+            "; attention models serve whole [B*seq_len, D] sequences"));
 
-    Req req;
-    req.rows = rows.dim(0);
-    req.input = std::move(rows);
-    req.snapshot = snapshot;
-    req.enqueued = Clock::now();
-    req.priority = options.priority ? *options.priority : slo.priority;
-    req.tenant = tenant;
-    req.cancelled = std::move(cancel_flag);
+    auto req = std::make_unique<Req>();
+    req->rows = rows.dim(0);
+    req->input = std::move(rows);
+    req->snapshot = std::move(snapshot);
+    req->enqueued = Clock::now();
+    req->priority = options.priority ? *options.priority : slo.priority;
+    req->tenant = tenant;
+    req->cancelled = std::move(cancel_flag);
     const int64_t deadline_us = options.deadline_us
                                     ? *options.deadline_us
                                     : slo.default_deadline_us;
@@ -178,25 +189,18 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
             "deadline_us must be >= 0 (got " +
             std::to_string(deadline_us) + ")"));
     if (deadline_us > 0) {
-        req.has_deadline = true;
-        req.deadline =
-            req.enqueued + std::chrono::microseconds(deadline_us);
+        req->has_deadline = true;
+        req->deadline =
+            req->enqueued + std::chrono::microseconds(deadline_us);
     }
-    req.promise = std::move(promise);
 
     std::unique_lock<std::mutex> lock(mu_);
     if (closed_) {
-        Req refused = std::move(req);
         lock.unlock();
-        std::unique_lock<std::mutex> stats_lock(stats_mu_);
-        total_accum_.rejected++;
-        model_accum_[model].rejected++;
-        tenant_accum_[tenant].rejected++;
-        stats_lock.unlock();
-        refused.promise.set_value(api::Status::failedPrecondition(
+        return reject(api::Status::failedPrecondition(
             "front door is shut down; create a new one"));
-        return future;
     }
+    req->promise = std::move(promise);
 
     if (total_queued_ >= options_.queue_capacity) {
         // Overload: never block the submitter. Evict the worst queued
@@ -205,7 +209,7 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
         // the incoming request. Either way the loser gets a typed
         // ResourceExhausted and an overload counter tick.
         auto victim_queue = queues_.end();
-        std::deque<Req>::iterator victim_it;
+        std::deque<ReqPtr>::iterator victim_it;
         for (auto qit = queues_.begin(); qit != queues_.end(); ++qit) {
             for (auto rit = qit->second.begin(); rit != qit->second.end();
                  ++rit) {
@@ -214,52 +218,58 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
                     victim_it = rit;
                     continue;
                 }
-                const Req &cur = *victim_it;
-                if (rit->priority < cur.priority ||
-                    (rit->priority == cur.priority &&
-                     (rit->deadline > cur.deadline ||
-                      (rit->deadline == cur.deadline &&
-                       rit->seq > cur.seq)))) {
+                const Req &cur = **victim_it;
+                const Req &r = **rit;
+                if (r.priority < cur.priority ||
+                    (r.priority == cur.priority &&
+                     (r.deadline > cur.deadline ||
+                      (r.deadline == cur.deadline && r.seq > cur.seq)))) {
                     victim_queue = qit;
                     victim_it = rit;
                 }
             }
         }
         if (victim_queue != queues_.end() &&
-            victim_it->priority < req.priority) {
-            Req victim = std::move(*victim_it);
+            (*victim_it)->priority < req->priority) {
+            ReqPtr victim = std::move(*victim_it);
             victim_queue->second.erase(victim_it);
-            if (victim_queue->second.empty())
-                queues_.erase(victim_queue);
             --total_queued_;
-            shed(victim, Shed::Capacity,
+            shed(*victim, Shed::Capacity,
                  "shed under overload: evicted by higher-priority "
                  "traffic while the queue was full");
         } else {
-            Req refused = std::move(req);
             lock.unlock();
-            shed(refused, Shed::Capacity,
+            shed(*req, Shed::Capacity,
                  "shed under overload: queue is full and no "
                  "lower-priority request can be evicted");
             return future;
         }
     }
 
-    // EDF insertion: before the first queued request with a later
-    // deadline (equal deadlines stay FIFO via seq).
-    req.seq = next_seq_++;
-    std::deque<Req> &queue = queues_[model];
-    auto pos = queue.begin();
-    while (pos != queue.end() && pos->deadline <= req.deadline)
-        ++pos;
+    // EDF insertion: after the last queued request whose deadline is not
+    // later (equal deadlines stay FIFO via seq). Scanning from the back
+    // makes the common no-deadline case O(1) however deep the backlog.
+    req->seq = next_seq_++;
+    const Clock::time_point enqueued = req->enqueued;
+    std::deque<ReqPtr> &queue = queues_[model];
+    auto pos = queue.end();
+    while (pos != queue.begin() && (*std::prev(pos))->deadline > req->deadline)
+        --pos;
     queue.insert(pos, std::move(req));
     ++total_queued_;
     {
         std::unique_lock<std::mutex> stats_lock(stats_mu_);
-        total_accum_.accepted++;
-        model_accum_[model].accepted++;
-        tenant_accum_[tenant].accepted++;
+        forLanes(model, tenant, [&](LaneAccum &lane) {
+            lane.accepted++;
+            if (!lane.saw_accept) {
+                lane.saw_accept = true;
+                lane.first_accept = enqueued;
+            }
+        });
     }
+    lock.unlock();
+    // Notify after unlocking: a woken worker finds mu_ free instead of
+    // going straight back to sleep on it.
     work_.notify_one();
     return future;
 }
@@ -281,41 +291,38 @@ FrontDoor::shed(Req &req, Shed kind, const std::string &message)
     }
     {
         std::unique_lock<std::mutex> stats_lock(stats_mu_);
-        auto bump = [&](LaneAccum &lane) {
+        forLanes(req.snapshot->name, req.tenant, [&](LaneAccum &lane) {
             switch (kind) {
               case Shed::Capacity: lane.shed_capacity++; break;
               case Shed::Deadline: lane.shed_deadline++; break;
               case Shed::Cancel:   lane.cancelled++;     break;
             }
-        };
-        bump(total_accum_);
-        bump(model_accum_[req.snapshot->name]);
-        bump(tenant_accum_[req.tenant]);
+        });
     }
     req.promise.set_value(std::move(status));
 }
 
-FrontDoor::Req
+FrontDoor::ReqPtr
 FrontDoor::popBestLocked()
 {
     auto best = queues_.end();
     for (auto it = queues_.begin(); it != queues_.end(); ++it) {
-        const Req &head = it->second.front();
+        if (it->second.empty())
+            continue;
+        const Req &head = *it->second.front();
         if (best == queues_.end()) {
             best = it;
             continue;
         }
-        const Req &cur = best->second.front();
+        const Req &cur = *best->second.front();
         if (head.priority > cur.priority ||
             (head.priority == cur.priority &&
              (head.deadline < cur.deadline ||
               (head.deadline == cur.deadline && head.seq < cur.seq))))
             best = it;
     }
-    Req out = std::move(best->second.front());
+    ReqPtr out = std::move(best->second.front());
     best->second.pop_front();
-    if (best->second.empty())
-        queues_.erase(best);
     --total_queued_;
     return out;
 }
@@ -324,12 +331,13 @@ bool
 FrontDoor::higherPriorityPendingLocked(int priority) const
 {
     for (const auto &entry : queues_)
-        if (entry.second.front().priority > priority)
+        if (!entry.second.empty() &&
+            entry.second.front()->priority > priority)
             return true;
     return false;
 }
 
-std::shared_ptr<ShardTask>
+std::shared_ptr<FrontDoor::ShardTask>
 FrontDoor::claimableTaskLocked() const
 {
     for (const auto &task : tasks_)
@@ -338,15 +346,17 @@ FrontDoor::claimableTaskLocked() const
     return nullptr;
 }
 
-void
+bool
 FrontDoor::runShards(ShardTask &task, StageScratch &scratch)
 {
+    bool ran = false;
     while (true) {
         const int64_t block =
             task.next.fetch_add(1, std::memory_order_relaxed);
         if (block >= task.blocks)
-            return;
+            return ran;
         task.fn(block, scratch);
+        ran = true;
         if (task.completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             task.blocks) {
             std::unique_lock<std::mutex> lock(mu_);
@@ -372,6 +382,9 @@ FrontDoor::parallelFor(int64_t blocks, const ShardFn &fn,
         tasks_.push_back(task);
         work_.notify_all();
     }
+    // Publish, participate, then wait for stolen stragglers: the caller
+    // claims blocks itself, so the phase completes even when every other
+    // worker is busy with its own batch.
     runShards(*task, caller);
     std::unique_lock<std::mutex> lock(mu_);
     task_done_.wait(lock, [&] {
@@ -387,16 +400,25 @@ FrontDoor::parallelFor(int64_t blocks, const ShardFn &fn,
 }
 
 void
+FrontDoor::markActive(int slot)
+{
+    std::unique_lock<std::mutex> stats_lock(stats_mu_);
+    worker_active_[static_cast<size_t>(slot)] = 1;
+}
+
+void
 FrontDoor::workerLoop(int slot)
 {
-    (void)slot;
-    // Worker-lifetime scratch, same contract as the engine: buffers grow
-    // to the largest batch seen and are reused; with more than one
-    // worker the scratch carries the intra-batch pool so LUT stages this
-    // worker initiates can shard across the front door's pool.
+    // Worker-lifetime scratch: buffers grow to the largest batch seen and
+    // are reused, so steady-state batches allocate nothing; with more
+    // than one worker the scratch carries the intra-batch pool so LUT
+    // stages this worker initiates can shard across the pool.
     StageScratch scratch;
     if (options_.threads > 1)
         scratch.pool = this;
+    // Worker-lifetime batch too, so filling it under mu_ never
+    // reallocates while submitters wait for the lock.
+    std::vector<ReqPtr> batch;
 
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
@@ -406,7 +428,11 @@ FrontDoor::workerLoop(int slot)
         });
         if (auto task = claimableTaskLocked()) {
             lock.unlock();
-            runShards(*task, scratch);
+            // A helper that claimed a block counts as active even if it
+            // never initiates a batch of its own — otherwise coalescing
+            // every request through one initiator under-counts the pool.
+            if (runShards(*task, scratch))
+                markActive(slot);
             lock.lock();
             continue;
         }
@@ -416,27 +442,26 @@ FrontDoor::workerLoop(int slot)
             continue;    // spurious wake (shard task drained under us)
         }
 
-        Req first = popBestLocked();
+        ReqPtr first = popBestLocked();
         const auto opened = Clock::now();
-        if (first.cancelled &&
-            first.cancelled->load(std::memory_order_relaxed)) {
-            shed(first, Shed::Cancel,
+        if (first->cancelled &&
+            first->cancelled->load(std::memory_order_relaxed)) {
+            shed(*first, Shed::Cancel,
                  "request cancelled before execution");
             continue;
         }
-        if (opened > first.deadline) {
-            shed(first, Shed::Deadline,
+        if (opened > first->deadline) {
+            shed(*first, Shed::Deadline,
                  "deadline expired before the request was scheduled");
             continue;
         }
 
         // Open a batch pinned to this request's snapshot — never to the
         // registry's CURRENT version, which may change mid-batch.
-        const SnapshotPtr snapshot = first.snapshot;
+        const SnapshotPtr snapshot = first->snapshot;
         const ModelSlo &slo = snapshot->slo;
-        const std::string model_name = snapshot->name;
-        std::vector<Req> batch;
-        int64_t rows = first.rows;
+        const std::string &model_name = snapshot->name;
+        int64_t rows = first->rows;
         batch.push_back(std::move(first));
         const auto window_end =
             opened + std::chrono::microseconds(slo.batch_window_us);
@@ -449,42 +474,41 @@ FrontDoor::workerLoop(int slot)
             auto queue_it = queues_.find(model_name);
             if (queue_it != queues_.end()) {
                 auto &queue = queue_it->second;
+                const auto now = Clock::now();
                 for (auto pos = queue.begin();
                      pos != queue.end() && rows < slo.max_batch;) {
-                    if (pos->snapshot != snapshot) {
+                    if ((*pos)->snapshot != snapshot) {
                         ++pos;  // other version: next batch's problem
                         continue;
                     }
-                    if (pos->cancelled &&
-                        pos->cancelled->load(std::memory_order_relaxed)) {
-                        Req dead = std::move(*pos);
+                    if ((*pos)->cancelled &&
+                        (*pos)->cancelled->load(std::memory_order_relaxed)) {
+                        ReqPtr dead = std::move(*pos);
                         pos = queue.erase(pos);
                         --total_queued_;
-                        shed(dead, Shed::Cancel,
+                        shed(*dead, Shed::Cancel,
                              "request cancelled before execution");
                         continue;
                     }
-                    if (Clock::now() > pos->deadline) {
-                        Req dead = std::move(*pos);
+                    if (now > (*pos)->deadline) {
+                        ReqPtr dead = std::move(*pos);
                         pos = queue.erase(pos);
                         --total_queued_;
-                        shed(dead, Shed::Deadline,
+                        shed(*dead, Shed::Deadline,
                              "deadline expired while waiting for a "
                              "batch slot");
                         continue;
                     }
-                    if (rows + pos->rows > slo.max_batch) {
+                    if (rows + (*pos)->rows > slo.max_batch) {
                         ++pos;
                         continue;
                     }
-                    rows += pos->rows;
+                    rows += (*pos)->rows;
                     batch.push_back(std::move(*pos));
                     pos = queue.erase(pos);
                     --total_queued_;
                     admitted = true;
                 }
-                if (queue.empty())
-                    queues_.erase(queue_it);
             }
             if (rows >= slo.max_batch || closed_)
                 break;
@@ -502,27 +526,33 @@ FrontDoor::workerLoop(int slot)
         }
 
         lock.unlock();
-        executeBatch(batch, rows, snapshot, scratch);
+        executeBatch(batch, rows, snapshot, scratch, slot);
+        batch.clear();  // free request buffers outside the lock
         lock.lock();
     }
 }
 
 void
-FrontDoor::executeBatch(std::vector<Req> &batch, int64_t rows,
-                        const SnapshotPtr &snapshot, StageScratch &scratch)
+FrontDoor::executeBatch(std::vector<ReqPtr> &batch, int64_t rows,
+                        const SnapshotPtr &snapshot, StageScratch &scratch,
+                        int slot)
 {
     const FrozenModel &model = snapshot->model;
     const int64_t in_width = model.inputWidth();
     const auto exec_start = Clock::now();
     Tensor packed(Shape{rows, in_width});
     int64_t offset = 0;
-    for (const Req &req : batch) {
-        std::memcpy(packed.data() + offset * in_width, req.input.data(),
-                    static_cast<size_t>(req.rows * in_width) *
+    for (const ReqPtr &req : batch) {
+        std::memcpy(packed.data() + offset * in_width, req->input.data(),
+                    static_cast<size_t>(req->rows * in_width) *
                         sizeof(float));
-        offset += req.rows;
+        offset += req->rows;
     }
 
+    // The stage chain accumulates its encode/gather phase times into the
+    // worker's scratch; the deltas around this batch are its share.
+    const uint64_t encode_before = scratch.encode_ns;
+    const uint64_t gather_before = scratch.gather_ns;
     const Tensor output = model.forwardBatch(packed, scratch);
     const int64_t out_width = output.dim(1);
     const auto done = Clock::now();
@@ -531,10 +561,21 @@ FrontDoor::executeBatch(std::vector<Req> &batch, int64_t rows,
     // future must already see this batch reflected in stats().
     {
         std::unique_lock<std::mutex> stats_lock(stats_mu_);
-        batches_++;
+        worker_active_[static_cast<size_t>(slot)] = 1;
         last_version_[snapshot->name] = snapshot->version;
         LaneAccum &model_lane = model_accum_[snapshot->name];
-        for (const Req &req : batch) {
+        const size_t fill_size =
+            static_cast<size_t>(snapshot->slo.max_batch) + 1;
+        for (LaneAccum *lane : {&total_accum_, &model_lane}) {
+            lane->batches++;
+            lane->encode_ns += scratch.encode_ns - encode_before;
+            lane->gather_ns += scratch.gather_ns - gather_before;
+            if (lane->batch_fill.size() < fill_size)
+                lane->batch_fill.resize(fill_size, 0);
+            lane->batch_fill[static_cast<size_t>(rows)]++;
+        }
+        for (const ReqPtr &ptr : batch) {
+            const Req &req = *ptr;
             const auto micros = [](Clock::duration d) {
                 return static_cast<uint64_t>(std::max<int64_t>(
                     0, std::chrono::duration_cast<std::chrono::microseconds>(
@@ -555,6 +596,7 @@ FrontDoor::executeBatch(std::vector<Req> &batch, int64_t rows,
                     if (done <= req.deadline)
                         lane.deadline_met++;
                 }
+                lane.last_done = done;
             };
             record(total_accum_);
             record(model_lane);
@@ -563,28 +605,25 @@ FrontDoor::executeBatch(std::vector<Req> &batch, int64_t rows,
     }
 
     offset = 0;
-    for (Req &req : batch) {
-        Tensor slice(Shape{req.rows, out_width});
+    for (ReqPtr &req : batch) {
+        Tensor slice(Shape{req->rows, out_width});
         std::memcpy(slice.data(), output.data() + offset * out_width,
-                    static_cast<size_t>(req.rows * out_width) *
+                    static_cast<size_t>(req->rows * out_width) *
                         sizeof(float));
-        offset += req.rows;
-        req.promise.set_value(std::move(slice));
+        offset += req->rows;
+        req->promise.set_value(std::move(slice));
     }
 }
 
-void
-FrontDoor::snapshotLane(const LaneAccum &accum, LaneStats &out) const
+LaneStats
+FrontDoor::snapshotLane(const LaneAccum &accum, int active_workers)
 {
-    out.accepted = accum.accepted;
-    out.served = accum.served;
-    out.rows = accum.rows;
-    out.rejected = accum.rejected;
-    out.shed_capacity = accum.shed_capacity;
-    out.shed_deadline = accum.shed_deadline;
-    out.cancelled = accum.cancelled;
-    out.with_deadline = accum.with_deadline;
-    out.deadline_met = accum.deadline_met;
+    LaneStats out = accum;  // the exact counters
+    if (accum.saw_accept && accum.served > 0)
+        out.wall_seconds =
+            std::chrono::duration<double>(accum.last_done -
+                                          accum.first_accept)
+                .count();
     out.mean_latency_us = accum.latency.meanMicros();
     out.p50_latency_us = accum.latency.percentileMicros(50.0);
     out.p99_latency_us = accum.latency.percentileMicros(99.0);
@@ -594,6 +633,15 @@ FrontDoor::snapshotLane(const LaneAccum &accum, LaneStats &out) const
     out.mean_service_us = accum.service.meanMicros();
     out.p50_service_us = accum.service.percentileMicros(50.0);
     out.p99_service_us = accum.service.percentileMicros(99.0);
+    // Per-batch phase deltas time only the initiating worker, so the
+    // cross-worker sum divided by the workers that did batch OR shard
+    // work stays comparable across thread counts.
+    const double active = std::max(1, active_workers);
+    out.encode_cpu_seconds = static_cast<double>(accum.encode_ns) * 1e-9;
+    out.gather_cpu_seconds = static_cast<double>(accum.gather_ns) * 1e-9;
+    out.encode_seconds = out.encode_cpu_seconds / active;
+    out.gather_seconds = out.gather_cpu_seconds / active;
+    return out;
 }
 
 FrontDoorStats
@@ -601,12 +649,16 @@ FrontDoor::stats() const
 {
     std::unique_lock<std::mutex> lock(stats_mu_);
     FrontDoorStats out;
-    out.batches = batches_;
-    snapshotLane(total_accum_, out.total);
+    for (uint8_t active : worker_active_)
+        out.active_workers += active;
+    out.total = snapshotLane(total_accum_, out.active_workers);
+    out.batches = out.total.batches;
     for (const auto &entry : model_accum_)
-        snapshotLane(entry.second, out.models[entry.first]);
+        out.models[entry.first] =
+            snapshotLane(entry.second, out.active_workers);
     for (const auto &entry : tenant_accum_)
-        snapshotLane(entry.second, out.tenants[entry.first]);
+        out.tenants[entry.first] =
+            snapshotLane(entry.second, out.active_workers);
     out.last_version = last_version_;
     return out;
 }

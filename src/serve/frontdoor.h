@@ -3,11 +3,12 @@
 
 /**
  * @file
- * FrontDoor: the multi-tenant serving entry point — one shared worker
- * pool multiplexing every model published in its ModelRegistry
- * (serve/registry.h), with per-request deadlines, cancellation,
- * priority-aware scheduling, and typed load shedding instead of
- * unbounded blocking.
+ * FrontDoor: the serving runtime — one worker pool multiplexing every
+ * model published in its ModelRegistry (serve/registry.h), with
+ * per-request deadlines, cancellation, priority-aware scheduling, and
+ * typed load shedding instead of unbounded blocking. The single-model
+ * InferenceEngine (serve/engine.h) is a thin facade over a one-model
+ * FrontDoor; there is no second runtime.
  *
  * Scheduling model: each published model carries a ModelSlo (priority
  * stratum, batch window, max batch, default deadline). Queued requests
@@ -36,10 +37,15 @@
  * were admitted against, new submissions ride the new version, and no
  * batch ever mixes versions. See registry.h for the version semantics.
  *
- * The worker pool implements IntraBatchPool exactly like
- * InferenceEngine: a large batch's encode/gather phases shard across
- * idle workers via work-stealing shard tasks, so one front door extracts
- * the same intra-batch parallelism the single-model engine does.
+ * Intra-batch parallelism: the pool implements IntraBatchPool, so a
+ * large batch's encode/gather phases shard across idle workers. The
+ * initiating worker publishes a ShardTask under the same mutex that
+ * guards the request queues, and idle workers sleep on ONE condition
+ * variable that wakes for either kind of work — a worker waiting for
+ * requests can never miss shard work. Helpers claim blocks through the
+ * task's atomic cursor (wait-free) and run them with their own
+ * StageScratch; results are bit-exact with the unsharded sweep because
+ * shards cover disjoint rows.
  */
 
 #include <atomic>
@@ -58,7 +64,6 @@
 
 #include "api/status.h"
 #include "serve/registry.h"
-#include "serve/request_queue.h"
 #include "serve/stats.h"
 #include "tensor/tensor.h"
 
@@ -164,10 +169,9 @@ class Tenant
 };
 
 /**
- * Multi-tenant serving front door: a ModelRegistry plus one shared
- * worker pool with deadline-aware, priority-stratified scheduling.
- * Implements IntraBatchPool so LUT stages shard big batches across the
- * pool, same as the single-model engine.
+ * Serving front door: a ModelRegistry plus one shared worker pool with
+ * deadline-aware, priority-stratified scheduling. Implements
+ * IntraBatchPool so LUT stages shard big batches across the pool.
  */
 class FrontDoor : private IntraBatchPool
 {
@@ -212,7 +216,8 @@ class FrontDoor : private IntraBatchPool
      * Serve one request of [rows, model's inputWidth()] against the
      * CURRENT version of `model` and block for the result. Typed
      * failures: NotFound (model not published), InvalidArgument (shape,
-     * row cap), ResourceExhausted (shed under overload),
+     * row cap, rows not a whole number of the model's rowGroup()
+     * sequences), ResourceExhausted (shed under overload),
      * DeadlineExceeded (deadline passed before execution), Cancelled,
      * FailedPrecondition (after shutdown()).
      */
@@ -240,19 +245,37 @@ class FrontDoor : private IntraBatchPool
   private:
     using Clock = std::chrono::steady_clock;
 
+    /** One queued request. The fields every admission decision reads
+     * come first, next to each other; queues and batches hold Req by
+     * pointer, so admission under mu_ moves a pointer, not the request. */
     struct Req
     {
-        Tensor input;
-        std::promise<api::Result<Tensor>> promise;
         SnapshotPtr snapshot;  ///< pinned at submit: the hot-swap contract
-        Clock::time_point enqueued;
         Clock::time_point deadline = Clock::time_point::max();
-        bool has_deadline = false;
-        int priority = 0;
+        std::shared_ptr<std::atomic<bool>> cancelled;  ///< may be null
         int64_t rows = 0;
         uint64_t seq = 0;  ///< FIFO tiebreak within equal deadlines
+        int priority = 0;
+        bool has_deadline = false;
+        Clock::time_point enqueued;
         std::string tenant;
-        std::shared_ptr<std::atomic<bool>> cancelled;  ///< may be null
+        std::promise<api::Result<Tensor>> promise;
+        Tensor input;
+    };
+    using ReqPtr = std::unique_ptr<Req>;
+
+    /**
+     * One intra-batch parallel-for in flight: `blocks` shards claimed via
+     * the atomic `next` cursor (work-stealing without a lock),
+     * `completed` counts finished shards. Helpers hold shared_ptr copies,
+     * so the task outlives its removal from `tasks_`.
+     */
+    struct ShardTask
+    {
+        ShardFn fn;                        ///< runs one block on any worker
+        int64_t blocks = 0;                ///< total shard count
+        std::atomic<int64_t> next{0};      ///< next unclaimed block
+        std::atomic<int64_t> completed{0}; ///< finished blocks
     };
 
     std::future<api::Result<Tensor>>
@@ -262,17 +285,22 @@ class FrontDoor : private IntraBatchPool
 
     void workerLoop(int slot);
     /** Pop the highest-priority earliest-deadline head. mu_ held. */
-    Req popBestLocked();
+    ReqPtr popBestLocked();
     /** Any queued head strictly above `priority`? mu_ held. */
     bool higherPriorityPendingLocked(int priority) const;
     /** Claimable shard task, or nullptr. mu_ held. */
     std::shared_ptr<ShardTask> claimableTaskLocked() const;
-    void runShards(ShardTask &task, StageScratch &scratch);
+    /** Claim-and-run loop every shard participant executes; returns
+     * whether this participant ran at least one block. */
+    bool runShards(ShardTask &task, StageScratch &scratch);
     void parallelFor(int64_t blocks, const ShardFn &fn,
                      StageScratch &caller) override;
-    void executeBatch(std::vector<Req> &batch, int64_t rows,
-                      const SnapshotPtr &snapshot, StageScratch &scratch);
+    void executeBatch(std::vector<ReqPtr> &batch, int64_t rows,
+                      const SnapshotPtr &snapshot, StageScratch &scratch,
+                      int slot);
     void failRemaining();
+    /** Count worker `slot` toward active_workers. */
+    void markActive(int slot);
 
     /** Settle a request with a typed error and bump its shed counter. */
     enum class Shed { Capacity, Deadline, Cancel };
@@ -284,7 +312,9 @@ class FrontDoor : private IntraBatchPool
     std::mutex mu_;  ///< queues + shard tasks + lifecycle flags
     std::condition_variable work_;       ///< requests OR shard work
     std::condition_variable task_done_;  ///< shard-task completion
-    std::map<std::string, std::deque<Req>> queues_;  ///< EDF per model
+    /** EDF queue per model; kept (possibly empty) once created, so a
+     * drained queue does not reallocate on the next request. */
+    std::map<std::string, std::deque<ReqPtr>> queues_;
     std::vector<std::shared_ptr<ShardTask>> tasks_;
     int64_t total_queued_ = 0;
     uint64_t next_seq_ = 0;
@@ -292,22 +322,36 @@ class FrontDoor : private IntraBatchPool
     bool closed_ = false;
     std::vector<std::thread> workers_;
 
-    /** Internal accumulator behind one LaneStats bucket. */
-    struct LaneAccum
+    /** Internal accumulator behind one LaneStats bucket: the exact
+     * counters live in the LaneStats base; the derived fields are
+     * computed from the members below at snapshot time. */
+    struct LaneAccum : LaneStats
     {
-        uint64_t accepted = 0, served = 0, rows = 0, rejected = 0;
-        uint64_t shed_capacity = 0, shed_deadline = 0, cancelled = 0;
-        uint64_t with_deadline = 0, deadline_met = 0;
+        uint64_t encode_ns = 0, gather_ns = 0;
         LatencyHistogram latency, queue_wait, service;
+        bool saw_accept = false;
+        Clock::time_point first_accept, last_done;
     };
-    void snapshotLane(const LaneAccum &accum, LaneStats &out) const;
+    static LaneStats snapshotLane(const LaneAccum &accum,
+                                  int active_workers);
+
+    /** Apply `fn` to the total, per-model and per-tenant buckets of one
+     * request. stats_mu_ held. */
+    template <typename Fn>
+    void
+    forLanes(const std::string &model, const std::string &tenant, Fn fn)
+    {
+        fn(total_accum_);
+        fn(model_accum_[model]);
+        fn(tenant_accum_[tenant]);
+    }
 
     mutable std::mutex stats_mu_;
-    uint64_t batches_ = 0;
     LaneAccum total_accum_;
     std::map<std::string, LaneAccum> model_accum_;
     std::map<std::string, LaneAccum> tenant_accum_;
     std::map<std::string, uint64_t> last_version_;
+    std::vector<uint8_t> worker_active_;  ///< per-slot participation
 };
 
 } // namespace lutdla::serve

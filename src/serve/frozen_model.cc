@@ -783,7 +783,7 @@ FrozenModel::runTiledSegment(const TilePlan &seg, const float *in,
         IntraBatchPool *const saved_pool = local.pool;
         local.pool = nullptr;
         // Helpers' phase counters are restored on exit: only the
-        // initiator's tile deltas feed the engine's per-batch phase
+        // initiator's tile deltas feed the per-batch phase
         // stats, the same wall-clock convention the sharded phases use.
         const uint64_t saved_encode = local.encode_ns;
         const uint64_t saved_gather = local.gather_ns;

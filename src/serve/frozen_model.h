@@ -160,7 +160,8 @@ class FrozenModel
      * Row-group granularity requests must respect: 1 for row-independent
      * models; the sequence length T for models with attention stages
      * (rows are [B*T, D] and a batch must hold whole sequences). The
-     * engine rejects requests whose row count is not a multiple of this.
+     * front door rejects requests whose row count is not a multiple of
+     * this, and refuses to publish with slo.max_batch below it.
      */
     int64_t rowGroup() const { return row_group_; }
 
@@ -198,7 +199,7 @@ class FrozenModel
 
     /**
      * Run a batch of rows through every stage using caller-owned scratch
-     * (the engine passes per-worker scratch so steady-state batches do
+     * (the serving pool passes per-worker scratch so steady-state batches do
      * not allocate). Thread-safe — distinct scratch per concurrent caller
      * — and bit-exact with the source model's eval forward (fromModel
      * case). Rows must be [batch, inputWidth()].

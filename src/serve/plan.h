@@ -97,7 +97,7 @@ struct PlanOptions
     bool fuse = true;
     /**
      * Intra-batch shard granularity in rows for lut-gemm stages (the
-     * engine's worker pool splits batches of >= 2 shards). 0 = auto: one
+     * serving worker pool splits batches of >= 2 shards). 0 = auto: one
      * shuffle-gather chunk (64 rows on AVX-512, 32 on AVX2, else 32) so
      * sharding never starves the vector kernels of full chunks.
      */
@@ -184,7 +184,7 @@ struct TilePlan
 
 /**
  * The tiled executor's whole-chain plan: the segments plus the scratch
- * accounting planSummary() reports. Plane figures are per engine worker;
+ * accounting planSummary() reports. Plane figures are per pool worker;
  * the per-row figures scale with the batch size while tile_plane_bytes
  * is fixed (that asymmetry IS the steady-state scratch reduction — the
  * full-batch executor's intermediate planes all scaled with the batch).

@@ -26,6 +26,12 @@ ModelRegistry::publish(const std::string &name, FrozenModel model,
     if (model.numStages() == 0)
         return api::Status::failedPrecondition(
             "cannot publish an empty model");
+    if (slo.max_batch < model.rowGroup())
+        return api::Status::invalidArgument(
+            "slo.max_batch " + std::to_string(slo.max_batch) +
+            " is smaller than the model's row group " +
+            std::to_string(model.rowGroup()) +
+            " (attention models batch whole sequences of seq_len rows)");
 
     auto snapshot = std::make_shared<ModelSnapshot>();
     snapshot->name = name;

@@ -92,8 +92,9 @@ class ModelRegistry
      * Install `model` as the next version of `name` (1 for a new name)
      * and return that version. Readers that resolve() from now on see
      * the new snapshot; holders of the previous snapshot keep serving it
-     * untouched. InvalidArgument for an empty name or nonsense SLO
-     * knobs; FailedPrecondition for a model with no stages.
+     * untouched. InvalidArgument for an empty name, nonsense SLO knobs,
+     * or slo.max_batch below the model's rowGroup() (no request could
+     * ever be admitted); FailedPrecondition for a model with no stages.
      */
     api::Result<uint64_t> publish(const std::string &name,
                                   FrozenModel model, ModelSlo slo = {});

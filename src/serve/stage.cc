@@ -171,7 +171,7 @@ arenaGemmForward(const lutboost::LutTableArena &arena,
                  const std::vector<PointwiseOp> &epilogue,
                  StageScratch &scratch, lutboost::EncodePrecision encode)
 {
-    // Shard both phases over the engine's worker pool when the batch is
+    // Shard both phases over the serving worker pool when the batch is
     // big enough to split (rows are independent, so the sharded sweep is
     // bit-exact with the single-thread one). Phase timing stays on the
     // initiating worker only, so encode_ns / gather_ns deltas measure the

@@ -10,8 +10,8 @@
  * here — arena LUT-GEMM for LutLinear, im2col + arena LUT-GEMM for
  * LutConv2d, pooling / flatten / norm / pointwise for the glue layers —
  * then a planning pass (serve/plan.h) picks each LUT stage's kernel
- * backend and folds fusable neighbors into it, so the engine's batch loop
- * is topology-agnostic: MLPs, CNNs, and future attention graphs all
+ * backend and folds fusable neighbors into it, so the serving runtime's
+ * batch loop is topology-agnostic: MLPs, CNNs, and future attention graphs all
  * execute as "for stage in stages: stage.forward".
  *
  * Execution model: LUT stages do no inline math. They emit two kernel
@@ -21,7 +21,8 @@
  * float = bit-exact, quantized = packed codes + INT8 tables), and then
  * apply any epilogue ops the planner fused in (pointwise activations,
  * trace width adaptation) while the output is still cache-hot. The two
- * phase times are accumulated into StageScratch for EngineStats.
+ * phase times are accumulated into StageScratch for the per-lane stats
+ * (LaneStats encode/gather split).
  *
  * Layout contract: a batch is always a [rows, width] row-major matrix of
  * floats. Spatial stages interpret each row as a flattened NCHW image
@@ -63,7 +64,8 @@ struct StageScratch;
 using ShardFn = std::function<void(int64_t block, StageScratch &scratch)>;
 
 /**
- * Intra-batch parallelism seam: the engine hands each worker's
+ * Intra-batch parallelism seam: the serving runtime (FrontDoor, which
+ * also backs the single-model InferenceEngine) hands each worker's
  * StageScratch a pool pointer, and LUT stages shard their encode / gather
  * phases over it instead of sweeping the whole batch on one thread.
  * parallelFor() blocks until every shard ran; the CALLER participates
@@ -77,7 +79,7 @@ class IntraBatchPool
     virtual ~IntraBatchPool() = default;
 
     /** Run fn(block, scratch) for block in [0, blocks); returns when all
-     * blocks completed. Safe to call only from an engine worker. */
+     * blocks completed. Safe to call only from a pool worker. */
     virtual void parallelFor(int64_t blocks, const ShardFn &fn,
                              StageScratch &caller) = 0;
 };
@@ -94,10 +96,10 @@ enum class PointwiseOp
  * Per-worker reusable buffers for one in-flight batch: the ping-pong
  * activation planes the stage chain alternates between, the conv path's
  * im2col/GEMM scratch, the kernel backend's packed-code buffers, and the
- * encode/gather phase-time accumulators the engine folds into its stats.
- * Engine workers each own one, so steady-state serving performs no
- * per-batch allocations once the buffers have grown to the largest batch
- * seen.
+ * encode/gather phase-time accumulators the front door folds into each
+ * batch's lane stats. Every pool worker owns one, so steady-state serving
+ * performs no per-batch allocations once the buffers have grown to the
+ * largest batch seen.
  */
 struct StageScratch
 {
@@ -131,7 +133,7 @@ struct StageScratch
     std::vector<float> tile_a, tile_b;
     uint64_t encode_ns = 0;            ///< accumulated encode-phase time
     uint64_t gather_ns = 0;            ///< accumulated gather-phase time
-    /** Intra-batch worker pool (engine-owned); null = single-threaded.
+    /** Intra-batch worker pool (the front door's); null = single-threaded.
      * Phase times stay wall-clock: only the initiating worker's timers
      * run while shards execute in parallel. */
     IntraBatchPool *pool = nullptr;

@@ -186,7 +186,7 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
 {
     LUTDLA_CHECK(rows % seq_len_ == 0, "attention batch of ", rows,
                  " rows is not a multiple of seq_len ", seq_len_,
-                 "; the engine admits whole sequences only");
+                 "; the front door admits whole sequences only");
     const int64_t total = rows * d_model_;
     scratch.attn_q.resize(static_cast<size_t>(total));
     scratch.attn_k.resize(static_cast<size_t>(total));

@@ -28,7 +28,7 @@
  *
  * AttentionStage runs the paper's transformer workload on the LUT data
  * plane: the Q/K/V/output projections are four arena LUT-GEMMs (the same
- * encode -> gather kernels as ArenaStage, sharded over the engine's
+ * encode -> gather kernels as ArenaStage, sharded over the serving
  * worker pool), while the scaled-dot-product core reuses the exact
  * nn::attentionSequenceContext kernel — stable softmax included — that
  * eval-mode MultiHeadSelfAttention runs, so a lowered block is bit-exact
@@ -146,7 +146,7 @@ class SoftmaxStage : public FrozenStage
  * the planned kernel backend, with the scaled-dot-product + stable
  * softmax core between them executed by the shared
  * nn::attentionSequenceContext kernel per sequence. Batches must be
- * whole sequences ([B * seq_len, d_model] rows); the engine enforces
+ * whole sequences ([B * seq_len, d_model] rows); the front door enforces
  * this at admission via FrozenModel::rowGroup(). Projection GEMMs shard
  * over rows and the sdpa core shards over sequences when the executing
  * scratch carries an IntraBatchPool — all bit-exact with the

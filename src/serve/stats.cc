@@ -12,9 +12,7 @@ LatencyHistogram::bucketIndex(uint64_t micros)
 {
     if (micros < kSubBuckets)
         return static_cast<int>(micros);
-    int log = 63;
-    while (((micros >> log) & 1) == 0)
-        --log;
+    const int log = 63 - __builtin_clzll(micros);
     // log >= kSubShift here; kSubBuckets linear sub-buckets spanning
     // [2^log, 2^(log+1)).
     const int sub = static_cast<int>((micros >> (log - kSubShift)) &
@@ -71,77 +69,6 @@ LatencyHistogram::percentileMicros(double p) const
     return bucketMidpoint(kBuckets - 1);
 }
 
-void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    for (int i = 0; i < kBuckets; ++i)
-        buckets_[static_cast<size_t>(i)] +=
-            other.buckets_[static_cast<size_t>(i)];
-    count_ += other.count_;
-    total_micros_ += other.total_micros_;
-}
-
-double
-EngineStats::rowsPerSec() const
-{
-    if (wall_seconds <= 0.0)
-        return 0.0;
-    return static_cast<double>(rows) / wall_seconds;
-}
-
-double
-EngineStats::avgBatchFill() const
-{
-    if (batches == 0)
-        return 0.0;
-    return static_cast<double>(rows) / static_cast<double>(batches);
-}
-
-double
-EngineStats::encodeFraction() const
-{
-    const double total = encode_seconds + gather_seconds;
-    if (total <= 0.0)
-        return 0.0;
-    return encode_seconds / total;
-}
-
-std::string
-EngineStats::summary() const
-{
-    char line[256];
-    std::string out;
-    std::snprintf(line, sizeof(line),
-                  "requests: %llu (%llu rejected), rows: %llu, batches: "
-                  "%llu (avg fill %.2f)\n",
-                  static_cast<unsigned long long>(requests),
-                  static_cast<unsigned long long>(rejected),
-                  static_cast<unsigned long long>(rows),
-                  static_cast<unsigned long long>(batches), avgBatchFill());
-    out += line;
-    std::snprintf(line, sizeof(line),
-                  "throughput: %.1f rows/s over %.3f s busy window\n",
-                  rowsPerSec(), wall_seconds);
-    out += line;
-    std::snprintf(line, sizeof(line),
-                  "latency us: mean %.1f, p50 ~%.1f, p99 ~%.1f\n",
-                  mean_latency_us, p50_latency_us, p99_latency_us);
-    out += line;
-    std::snprintf(line, sizeof(line),
-                  "  queue us: mean %.1f, p50 ~%.1f, p99 ~%.1f | "
-                  "service us: mean %.1f, p50 ~%.1f, p99 ~%.1f\n",
-                  mean_queue_us, p50_queue_us, p99_queue_us,
-                  mean_service_us, p50_service_us, p99_service_us);
-    out += line;
-    std::snprintf(line, sizeof(line),
-                  "lut phases: encode %.4f s, gather %.4f s (%.0f%% "
-                  "encode; per-worker avg over %d active)\n",
-                  encode_seconds, gather_seconds,
-                  encodeFraction() * 100.0, active_workers);
-    out += line;
-    return out;
-}
-
 double
 LaneStats::sloAttainment() const
 {
@@ -151,32 +78,74 @@ LaneStats::sloAttainment() const
            static_cast<double>(with_deadline);
 }
 
-namespace {
-
-std::string
-laneLine(const std::string &label, const LaneStats &lane)
+double
+LaneStats::rowsPerSec() const
 {
-    char line[320];
-    std::snprintf(
-        line, sizeof(line),
-        "%-16s accepted %llu, served %llu (%llu rows), shed %llu "
-        "(cap %llu / ddl %llu / cancel %llu), rejected %llu, "
-        "p50 ~%.0f us, p99 ~%.0f us (queue ~%.0f, service ~%.0f), "
-        "slo %.3f\n",
-        label.c_str(), static_cast<unsigned long long>(lane.accepted),
-        static_cast<unsigned long long>(lane.served),
-        static_cast<unsigned long long>(lane.rows),
-        static_cast<unsigned long long>(lane.shed()),
-        static_cast<unsigned long long>(lane.shed_capacity),
-        static_cast<unsigned long long>(lane.shed_deadline),
-        static_cast<unsigned long long>(lane.cancelled),
-        static_cast<unsigned long long>(lane.rejected),
-        lane.p50_latency_us, lane.p99_latency_us, lane.p99_queue_us,
-        lane.p99_service_us, lane.sloAttainment());
-    return line;
+    if (wall_seconds <= 0.0)
+        return 0.0;
+    return static_cast<double>(rows) / wall_seconds;
 }
 
-} // namespace
+double
+LaneStats::avgBatchFill() const
+{
+    if (batches == 0)
+        return 0.0;
+    return static_cast<double>(rows) / static_cast<double>(batches);
+}
+
+double
+LaneStats::encodeFraction() const
+{
+    const double total = encode_seconds + gather_seconds;
+    if (total <= 0.0)
+        return 0.0;
+    return encode_seconds / total;
+}
+
+std::string
+LaneStats::summary() const
+{
+    char line[320];
+    std::string out;
+    std::snprintf(line, sizeof(line),
+                  "accepted %llu, served %llu (%llu rows), shed %llu (cap "
+                  "%llu / ddl %llu / cancel %llu), rejected %llu, slo "
+                  "%.3f\n",
+                  static_cast<unsigned long long>(accepted),
+                  static_cast<unsigned long long>(served),
+                  static_cast<unsigned long long>(rows),
+                  static_cast<unsigned long long>(shed()),
+                  static_cast<unsigned long long>(shed_capacity),
+                  static_cast<unsigned long long>(shed_deadline),
+                  static_cast<unsigned long long>(cancelled),
+                  static_cast<unsigned long long>(rejected),
+                  sloAttainment());
+    out += line;
+    std::snprintf(line, sizeof(line),
+                  "  %.1f rows/s over %.3f s busy window; latency us: mean "
+                  "%.1f, p50 ~%.1f, p99 ~%.1f\n",
+                  rowsPerSec(), wall_seconds, mean_latency_us,
+                  p50_latency_us, p99_latency_us);
+    out += line;
+    std::snprintf(line, sizeof(line),
+                  "  queue us: mean %.1f, p50 ~%.1f, p99 ~%.1f | service "
+                  "us: mean %.1f, p50 ~%.1f, p99 ~%.1f\n",
+                  mean_queue_us, p50_queue_us, p99_queue_us,
+                  mean_service_us, p50_service_us, p99_service_us);
+    out += line;
+    if (batches > 0) {
+        std::snprintf(line, sizeof(line),
+                      "  batches %llu (avg fill %.2f); lut phases: encode "
+                      "%.4f s, gather %.4f s (%.0f%% encode, per-worker "
+                      "avg)\n",
+                      static_cast<unsigned long long>(batches),
+                      avgBatchFill(), encode_seconds, gather_seconds,
+                      encodeFraction() * 100.0);
+        out += line;
+    }
+    return out;
+}
 
 std::string
 FrontDoorStats::summary() const
@@ -185,20 +154,20 @@ FrontDoorStats::summary() const
     char line[160];
     std::snprintf(line, sizeof(line),
                   "front door: %llu batches across %zu models, "
-                  "%zu tenants\n",
+                  "%zu tenants, %d active workers\n",
                   static_cast<unsigned long long>(batches), models.size(),
-                  tenants.size());
+                  tenants.size(), active_workers);
     out += line;
-    out += laneLine("total", total);
+    out += "total: " + total.summary();
     for (const auto &entry : models) {
         std::string label = "model " + entry.first;
         auto version = last_version.find(entry.first);
         if (version != last_version.end())
             label += " @v" + std::to_string(version->second);
-        out += laneLine(label, entry.second);
+        out += label + ": " + entry.second.summary();
     }
     for (const auto &entry : tenants)
-        out += laneLine("tenant " + entry.first, entry.second);
+        out += "tenant " + entry.first + ": " + entry.second.summary();
     return out;
 }
 

@@ -4,14 +4,15 @@
 /**
  * @file
  * Serving statistics: a bounded log-linear latency histogram plus the
- * EngineStats snapshot the engine hands back to callers.
+ * per-lane LaneStats snapshot the serving runtime hands back to callers
+ * (EngineStats and FrontDoorStats are views built from it).
  *
  * Percentile semantics: latencies are recorded into power-of-two buckets
  * with 64 linear sub-buckets each (HdrHistogram-style), so p50/p99 are
  * approximate with at most ~1.6% relative bucket width (~0.8% midpoint
  * error) — about three significant figures, so ms-scale percentiles no
  * longer snap to coarse power-of-two edges — with O(1) memory no matter
- * how many requests the engine serves. Counters (requests, rows,
+ * how many requests a lane serves. Counters (requests, rows,
  * batches) are exact.
  */
 
@@ -31,12 +32,6 @@ class LatencyHistogram
     /** Record one latency sample (saturates at ~2^37 us ~ 38 hours). */
     void record(uint64_t micros);
 
-    /** Total recorded samples. */
-    uint64_t count() const { return count_; }
-
-    /** Sum of recorded samples in microseconds (for exact means). */
-    uint64_t totalMicros() const { return total_micros_; }
-
     /** Mean latency in microseconds (0 when empty). */
     double meanMicros() const;
 
@@ -45,9 +40,6 @@ class LatencyHistogram
      * Returns the midpoint of the bucket containing the rank.
      */
     double percentileMicros(double p) const;
-
-    /** Merge another histogram into this one. */
-    void merge(const LatencyHistogram &other);
 
   private:
     static int bucketIndex(uint64_t micros);
@@ -66,107 +58,20 @@ class LatencyHistogram
 };
 
 /**
- * Snapshot of an engine's lifetime counters, taken under the stats lock so
- * all fields are mutually consistent. Returned by InferenceEngine::stats().
- */
-struct EngineStats
-{
-    uint64_t requests = 0;   ///< successfully served requests
-    uint64_t rows = 0;       ///< rows across served requests
-    uint64_t batches = 0;    ///< executed batches
-    uint64_t rejected = 0;   ///< submissions refused with an error status
-
-    /**
-     * Busy wall-clock window in seconds: first submission to most recent
-     * completion. 0 until the first batch finishes.
-     */
-    double wall_seconds = 0.0;
-
-    /** Mean request latency (submit -> result ready) in microseconds. */
-    double mean_latency_us = 0.0;
-    /** Approximate median request latency in microseconds. */
-    double p50_latency_us = 0.0;
-    /** Approximate 99th-percentile request latency in microseconds. */
-    double p99_latency_us = 0.0;
-
-    /**
-     * Queue-wait time (submit -> the request's batch starts executing),
-     * recorded separately from service time so overload is visible: a
-     * saturated engine shows queue wait exploding while service time
-     * stays flat. queue + service == latency per request (up to
-     * microsecond rounding); the percentiles below are each taken over
-     * their own histogram, so they do not add exactly.
-     */
-    double mean_queue_us = 0.0;
-    double p50_queue_us = 0.0;   ///< approximate median queue wait
-    double p99_queue_us = 0.0;   ///< approximate p99 queue wait
-    /** Service time (batch execution start -> result ready). */
-    double mean_service_us = 0.0;
-    double p50_service_us = 0.0; ///< approximate median service time
-    double p99_service_us = 0.0; ///< approximate p99 service time
-
-    /** Workers that did real batch work: initiated at least one batch OR
-     * stole at least one shard block from another worker's batch. (Shard
-     * helpers used to go uncounted, so a 2-thread engine whose requests
-     * all coalesced through one initiator reported active_workers 1 and
-     * inflated the per-worker phase averages below.) */
-    int active_workers = 0;
-
-    /**
-     * Encode-phase seconds (argmin encoding of batch rows into packed
-     * codes, including im2col / BF16 staging), reported as the
-     * PER-ACTIVE-WORKER AVERAGE of per-batch wall times: sharded phases
-     * time only the initiating worker, and the cross-worker sum is
-     * divided by active_workers — so the number is comparable across
-     * thread counts (the old raw sum inflated ~Nx with N concurrent
-     * workers on a contended host). Approximation caveat: the divisor
-     * counts workers that EVER ran a batch, an upper bound on actual
-     * concurrency, so under light load spread round-robin across the
-     * pool this is a LOWER bound on per-worker phase wall time; at
-     * saturation (the regime phase tuning cares about) it is tight.
-     */
-    double encode_seconds = 0.0;
-    /** Gather-phase seconds (table accumulation, fused epilogues, NCHW
-     * reshape), same per-active-worker-average semantics. */
-    double gather_seconds = 0.0;
-
-    /** Raw cross-worker sum of per-batch encode wall times (the old
-     * semantics; exceeds wall_seconds under concurrency). */
-    double encode_cpu_seconds = 0.0;
-    /** Raw cross-worker sum of per-batch gather wall times. */
-    double gather_cpu_seconds = 0.0;
-
-    /**
-     * batch_fill[r] = number of executed batches that carried exactly `r`
-     * rows; index 0 is unused. Size is max_batch + 1.
-     */
-    std::vector<uint64_t> batch_fill;
-
-    /** Served-row throughput over the busy window (0 when unknown). */
-    double rowsPerSec() const;
-
-    /** Mean rows per executed batch (0 before any batch). */
-    double avgBatchFill() const;
-
-    /** Encode share of LUT-stage time, in [0, 1] (0 when unmeasured). */
-    double encodeFraction() const;
-
-    /** Multi-line human-readable digest. */
-    std::string summary() const;
-};
-
-/**
- * One stats bucket of the multi-tenant front door — the same shape is
- * kept per model, per tenant, and for the totals, so overload shows up
- * wherever it happens: `shed_capacity` counts requests dropped because
- * the bounded queue was full (either rejected at admission or evicted by
+ * One stats bucket of the serving runtime — the same shape is kept per
+ * model, per tenant, and for the totals, so overload shows up wherever it
+ * happens: `shed_capacity` counts requests dropped because the bounded
+ * queue was full (either refused at admission or evicted by
  * higher-priority traffic), `shed_deadline` counts requests whose
  * deadline expired before execution (failed with DeadlineExceeded
  * WITHOUT running), `cancelled` counts caller-cancelled requests. All
  * sheds are answered with a typed api::Status — nothing is silently
- * dropped. Latency percentiles follow EngineStats semantics
- * (log-linear histogram, ~0.8% midpoint error) and split queue wait
- * from service time.
+ * dropped. Latency percentiles come from log-linear histograms (~0.8%
+ * midpoint error) and split queue wait from service time.
+ *
+ * Batch-level fields (`batches`, `batch_fill`, the encode/gather phase
+ * split) are kept for model lanes and the totals; tenant buckets leave
+ * them zero, because one batch can carry several tenants' requests.
  */
 struct LaneStats
 {
@@ -183,15 +88,62 @@ struct LaneStats
     /** Of those, how many completed before their deadline. */
     uint64_t deadline_met = 0;
 
+    uint64_t batches = 0;  ///< executed batches
+
+    /**
+     * batch_fill[r] = number of executed batches that carried exactly `r`
+     * rows; index 0 is unused. Sized to the largest published
+     * slo.max_batch + 1 (empty before the first batch).
+     */
+    std::vector<uint64_t> batch_fill;
+
+    /**
+     * Busy wall-clock window in seconds: first accepted submission to
+     * most recent completion. 0 until the first request completes.
+     */
+    double wall_seconds = 0.0;
+
+    /** Request latency (submit -> result ready) in microseconds. */
     double mean_latency_us = 0.0;
-    double p50_latency_us = 0.0;
-    double p99_latency_us = 0.0;
+    double p50_latency_us = 0.0;  ///< approximate median latency
+    double p99_latency_us = 0.0;  ///< approximate p99 latency
+    /**
+     * Queue wait (submit -> the request's batch starts executing),
+     * recorded separately from service time so overload is visible: a
+     * saturated lane shows queue wait exploding while service time stays
+     * flat. queue + service == latency per request (up to microsecond
+     * rounding); the percentiles are each taken over their own
+     * histogram, so they do not add exactly.
+     */
     double mean_queue_us = 0.0;
-    double p50_queue_us = 0.0;
-    double p99_queue_us = 0.0;
+    double p50_queue_us = 0.0;    ///< approximate median queue wait
+    double p99_queue_us = 0.0;    ///< approximate p99 queue wait
+    /** Service time (batch execution start -> result ready). */
     double mean_service_us = 0.0;
-    double p50_service_us = 0.0;
-    double p99_service_us = 0.0;
+    double p50_service_us = 0.0;  ///< approximate median service time
+    double p99_service_us = 0.0;  ///< approximate p99 service time
+
+    /**
+     * Encode-phase seconds (argmin encoding of batch rows into packed
+     * codes, including im2col / BF16 staging), reported as the
+     * PER-ACTIVE-WORKER AVERAGE of per-batch wall times: sharded phases
+     * time only the initiating worker, and the cross-worker sum is
+     * divided by the pool's active_workers — so the number is comparable
+     * across thread counts instead of inflating ~Nx with N concurrent
+     * workers. Approximation caveat: the divisor counts workers that EVER
+     * did batch work, an upper bound on actual concurrency, so under
+     * light load spread across the pool this is a LOWER bound on
+     * per-worker phase wall time; at saturation it is tight.
+     */
+    double encode_seconds = 0.0;
+    /** Gather-phase seconds (table accumulation, fused epilogues, NCHW
+     * reshape), same per-active-worker-average semantics. */
+    double gather_seconds = 0.0;
+    /** Raw cross-worker sum of per-batch encode wall times (exceeds
+     * wall_seconds under concurrency). */
+    double encode_cpu_seconds = 0.0;
+    /** Raw cross-worker sum of per-batch gather wall times. */
+    double gather_cpu_seconds = 0.0;
 
     /** Fraction of deadline-carrying served requests that met it
      * (1.0 when none carried a deadline — vacuous SLO attainment). */
@@ -202,6 +154,33 @@ struct LaneStats
     {
         return shed_capacity + shed_deadline + cancelled;
     }
+
+    /** Served-row throughput over the busy window (0 when unknown). */
+    double rowsPerSec() const;
+
+    /** Mean rows per executed batch (0 before any batch). */
+    double avgBatchFill() const;
+
+    /** Encode share of LUT-stage time, in [0, 1] (0 when unmeasured). */
+    double encodeFraction() const;
+
+    /** Multi-line human-readable digest of this bucket. */
+    std::string summary() const;
+};
+
+/**
+ * Snapshot of a single-model InferenceEngine: its model lane plus the
+ * pool-level worker count. Returned by InferenceEngine::stats().
+ */
+struct EngineStats : LaneStats
+{
+    /** Successfully served requests (the engine-facing name of
+     * LaneStats::served). */
+    uint64_t requests = 0;
+
+    /** Workers that did real batch work: initiated at least one batch OR
+     * stole at least one shard block from another worker's batch. */
+    int active_workers = 0;
 };
 
 /**
@@ -212,7 +191,8 @@ struct LaneStats
  */
 struct FrontDoorStats
 {
-    uint64_t batches = 0;  ///< executed batches across all models
+    uint64_t batches = 0;    ///< executed batches across all models
+    int active_workers = 0;  ///< see EngineStats::active_workers
 
     LaneStats total;                         ///< all traffic combined
     std::map<std::string, LaneStats> models; ///< per published model

@@ -842,7 +842,7 @@ TEST(InferenceEngine, NeverStartedShutdownFailsQueuedRequests)
 TEST(InferenceEngine, NotStartedEngineFailsFastWhenQueueFills)
 {
     // With no workers running, a full queue can never drain; submissions
-    // beyond capacity must error out instead of blocking forever.
+    // beyond capacity must be shed typed instead of blocking forever.
     FrozenFixture fx = makeFrozenMlp();
     serve::EngineOptions options;
     options.threads = 1;
@@ -855,15 +855,14 @@ TEST(InferenceEngine, NotStartedEngineFailsFastWhenQueueFills)
     auto fut1 = engine.value()->submitAsync(randomRows(1, 16, 1));
     auto fut2 = engine.value()->submitAsync(randomRows(1, 16, 2));
     auto overflow = engine.value()->submitAsync(randomRows(1, 16, 3));
-    auto rejected = overflow.get();  // must not hang
-    ASSERT_FALSE(rejected.ok());
-    EXPECT_EQ(rejected.status().code(),
-              api::StatusCode::FailedPrecondition);
+    auto shed = overflow.get();  // must not hang
+    ASSERT_FALSE(shed.ok());
+    EXPECT_EQ(shed.status().code(), api::StatusCode::ResourceExhausted);
 
     engine.value()->start();
     EXPECT_TRUE(fut1.get().ok());
     EXPECT_TRUE(fut2.get().ok());
-    EXPECT_EQ(engine.value()->stats().rejected, 1u);
+    EXPECT_EQ(engine.value()->stats().shed_capacity, 1u);
 }
 
 TEST(InferenceEngine, RejectsMalformedRequests)
@@ -1117,36 +1116,13 @@ TEST(PlanSummary, RecordsIsaKernelsAndShardGranularity)
 }
 
 // ---------------------------------------------------------------------------
-// Admission control: non-blocking / bounded-wait submission paths.
+// Admission control: a full queue sheds typed, it never blocks.
 
-TEST(WorkQueue, TryPushAndPushForRespectCapacity)
+TEST(InferenceEngine, FullQueueShedsTypedInsteadOfBlocking)
 {
-    serve::WorkQueue<int> queue(1);
-    EXPECT_TRUE(queue.tryPush(1));
-    EXPECT_FALSE(queue.tryPush(2));  // full, no wait
-    // Bounded wait on a full queue times out instead of blocking forever.
-    EXPECT_FALSE(queue.pushFor(2, std::chrono::milliseconds(5)));
-
-    std::optional<int> out = queue.tryPop();
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(*out, 1);
-    // With space available both paths admit immediately.
-    EXPECT_TRUE(queue.pushFor(3, std::chrono::milliseconds(0)));
-    out = queue.tryPop();
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(*out, 3);
-
-    queue.close();
-    EXPECT_FALSE(queue.tryPush(4));
-    EXPECT_FALSE(queue.pushFor(4, std::chrono::milliseconds(5)));
-}
-
-TEST(InferenceEngine, TrySubmitShedsTypedInsteadOfBlocking)
-{
-    // Flood a 1-worker engine with a tiny admission queue through the
-    // non-blocking path: every submission must resolve immediately as
-    // either a served result or a typed ResourceExhausted — never a
-    // block, never any other status.
+    // Flood a 1-worker engine with a tiny admission queue: every
+    // submission must resolve immediately as either a served result or a
+    // typed ResourceExhausted — never a block, never any other status.
     FrozenFixture fx = makeFrozenMlp();
     serve::EngineOptions options;
     options.threads = 1;
@@ -1161,8 +1137,7 @@ TEST(InferenceEngine, TrySubmitShedsTypedInsteadOfBlocking)
     int served = 0, shed = 0;
     std::vector<std::future<api::Result<Tensor>>> futures;
     for (int i = 0; i < 200; ++i)
-        futures.push_back(engine.value()->submitAsync(
-            rows, serve::AdmitOptions::nonBlocking()));
+        futures.push_back(engine.value()->submitAsync(rows));
     for (auto &future : futures) {
         auto result = future.get();
         if (result.ok()) {
@@ -1178,38 +1153,9 @@ TEST(InferenceEngine, TrySubmitShedsTypedInsteadOfBlocking)
     EXPECT_EQ(served + shed, 200);
     EXPECT_GT(served, 0);
     engine.value()->shutdown();
-    EXPECT_EQ(engine.value()->stats().rejected,
-              static_cast<uint64_t>(shed));
-}
-
-TEST(InferenceEngine, BoundedWaitAdmissionTimesOutTyped)
-{
-    // Workers not running + full queue: the bounded wait must expire with
-    // a typed failure instead of hanging (nothing can drain the queue).
-    FrozenFixture fx = makeFrozenMlp();
-    serve::EngineOptions options;
-    options.threads = 1;
-    options.queue_capacity = 1;
-    options.max_batch = 4;
-    options.autostart = false;
-    auto engine = api::makeEngine(fx.model, options);
-    ASSERT_TRUE(engine.ok());
-
-    auto queued = engine.value()->submitAsync(randomRows(1, 16, 1));
-    auto overflow = engine.value()->submitAsync(
-        randomRows(1, 16, 2), serve::AdmitOptions::boundedWait(2000));
-    auto refused = overflow.get();  // must resolve within ~2ms
-    ASSERT_FALSE(refused.ok());
-    EXPECT_EQ(refused.status().code(),
-              api::StatusCode::FailedPrecondition);
-
-    // Once workers run, the bounded wait succeeds when space frees up.
-    engine.value()->start();
-    EXPECT_TRUE(queued.get().ok());
-    auto admitted = engine.value()->submitAsync(
-        randomRows(1, 16, 3), serve::AdmitOptions::boundedWait(1'000'000));
-    EXPECT_TRUE(admitted.get().ok());
-    engine.value()->shutdown();
+    const serve::EngineStats stats = engine.value()->stats();
+    EXPECT_EQ(stats.shed_capacity, static_cast<uint64_t>(shed));
+    EXPECT_EQ(stats.rejected, 0u);
 }
 
 TEST(InferenceEngine, StatsSplitQueueWaitFromServiceTime)

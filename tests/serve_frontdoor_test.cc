@@ -185,6 +185,46 @@ TEST(FrontDoor, TypedErrorPaths)
     EXPECT_FALSE(serve::FrontDoor::create(bad_options).ok());
 }
 
+TEST(FrontDoor, LaneReportsBatchFillPhasesAndActiveWorkers)
+{
+    // The per-batch accounting lives in the front door: each model lane
+    // carries its batch count, fill histogram, and encode/gather phase
+    // split, and the pool counts the workers that did batch work.
+    serve::FrontDoorOptions options;
+    options.threads = 2;
+    options.autostart = false;  // pre-fill: one deterministic 8-row batch
+    auto door = serve::FrontDoor::create(options);
+    ASSERT_TRUE(door.ok()) << door.status().toString();
+    serve::ModelSlo slo;
+    slo.max_batch = 8;
+    ASSERT_TRUE(door.value()->publish("m", traceModel(5), slo).ok());
+
+    std::vector<std::future<api::Result<Tensor>>> futures;
+    for (int i = 0; i < 4; ++i)
+        futures.push_back(
+            door.value()->submitAsync("m", randomRows(2, 24, 40 + i)));
+    door.value()->start();
+    for (auto &f : futures)
+        ASSERT_TRUE(f.get().ok());
+    door.value()->shutdown();
+
+    const serve::FrontDoorStats stats = door.value()->stats();
+    const serve::LaneStats &lane = stats.models.at("m");
+    EXPECT_EQ(lane.batches, 1u);
+    ASSERT_EQ(lane.batch_fill.size(), 9u);
+    EXPECT_EQ(lane.batch_fill[8], 1u);
+    EXPECT_DOUBLE_EQ(lane.avgBatchFill(), 8.0);
+    EXPECT_GT(lane.encode_seconds, 0.0);
+    EXPECT_GT(lane.gather_seconds, 0.0);
+    EXPECT_GT(lane.wall_seconds, 0.0);
+    EXPECT_GE(stats.active_workers, 1);
+    EXPECT_LE(stats.active_workers, 2);
+    // Tenant buckets carry per-request fields only.
+    EXPECT_EQ(stats.tenants.at("default").served, 4u);
+    EXPECT_EQ(stats.tenants.at("default").batches, 0u);
+    EXPECT_NE(stats.summary().find("lut phases"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Overload: priority eviction and typed capacity shedding, never a block.
 

@@ -294,6 +294,43 @@ TEST(ServingFacade, AttentionRowGroupAdmission)
     ASSERT_TRUE(result.ok()) << result.status().toString();
     EXPECT_TRUE(result->equals(model->forward(x, false)));
     engine.value()->shutdown();
+
+    // The same three cases through the front door: publish refuses a
+    // max_batch below one sequence, a partial sequence is rejected typed
+    // (never reaching the attention stage), whole sequences serve.
+    auto door = api::makeFrontDoor({});
+    ASSERT_TRUE(door.ok()) << door.status().toString();
+    api::ServeOptions tiny_slo;
+    tiny_slo.slo.max_batch = seq_len - 1;
+    auto tiny_publish =
+        api::publishModel(door.value(), "tf", model, tiny_slo);
+    ASSERT_FALSE(tiny_publish.ok());
+    EXPECT_EQ(tiny_publish.status().code(),
+              api::StatusCode::InvalidArgument);
+    EXPECT_NE(tiny_publish.status().toString().find("row group"),
+              std::string::npos)
+        << tiny_publish.status().toString();
+
+    api::ServeOptions door_options;
+    door_options.slo.max_batch = seq_len * 4;
+    auto published =
+        api::publishModel(door.value(), "tf", model, door_options);
+    ASSERT_TRUE(published.ok()) << published.status().toString();
+    auto door_partial = door.value()->submit(
+        "tf", randomRows(seq_len + 4, kInWidth, 92));
+    ASSERT_FALSE(door_partial.ok());
+    EXPECT_EQ(door_partial.status().code(),
+              api::StatusCode::InvalidArgument);
+    EXPECT_NE(door_partial.status().toString().find("sequence length"),
+              std::string::npos)
+        << door_partial.status().toString();
+    auto door_result = door.value()->submit("tf", x);
+    ASSERT_TRUE(door_result.ok()) << door_result.status().toString();
+    EXPECT_TRUE(door_result->equals(model->forward(x, false)));
+    door.value()->shutdown();
+    const serve::FrontDoorStats door_stats = door.value()->stats();
+    EXPECT_EQ(door_stats.models.at("tf").rejected, 1u);
+    EXPECT_EQ(door_stats.models.at("tf").shed(), 0u);
 }
 
 // ---------------------------------------------------------------------------
