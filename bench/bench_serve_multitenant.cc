@@ -23,9 +23,11 @@
  *
  * Run: ./build/bench/bench_serve_multitenant [--json out.json] [--smoke]
  *   --json <path>  machine-readable results (BENCH_serve_multitenant.json)
- *   --smoke        ~8x fewer requests; used by the CI smoke step
+ *   --smoke        ~8x fewer requests (the overload flood stays at 8x
+ *                  the queue capacity); used by the CI smoke step
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -228,9 +230,13 @@ main(int argc, char **argv)
     // Interactive count stays below the queue capacity: the phase
     // measures bulk being shed FOR interactive, not interactive
     // self-flooding past its own admission limit.
-    const int kFlood = 768 / scale;
+    // The flood never shrinks below 8x the queue capacity: a smaller one
+    // (e.g. 96 vs 64) is drained by the workers before the queue fills,
+    // so nothing is shed and the phase measures nothing.
+    constexpr int kOverloadCapacity = 64;
+    const int kFlood = std::max(768 / scale, 8 * kOverloadCapacity);
     const int kOverloadInteractive = 48 / scale;
-    auto overload_door = makeDoor(interactive, bulk, 64);
+    auto overload_door = makeDoor(interactive, bulk, kOverloadCapacity);
     int bulk_ok = 0, bulk_shed = 0, bulk_other = 0;
     int interactive_ok = 0, interactive_failed = 0;
     {
@@ -266,7 +272,8 @@ main(int argc, char **argv)
     const serve::LaneStats &ob = overload.models.at("bulk");
 
     Table ot("phase 2 — overload (bulk flood of " +
-                 std::to_string(kFlood) + " vs queue capacity 64)",
+                 std::to_string(kFlood) + " vs queue capacity " +
+                 std::to_string(kOverloadCapacity) + ")",
              {"model", "accepted", "served", "shed", "p50 us", "p99 us",
               "q p99", "svc p99", "fill", "slo %"});
     printLane(ot, "interactive", oi);
@@ -339,13 +346,13 @@ main(int argc, char **argv)
         }
         swap_door->shutdown();
     }
-    const serve::FrontDoorStats swap = swap_door->stats();
-
+    // Versions are checked request by request above (bit-equality with
+    // ref_v1 / ref_v2); the door's last served version is not, since the
+    // final batch to finish may legitimately be a pinned v1 batch.
     const bool swap_pass = swap_failures == 0 && swap_mismatches == 0 &&
                            served_v1 == kSwapBefore &&
                            served_v2 == kSwapAfter &&
-                           swapped_version == 2 &&
-                           swap.last_version.at("interactive") == 2;
+                           swapped_version == 2;
     std::printf("\nhot-swap: %d pre-swap requests served by v1, %d "
                 "post-swap by v2, %d failures, %d mismatches (zero "
                 "drain)\n",
@@ -379,7 +386,8 @@ main(int argc, char **argv)
         std::fprintf(f, "  },\n");
         std::fprintf(f, "  \"overload\": {\n");
         std::fprintf(f, "    \"flood_requests\": %d,\n", kFlood);
-        std::fprintf(f, "    \"queue_capacity\": 64,\n");
+        std::fprintf(f, "    \"queue_capacity\": %d,\n",
+                     kOverloadCapacity);
         jsonLane(f, "interactive", oi, false);
         jsonLane(f, "bulk", ob, true);
         std::fprintf(f, "  },\n");

@@ -25,95 +25,6 @@ namespace lutdla::lutboost::simd {
 
 namespace {
 
-/** Scalar argmin scan shared by the NaN fallbacks (lowest-index ties). */
-int32_t
-argminScan16(const float *d)
-{
-    int32_t best = 0;
-    float best_dist = d[0];
-    for (int64_t j = 1; j < 16; ++j) {
-        if (d[j] < best_dist) {
-            best_dist = d[j];
-            best = static_cast<int32_t>(j);
-        }
-    }
-    return best;
-}
-
-__attribute__((target("avx512f"))) int32_t
-argminL2C16Avx512(const float *__restrict__ sub,
-                  const float *__restrict__ cbt, int64_t v)
-{
-    __m512 vd = _mm512_setzero_ps();
-    for (int64_t t = 0; t < v; ++t) {
-        const __m512 row = _mm512_loadu_ps(cbt + t * 16);
-        const __m512 diff = _mm512_sub_ps(_mm512_set1_ps(sub[t]), row);
-        vd = _mm512_add_ps(vd, _mm512_mul_ps(diff, diff));
-    }
-    if (_mm512_cmp_ps_mask(vd, vd, _CMP_UNORD_Q) != 0) {
-        alignas(64) float d[16];
-        _mm512_store_ps(d, vd);
-        return argminScan16(d);
-    }
-    // log2(16) shuffle+min steps broadcast the exact minimum to every
-    // lane (min is order-insensitive, so this is still bit-exact).
-    __m512 m = _mm512_min_ps(vd, _mm512_shuffle_f32x4(vd, vd, 0x4E));
-    m = _mm512_min_ps(m, _mm512_shuffle_f32x4(m, m, 0xB1));
-    m = _mm512_min_ps(m, _mm512_shuffle_ps(m, m, 0x4E));
-    m = _mm512_min_ps(m, _mm512_shuffle_ps(m, m, 0xB1));
-    const __mmask16 eq = _mm512_cmp_ps_mask(vd, m, _CMP_EQ_OQ);
-    return static_cast<int32_t>(__builtin_ctz(eq));
-}
-
-__attribute__((target("avx2"))) int32_t
-argminL2C16Avx2(const float *__restrict__ sub,
-                const float *__restrict__ cbt, int64_t v)
-{
-    // Centroids 0..7 in d0, 8..15 in d1; same ascending-t add order as
-    // the scalar distance loop, explicit mul + add (no FMA).
-    __m256 d0 = _mm256_setzero_ps(), d1 = _mm256_setzero_ps();
-    for (int64_t t = 0; t < v; ++t) {
-        const __m256 a = _mm256_set1_ps(sub[t]);
-        const __m256 f0 = _mm256_sub_ps(a, _mm256_loadu_ps(cbt + t * 16));
-        const __m256 f1 =
-            _mm256_sub_ps(a, _mm256_loadu_ps(cbt + t * 16 + 8));
-        d0 = _mm256_add_ps(d0, _mm256_mul_ps(f0, f0));
-        d1 = _mm256_add_ps(d1, _mm256_mul_ps(f1, f1));
-    }
-    if (_mm256_movemask_ps(_mm256_cmp_ps(d0, d0, _CMP_UNORD_Q)) != 0 ||
-        _mm256_movemask_ps(_mm256_cmp_ps(d1, d1, _CMP_UNORD_Q)) != 0) {
-        alignas(32) float d[16];
-        _mm256_store_ps(d, d0);
-        _mm256_store_ps(d + 8, d1);
-        return argminScan16(d);
-    }
-    __m256 m = _mm256_min_ps(d0, d1);
-    m = _mm256_min_ps(m, _mm256_permute2f128_ps(m, m, 0x01));
-    m = _mm256_min_ps(m, _mm256_shuffle_ps(m, m, 0x4E));
-    m = _mm256_min_ps(m, _mm256_shuffle_ps(m, m, 0xB1));
-    const unsigned eq0 = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_cmp_ps(d0, m, _CMP_EQ_OQ)));
-    const unsigned eq1 = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_cmp_ps(d1, m, _CMP_EQ_OQ)));
-    return static_cast<int32_t>(__builtin_ctz(eq0 | (eq1 << 8)));
-}
-
-__attribute__((target("avx512f"))) void
-encodeL2C16RowsAvx512(const float *x, int64_t rows, int64_t stride,
-                      const float *cbt, int64_t v, int32_t *codes)
-{
-    for (int64_t i = 0; i < rows; ++i)
-        codes[i] = argminL2C16Avx512(x + i * stride, cbt, v);
-}
-
-__attribute__((target("avx2"))) void
-encodeL2C16RowsAvx2(const float *x, int64_t rows, int64_t stride,
-                    const float *cbt, int64_t v, int32_t *codes)
-{
-    for (int64_t i = 0; i < rows; ++i)
-        codes[i] = argminL2C16Avx2(x + i * stride, cbt, v);
-}
-
 /** Scalar distance + argmin scan for generic c (NaN fallback). Same op
  * sequence as the arena's distanceAll + argminScan: zeroed accumulators,
  * ascending t, explicit mul + add (this TU builds with -ffp-contract=off
@@ -144,127 +55,170 @@ argminScanL2Generic(const float *sub, const float *cbt, int64_t v,
     return best;
 }
 
-__attribute__((target("avx512f"))) int32_t
+/**
+ * Fused L2 distance + argmin over NB blocks of 16 centroid lanes (c <=
+ * 16 * NB). NB and kFull (c == 16 * NB) are template parameters so the
+ * block loops unroll, the accumulators stay in registers, and every full
+ * block runs plain loads with no mask work. Pad lanes of a ragged last
+ * block read zeros through the maskz loads and are parked at +inf before
+ * the reduction, so they can never win nor steal a tie.
+ */
+template <int NB, bool kFull>
+__attribute__((target("avx512f"), always_inline)) inline int32_t
 argminL2GenericAvx512(const float *__restrict__ sub,
                       const float *__restrict__ cbt, int64_t v, int64_t c)
 {
-    // Up to 4 blocks of 16 centroid lanes (c <= 64). Pad lanes of the
-    // last block accumulate garbage from the maskz loads; they are
-    // parked at +inf before the reduction and masked out of the
-    // equality scan, so they can never win nor steal a tie.
-    const int64_t nb = (c + 15) / 16;
-    __mmask16 mask[4];
-    __m512 d[4];
-    for (int64_t b = 0; b < nb; ++b) {
-        const int64_t lanes = std::min<int64_t>(16, c - 16 * b);
-        mask[b] = static_cast<__mmask16>((1u << lanes) - 1u);
+    const __mmask16 last = static_cast<__mmask16>(
+        kFull ? 0xFFFFu : (1u << (c - 16 * (NB - 1))) - 1u);
+    const auto ragged = [](int b) { return !kFull && b == NB - 1; };
+    __m512 d[NB];
+    for (int b = 0; b < NB; ++b)
         d[b] = _mm512_setzero_ps();
-    }
     for (int64_t t = 0; t < v; ++t) {
         const __m512 a = _mm512_set1_ps(sub[t]);
         const float *row = cbt + t * c;
-        for (int64_t b = 0; b < nb; ++b) {
-            const __m512 r = _mm512_maskz_loadu_ps(mask[b], row + 16 * b);
+        for (int b = 0; b < NB; ++b) {
+            const __m512 r = ragged(b)
+                                 ? _mm512_maskz_loadu_ps(last, row + 16 * b)
+                                 : _mm512_loadu_ps(row + 16 * b);
             const __m512 diff = _mm512_sub_ps(a, r);
             d[b] = _mm512_add_ps(d[b], _mm512_mul_ps(diff, diff));
         }
     }
     __mmask16 unord = 0;
-    for (int64_t b = 0; b < nb; ++b)
-        unord |= _mm512_cmp_ps_mask(d[b], d[b], _CMP_UNORD_Q) & mask[b];
+    for (int b = 0; b < NB; ++b)
+        unord |= _mm512_cmp_ps_mask(d[b], d[b], _CMP_UNORD_Q) &
+                 (ragged(b) ? last : 0xFFFF);
     if (unord != 0)
         return argminScanL2Generic(sub, cbt, v, c);
-    const __m512 inf = _mm512_set1_ps(__builtin_inff());
-    __m512 m = _mm512_mask_blend_ps(mask[0], inf, d[0]);
-    for (int64_t b = 1; b < nb; ++b) {
-        d[b] = _mm512_mask_blend_ps(mask[b], inf, d[b]);
+    if (!kFull)
+        d[NB - 1] = _mm512_mask_blend_ps(last, _mm512_set1_ps(__builtin_inff()),
+                                         d[NB - 1]);
+    __m512 m = d[0];
+    for (int b = 1; b < NB; ++b)
         m = _mm512_min_ps(m, d[b]);
-    }
     m = _mm512_min_ps(m, _mm512_shuffle_f32x4(m, m, 0x4E));
     m = _mm512_min_ps(m, _mm512_shuffle_f32x4(m, m, 0xB1));
     m = _mm512_min_ps(m, _mm512_shuffle_ps(m, m, 0x4E));
     m = _mm512_min_ps(m, _mm512_shuffle_ps(m, m, 0xB1));
     // Ascending block scan + ctz keeps the lowest-index tie-break of the
-    // scalar argmin scan.
-    for (int64_t b = 0; b < nb; ++b) {
-        const __mmask16 eq =
-            _mm512_cmp_ps_mask(d[b], m, _CMP_EQ_OQ) & mask[b];
+    // scalar argmin scan; a parked pad lane (+inf) can only tie a minimum
+    // that a lower real lane already holds. Without NaNs the minimum is
+    // some lane's exact value, so the last block matches whenever no
+    // earlier block did.
+    for (int b = 0; b + 1 < NB; ++b) {
+        const __mmask16 eq = _mm512_cmp_ps_mask(d[b], m, _CMP_EQ_OQ);
         if (eq != 0)
             return static_cast<int32_t>(16 * b + __builtin_ctz(eq));
     }
-    return 0;
+    return static_cast<int32_t>(
+        16 * (NB - 1) +
+        __builtin_ctz(_mm512_cmp_ps_mask(d[NB - 1], m, _CMP_EQ_OQ)));
 }
 
-__attribute__((target("avx2"))) int32_t
+/** AVX2 twin of argminL2GenericAvx512 over NB blocks of 8 lanes. */
+template <int NB, bool kFull>
+__attribute__((target("avx2"), always_inline)) inline int32_t
 argminL2GenericAvx2(const float *__restrict__ sub,
                     const float *__restrict__ cbt, int64_t v, int64_t c)
 {
     static const int32_t kLaneMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                           0,  0,  0,  0,  0,  0,  0,  0};
-    const int64_t nb = (c + 7) / 8;
-    __m256i mask[8];
-    unsigned bits[8];
-    __m256 d[8];
-    for (int64_t b = 0; b < nb; ++b) {
-        const int64_t lanes = std::min<int64_t>(8, c - 8 * b);
-        mask[b] = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(kLaneMask + 8 - lanes));
-        bits[b] = (1u << lanes) - 1u;
+    const int64_t lanes = kFull ? 8 : c - 8 * (NB - 1);
+    const __m256i last = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(kLaneMask + 8 - lanes));
+    const unsigned last_bits = (1u << lanes) - 1u;
+    const auto ragged = [](int b) { return !kFull && b == NB - 1; };
+    __m256 d[NB];
+    for (int b = 0; b < NB; ++b)
         d[b] = _mm256_setzero_ps();
-    }
     for (int64_t t = 0; t < v; ++t) {
         const __m256 a = _mm256_set1_ps(sub[t]);
         const float *row = cbt + t * c;
-        for (int64_t b = 0; b < nb; ++b) {
-            const __m256 r = _mm256_maskload_ps(row + 8 * b, mask[b]);
+        for (int b = 0; b < NB; ++b) {
+            const __m256 r = ragged(b) ? _mm256_maskload_ps(row + 8 * b, last)
+                                       : _mm256_loadu_ps(row + 8 * b);
             const __m256 diff = _mm256_sub_ps(a, r);
             d[b] = _mm256_add_ps(d[b], _mm256_mul_ps(diff, diff));
         }
     }
     unsigned unord = 0;
-    for (int64_t b = 0; b < nb; ++b)
+    for (int b = 0; b < NB; ++b)
         unord |= static_cast<unsigned>(_mm256_movemask_ps(
                      _mm256_cmp_ps(d[b], d[b], _CMP_UNORD_Q))) &
-                 bits[b];
+                 (ragged(b) ? last_bits : 0xFFu);
     if (unord != 0)
         return argminScanL2Generic(sub, cbt, v, c);
-    const __m256 inf = _mm256_set1_ps(__builtin_inff());
-    __m256 m =
-        _mm256_blendv_ps(inf, d[0], _mm256_castsi256_ps(mask[0]));
-    for (int64_t b = 1; b < nb; ++b) {
-        d[b] = _mm256_blendv_ps(inf, d[b], _mm256_castsi256_ps(mask[b]));
+    if (!kFull)
+        d[NB - 1] = _mm256_blendv_ps(_mm256_set1_ps(__builtin_inff()),
+                                     d[NB - 1], _mm256_castsi256_ps(last));
+    __m256 m = d[0];
+    for (int b = 1; b < NB; ++b)
         m = _mm256_min_ps(m, d[b]);
-    }
     m = _mm256_min_ps(m, _mm256_permute2f128_ps(m, m, 0x01));
     m = _mm256_min_ps(m, _mm256_shuffle_ps(m, m, 0x4E));
     m = _mm256_min_ps(m, _mm256_shuffle_ps(m, m, 0xB1));
-    for (int64_t b = 0; b < nb; ++b) {
-        const unsigned eq =
-            static_cast<unsigned>(_mm256_movemask_ps(
-                _mm256_cmp_ps(d[b], m, _CMP_EQ_OQ))) &
-            bits[b];
+    for (int b = 0; b + 1 < NB; ++b) {
+        const unsigned eq = static_cast<unsigned>(
+            _mm256_movemask_ps(_mm256_cmp_ps(d[b], m, _CMP_EQ_OQ)));
         if (eq != 0)
             return static_cast<int32_t>(8 * b + __builtin_ctz(eq));
     }
-    return 0;
+    return static_cast<int32_t>(
+        8 * (NB - 1) + __builtin_ctz(static_cast<unsigned>(_mm256_movemask_ps(
+                           _mm256_cmp_ps(d[NB - 1], m, _CMP_EQ_OQ)))));
 }
 
+/** Encode `rows` subvectors with the fewest 16-lane blocks that cover c
+ * (at most NB), all-full blocks taking the mask-free kernel. */
+template <int NB, bool kFull = false>
 __attribute__((target("avx512f"))) void
 encodeL2GenericRowsAvx512(const float *x, int64_t rows, int64_t stride,
                           const float *cbt, int64_t v, int64_t c,
                           int32_t *codes)
 {
+    if constexpr (NB > 1 && !kFull) {
+        if (c <= 16 * (NB - 1)) {
+            encodeL2GenericRowsAvx512<NB - 1>(x, rows, stride, cbt, v, c,
+                                              codes);
+            return;
+        }
+    }
+    if constexpr (!kFull) {
+        if (c == 16 * NB) {
+            encodeL2GenericRowsAvx512<NB, true>(x, rows, stride, cbt, v, c,
+                                                codes);
+            return;
+        }
+    }
     for (int64_t i = 0; i < rows; ++i)
-        codes[i] = argminL2GenericAvx512(x + i * stride, cbt, v, c);
+        codes[i] =
+            argminL2GenericAvx512<NB, kFull>(x + i * stride, cbt, v, c);
 }
 
+/** AVX2 twin of encodeL2GenericRowsAvx512 (blocks of 8 lanes). */
+template <int NB, bool kFull = false>
 __attribute__((target("avx2"))) void
 encodeL2GenericRowsAvx2(const float *x, int64_t rows, int64_t stride,
                         const float *cbt, int64_t v, int64_t c,
                         int32_t *codes)
 {
+    if constexpr (NB > 1 && !kFull) {
+        if (c <= 8 * (NB - 1)) {
+            encodeL2GenericRowsAvx2<NB - 1>(x, rows, stride, cbt, v, c,
+                                            codes);
+            return;
+        }
+    }
+    if constexpr (!kFull) {
+        if (c == 8 * NB) {
+            encodeL2GenericRowsAvx2<NB, true>(x, rows, stride, cbt, v, c,
+                                              codes);
+            return;
+        }
+    }
     for (int64_t i = 0; i < rows; ++i)
-        codes[i] = argminL2GenericAvx2(x + i * stride, cbt, v, c);
+        codes[i] = argminL2GenericAvx2<NB, kFull>(x + i * stride, cbt, v, c);
 }
 
 /**
@@ -626,8 +580,22 @@ spillGroupAvx2(float *out, __m256i lo, __m256i hi, __m256 vs, bool first)
     }
 }
 
+/** The 16-byte LUT of (subspace s, column col) inside the quad-interleaved
+ * INT8 bank: quarter s % 4 of the (s / 4, col) 64-byte block. */
+inline const int8_t *
+quadLut(const int8_t *q_quad, int64_t s, int64_t n, int64_t col)
+{
+    return q_quad + ((s / 4) * n + col) * 64 + 16 * (s % 4);
+}
+
+/**
+ * INT8 shuffle gather, AVX-512 tier: each (subspace, column) LUT is one
+ * quarter of the quad-interleaved bank's 64-byte block, broadcast to every
+ * 128-bit lane so VPSHUFB resolves all 64 rows' lookups in one
+ * instruction; lookups widen to int16 and sum across the scale group.
+ */
 __attribute__((target("avx512f,avx512bw"))) void
-gatherChunkAvx512(const int8_t *__restrict__ q_il,
+gatherChunkAvx512(const int8_t *__restrict__ q_quad,
                   const float *__restrict__ scales,
                   const uint8_t *__restrict__ planar, int64_t num_subspaces,
                   int64_t n, int64_t num_blocks, int64_t scale_group,
@@ -650,12 +618,9 @@ gatherChunkAvx512(const int8_t *__restrict__ q_il,
             __m512i lo = _mm512_setzero_si512();
             __m512i hi = _mm512_setzero_si512();
             for (int64_t i = 0; i < gs; ++i) {
-                // One 16-byte LUT per (subspace, column), broadcast to
-                // every 128-bit lane; VPSHUFB resolves all 64 rows'
-                // lookups in one instruction.
                 const __m512i lut = _mm512_broadcast_i32x4(
                     _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                        q_il + ((s0 + i) * n + col) * 16)));
+                        quadLut(q_quad, s0 + i, n, col))));
                 const __m512i v = _mm512_shuffle_epi8(lut, idx[i]);
                 lo = _mm512_add_epi16(
                     lo, _mm512_cvtepi8_epi16(_mm512_castsi512_si256(v)));
@@ -670,8 +635,10 @@ gatherChunkAvx512(const int8_t *__restrict__ q_il,
     }
 }
 
+/** INT8 shuffle gather, AVX2 tier (32-row chunks) over the same
+ * quad-interleaved LUTs as gatherChunkAvx512. */
 __attribute__((target("avx2"))) void
-gatherChunkAvx2(const int8_t *__restrict__ q_il,
+gatherChunkAvx2(const int8_t *__restrict__ q_quad,
                 const float *__restrict__ scales,
                 const uint8_t *__restrict__ planar, int64_t num_subspaces,
                 int64_t n, int64_t num_blocks, int64_t scale_group,
@@ -695,7 +662,7 @@ gatherChunkAvx2(const int8_t *__restrict__ q_il,
             for (int64_t i = 0; i < gs; ++i) {
                 const __m256i lut = _mm256_broadcastsi128_si256(
                     _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                        q_il + ((s0 + i) * n + col) * 16)));
+                        quadLut(q_quad, s0 + i, n, col))));
                 const __m256i v = _mm256_shuffle_epi8(lut, idx[i]);
                 lo = _mm256_add_epi16(
                     lo, _mm256_cvtepi8_epi16(_mm256_castsi256_si128(v)));
@@ -957,37 +924,6 @@ gatherChunkVnni(const int8_t *__restrict__ q_quad,
 } // namespace
 
 bool
-encodeL2C16Supported(util::SimdLevel level)
-{
-    return level >= util::SimdLevel::Avx2;
-}
-
-int32_t
-argminL2C16(util::SimdLevel level, const float *sub, const float *cbt,
-            int64_t v)
-{
-    if (level >= util::SimdLevel::Avx512)
-        return argminL2C16Avx512(sub, cbt, v);
-    LUTDLA_CHECK(level == util::SimdLevel::Avx2,
-                 "argminL2C16 requires AVX2 or AVX-512");
-    return argminL2C16Avx2(sub, cbt, v);
-}
-
-void
-encodeL2C16Rows(util::SimdLevel level, const float *x, int64_t rows,
-                int64_t stride, const float *cbt, int64_t v,
-                int32_t *codes)
-{
-    if (level >= util::SimdLevel::Avx512) {
-        encodeL2C16RowsAvx512(x, rows, stride, cbt, v, codes);
-        return;
-    }
-    LUTDLA_CHECK(level == util::SimdLevel::Avx2,
-                 "encodeL2C16Rows requires AVX2 or AVX-512");
-    encodeL2C16RowsAvx2(x, rows, stride, cbt, v, codes);
-}
-
-bool
 encodeL2GenericSupported(util::SimdLevel level, int64_t c)
 {
     return level >= util::SimdLevel::Avx2 && c >= 2 && c <= 64;
@@ -1001,12 +937,12 @@ encodeL2GenericRows(util::SimdLevel level, const float *x, int64_t rows,
     LUTDLA_CHECK(c >= 2 && c <= 64,
                  "encodeL2GenericRows supports 2..64 centroids");
     if (level >= util::SimdLevel::Avx512) {
-        encodeL2GenericRowsAvx512(x, rows, stride, cbt, v, c, codes);
+        encodeL2GenericRowsAvx512<4>(x, rows, stride, cbt, v, c, codes);
         return;
     }
     LUTDLA_CHECK(level == util::SimdLevel::Avx2,
                  "encodeL2GenericRows requires AVX2 or AVX-512");
-    encodeL2GenericRowsAvx2(x, rows, stride, cbt, v, c, codes);
+    encodeL2GenericRowsAvx2<8>(x, rows, stride, cbt, v, c, codes);
 }
 
 bool
@@ -1039,27 +975,6 @@ shuffleGatherSupported(util::SimdLevel level)
     return level >= util::SimdLevel::Avx2;
 }
 
-bool
-vnniGatherSupported(util::SimdLevel level)
-{
-    return level >= util::SimdLevel::Avx512Vnni;
-}
-
-void
-vnniGatherChunk(const int8_t *q_quad, const float *scales,
-                const uint8_t *planar, int64_t num_subspaces, int64_t n,
-                int64_t num_blocks, int64_t scale_group, int64_t block_cols,
-                float *colmajor)
-{
-    LUTDLA_CHECK(vnniGatherSupported(util::simdLevel()),
-                 "vnniGatherChunk requires AVX-512 VBMI + VNNI");
-    LUTDLA_CHECK(scale_group >= 4 && scale_group <= 16 &&
-                     scale_group % 4 == 0,
-                 "vnni gather needs a quad-aligned scale group of <= 16");
-    gatherChunkVnni(q_quad, scales, planar, num_subspaces, n, num_blocks,
-                    scale_group, block_cols, colmajor);
-}
-
 int64_t
 shuffleGatherChunkRows(util::SimdLevel level)
 {
@@ -1071,21 +986,28 @@ shuffleGatherChunkRows(util::SimdLevel level)
 }
 
 void
-shuffleGatherChunk(util::SimdLevel level, const int8_t *q_il,
+shuffleGatherChunk(util::SimdLevel level, const int8_t *q_quad,
                    const float *scales, const uint8_t *planar,
                    int64_t num_subspaces, int64_t n, int64_t num_blocks,
                    int64_t scale_group, int64_t block_cols, float *colmajor)
 {
     LUTDLA_CHECK(scale_group >= 1 && scale_group <= 16,
                  "shuffle gather supports scale groups of 1..16 subspaces");
+    if (level >= util::SimdLevel::Avx512Vnni) {
+        LUTDLA_CHECK(scale_group % 4 == 0,
+                     "vnni gather needs a quad-aligned scale group");
+        gatherChunkVnni(q_quad, scales, planar, num_subspaces, n,
+                        num_blocks, scale_group, block_cols, colmajor);
+        return;
+    }
     if (level >= util::SimdLevel::Avx512) {
-        gatherChunkAvx512(q_il, scales, planar, num_subspaces, n,
+        gatherChunkAvx512(q_quad, scales, planar, num_subspaces, n,
                           num_blocks, scale_group, block_cols, colmajor);
         return;
     }
     LUTDLA_CHECK(level == util::SimdLevel::Avx2,
                  "shuffleGatherChunk requires AVX2 or AVX-512");
-    gatherChunkAvx2(q_il, scales, planar, num_subspaces, n, num_blocks,
+    gatherChunkAvx2(q_quad, scales, planar, num_subspaces, n, num_blocks,
                     scale_group, block_cols, colmajor);
 }
 

@@ -14,13 +14,12 @@
  *
  * Three kernel families:
  *
- *  - float encode: fused L2 distance + argmin for the flagship c == 16
- *    shape, keeping all 16 per-centroid accumulators in one register
- *    file, plus a masked generic-c tier for any c <= 64 (centroid
- *    blocks of 16/8 lanes, pad lanes parked at +inf). Bit-exact with
- *    the scalar distance + ascending argmin scan (explicit mul + add,
- *    never FMA; lowest-index tie-break; NaN rows fall back to the
- *    scalar scan).
+ *  - float encode: fused L2 distance + argmin for any 2 <= c <= 64,
+ *    keeping the per-centroid accumulators in registers as blocks of
+ *    16 (AVX-512) / 8 (AVX2) lanes, pad lanes of a ragged last block
+ *    parked at +inf. Bit-exact with the scalar distance + ascending
+ *    argmin scan (explicit mul + add, never FMA; lowest-index
+ *    tie-break; NaN rows fall back to the scalar scan).
  *
  *  - INT8 encode: integer argmin over the quantized encode bank.
  *    Input subvectors are quantized onto the SAME per-subspace 7-bit
@@ -41,13 +40,15 @@
  *
  *  - shuffle gather (INT8 bank, c <= 16): the in-register table lookup
  *    the paper's DPE performs in hardware. Codes for a block of rows are
- *    laid out planar (one byte lane per row), each (subspace, column)'s
- *    16 centroid entries are one vector-register LUT (the interleaved
- *    bank layout), and VPSHUFB resolves 64 (AVX-512) / 32 (AVX2) rows'
- *    lookups per instruction. Partial sums accumulate in int16 lanes
- *    across a scale group and spill through int32 to float once per
- *    group — exact integer arithmetic, so the result is bit-identical
- *    to the scalar group sweep by construction.
+ *    laid out planar (one byte lane per row) and every tier reads the
+ *    one quad-interleaved bank layout, where each (subspace, column)'s
+ *    16 centroid entries are a quarter of a 64-byte block. VPSHUFB
+ *    resolves 64 (AVX-512) / 32 (AVX2) rows' lookups per instruction
+ *    from one 16-byte quarter; the VNNI tier resolves all four quarters
+ *    at once with VPERMB and folds them with VPDPBUSD. Partial sums
+ *    accumulate exactly across a scale group and spill to float once
+ *    per group, so the result is bit-identical to the scalar group
+ *    sweep by construction.
  *
  *  - INT4 shuffle gather (nibble-packed bank, c <= 16): same VPSHUFB
  *    machinery over the packed interleaved layout, where each looked-up
@@ -66,34 +67,14 @@
 
 namespace lutdla::lutboost::simd {
 
-/** True when `level` provides the c==16 L2 encode fast path. */
-bool encodeL2C16Supported(util::SimdLevel level);
-
-/**
- * Fused L2 distance + argmin of one `v`-float subvector against a
- * transposed [v, 16] codebook at `level` (which must satisfy
- * encodeL2C16Supported). Bit-exact with the scalar reference.
- */
-int32_t argminL2C16(util::SimdLevel level, const float *sub,
-                    const float *cbt, int64_t v);
-
-/**
- * Batched variant of argminL2C16: encode `rows` subvectors (row i at
- * x + i * stride, `v` floats each) against one transposed [v, 16]
- * codebook, writing one code per row. One call per (subspace, batch), so
- * the per-row argmin stays inlined inside the attributed loop.
- */
-void encodeL2C16Rows(util::SimdLevel level, const float *x, int64_t rows,
-                     int64_t stride, const float *cbt, int64_t v,
-                     int32_t *codes);
-
-/** True when `level` provides the masked generic-c (c <= 64) L2 encode
- * tier for centroid counts without a dedicated fast path. */
+/** True when `level` provides the masked generic-c (2 <= c <= 64) L2
+ * encode tier. */
 bool encodeL2GenericSupported(util::SimdLevel level, int64_t c);
 
 /**
- * Generic-c twin of encodeL2C16Rows: encode `rows` subvectors against one
- * transposed [v, c] codebook for any 2 <= c <= 64. Centroids are
+ * Fused L2 distance + argmin: encode `rows` subvectors (row i at x + i *
+ * stride, `v` floats each) against one transposed [v, c] codebook for any
+ * 2 <= c <= 64, writing one code per row. Centroids are
  * processed in masked blocks of 16 (AVX-512) / 8 (AVX2) lanes with pad
  * lanes parked at +inf; the cross-block argmin scans blocks in ascending
  * order and breaks ties toward the lowest index, so the result is
@@ -144,7 +125,7 @@ void encodeInt8C16Rows(util::SimdLevel level, const float *x, int64_t rows,
                        const int32_t *norms, float lo, float inv,
                        int64_t v, int32_t *codes);
 
-/** True when `level` provides the shuffle-based INT8 gather. */
+/** True when `level` provides the shuffle-based INT8/INT4 gathers. */
 bool shuffleGatherSupported(util::SimdLevel level);
 
 /** Rows one shuffle-gather chunk covers at `level` (64 AVX-512, 32 AVX2;
@@ -153,10 +134,15 @@ int64_t shuffleGatherChunkRows(util::SimdLevel level);
 
 /**
  * Shuffle-gather one chunk of exactly shuffleGatherChunkRows(level) rows
- * over the interleaved INT8 bank, writing column-major partial sums.
+ * over the quad-interleaved INT8 bank, writing column-major partial sums.
+ * SimdLevel::Avx512Vnni runs the VPERMB + VPDPBUSD kernel (one VPERMB
+ * resolves 16 rows x 4 subspaces, one VPDPBUSD folds each row's four
+ * looked-up bytes into its int32 lane; needs scale_group % 4 == 0),
+ * Avx512 / Avx2 the VPSHUFB kernels over one 16-byte quarter at a time.
  *
- * @param q_il       interleaved bank: entry (s, col, j) at
- *                   ((s * n + col) * 16 + j), j padded to 16 with zeros.
+ * @param q_quad     quad-interleaved bank: entry (s, col, j) at
+ *                   ((s / 4) * n + col) * 64 + 16 * (s % 4) + j, zero
+ *                   padded past c and past the last subspace.
  * @param scales     dequant scales, one per (scale group, column block):
  *                   scales[g * num_blocks + block].
  * @param planar     planar codes for the chunk: code (s, row r) at
@@ -167,7 +153,7 @@ int64_t shuffleGatherChunkRows(util::SimdLevel level);
  *                   + r] = sum over groups of scale * int-sum. The caller
  *                   transposes into the row-major output block.
  */
-void shuffleGatherChunk(util::SimdLevel level, const int8_t *q_il,
+void shuffleGatherChunk(util::SimdLevel level, const int8_t *q_quad,
                         const float *scales, const uint8_t *planar,
                         int64_t num_subspaces, int64_t n,
                         int64_t num_blocks, int64_t scale_group,
@@ -199,28 +185,6 @@ void shuffleGatherChunkInt4(util::SimdLevel level, const uint8_t *q4_il,
                             int64_t num_subspaces, int64_t n,
                             int64_t num_blocks, int64_t scale_group,
                             int64_t block_cols, float *colmajor);
-
-/** True when `level` provides the VPERMB/VPDPBUSD dot-accumulate gather
- * (requires SimdLevel::Avx512Vnni). */
-bool vnniGatherSupported(util::SimdLevel level);
-
-/**
- * Dot-accumulate gather for one 64-row chunk over the QUAD-interleaved
- * INT8 bank: entries of four consecutive subspaces live in one 64-byte
- * LUT (`q_quad[(quad * n + col) * 64 + 16 * j + e]` = entry e of
- * subspace 4*quad+j, zero-padded past c and past the last subspace), so
- * one VPERMB resolves 16 rows x 4 subspaces of lookups and one VPDPBUSD
- * folds each row's four looked-up bytes into its int32 lane — no
- * widening chain at all, which is what the plain shuffle kernel spends
- * most of its shuffle-port budget on (~2.5x faster at c=16). Same
- * contract as shuffleGatherChunk otherwise: exact integer accumulation
- * per scale group, one dequantizing mul + add per group, column-major
- * output — bit-identical to every other variant.
- */
-void vnniGatherChunk(const int8_t *q_quad, const float *scales,
-                     const uint8_t *planar, int64_t num_subspaces,
-                     int64_t n, int64_t num_blocks, int64_t scale_group,
-                     int64_t block_cols, float *colmajor);
 
 } // namespace lutdla::lutboost::simd
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "lutboost/kernels_simd.h"
 #include "util/cpu_features.h"
@@ -284,14 +285,43 @@ transposeColMajorTail(const float *__restrict__ colmajor, int64_t chunk,
     }
 }
 
-inline void
-transposeColMajor(const float *__restrict__ colmajor, int64_t chunk,
-                  int64_t n, float *__restrict__ yb)
-{
-    transposeColMajorTail(colmajor, chunk, n, chunk, yb);
-}
-
 } // namespace
+
+template <typename Kernel, typename Sink>
+void
+LutTableArena::encodeBySubspace(const float *x, int64_t rows,
+                                Kernel &&kernel, Sink &&sink) const
+{
+    // Subspace-outer: one subspace's codebook stays L1-resident across the
+    // whole batch. Full subspaces are read in place (row stride K); the
+    // ragged tail is zero-padded into a compact [rows, v] plane, exactly
+    // like ProductQuantizer::extractSubvector, and encoded the same way.
+    const int64_t v = subvector_len_;
+    const int64_t full_subspaces =
+        in_features_ % v == 0 ? num_subspaces_ : num_subspaces_ - 1;
+    std::vector<int32_t> block(static_cast<size_t>(rows));
+    const auto emit = [&](int64_t s) {
+        for (int64_t i = 0; i < rows; ++i)
+            sink(i, s, block[static_cast<size_t>(i)]);
+    };
+    for (int64_t s = 0; s < full_subspaces; ++s) {
+        kernel(x + s * v, in_features_, s, block.data());
+        emit(s);
+    }
+    if (full_subspaces < num_subspaces_) {
+        const int64_t s = full_subspaces;
+        const int64_t base = s * v;
+        std::vector<float> padded(static_cast<size_t>(rows * v), 0.0f);
+        for (int64_t i = 0; i < rows; ++i) {
+            const float *row = x + i * in_features_;
+            float *dst = padded.data() + i * v;
+            for (int64_t t = 0; t < v && base + t < in_features_; ++t)
+                dst[t] = row[base + t];
+        }
+        kernel(padded.data(), v, s, block.data());
+        emit(s);
+    }
+}
 
 template <vq::Metric M, typename Sink>
 void
@@ -299,84 +329,34 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
                               Sink &&sink) const
 {
     const int64_t v = subvector_len_, c = num_centroids_;
-    // Subspace-outer: one ~c*v-float codebook stays L1-resident across the
-    // whole batch instead of streaming every codebook for every row. All
-    // subspaces except possibly the last read the row in place; the ragged
-    // tail is zero-padded into a scratch buffer, exactly like
-    // ProductQuantizer::extractSubvector.
-    const int64_t full_subspaces =
-        in_features_ % v == 0 ? num_subspaces_ : num_subspaces_ - 1;
-    std::vector<float> tail(static_cast<size_t>(v), 0.0f);
-    std::vector<float> dist(static_cast<size_t>(c));
-    // Register-resident fast paths, dispatched on the RUNNING CPU (cpuid,
-    // not compile flags): the flagship L2 / c=16 kernel, or the masked
-    // generic-c tier for any other c <= 64.
+    // Register-resident fast path, dispatched on the RUNNING CPU (cpuid,
+    // not compile flags): the masked generic-c tier serves every
+    // 2 <= c <= 64.
     if constexpr (M == vq::Metric::L2) {
         const util::SimdLevel level = util::simdLevel();
-        const bool c16 = c == 16 && simd::encodeL2C16Supported(level);
-        const bool generic =
-            !c16 && simd::encodeL2GenericSupported(level, c);
-        if (c16 || generic) {
-            const auto run = [&](const float *xs, int64_t nrows,
-                                 int64_t stride, const float *cbt,
-                                 int32_t *out) {
-                if (c16)
-                    simd::encodeL2C16Rows(level, xs, nrows, stride, cbt, v,
-                                          out);
-                else
-                    simd::encodeL2GenericRows(level, xs, nrows, stride,
-                                              cbt, v, c, out);
-            };
-            std::vector<int32_t> block(static_cast<size_t>(rows));
-            for (int64_t s = 0; s < full_subspaces; ++s) {
-                run(x + s * v, rows, in_features_, codebookT(s),
-                    block.data());
-                for (int64_t i = 0; i < rows; ++i)
-                    sink(i, s, block[static_cast<size_t>(i)]);
-            }
-            if (full_subspaces < num_subspaces_) {
-                // Zero-pad the ragged tail rows into a compact [rows, v]
-                // staging plane, then encode it like a full subspace.
-                const int64_t s = full_subspaces;
-                const int64_t base = s * v;
-                std::vector<float> padded(static_cast<size_t>(rows * v),
-                                          0.0f);
-                for (int64_t i = 0; i < rows; ++i) {
-                    const float *row = x + i * in_features_;
-                    float *dst = padded.data() + i * v;
-                    for (int64_t t = 0; t < v && base + t < in_features_;
-                         ++t)
-                        dst[t] = row[base + t];
-                }
-                run(padded.data(), rows, v, codebookT(s), block.data());
-                for (int64_t i = 0; i < rows; ++i)
-                    sink(i, s, block[static_cast<size_t>(i)]);
-            }
+        if (simd::encodeL2GenericSupported(level, c)) {
+            encodeBySubspace(
+                x, rows,
+                [&](const float *xs, int64_t stride, int64_t s,
+                    int32_t *out) {
+                    simd::encodeL2GenericRows(level, xs, rows, stride,
+                                              codebookT(s), v, c, out);
+                },
+                sink);
             return;
         }
     }
-    for (int64_t s = 0; s < full_subspaces; ++s) {
-        const float *cbt = codebookT(s);
-        for (int64_t i = 0; i < rows; ++i) {
-            distanceAll<M>(x + i * in_features_ + s * v, cbt, c, v,
-                           dist.data());
-            sink(i, s, argminScan(dist.data(), c));
-        }
-    }
-    for (int64_t s = full_subspaces; s < num_subspaces_; ++s) {
-        const float *cbt = codebookT(s);
-        const int64_t base = s * v;
-        for (int64_t i = 0; i < rows; ++i) {
-            const float *row = x + i * in_features_;
-            for (int64_t t = 0; t < v; ++t) {
-                const int64_t k = base + t;
-                tail[static_cast<size_t>(t)] =
-                    k < in_features_ ? row[k] : 0.0f;
+    std::vector<float> dist(static_cast<size_t>(c));
+    encodeBySubspace(
+        x, rows,
+        [&](const float *xs, int64_t stride, int64_t s, int32_t *out) {
+            for (int64_t i = 0; i < rows; ++i) {
+                distanceAll<M>(xs + i * stride, codebookT(s), c, v,
+                               dist.data());
+                out[i] = argminScan(dist.data(), c);
             }
-            distanceAll<M>(tail.data(), cbt, c, v, dist.data());
-            sink(i, s, argminScan(dist.data(), c));
-        }
-    }
+        },
+        sink);
 }
 
 template <typename Sink>
@@ -457,90 +437,48 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
                      " but this CPU provides ",
                      util::simdLevelName(util::simdLevel()));
     }
-    const int64_t full_subspaces =
-        in_features_ % v == 0 ? num_subspaces_ : num_subspaces_ - 1;
-
-    if (variant != EncodeVariant::Scalar) {
-        // Same subspace-outer block/tail structure as the float fast
-        // path: one subspace's quad bank stays L1-resident across the
-        // whole batch, and the ragged tail is zero-padded into a compact
-        // [rows, v] plane and encoded like a full subspace.
-        std::vector<int32_t> block(static_cast<size_t>(rows));
-        for (int64_t s = 0; s < full_subspaces; ++s) {
-            simd::encodeInt8C16Rows(
-                level, x + s * v, rows, in_features_,
-                bank.cs_quad.data() + s * bank.vq4 * 64,
-                bank.norms.data() + s * bank.norm_stride, bank.lo[s],
-                bank.inv[s], v, block.data());
-            for (int64_t i = 0; i < rows; ++i)
-                sink(i, s, block[static_cast<size_t>(i)]);
-        }
-        if (full_subspaces < num_subspaces_) {
-            const int64_t s = full_subspaces;
-            const int64_t base = s * v;
-            std::vector<float> padded(static_cast<size_t>(rows * v),
-                                      0.0f);
-            for (int64_t i = 0; i < rows; ++i) {
-                const float *row = x + i * in_features_;
-                float *dst = padded.data() + i * v;
-                for (int64_t t = 0; t < v && base + t < in_features_; ++t)
-                    dst[t] = row[base + t];
-            }
-            simd::encodeInt8C16Rows(
-                level, padded.data(), rows, v,
-                bank.cs_quad.data() + s * bank.vq4 * 64,
-                bank.norms.data() + s * bank.norm_stride, bank.lo[s],
-                bank.inv[s], v, block.data());
-            for (int64_t i = 0; i < rows; ++i)
-                sink(i, s, block[static_cast<size_t>(i)]);
-        }
-        return;
-    }
-
-    // Scalar integer reference: identical quantization (shared
-    // quantizeEncodeLevel), identical int32 scores, identical strict-<
-    // lowest-index argmin — the SIMD tiers are bit-identical to this by
-    // construction, and the property tests pin it.
+    // The scalar integer reference shares quantizeEncodeLevel, the int32
+    // scores and the strict-< lowest-index argmin with the SIMD tiers, so
+    // every variant selects bit-identical codes; the property tests pin
+    // it.
     std::vector<int32_t> xq(static_cast<size_t>(v));
-    std::vector<float> tail(static_cast<size_t>(v), 0.0f);
-    for (int64_t s = 0; s < num_subspaces_; ++s) {
-        const int8_t *cs = bank.cs.data() + s * c * v;
-        const int32_t *norms = bank.norms.data() + s * bank.norm_stride;
-        const float lo = bank.lo[static_cast<size_t>(s)];
-        const float inv = bank.inv[static_cast<size_t>(s)];
-        const int64_t base = s * v;
-        const bool ragged = s >= full_subspaces;
-        for (int64_t i = 0; i < rows; ++i) {
-            const float *sub = x + i * in_features_ + base;
-            if (ragged) {
-                const float *row = x + i * in_features_;
-                for (int64_t t = 0; t < v; ++t) {
-                    const int64_t k = base + t;
-                    tail[static_cast<size_t>(t)] =
-                        k < in_features_ ? row[k] : 0.0f;
-                }
-                sub = tail.data();
+    encodeBySubspace(
+        x, rows,
+        [&](const float *xs, int64_t stride, int64_t s, int32_t *out) {
+            const int32_t *norms = bank.norms.data() + s * bank.norm_stride;
+            const float lo = bank.lo[static_cast<size_t>(s)];
+            const float inv = bank.inv[static_cast<size_t>(s)];
+            if (variant != EncodeVariant::Scalar) {
+                simd::encodeInt8C16Rows(
+                    level, xs, rows, stride,
+                    bank.cs_quad.data() + s * bank.vq4 * 64, norms, lo,
+                    inv, v, out);
+                return;
             }
-            for (int64_t t = 0; t < v; ++t)
-                xq[static_cast<size_t>(t)] =
-                    quantizeEncodeLevel(sub[t], lo, inv);
-            int32_t best = 0;
-            int32_t best_score = std::numeric_limits<int32_t>::max();
-            for (int64_t j = 0; j < c; ++j) {
-                const int8_t *crow = cs + j * v;
-                int32_t dot = 0;
+            const int8_t *cs = bank.cs.data() + s * c * v;
+            for (int64_t i = 0; i < rows; ++i) {
+                const float *sub = xs + i * stride;
                 for (int64_t t = 0; t < v; ++t)
-                    dot += xq[static_cast<size_t>(t)] *
-                           static_cast<int32_t>(crow[t]);
-                const int32_t score = norms[j] - 2 * dot;
-                if (score < best_score) {
-                    best_score = score;
-                    best = static_cast<int32_t>(j);
+                    xq[static_cast<size_t>(t)] =
+                        quantizeEncodeLevel(sub[t], lo, inv);
+                int32_t best = 0;
+                int32_t best_score = std::numeric_limits<int32_t>::max();
+                for (int64_t j = 0; j < c; ++j) {
+                    const int8_t *crow = cs + j * v;
+                    int32_t dot = 0;
+                    for (int64_t t = 0; t < v; ++t)
+                        dot += xq[static_cast<size_t>(t)] *
+                               static_cast<int32_t>(crow[t]);
+                    const int32_t score = norms[j] - 2 * dot;
+                    if (score < best_score) {
+                        best_score = score;
+                        best = static_cast<int32_t>(j);
+                    }
                 }
+                out[i] = best;
             }
-            sink(i, s, best);
-        }
-    }
+        },
+        sink);
 }
 
 void
@@ -596,9 +534,8 @@ LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, float *y,
 }
 
 void
-LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, int64_t row0,
-                                int64_t rows, float *y,
-                                GatherScratch &scratch) const
+LutTableArena::checkGatherSpan(const vq::CodeBuffer &codes, int64_t row0,
+                               int64_t rows) const
 {
     LUTDLA_CHECK(codes.subspaces() == num_subspaces_,
                  "code buffer carries ", codes.subspaces(),
@@ -606,6 +543,14 @@ LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, int64_t row0,
     LUTDLA_CHECK(row0 >= 0 && row0 + rows <= codes.rows(),
                  "gather span [", row0, ", ", row0 + rows, ") exceeds ",
                  codes.rows(), " encoded rows");
+}
+
+void
+LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, int64_t row0,
+                                int64_t rows, float *y,
+                                GatherScratch &scratch) const
+{
+    checkGatherSpan(codes, row0, rows);
     const int64_t n = out_features_;
     for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
         const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
@@ -620,6 +565,97 @@ LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, int64_t row0,
             sweepBlockGrouped(scratch.unpacked.data(), bn, yb);
         else
             sweepBlockSimple(scratch.unpacked.data(), bn, yb);
+        addBias(yb, bn);
+    }
+}
+
+namespace {
+
+/** SIMD level a quantized-gather variant runs at (Generic = scalar). */
+template <typename Variant>
+util::SimdLevel
+variantLevel(Variant variant)
+{
+    if constexpr (std::is_same_v<Variant, Int8GatherVariant>)
+        if (variant == Variant::ShuffleVnni)
+            return util::SimdLevel::Avx512Vnni;
+    if (variant == Variant::ShuffleAvx512)
+        return util::SimdLevel::Avx512;
+    if (variant == Variant::ShuffleAvx2)
+        return util::SimdLevel::Avx2;
+    return util::SimdLevel::Generic;
+}
+
+/**
+ * Rows per shuffle chunk for a resolved (non-Auto) quantized-gather
+ * variant, 0 for the scalar sweep — after checking the variant can run:
+ * its shuffle layout must exist (c <= 16 on a SIMD host) and this CPU
+ * must provide its SIMD level.
+ */
+template <typename Variant>
+int64_t
+checkedChunkRows(Variant variant, bool layout_built, int64_t c)
+{
+    const util::SimdLevel level = variantLevel(variant);
+    if (level == util::SimdLevel::Generic)
+        return 0;
+    LUTDLA_CHECK(layout_built, "shuffle gather needs c <= 16 (got c = ", c,
+                 "); use the scalar variant");
+    LUTDLA_CHECK(level <= util::simdLevel(),
+                 "requested shuffle variant needs ",
+                 util::simdLevelName(level), " but this CPU provides ",
+                 util::simdLevelName(util::simdLevel()));
+    return simd::shuffleGatherChunkRows(level);
+}
+
+} // namespace
+
+template <typename Chunk, typename Sweep>
+void
+LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, int64_t row0,
+                               int64_t rows, float *y,
+                               GatherScratch &scratch, int64_t chunk,
+                               Chunk &&run_chunk, Sweep &&sweep) const
+{
+    checkGatherSpan(codes, row0, rows);
+    const int64_t n = out_features_;
+    for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
+        const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
+        float *yb = y + b0 * n;
+        // Whole chunks run through the shuffle kernel. A row tail still
+        // worth a vector pass runs PADDED through one more chunk: pad
+        // lanes carry code 0 (a valid index), their columns are computed
+        // and never copied out — cheaper than the scalar sweep above
+        // ~chunk/4 rows, and bit-exact because the valid lanes see
+        // identical math.
+        int64_t done = 0;
+        while (chunk > 0 && bn - done >= chunk / 4) {
+            const int64_t valid = std::min(chunk, bn - done);
+            scratch.planar.resize(
+                static_cast<size_t>(num_subspaces_ * chunk));
+            scratch.colmajor.resize(static_cast<size_t>(n * chunk));
+            if (valid < chunk)
+                std::fill(scratch.planar.begin(), scratch.planar.end(),
+                          uint8_t{0});
+            codes.unpackPlanar(b0 + done, valid, scratch.planar.data(),
+                               chunk);
+            run_chunk(scratch.planar.data(), scratch.colmajor.data());
+            transposeColMajorTail(scratch.colmajor.data(), chunk, n, valid,
+                                  yb + done * n);
+            done += valid;
+        }
+        if (done < bn) {
+            // Small row tail (or the whole block for the scalar variant):
+            // identical group scales and exact integer accumulation, so
+            // the seam between paths is invisible in the output.
+            const int64_t tail = bn - done;
+            scratch.unpacked.resize(
+                static_cast<size_t>(tail * num_subspaces_));
+            codes.unpackRows(b0 + done, tail, scratch.unpacked.data());
+            float *yt = yb + done * n;
+            std::fill(yt, yt + tail * n, 0.0f);
+            sweep(scratch.unpacked.data(), tail, yt);
+        }
         addBias(yb, bn);
     }
 }
@@ -640,95 +676,26 @@ LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes,
 {
     LUTDLA_CHECK(int8_bank_ != nullptr,
                  "gatherAccumulateInt8 requires ensureInt8Bank() first");
-    LUTDLA_CHECK(codes.subspaces() == num_subspaces_,
-                 "code buffer carries ", codes.subspaces(),
-                 " subspaces, arena has ", num_subspaces_);
-    LUTDLA_CHECK(row0 >= 0 && row0 + rows <= codes.rows(),
-                 "gather span [", row0, ", ", row0 + rows, ") exceeds ",
-                 codes.rows(), " encoded rows");
     const Int8Bank &bank = *int8_bank_;
     if (variant == Int8GatherVariant::Auto)
         variant = int8AutoVariant();
-    util::SimdLevel level = util::SimdLevel::Generic;
-    if (variant == Int8GatherVariant::ShuffleVnni)
-        level = util::SimdLevel::Avx512Vnni;
-    else if (variant == Int8GatherVariant::ShuffleAvx512)
-        level = util::SimdLevel::Avx512;
-    else if (variant == Int8GatherVariant::ShuffleAvx2)
-        level = util::SimdLevel::Avx2;
-    if (variant != Int8GatherVariant::Scalar) {
-        LUTDLA_CHECK(!bank.q_il.empty(),
-                     "shuffle gather needs c <= 16 (got c = ",
-                     num_centroids_, "); use the scalar variant");
-        LUTDLA_CHECK(level <= util::simdLevel(),
-                     "requested shuffle variant needs ",
-                     util::simdLevelName(level),
-                     " but this CPU provides ",
-                     util::simdLevelName(util::simdLevel()));
-    }
-    const int64_t n = out_features_;
-    const int64_t chunk = variant == Int8GatherVariant::Scalar
-                              ? 0
-                              : simd::shuffleGatherChunkRows(level);
-    const auto run_chunk = [&](const uint8_t *planar, float *colmajor) {
-        if (variant == Int8GatherVariant::ShuffleVnni)
-            simd::vnniGatherChunk(bank.q_quad.data(), bank.scales.data(),
-                                  planar, num_subspaces_, n,
-                                  bank.num_blocks, kInt8ScaleGroup,
-                                  kInt8BlockCols, colmajor);
-        else
-            simd::shuffleGatherChunk(level, bank.q_il.data(),
+    const util::SimdLevel level = variantLevel(variant);
+    gatherQuantized(
+        codes, row0, rows, y, scratch,
+        checkedChunkRows(variant, !bank.q_quad.empty(), num_centroids_),
+        [&](const uint8_t *planar, float *colmajor) {
+            simd::shuffleGatherChunk(level, bank.q_quad.data(),
                                      bank.scales.data(), planar,
-                                     num_subspaces_, n, bank.num_blocks,
-                                     kInt8ScaleGroup, kInt8BlockCols,
-                                     colmajor);
-    };
-    for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
-        const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
-        float *yb = y + b0 * n;
-        int64_t done = 0;
-        if (chunk > 0 && bn >= chunk / 4) {
-            scratch.planar.resize(
-                static_cast<size_t>(num_subspaces_ * chunk));
-            scratch.colmajor.resize(static_cast<size_t>(n * chunk));
-            for (; done + chunk <= bn; done += chunk) {
-                codes.unpackPlanar(b0 + done, chunk,
-                                   scratch.planar.data());
-                run_chunk(scratch.planar.data(), scratch.colmajor.data());
-                transposeColMajor(scratch.colmajor.data(), chunk, n,
-                                  yb + done * n);
-            }
-            // Row tails still worth a vector pass run PADDED through one
-            // full-width chunk: pad lanes carry code 0 (a valid index),
-            // their columns are computed and simply never copied out —
-            // cheaper than the scalar sweep above ~chunk/4 rows, and
-            // bit-exact because the valid lanes see identical math.
-            const int64_t tail = bn - done;
-            if (tail >= chunk / 4) {
-                std::fill(scratch.planar.begin(), scratch.planar.end(),
-                          uint8_t{0});
-                codes.unpackPlanar(b0 + done, tail, scratch.planar.data(),
-                                   chunk);
-                run_chunk(scratch.planar.data(), scratch.colmajor.data());
-                transposeColMajorTail(scratch.colmajor.data(), chunk, n,
-                                      tail, yb + done * n);
-                done = bn;
-            }
-        }
-        if (done < bn) {
-            // Row tail (or the whole block for the scalar variant):
-            // identical group scales and exact integer accumulation, so
-            // the seam between paths is invisible in the output.
-            const int64_t tail = bn - done;
-            scratch.unpacked.resize(
-                static_cast<size_t>(tail * num_subspaces_));
-            codes.unpackRows(b0 + done, tail, scratch.unpacked.data());
-            float *yt = yb + done * n;
-            std::fill(yt, yt + tail * n, 0.0f);
-            sweepRowsInt8Scalar(bank, scratch.unpacked.data(), tail, yt);
-        }
-        addBias(yb, bn);
-    }
+                                     num_subspaces_, out_features_,
+                                     bank.num_blocks, kInt8ScaleGroup,
+                                     kInt8BlockCols, colmajor);
+        },
+        [&](const int32_t *unpacked, int64_t bn, float *yb) {
+            sweepInt8ColOuter(bank.q.data(), bank.scales.data(), unpacked,
+                              bn, out_features_, num_subspaces_,
+                              num_centroids_, bank.num_blocks,
+                              bank.num_groups, yb);
+        });
 }
 
 void
@@ -747,85 +714,25 @@ LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes,
 {
     LUTDLA_CHECK(int4_bank_ != nullptr,
                  "gatherAccumulateInt4 requires ensureInt4Bank() first");
-    LUTDLA_CHECK(codes.subspaces() == num_subspaces_,
-                 "code buffer carries ", codes.subspaces(),
-                 " subspaces, arena has ", num_subspaces_);
-    LUTDLA_CHECK(row0 >= 0 && row0 + rows <= codes.rows(),
-                 "gather span [", row0, ", ", row0 + rows, ") exceeds ",
-                 codes.rows(), " encoded rows");
     const Int4Bank &bank = *int4_bank_;
     if (variant == Int4GatherVariant::Auto)
         variant = int4AutoVariant();
-    util::SimdLevel level = util::SimdLevel::Generic;
-    if (variant == Int4GatherVariant::ShuffleAvx512)
-        level = util::SimdLevel::Avx512;
-    else if (variant == Int4GatherVariant::ShuffleAvx2)
-        level = util::SimdLevel::Avx2;
-    if (variant != Int4GatherVariant::Scalar) {
-        LUTDLA_CHECK(!bank.q4_il.empty(),
-                     "shuffle gather needs c <= 16 (got c = ",
-                     num_centroids_, "); use the scalar variant");
-        LUTDLA_CHECK(level <= util::simdLevel(),
-                     "requested shuffle variant needs ",
-                     util::simdLevelName(level),
-                     " but this CPU provides ",
-                     util::simdLevelName(util::simdLevel()));
-    }
-    const int64_t n = out_features_;
-    const int64_t chunk = variant == Int4GatherVariant::Scalar
-                              ? 0
-                              : simd::shuffleGatherChunkRows(level);
-    // Same block/chunk/tail structure as the INT8 gather: full chunks
-    // through the shuffle kernel, big tails padded through one chunk
-    // (pad lanes carry code 0, computed but never copied out), small
-    // tails through the scalar packed sweep — every seam bit-invisible
-    // because all paths share the exact biased-nibble accumulation.
-    for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
-        const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
-        float *yb = y + b0 * n;
-        int64_t done = 0;
-        if (chunk > 0 && bn >= chunk / 4) {
-            scratch.planar.resize(
-                static_cast<size_t>(num_subspaces_ * chunk));
-            scratch.colmajor.resize(static_cast<size_t>(n * chunk));
-            for (; done + chunk <= bn; done += chunk) {
-                codes.unpackPlanar(b0 + done, chunk,
-                                   scratch.planar.data());
-                simd::shuffleGatherChunkInt4(
-                    level, bank.q4_il.data(), bank.scales.data(),
-                    scratch.planar.data(), num_subspaces_, n,
-                    bank.num_blocks, kInt4ScaleGroup, kInt4BlockCols,
-                    scratch.colmajor.data());
-                transposeColMajor(scratch.colmajor.data(), chunk, n,
-                                  yb + done * n);
-            }
-            const int64_t tail = bn - done;
-            if (tail >= chunk / 4) {
-                std::fill(scratch.planar.begin(), scratch.planar.end(),
-                          uint8_t{0});
-                codes.unpackPlanar(b0 + done, tail, scratch.planar.data(),
-                                   chunk);
-                simd::shuffleGatherChunkInt4(
-                    level, bank.q4_il.data(), bank.scales.data(),
-                    scratch.planar.data(), num_subspaces_, n,
-                    bank.num_blocks, kInt4ScaleGroup, kInt4BlockCols,
-                    scratch.colmajor.data());
-                transposeColMajorTail(scratch.colmajor.data(), chunk, n,
-                                      tail, yb + done * n);
-                done = bn;
-            }
-        }
-        if (done < bn) {
-            const int64_t tail = bn - done;
-            scratch.unpacked.resize(
-                static_cast<size_t>(tail * num_subspaces_));
-            codes.unpackRows(b0 + done, tail, scratch.unpacked.data());
-            float *yt = yb + done * n;
-            std::fill(yt, yt + tail * n, 0.0f);
-            sweepRowsInt4Scalar(bank, scratch.unpacked.data(), tail, yt);
-        }
-        addBias(yb, bn);
-    }
+    const util::SimdLevel level = variantLevel(variant);
+    gatherQuantized(
+        codes, row0, rows, y, scratch,
+        checkedChunkRows(variant, !bank.q4_il.empty(), num_centroids_),
+        [&](const uint8_t *planar, float *colmajor) {
+            simd::shuffleGatherChunkInt4(
+                level, bank.q4_il.data(), bank.scales.data(), planar,
+                num_subspaces_, out_features_, bank.num_blocks,
+                kInt4ScaleGroup, kInt4BlockCols, colmajor);
+        },
+        [&](const int32_t *unpacked, int64_t bn, float *yb) {
+            sweepInt4ColOuter(bank.q4.data(), bank.scales.data(), unpacked,
+                              bn, out_features_, bank.half_n,
+                              num_subspaces_, num_centroids_,
+                              bank.num_blocks, bank.num_groups, yb);
+        });
 }
 
 void
@@ -878,61 +785,34 @@ LutTableArena::ensureInt8Bank() const
                     }
             }
         }
-        // Mirror layouts are built only when the RUNNING CPU can execute
-        // a variant that reads them — INT8 tables dominate this data
-        // plane's memory, so a host that can never run the shuffle
-        // kernels must not pay for their layouts.
-        if (c <= 16 && simd::shuffleGatherSupported(util::simdLevel())) {
-            // Interleaved mirror for the shuffle gather: the 16 centroid
-            // entries of one (subspace, column) pack contiguously (zero
-            // padded past c), so each LUT is one 128-bit register load.
-            bank->q_il.assign(static_cast<size_t>(num_subspaces_ * n * 16),
-                              0);
-            for (int64_t s = 0; s < num_subspaces_; ++s)
-                for (int64_t j = 0; j < c; ++j) {
-                    const int8_t *qrow = bank->q.data() + (s * c + j) * n;
+        // The shuffle mirror is built only when the RUNNING CPU can execute
+        // a variant that reads it — INT8 tables dominate this data plane's
+        // memory, so a host that can never run the shuffle kernels must
+        // not pay for the layout. Four consecutive subspaces' LUTs share
+        // one 64-byte block per column (zero padded past c and past Nc):
+        // the VPSHUFB tiers load one 16-byte quarter, the VNNI tier the
+        // whole block.
+        const bool shuffle =
+            c <= 16 && simd::shuffleGatherSupported(util::simdLevel());
+        if (shuffle) {
+            const int64_t quads = (num_subspaces_ + 3) / 4;
+            bank->q_quad.assign(static_cast<size_t>(quads * n * 64), 0);
+            for (int64_t s = 0; s < num_subspaces_; ++s) {
+                const int64_t qd = s / 4, j = s % 4;
+                for (int64_t e = 0; e < c; ++e) {
+                    const int8_t *qrow = bank->q.data() + (s * c + e) * n;
                     for (int64_t col = 0; col < n; ++col)
-                        bank->q_il[static_cast<size_t>((s * n + col) * 16 +
-                                                       j)] = qrow[col];
-                }
-            // Quad-interleaved mirror for the VNNI gather: four
-            // consecutive subspaces' LUTs share one 64-byte block per
-            // column (zero padded past c and past Nc), so one VPERMB
-            // serves 16 rows x 4 subspaces.
-            if (simd::vnniGatherSupported(util::simdLevel())) {
-                const int64_t quads = (num_subspaces_ + 3) / 4;
-                bank->q_quad.assign(static_cast<size_t>(quads * n * 64),
-                                    0);
-                for (int64_t s = 0; s < num_subspaces_; ++s) {
-                    const int64_t qd = s / 4, j = s % 4;
-                    for (int64_t e = 0; e < c; ++e) {
-                        const int8_t *qrow =
-                            bank->q.data() + (s * c + e) * n;
-                        for (int64_t col = 0; col < n; ++col)
-                            bank->q_quad[static_cast<size_t>(
-                                (qd * n + col) * 64 + 16 * j + e)] =
-                                qrow[col];
-                    }
+                        bank->q_quad[static_cast<size_t>(
+                            (qd * n + col) * 64 + 16 * j + e)] = qrow[col];
                 }
             }
         }
-        // Resident-accounting invariant int8ResidentBytes() relies on:
-        // each mirror layout is either fully materialized because this
-        // host can run a kernel that reads it, or left empty — so the
-        // unconditional sum over layout sizes counts exactly the
-        // layouts this CPU built, never a phantom third copy.
-        LUTDLA_CHECK(
-            bank->q_il.empty() ==
-                !(c <= 16 &&
-                  simd::shuffleGatherSupported(util::simdLevel())),
-            "q_il must be materialized exactly when the shuffle gather "
-            "can run on this host");
-        LUTDLA_CHECK(
-            bank->q_quad.empty() ==
-                !(c <= 16 &&
-                  simd::vnniGatherSupported(util::simdLevel())),
-            "q_quad must be materialized exactly when the VNNI gather "
-            "can run on this host");
+        // Resident-accounting invariant int8ResidentBytes() relies on: the
+        // mirror is either fully materialized because this host can run a
+        // kernel that reads it, or left empty.
+        LUTDLA_CHECK(bank->q_quad.empty() == !shuffle,
+                     "q_quad must be materialized exactly when the shuffle "
+                     "gather can run on this host");
         int8_bank_ = std::move(bank);
     });
 }
@@ -1049,8 +929,7 @@ LutTableArena::int8ResidentBytes() const
         return 0;
     const Int8Bank &bank = *int8_bank_;
     return static_cast<int64_t>(
-        (bank.q.size() + bank.q_il.size() + bank.q_quad.size()) *
-            sizeof(int8_t) +
+        (bank.q.size() + bank.q_quad.size()) * sizeof(int8_t) +
         bank.scales.size() * sizeof(float));
 }
 
@@ -1299,46 +1178,11 @@ const char *
 LutTableArena::encodeVariantName() const
 {
     const util::SimdLevel level = util::simdLevel();
-    if (metric_ == vq::Metric::L2) {
-        if (num_centroids_ == 16 && simd::encodeL2C16Supported(level))
-            return level >= util::SimdLevel::Avx512 ? "avx512-c16"
-                                                    : "avx2-c16";
-        if (simd::encodeL2GenericSupported(level, num_centroids_))
-            return level >= util::SimdLevel::Avx512 ? "avx512-genc"
-                                                    : "avx2-genc";
-    }
+    if (metric_ == vq::Metric::L2 &&
+        simd::encodeL2GenericSupported(level, num_centroids_))
+        return level >= util::SimdLevel::Avx512 ? "avx512-genc"
+                                                : "avx2-genc";
     return "generic";
-}
-
-void
-LutTableArena::sweepRowsInt8Scalar(const Int8Bank &bank,
-                                   const int32_t *codes, int64_t bn,
-                                   float *yb) const
-{
-    // The scalar half of the INT8 gather contract: per scale group,
-    // accumulate the group's entries in exact int32 arithmetic, then fold
-    // into the float output with ONE mul + add per (group, column) — the
-    // same float op sequence the shuffle kernels emit, which is what
-    // makes every variant bit-identical. This TU builds with -mno-fma so
-    // the mul + add never contracts.
-    sweepInt8ColOuter(bank.q.data(), bank.scales.data(), codes, bn,
-                      out_features_, num_subspaces_, num_centroids_,
-                      bank.num_blocks, bank.num_groups, yb);
-}
-
-void
-LutTableArena::sweepRowsInt4Scalar(const Int4Bank &bank,
-                                   const int32_t *codes, int64_t bn,
-                                   float *yb) const
-{
-    // INT4 half of the same contract: exact biased-nibble accumulation
-    // per scale group, one bias-correcting subtract, one dequantizing
-    // mul + add per (group, column) — the shuffle kernels' float op
-    // sequence, in a -mno-fma TU so it never contracts.
-    sweepInt4ColOuter(bank.q4.data(), bank.scales.data(), codes, bn,
-                      out_features_, bank.half_n, num_subspaces_,
-                      num_centroids_, bank.num_blocks, bank.num_groups,
-                      yb);
 }
 
 void

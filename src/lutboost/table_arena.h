@@ -21,15 +21,15 @@
  * drives separately (see lutboost/kernels.h for the pluggable dispatch):
  *  - encode: `encodeBatch` / `encodeBlock` argmin-encode rows into a
  *    bit-packed vq::CodeBuffer (BF16 input rounding applied when the
- *    arena demands it). The flagship L2 / c=16 shape dispatches to the
+ *    arena demands it). L2 arenas with 2 <= c <= 64 dispatch to the
  *    runtime-selected SIMD argmin (lutboost/kernels_simd.h).
  *  - gather: `gatherAccumulate` sweeps the float table bank,
  *    `gatherAccumulateInt8` sweeps the INT8-quantized bank, and
  *    `gatherAccumulateInt4` sweeps the nibble-packed INT4 bank. For
  *    c <= 16 the quantized gathers run as an in-register shuffle lookup
- *    (AVX-512 VPSHUFB over 64-row chunks, AVX2 over 32) against the
- *    bank's interleaved layout — the INT4 variant adds one
- *    unpack-and-shift per chunk to split the two nibble planes;
+ *    (AVX-512 VPSHUFB or VPERMB over 64-row chunks, AVX2 VPSHUFB over
+ *    32) against the bank's one interleaved layout — the INT4 variant
+ *    adds one unpack-and-shift per chunk to split the two nibble planes;
  *    otherwise (and for row tails) a scalar group sweep runs. All paths
  *    of one bank share exact integer accumulation under
  *    per-(subspace-group, column-block) scales, so every variant of a
@@ -308,20 +308,20 @@ class LutTableArena
     /**
      * Bytes of the canonical INT8 bank (row-major table + scales) — the
      * traffic number plans and benches report; 0 until ensureInt8Bank().
-     * At the flagship c=16 every mirror layout is the same size, so this
+     * At the flagship c=16 the shuffle layout is the same size, so this
      * is exactly what any variant streams per sweep; at c < 16 the
-     * 16-entry-padded shuffle layouts stream up to 16/c x more (still
-     * well under the float bank). Resident memory spans every layout
-     * built for this CPU — see int8ResidentBytes().
+     * 16-entry-padded shuffle layout streams up to 16/c x more (still
+     * well under the float bank). Resident memory adds that layout when
+     * this CPU built it — see int8ResidentBytes().
      */
     int64_t int8TableBytes() const;
 
     /**
      * Total RESIDENT bytes of the INT8 bank: the row-major table plus
-     * whichever mirror layouts were built for this CPU's kernel variants
-     * (mirrors are capability-gated at build time, so a host that cannot
-     * run a variant never pays for its layout; a VNNI host carries up to
-     * 3x the streamed size). 0 until ensureInt8Bank().
+     * the quad-interleaved shuffle mirror when this CPU built it (c <= 16
+     * on an AVX2+ host; a host that cannot run a shuffle tier never pays
+     * for it), so at most ~2x the streamed size. 0 until
+     * ensureInt8Bank().
      */
     int64_t int8ResidentBytes() const;
 
@@ -375,7 +375,7 @@ class LutTableArena
     /**
      * Total RESIDENT bytes of the INT4 bank: the packed row-major table
      * plus the interleaved shuffle mirror when this CPU built it
-     * (capability-gated exactly like the INT8 mirrors). 0 until
+     * (capability-gated exactly like the INT8 mirror). 0 until
      * ensureInt4Bank().
      */
     int64_t int4ResidentBytes() const;
@@ -391,8 +391,7 @@ class LutTableArena
     static const char *int4GatherVariantName(Int4GatherVariant variant);
 
     /** Stable tag of the FLOAT encode kernel this arena dispatches to:
-     * "avx512-c16"/"avx2-c16" for the SIMD L2/c=16 fast path,
-     * "avx512-genc"/"avx2-genc" for the masked generic-c (c <= 64) tier,
+     * "avx512-genc"/"avx2-genc" for the SIMD L2 tier (2 <= c <= 64),
      * else "generic" (scalar scan). */
     const char *encodeVariantName() const;
 
@@ -461,20 +460,20 @@ class LutTableArena
 
   private:
     /**
-     * INT8 mirror of the PSum table in two layouts: `q` row-major
-     * [Nc, c, N] for the scalar group sweep, and (c <= 16 only) `q_il`
-     * interleaved [Nc, N, 16] — the 16 centroid entries of one
-     * (subspace, column) packed contiguously so the shuffle gather loads
-     * each LUT as one vector register. One symmetric scale per
-     * (kInt8ScaleGroup-subspace group, kInt8BlockCols-wide output block).
+     * INT8 mirror of the PSum table in at most two layouts: `q` row-major
+     * [Nc, c, N] for the scalar group sweep (a 1-row batch reads N bytes
+     * per subspace), and (c <= 16 on a shuffle-capable host) `q_quad`
+     * quad-interleaved [ceil(Nc/4), N, 64] — the 16 centroid entries of
+     * subspace s, column col at ((s/4) * N + col) * 64 + 16 * (s % 4),
+     * zero padded past c and past Nc. The VPSHUFB tiers load one 16-byte
+     * quarter as a LUT, the VNNI tier the whole 64-byte block. One
+     * symmetric scale per (kInt8ScaleGroup-subspace group,
+     * kInt8BlockCols-wide output block).
      */
     struct Int8Bank
     {
-        std::vector<int8_t> q;      ///< [Nc, c, N] row-major entries
-        std::vector<int8_t> q_il;   ///< [Nc, N, 16] interleaved (c <= 16)
-        /** [ceil(Nc/4), N, 64] quad-interleaved (c <= 16): one 64-byte
-         * LUT per (subspace quad, column) for the VNNI gather. */
-        std::vector<int8_t> q_quad;
+        std::vector<int8_t> q;       ///< [Nc, c, N] row-major entries
+        std::vector<int8_t> q_quad;  ///< [ceil(Nc/4), N, 64] (c <= 16)
         std::vector<float> scales;  ///< [numGroups, num_blocks] scales
         int64_t num_blocks = 0;
         int64_t num_groups = 0;
@@ -529,6 +528,15 @@ class LutTableArena
         int64_t norm_stride = 0;      ///< max(c, 16)
     };
 
+    /** Subspace-outer encode driver shared by every encode path: calls
+     * `kernel(xs, stride, s, out)` once per subspace to write `rows`
+     * codes into `out` (full subspaces read in place at stride K, the
+     * ragged tail from a zero-padded [rows, v] plane at stride v), then
+     * hands each code to `sink(i, s, code)`. */
+    template <typename Kernel, typename Sink>
+    void encodeBySubspace(const float *x, int64_t rows, Kernel &&kernel,
+                          Sink &&sink) const;
+
     template <vq::Metric M, typename Sink>
     void encodeRowsImpl(const float *x, int64_t rows, Sink &&sink) const;
 
@@ -549,14 +557,25 @@ class LutTableArena
     void sweepBlockGrouped(const int32_t *codes, int64_t bn,
                            float *yb) const;
 
-    /** Scalar INT8 group sweep (exact integer accumulation per group). */
-    void sweepRowsInt8Scalar(const Int8Bank &bank, const int32_t *codes,
-                             int64_t bn, float *yb) const;
+    /** Panic unless `codes` matches this arena and holds rows
+     * [row0, row0 + rows). */
+    void checkGatherSpan(const vq::CodeBuffer &codes, int64_t row0,
+                         int64_t rows) const;
 
-    /** Scalar INT4 packed group sweep (exact biased-nibble accumulation
-     * per group; bit-identical to the shuffle variants). */
-    void sweepRowsInt4Scalar(const Int4Bank &bank, const int32_t *codes,
-                             int64_t bn, float *yb) const;
+    /**
+     * Block -> full-chunk -> padded-tail -> scalar-tail driver shared by
+     * the INT8 and INT4 gathers. Per kRowBlock block, rows run through
+     * `run_chunk(planar, colmajor)` in `chunk`-row shuffle chunks (0 =
+     * scalar only); a tail of at least chunk/4 rows runs padded through
+     * one more chunk, and a smaller tail through `sweep(codes, rows, y)`
+     * over a zeroed output. Both paths share the bank's exact integer
+     * accumulation, so every seam is bit-invisible.
+     */
+    template <typename Chunk, typename Sweep>
+    void gatherQuantized(const vq::CodeBuffer &codes, int64_t row0,
+                         int64_t rows, float *y, GatherScratch &scratch,
+                         int64_t chunk, Chunk &&run_chunk,
+                         Sweep &&sweep) const;
 
     /** Add the packed bias row to `bn` output rows (no-op without bias). */
     void addBias(float *yb, int64_t bn) const;

@@ -138,13 +138,14 @@ struct StagePlan
     /** Bytes the stage's encode phase streams per sweep (transposed
      * float codebooks, or the INT8 encode bank); 0 for non-LUT stages. */
     int64_t encode_bytes = 0;
-    /** Encode kernel the runtime dispatch resolved ("avx512-c16",
-     * "avx2-c16", "avx512-genc", "generic" for the float scan;
+    /** Encode kernel the runtime dispatch resolved ("avx512-genc",
+     * "avx2-genc", "generic" for the float scan;
      * "int8-dot-vnni" / "int8-madd-avx2" / "int8-scalar" under Int8
      * encode); empty for non-LUT stages. */
     std::string encode_kernel;
-    /** Gather kernel ("grouped-sweep" float bank; "shuffle-avx512" /
-     * "shuffle-avx2" / "scalar" for the INT8 and INT4 banks); empty for
+    /** Gather kernel ("grouped-sweep" float bank; "shuffle-vnni" (INT8
+     * only) / "shuffle-avx512" / "shuffle-avx2" / "scalar" for the INT8
+     * and INT4 banks); empty for
      * non-LUT stages. */
     std::string gather_kernel;
     /** Intra-batch shard granularity bound at plan time (0 = unsharded,

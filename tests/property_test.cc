@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "hw/dataflow.h"
 #include "lutboost/kernels.h"
@@ -717,7 +718,9 @@ INSTANTIATE_TEST_SUITE_P(
  * bit-identical codes to the scalar distance + ascending argmin scan:
  * pad lanes park at +inf, blocks scan in ascending order, ties break to
  * the lowest index, and NaN rows fall back to the scalar scan. Exercised
- * at every SIMD level this host can run, over ragged row strides.
+ * at every SIMD level this host can run, over ragged row strides, from
+ * ragged masks (4, 11) through the full-block shapes (8, 16, 32) to the
+ * upper edge c = 64.
  */
 TEST(GenericCFloatEncode, MaskedSimdBitExactVsScalarScan)
 {
@@ -730,7 +733,7 @@ TEST(GenericCFloatEncode, MaskedSimdBitExactVsScalarScan)
     if (levels.empty())
         GTEST_SKIP() << "no SIMD level on this host; scalar-only";
 
-    for (const int64_t c : {4, 8, 32, 11}) {     // 11: non-pow2, odd mask
+    for (const int64_t c : {4, 8, 16, 32, 64, 11}) { // 11: odd mask
         for (const int64_t v : {3, 8, 11}) {
             for (const int64_t rows : {1, 7, 33}) {
                 const int64_t stride = v + 2;    // ragged row stride
@@ -795,6 +798,22 @@ TEST(GenericCFloatEncode, MaskedSimdBitExactVsScalarScan)
     }
 }
 
+/** With no dedicated c = 16 kernel, an L2 arena at the flagship c = 16
+ * dispatches its float encode to the masked generic-c tier. */
+TEST(GenericCFloatEncode, ArenaAtSixteenCentroidsUsesGenericTier)
+{
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    lutboost::LutLinear layer(32, 24, pq, /*bias=*/false, /*seed=*/16);
+    layer.refreshInferenceLut();
+    const util::SimdLevel level = util::simdLevel();
+    const std::string want = level >= util::SimdLevel::Avx512 ? "avx512-genc"
+                             : level >= util::SimdLevel::Avx2 ? "avx2-genc"
+                                                              : "generic";
+    EXPECT_EQ(layer.inferenceArena()->encodeVariantName(), want);
+}
+
 // ---- Property: quantized banks account exactly for resident layouts ----
 
 /**
@@ -828,17 +847,20 @@ TEST(QuantizedBankAccounting, ResidentBytesMatchMaterializedLayouts)
         lutboost::LutTableArena::kInt8BlockCols;
     const int64_t scale_bytes =
         groups * blocks * static_cast<int64_t>(sizeof(float));
-    const util::SimdLevel level = util::simdLevel();
-    const bool shuffle = lutboost::simd::shuffleGatherSupported(level);
-    const bool vnni = lutboost::simd::vnniGatherSupported(level);
+    const bool shuffle =
+        lutboost::simd::shuffleGatherSupported(util::simdLevel());
 
+    // Two-layout rule: row-major plus, when any shuffle tier can run,
+    // the one quad-interleaved mirror every shuffle tier reads.
+    const int64_t quad_bytes = ((nc + 3) / 4) * n * 64;
     int64_t expect8 = nc * c * n + scale_bytes;    // row-major + scales
     if (shuffle)
-        expect8 += nc * n * 16;                    // q_il mirror
-    if (vnni)
-        expect8 += ((nc + 3) / 4) * n * 64;        // q_quad mirror
+        expect8 += quad_bytes;                     // q_quad mirror
     EXPECT_EQ(arena->int8ResidentBytes(), expect8);
     EXPECT_EQ(arena->int8TableBytes(), nc * c * n + scale_bytes);
+    // No third mirror can come back unnoticed.
+    EXPECT_LE(arena->int8ResidentBytes(),
+              arena->int8TableBytes() + quad_bytes);
 
     const int64_t half_n = (n + 1) / 2;
     int64_t expect4 = nc * c * half_n + scale_bytes;
