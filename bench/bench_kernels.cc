@@ -2,7 +2,7 @@
  * @file
  * Google-benchmark microbenchmarks: exact GEMM vs LUT-GEMM (encode +
  * lookup) software kernels, the encode and lookup phases separately, and
- * the serving arena's split data-plane kernels (packed-code encodeBatch,
+ * the serving arena's split data-plane kernels (planar-code encodeBatch,
  * the INT8 argmin-encode at every forced EncodeVariant — scalar integer
  * reference vs VPMADDUBSW/VPMADDWD vs VPDPBUSD, identical codes across
  * all three — float-bank gather, INT8-bank gather with every kernel
@@ -74,7 +74,7 @@ struct ArenaFixture
     {
         arena.ensureInt8Bank();
         arena.ensureInt4Bank();
-        arena.encodeBatch(fx.a.data(), m, scratch.codes, scratch.staging);
+        arena.encodeBatch(fx.a.data(), m, scratch.codes, scratch.encode);
     }
 
     KernelFixture fx;
@@ -141,7 +141,7 @@ BM_ArenaEncodeBatch(benchmark::State &state)
                     16);
     for (auto _ : state) {
         ax.arena.encodeBatch(ax.fx.a.data(), ax.fx.a.dim(0),
-                             ax.scratch.codes, ax.scratch.staging);
+                             ax.scratch.codes, ax.scratch.encode);
         benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
     }
     state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
@@ -191,7 +191,7 @@ encodeInt8Variant(benchmark::State &state, lutboost::EncodeVariant variant)
     ax.arena.ensureInt8EncodeBank();
     for (auto _ : state) {
         ax.arena.encodeBatchInt8(ax.fx.a.data(), ax.fx.a.dim(0),
-                                 ax.scratch.codes, ax.scratch.staging,
+                                 ax.scratch.codes, ax.scratch.encode,
                                  variant);
         benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
     }
@@ -297,6 +297,9 @@ BM_ArenaGatherInt8ShuffleVnni(benchmark::State &state)
  * extra unpack-and-shift against the halved table stream. Args are
  * (rows, K, N, v); 64 x 4608 x 512 at v = 8 is the hottest resnet18
  * stage at one served tile, and 4 rows of it is the scalar-tail path.
+ * The 256-row rows (int4GatherArgs) are the resnet18-bulk stage
+ * shapes at a full batch: on the small-K stages and the fc, the code
+ * handoff and the transpose-out are a large share of the gather.
  */
 void
 gatherInt4Variant(benchmark::State &state,
@@ -418,30 +421,29 @@ BENCHMARK(BM_ArenaGatherInt8ShuffleVnni)
     ->Args({128, 256, 256})
     ->Args({256, 512, 512})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt4)
-    ->Args({128, 256, 256, 4})
-    ->Args({256, 512, 512, 4})
-    ->Args({64, 4608, 512, 8})
-    ->Args({4, 4608, 512, 8})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt4Scalar)
-    ->Args({128, 256, 256, 4})
-    ->Args({256, 512, 512, 4})
-    ->Args({64, 4608, 512, 8})
-    ->Args({4, 4608, 512, 8})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt4ShuffleAvx512)
-    ->Args({128, 256, 256, 4})
-    ->Args({256, 512, 512, 4})
-    ->Args({64, 4608, 512, 8})
-    ->Args({4, 4608, 512, 8})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt4ShuffleAvx2)
-    ->Args({128, 256, 256, 4})
-    ->Args({256, 512, 512, 4})
-    ->Args({64, 4608, 512, 8})
-    ->Args({4, 4608, 512, 8})
-    ->Unit(benchmark::kMicrosecond);
+/** INT4 gather args: the generic shapes, the hottest resnet18 stage at
+ * one tile and at a 4-row tail, then the resnet18-bulk stage shapes at
+ * a 256-row batch (K / N = 576 / 64 ... 4608 / 512, and the 512 / 1000
+ * fc). */
+void
+int4GatherArgs(benchmark::internal::Benchmark *b)
+{
+    b->Args({128, 256, 256, 4})
+        ->Args({256, 512, 512, 4})
+        ->Args({64, 4608, 512, 8})
+        ->Args({4, 4608, 512, 8})
+        ->Args({256, 576, 64, 8})
+        ->Args({256, 1152, 128, 8})
+        ->Args({256, 2304, 256, 8})
+        ->Args({256, 4608, 512, 8})
+        ->Args({256, 512, 1000, 8})
+        ->Unit(benchmark::kMicrosecond);
+}
+
+BENCHMARK(BM_ArenaGatherInt4)->Apply(int4GatherArgs);
+BENCHMARK(BM_ArenaGatherInt4Scalar)->Apply(int4GatherArgs);
+BENCHMARK(BM_ArenaGatherInt4ShuffleAvx512)->Apply(int4GatherArgs);
+BENCHMARK(BM_ArenaGatherInt4ShuffleAvx2)->Apply(int4GatherArgs);
 
 int
 main(int argc, char **argv)

@@ -16,7 +16,7 @@
  * The sweep runs every engine configuration under FOUR data-plane plans:
  *   - float32: the bit-exact reference backend (the PR-3 stage-graph
  *     baseline this PR is measured against);
- *   - int8: the quantized backend — bit-packed codes + INT8 table bank —
+ *   - int8: the quantized backend — planar codes + INT8 table bank —
  *     which must beat the float32 plan on rows/s for this (MLP-class,
  *     memory-bound) arena config. The win is table traffic: the resnet18
  *     float bank streams ~91 MB per row-block sweep, the INT8 bank ~23;
@@ -554,7 +554,7 @@ main(int argc, char **argv)
     }
     t.addNote("reference = pre-engine serving (per-row vq encode + "
               "lookupGemm); float32 = bit-exact plan (PR-3 baseline); "
-              "int8 = packed codes + INT8 tables; int4 = nibble-packed "
+              "int8 = planar codes + INT8 tables; int4 = nibble-packed "
               "bit-plane bank; int4+int8enc = int4 tables + INT8 "
               "VNNI/AVX2 argmin-encode");
     t.addNote("batching amortizes table-bank loads across the block; the "

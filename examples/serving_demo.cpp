@@ -17,7 +17,7 @@
  *      forward().
  *   5. Plan inspection: print the planned stage chain AFTER the fusion
  *      pass — which stages folded into arena epilogues, each LUT stage's
- *      packed code width, and the table precision — for both the default
+ *      stored code width, and the table precision — for both the default
  *      bit-exact plan and the quantized INT8 plan.
  *   6. Auto-tuned mixed precision: re-serve the trained mixture model
  *      through makeEngine with ServeOptions::autoTunePrecision(0.90) —

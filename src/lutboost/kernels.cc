@@ -57,10 +57,10 @@ KernelBackend::encodeBatch(const LutTableArena &arena, const float *x,
     // encode bank), independent of the gather-side table precision.
     if (useInt8Encode(arena, encode)) {
         arena.ensureInt8EncodeBank();
-        arena.encodeBatchInt8(x, rows, scratch.codes, scratch.staging);
+        arena.encodeBatchInt8(x, rows, scratch.codes, scratch.encode);
         return;
     }
-    arena.encodeBatch(x, rows, scratch.codes, scratch.staging);
+    arena.encodeBatch(x, rows, scratch.codes, scratch.encode);
 }
 
 void
@@ -78,10 +78,10 @@ KernelBackend::encodeBlock(const LutTableArena &arena, const float *x,
 {
     if (useInt8Encode(arena, encode)) {
         arena.ensureInt8EncodeBank();
-        arena.encodeBlockInt8(x, row0, rows, codes, local.staging);
+        arena.encodeBlockInt8(x, row0, rows, codes, local.encode);
         return;
     }
-    arena.encodeBlock(x, row0, rows, codes, local.staging);
+    arena.encodeBlock(x, row0, rows, codes, local.encode);
 }
 
 void

@@ -6,7 +6,7 @@
  * The precision-pluggable kernel backend behind the serving data plane.
  *
  * A frozen LUT layer executes in two phases — encode (argmin each row's
- * subvectors against the codebooks, producing bit-packed centroid indices)
+ * subvectors against the codebooks, producing planar centroid indices)
  * and gather (accumulate the indexed PSum table rows into the output) —
  * and KernelBackend is the seam where the precision of each phase is
  * chosen:
@@ -69,21 +69,21 @@ prefetchSpan(const void *p, int64_t bytes)
 
 /**
  * Reusable per-caller buffers for one in-flight batch of kernel calls:
- * the packed code buffer the encode phase fills and the gather phase
- * reads, plus the float staging planes (BF16 rounding, fused width
- * adaptation) and the gather-side scratch (unpacked codes, planar code
- * lanes, shuffle accumulators). Owned by the serving StageScratch so
- * steady-state batches perform no allocations. When a batch is sharded
- * across workers, the CodeBuffer of the INITIATING worker is shared
- * (disjoint row spans never race) while each participant brings its own
- * staging/gather scratch.
+ * the planar code buffer the encode phase fills and the gather phase
+ * reads, plus the encode-side scratch (BF16 staging, per-subspace code
+ * block, padded tail), the fused width-adapt plane and the gather-side
+ * scratch (row-major tail codes, shuffle accumulators). Owned by the
+ * serving StageScratch so steady-state batches perform no allocations.
+ * When a batch is sharded across workers, the CodeBuffer of the
+ * INITIATING worker is shared (disjoint row spans never share a byte)
+ * while each participant brings its own encode/gather scratch.
  */
 struct KernelScratch
 {
-    vq::CodeBuffer codes;        ///< bit-packed [rows, Nc] indices
-    std::vector<float> staging;  ///< BF16-rounded input rows
+    vq::CodeBuffer codes;        ///< planar [Nc, planeStride] indices
+    EncodeScratch encode;        ///< staging + per-subspace encode buffers
     std::vector<float> adapted;  ///< width-adapted input rows
-    GatherScratch gather;        ///< unpacked / planar / colmajor scratch
+    GatherScratch gather;        ///< row-major tail codes / colmajor
 };
 
 /**
@@ -122,8 +122,8 @@ class KernelBackend
 
     /**
      * Encode phase: argmin-encode `rows` rows of `x` (arena.inFeatures()
-     * wide) into scratch.codes at the arena's packed code width. Applies
-     * the arena's BF16 input rounding via scratch.staging. `encode`
+     * wide) into scratch.codes at the arena's code width. Applies the
+     * arena's BF16 input rounding via scratch.encode.staging. `encode`
      * selects the argmin arithmetic: Float32 is the exact scan; Int8
      * routes through the arena's quantized encode bank when the arena
      * supports it (L2 metric) and silently falls back to the exact scan
@@ -163,7 +163,7 @@ class KernelBackend
     /**
      * Fused tile entry point for the row-tiled segment executor: encode
      * `rows` contiguous rows of `x` and immediately gather them into `y`
-     * in one call, so the tile's packed codes never leave cache between
+     * in one call, so the tile's code planes never leave cache between
      * the phases. Phase wall times are accumulated into *encode_ns /
      * *gather_ns (either may be null). Bit-exact with a separate
      * encodeBatch + gatherAccumulate pair by construction — it IS that
@@ -220,10 +220,10 @@ class KernelBackend
 /** The bit-exact float-bank backend (today's semantics). */
 const KernelBackend &referenceBackend();
 
-/** The packed-code + INT8-table backend. */
+/** The INT8-table backend. */
 const KernelBackend &quantizedBackend();
 
-/** The packed-code + nibble-packed INT4-table backend. */
+/** The nibble-packed INT4-table backend. */
 const KernelBackend &int4Backend();
 
 } // namespace lutdla::lutboost

@@ -597,9 +597,10 @@ quadLut(const int8_t *q_quad, int64_t s, int64_t n, int64_t col)
 __attribute__((target("avx512f,avx512bw"))) void
 gatherChunkAvx512(const int8_t *__restrict__ q_quad,
                   const float *__restrict__ scales,
-                  const uint8_t *__restrict__ planar, int64_t num_subspaces,
-                  int64_t n, int64_t num_blocks, int64_t scale_group,
-                  int64_t block_cols, float *__restrict__ colmajor)
+                  const uint8_t *__restrict__ codes, int64_t code_stride,
+                  int64_t num_subspaces, int64_t n, int64_t num_blocks,
+                  int64_t scale_group, int64_t block_cols,
+                  float *__restrict__ colmajor)
 {
     constexpr int64_t kChunk = 64;
     const int64_t num_groups =
@@ -612,7 +613,7 @@ gatherChunkAvx512(const int8_t *__restrict__ q_quad,
         // across the column sweep (<= 16 zmm of indices).
         __m512i idx[16];
         for (int64_t i = 0; i < gs; ++i)
-            idx[i] = _mm512_loadu_si512(planar + (s0 + i) * kChunk);
+            idx[i] = _mm512_loadu_si512(codes + (s0 + i) * code_stride);
         const float *srow = scales + g * num_blocks;
         for (int64_t col = 0; col < n; ++col) {
             __m512i lo = _mm512_setzero_si512();
@@ -640,9 +641,10 @@ gatherChunkAvx512(const int8_t *__restrict__ q_quad,
 __attribute__((target("avx2"))) void
 gatherChunkAvx2(const int8_t *__restrict__ q_quad,
                 const float *__restrict__ scales,
-                const uint8_t *__restrict__ planar, int64_t num_subspaces,
-                int64_t n, int64_t num_blocks, int64_t scale_group,
-                int64_t block_cols, float *__restrict__ colmajor)
+                const uint8_t *__restrict__ codes, int64_t code_stride,
+                int64_t num_subspaces, int64_t n, int64_t num_blocks,
+                int64_t scale_group, int64_t block_cols,
+                float *__restrict__ colmajor)
 {
     constexpr int64_t kChunk = 32;
     const int64_t num_groups =
@@ -654,7 +656,7 @@ gatherChunkAvx2(const int8_t *__restrict__ q_quad,
         __m256i idx[16];
         for (int64_t i = 0; i < gs; ++i)
             idx[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                planar + (s0 + i) * kChunk));
+                codes + (s0 + i) * code_stride));
         const float *srow = scales + g * num_blocks;
         for (int64_t col = 0; col < n; ++col) {
             __m256i lo = _mm256_setzero_si256();
@@ -729,10 +731,10 @@ spillNibblePlaneAvx2(float *out, __m256i sums, __m256i bias, __m256 vs,
 __attribute__((target("avx512f,avx512bw"))) void
 gatherChunkInt4Avx512(const uint8_t *__restrict__ q4_il,
                       const float *__restrict__ scales,
-                      const uint8_t *__restrict__ planar,
-                      int64_t num_subspaces, int64_t n, int64_t num_blocks,
-                      int64_t scale_group, int64_t block_cols,
-                      float *__restrict__ colmajor)
+                      const uint8_t *__restrict__ codes,
+                      int64_t code_stride, int64_t num_subspaces, int64_t n,
+                      int64_t num_blocks, int64_t scale_group,
+                      int64_t block_cols, float *__restrict__ colmajor)
 {
     constexpr int64_t kChunk = 64;
     const int64_t half_n = (n + 1) / 2;
@@ -745,7 +747,7 @@ gatherChunkInt4Avx512(const uint8_t *__restrict__ q4_il,
             std::min<int64_t>(scale_group, num_subspaces - s0);
         __m512i idx[16];
         for (int64_t i = 0; i < gs; ++i)
-            idx[i] = _mm512_loadu_si512(planar + (s0 + i) * kChunk);
+            idx[i] = _mm512_loadu_si512(codes + (s0 + i) * code_stride);
         const float *srow = scales + g * num_blocks;
         const __m512i bias =
             _mm512_set1_epi16(static_cast<short>(8 * gs));
@@ -779,10 +781,10 @@ gatherChunkInt4Avx512(const uint8_t *__restrict__ q4_il,
 __attribute__((target("avx2"))) void
 gatherChunkInt4Avx2(const uint8_t *__restrict__ q4_il,
                     const float *__restrict__ scales,
-                    const uint8_t *__restrict__ planar,
-                    int64_t num_subspaces, int64_t n, int64_t num_blocks,
-                    int64_t scale_group, int64_t block_cols,
-                    float *__restrict__ colmajor)
+                    const uint8_t *__restrict__ codes,
+                    int64_t code_stride, int64_t num_subspaces, int64_t n,
+                    int64_t num_blocks, int64_t scale_group,
+                    int64_t block_cols, float *__restrict__ colmajor)
 {
     constexpr int64_t kChunk = 32;
     const int64_t half_n = (n + 1) / 2;
@@ -796,7 +798,7 @@ gatherChunkInt4Avx2(const uint8_t *__restrict__ q4_il,
         __m256i idx[16];
         for (int64_t i = 0; i < gs; ++i)
             idx[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                planar + (s0 + i) * kChunk));
+                codes + (s0 + i) * code_stride));
         const float *srow = scales + g * num_blocks;
         const __m256i bias =
             _mm256_set1_epi16(static_cast<short>(8 * gs));
@@ -834,9 +836,10 @@ gatherChunkInt4Avx2(const uint8_t *__restrict__ q4_il,
 __attribute__((target("avx512f,avx512bw,avx512vbmi,avx512vnni"))) void
 gatherChunkVnni(const int8_t *__restrict__ q_quad,
                 const float *__restrict__ scales,
-                const uint8_t *__restrict__ planar, int64_t num_subspaces,
-                int64_t n, int64_t num_blocks, int64_t scale_group,
-                int64_t block_cols, float *__restrict__ colmajor)
+                const uint8_t *__restrict__ codes, int64_t code_stride,
+                int64_t num_subspaces, int64_t n, int64_t num_blocks,
+                int64_t scale_group, int64_t block_cols,
+                float *__restrict__ colmajor)
 {
     constexpr int64_t kChunk = 64;
     const int64_t num_groups =
@@ -857,7 +860,7 @@ gatherChunkVnni(const int8_t *__restrict__ q_quad,
                 const int64_t s = s0 + 4 * qd + j;
                 const uint8_t base = static_cast<uint8_t>(16 * j);
                 if (s < num_subspaces) {
-                    const uint8_t *lane = planar + s * kChunk;
+                    const uint8_t *lane = codes + s * code_stride;
                     for (int64_t r = 0; r < kChunk; ++r)
                         qidx[qd][r >> 4][4 * (r & 15) + j] =
                             static_cast<uint8_t>(lane[r] + base);
@@ -919,6 +922,104 @@ gatherChunkVnni(const int8_t *__restrict__ q_quad,
             }
         }
     }
+}
+
+/**
+ * Scalar move of the rectangle rows [r0, r1) x columns [c0, c1) from the
+ * column-major chunk (element (r, col) at colmajor[col * chunk + r]) into
+ * the row-major output (y[r * n + col]): the ragged edges of the register
+ * transposes, and the whole job on hosts without AVX2.
+ */
+inline void
+transposeEdge(const float *__restrict__ colmajor, int64_t chunk, int64_t r0,
+              int64_t r1, int64_t c0, int64_t c1, int64_t n,
+              float *__restrict__ y)
+{
+    for (int64_t r = r0; r < r1; ++r)
+        for (int64_t col = c0; col < c1; ++col)
+            y[r * n + col] = colmajor[col * chunk + r];
+}
+
+/**
+ * Column-major chunk -> row-major output, AVX-512 tier: whole 16 x 16
+ * tiles go through registers (16 column loads, a four-stage
+ * unpack/shuffle transpose, 16 row stores); ragged edges run scalar. Only
+ * moves values, so the output is bit-identical to any other order.
+ */
+__attribute__((target("avx512f"))) void
+transposeOutAvx512(const float *__restrict__ colmajor, int64_t chunk,
+                   int64_t rows, int64_t n, float *__restrict__ y)
+{
+    const int64_t rows16 = rows / 16 * 16, cols16 = n / 16 * 16;
+    for (int64_t r0 = 0; r0 < rows16; r0 += 16) {
+        for (int64_t c0 = 0; c0 < cols16; c0 += 16) {
+            // a[i] = column c0 + i, rows r0 .. r0 + 15.
+            __m512 a[16], b[16];
+            for (int64_t i = 0; i < 16; ++i)
+                a[i] = _mm512_loadu_ps(colmajor + (c0 + i) * chunk + r0);
+            // Interleave pairs, then quads: afterwards 128-bit lane L of
+            // a[4q + k] holds row 4L + k, columns 4q .. 4q + 3.
+            for (int64_t i = 0; i < 16; i += 2) {
+                b[i] = _mm512_unpacklo_ps(a[i], a[i + 1]);
+                b[i + 1] = _mm512_unpackhi_ps(a[i], a[i + 1]);
+            }
+            for (int64_t i = 0; i < 16; i += 4) {
+                a[i] = _mm512_shuffle_ps(b[i], b[i + 2], 0x44);
+                a[i + 1] = _mm512_shuffle_ps(b[i], b[i + 2], 0xEE);
+                a[i + 2] = _mm512_shuffle_ps(b[i + 1], b[i + 3], 0x44);
+                a[i + 3] = _mm512_shuffle_ps(b[i + 1], b[i + 3], 0xEE);
+            }
+            // Two rounds of 128-bit lane shuffles gather the four column
+            // quads of each row into one register: a[r] = row r.
+            for (int64_t i = 0; i < 4; ++i) {
+                b[i] = _mm512_shuffle_f32x4(a[i], a[i + 4], 0x88);
+                b[i + 4] = _mm512_shuffle_f32x4(a[i], a[i + 4], 0xDD);
+                b[i + 8] = _mm512_shuffle_f32x4(a[i + 8], a[i + 12], 0x88);
+                b[i + 12] = _mm512_shuffle_f32x4(a[i + 8], a[i + 12], 0xDD);
+            }
+            for (int64_t i = 0; i < 8; ++i) {
+                a[i] = _mm512_shuffle_f32x4(b[i], b[i + 8], 0x88);
+                a[i + 8] = _mm512_shuffle_f32x4(b[i], b[i + 8], 0xDD);
+            }
+            for (int64_t i = 0; i < 16; ++i)
+                _mm512_storeu_ps(y + (r0 + i) * n + c0, a[i]);
+        }
+        transposeEdge(colmajor, chunk, r0, r0 + 16, cols16, n, n, y);
+    }
+    transposeEdge(colmajor, chunk, rows16, rows, 0, n, n, y);
+}
+
+/** AVX2 twin of transposeOutAvx512 over 8 x 8 tiles. */
+__attribute__((target("avx2"))) void
+transposeOutAvx2(const float *__restrict__ colmajor, int64_t chunk,
+                 int64_t rows, int64_t n, float *__restrict__ y)
+{
+    const int64_t rows8 = rows / 8 * 8, cols8 = n / 8 * 8;
+    for (int64_t r0 = 0; r0 < rows8; r0 += 8) {
+        for (int64_t c0 = 0; c0 < cols8; c0 += 8) {
+            __m256 a[8], b[8];
+            for (int64_t i = 0; i < 8; ++i)
+                a[i] = _mm256_loadu_ps(colmajor + (c0 + i) * chunk + r0);
+            for (int64_t i = 0; i < 8; i += 2) {
+                b[i] = _mm256_unpacklo_ps(a[i], a[i + 1]);
+                b[i + 1] = _mm256_unpackhi_ps(a[i], a[i + 1]);
+            }
+            for (int64_t i = 0; i < 8; i += 4) {
+                a[i] = _mm256_shuffle_ps(b[i], b[i + 2], 0x44);
+                a[i + 1] = _mm256_shuffle_ps(b[i], b[i + 2], 0xEE);
+                a[i + 2] = _mm256_shuffle_ps(b[i + 1], b[i + 3], 0x44);
+                a[i + 3] = _mm256_shuffle_ps(b[i + 1], b[i + 3], 0xEE);
+            }
+            for (int64_t i = 0; i < 4; ++i) {
+                b[i] = _mm256_permute2f128_ps(a[i], a[i + 4], 0x20);
+                b[i + 4] = _mm256_permute2f128_ps(a[i], a[i + 4], 0x31);
+            }
+            for (int64_t i = 0; i < 8; ++i)
+                _mm256_storeu_ps(y + (r0 + i) * n + c0, b[i]);
+        }
+        transposeEdge(colmajor, chunk, r0, r0 + 8, cols8, n, n, y);
+    }
+    transposeEdge(colmajor, chunk, rows8, rows, 0, n, n, y);
 }
 
 } // namespace
@@ -987,52 +1088,72 @@ shuffleGatherChunkRows(util::SimdLevel level)
 
 void
 shuffleGatherChunk(util::SimdLevel level, const int8_t *q_quad,
-                   const float *scales, const uint8_t *planar,
-                   int64_t num_subspaces, int64_t n, int64_t num_blocks,
-                   int64_t scale_group, int64_t block_cols, float *colmajor)
+                   const float *scales, const uint8_t *codes,
+                   int64_t code_stride, int64_t num_subspaces, int64_t n,
+                   int64_t num_blocks, int64_t scale_group,
+                   int64_t block_cols, float *colmajor)
 {
     LUTDLA_CHECK(scale_group >= 1 && scale_group <= 16,
                  "shuffle gather supports scale groups of 1..16 subspaces");
+    LUTDLA_CHECK(code_stride >= shuffleGatherChunkRows(level),
+                 "code plane stride ", code_stride, " is shorter than a chunk");
     if (level >= util::SimdLevel::Avx512Vnni) {
         LUTDLA_CHECK(scale_group % 4 == 0,
                      "vnni gather needs a quad-aligned scale group");
-        gatherChunkVnni(q_quad, scales, planar, num_subspaces, n,
+        gatherChunkVnni(q_quad, scales, codes, code_stride, num_subspaces, n,
                         num_blocks, scale_group, block_cols, colmajor);
         return;
     }
     if (level >= util::SimdLevel::Avx512) {
-        gatherChunkAvx512(q_quad, scales, planar, num_subspaces, n,
-                          num_blocks, scale_group, block_cols, colmajor);
+        gatherChunkAvx512(q_quad, scales, codes, code_stride, num_subspaces,
+                          n, num_blocks, scale_group, block_cols, colmajor);
         return;
     }
     LUTDLA_CHECK(level == util::SimdLevel::Avx2,
                  "shuffleGatherChunk requires AVX2 or AVX-512");
-    gatherChunkAvx2(q_quad, scales, planar, num_subspaces, n, num_blocks,
-                    scale_group, block_cols, colmajor);
+    gatherChunkAvx2(q_quad, scales, codes, code_stride, num_subspaces, n,
+                    num_blocks, scale_group, block_cols, colmajor);
 }
 
 void
 shuffleGatherChunkInt4(util::SimdLevel level, const uint8_t *q4_il,
-                       const float *scales, const uint8_t *planar,
-                       int64_t num_subspaces, int64_t n, int64_t num_blocks,
-                       int64_t scale_group, int64_t block_cols,
-                       float *colmajor)
+                       const float *scales, const uint8_t *codes,
+                       int64_t code_stride, int64_t num_subspaces, int64_t n,
+                       int64_t num_blocks, int64_t scale_group,
+                       int64_t block_cols, float *colmajor)
 {
     LUTDLA_CHECK(scale_group >= 1 && scale_group <= 16,
                  "shuffle gather supports scale groups of 1..16 subspaces");
     LUTDLA_CHECK(block_cols % 2 == 0,
                  "INT4 shuffle gather needs an even scale block width so "
                  "a packed column pair never straddles a block");
+    LUTDLA_CHECK(code_stride >= shuffleGatherChunkRows(level),
+                 "code plane stride ", code_stride, " is shorter than a chunk");
     if (level >= util::SimdLevel::Avx512) {
-        gatherChunkInt4Avx512(q4_il, scales, planar, num_subspaces, n,
-                              num_blocks, scale_group, block_cols,
-                              colmajor);
+        gatherChunkInt4Avx512(q4_il, scales, codes, code_stride,
+                              num_subspaces, n, num_blocks, scale_group,
+                              block_cols, colmajor);
         return;
     }
     LUTDLA_CHECK(level == util::SimdLevel::Avx2,
                  "shuffleGatherChunkInt4 requires AVX2 or AVX-512");
-    gatherChunkInt4Avx2(q4_il, scales, planar, num_subspaces, n,
+    gatherChunkInt4Avx2(q4_il, scales, codes, code_stride, num_subspaces, n,
                         num_blocks, scale_group, block_cols, colmajor);
+}
+
+void
+transposeChunkOut(util::SimdLevel level, const float *colmajor,
+                  int64_t chunk, int64_t rows, int64_t n, float *y)
+{
+    if (level >= util::SimdLevel::Avx512) {
+        transposeOutAvx512(colmajor, chunk, rows, n, y);
+        return;
+    }
+    if (level == util::SimdLevel::Avx2) {
+        transposeOutAvx2(colmajor, chunk, rows, n, y);
+        return;
+    }
+    transposeEdge(colmajor, chunk, 0, rows, 0, n, n, y);
 }
 
 } // namespace lutdla::lutboost::simd

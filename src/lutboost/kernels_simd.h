@@ -39,9 +39,9 @@
  *    construction.
  *
  *  - shuffle gather (INT8 bank, c <= 16): the in-register table lookup
- *    the paper's DPE performs in hardware. Codes for a block of rows are
- *    laid out planar (one byte lane per row) and every tier reads the
- *    one quad-interleaved bank layout, where each (subspace, column)'s
+ *    the paper's DPE performs in hardware. Codes are read in place from
+ *    the vq::CodeBuffer planes (one byte lane per row, one plane per
+ *    subspace) and every tier reads the one quad-interleaved bank layout, where each (subspace, column)'s
  *    16 centroid entries are a quarter of a 64-byte block. VPSHUFB
  *    resolves 64 (AVX-512) / 32 (AVX2) rows' lookups per instruction
  *    from one 16-byte quarter; the VNNI tier resolves all four quarters
@@ -59,6 +59,11 @@
  *    column pair), and one bias-correcting subtract precedes the
  *    per-group dequantizing mul + add — again bit-identical to the
  *    scalar packed sweep.
+ *
+ *  - transpose-out: moves a chunk's column-major partial sums into the
+ *    row-major output through 16 x 16 (AVX-512) / 8 x 8 (AVX2) register
+ *    transposes, ragged edges scalar. Pure data movement, so bit-exact by
+ *    construction.
  */
 
 #include <cstdint>
@@ -145,8 +150,11 @@ int64_t shuffleGatherChunkRows(util::SimdLevel level);
  *                   padded past c and past the last subspace.
  * @param scales     dequant scales, one per (scale group, column block):
  *                   scales[g * num_blocks + block].
- * @param planar     planar codes for the chunk: code (s, row r) at
- *                   (s * chunk + r); values < 16.
+ * @param codes      code planes for the chunk: code (s, row r) at
+ *                   codes[s * code_stride + r], values < 16 — a
+ *                   vq::CodeBuffer's planes, read in place.
+ * @param code_stride bytes between two subspaces' lanes (at least one
+ *                   chunk).
  * @param num_subspaces / n / num_blocks / scale_group / block_cols
  *                   bank geometry (see LutTableArena).
  * @param colmajor   [n, chunk] output, overwritten: colmajor[col * chunk
@@ -154,9 +162,9 @@ int64_t shuffleGatherChunkRows(util::SimdLevel level);
  *                   transposes into the row-major output block.
  */
 void shuffleGatherChunk(util::SimdLevel level, const int8_t *q_quad,
-                        const float *scales, const uint8_t *planar,
-                        int64_t num_subspaces, int64_t n,
-                        int64_t num_blocks, int64_t scale_group,
+                        const float *scales, const uint8_t *codes,
+                        int64_t code_stride, int64_t num_subspaces,
+                        int64_t n, int64_t num_blocks, int64_t scale_group,
                         int64_t block_cols, float *colmajor);
 
 /**
@@ -181,10 +189,22 @@ void shuffleGatherChunk(util::SimdLevel level, const int8_t *q_quad,
  * a byte.
  */
 void shuffleGatherChunkInt4(util::SimdLevel level, const uint8_t *q4_il,
-                            const float *scales, const uint8_t *planar,
-                            int64_t num_subspaces, int64_t n,
-                            int64_t num_blocks, int64_t scale_group,
-                            int64_t block_cols, float *colmajor);
+                            const float *scales, const uint8_t *codes,
+                            int64_t code_stride, int64_t num_subspaces,
+                            int64_t n, int64_t num_blocks,
+                            int64_t scale_group, int64_t block_cols,
+                            float *colmajor);
+
+/**
+ * Copy the first `rows` lanes of a shuffle chunk's column-major partials
+ * into the row-major output: y[r * n + col] = colmajor[col * chunk + r]
+ * for r < rows, col < n. Whole 16 x 16 tiles run as AVX-512 register
+ * transposes at level >= Avx512, 8 x 8 tiles as AVX2 transposes at Avx2;
+ * ragged edges (and Generic) run scalar. `colmajor` may point into a
+ * chunk at a lane offset; `chunk` is its column stride.
+ */
+void transposeChunkOut(util::SimdLevel level, const float *colmajor,
+                       int64_t chunk, int64_t rows, int64_t n, float *y);
 
 } // namespace lutdla::lutboost::simd
 

@@ -52,7 +52,7 @@ void convArenaForward(const LutTableArena &arena, const ConvGeometry &geom,
 /**
  * Backend-dispatched variant of convArenaForward: the lowered GEMM runs as
  * an explicit encode -> gather pair through `backend` (reference float or
- * quantized; see lutboost/kernels.h) with packed codes in `kscratch`.
+ * quantized; see lutboost/kernels.h) with code planes in `kscratch`.
  * When `encode_ns` / `gather_ns` are non-null, the im2col + encode and
  * gather + NCHW-reshape phase times are accumulated into them — the
  * serving engine's encode/gather stat split. `encode` selects the argmin

@@ -116,6 +116,20 @@ quantizeEncodeLevel(float x, float lo, float inv)
     return static_cast<int32_t>(std::nearbyint(t));
 }
 
+/**
+ * Grow a scratch vector to at least `n` elements and return its data,
+ * never shrinking it: one scratch serves stages of different widths, and
+ * a shrink-then-grow would zero-fill the regrown part on every call.
+ */
+template <typename T>
+T *
+growScratch(std::vector<T> &v, int64_t n)
+{
+    if (v.size() < static_cast<size_t>(n))
+        v.resize(static_cast<size_t>(n));
+    return v.data();
+}
+
 inline int32_t
 argminScan(const float *__restrict__ d, int64_t c)
 {
@@ -262,71 +276,48 @@ sweepInt4ColOuter(const uint8_t *__restrict__ qbank,
     }
 }
 
-/**
- * Transpose the first `valid_rows` rows of one shuffle-gather chunk's
- * column-major accumulators ([n, chunk]) into the row-major output block
- * ([valid_rows, n]). 16x16 tiles keep both sides cache-friendly; values
- * are moved, never recomputed, so this cannot perturb numerics.
- */
-inline void
-transposeColMajorTail(const float *__restrict__ colmajor, int64_t chunk,
-                      int64_t n, int64_t valid_rows,
-                      float *__restrict__ yb)
-{
-    constexpr int64_t T = 16;
-    for (int64_t r0 = 0; r0 < valid_rows; r0 += T) {
-        const int64_t r1 = std::min(valid_rows, r0 + T);
-        for (int64_t c0 = 0; c0 < n; c0 += T) {
-            const int64_t c1 = std::min(n, c0 + T);
-            for (int64_t r = r0; r < r1; ++r)
-                for (int64_t col = c0; col < c1; ++col)
-                    yb[r * n + col] = colmajor[col * chunk + r];
-        }
-    }
-}
-
 } // namespace
 
 template <typename Kernel, typename Sink>
 void
 LutTableArena::encodeBySubspace(const float *x, int64_t rows,
-                                Kernel &&kernel, Sink &&sink) const
+                                EncodeScratch &scratch, Kernel &&kernel,
+                                Sink &&sink) const
 {
     // Subspace-outer: one subspace's codebook stays L1-resident across the
-    // whole batch. Full subspaces are read in place (row stride K); the
-    // ragged tail is zero-padded into a compact [rows, v] plane, exactly
-    // like ProductQuantizer::extractSubvector, and encoded the same way.
+    // whole batch, and its codes come out as one contiguous block — the
+    // shape of a CodeBuffer plane. Full subspaces are read in place (row
+    // stride K); the ragged tail is zero-padded into a compact [rows, v]
+    // plane, exactly like ProductQuantizer::extractSubvector, and encoded
+    // the same way.
     const int64_t v = subvector_len_;
     const int64_t full_subspaces =
         in_features_ % v == 0 ? num_subspaces_ : num_subspaces_ - 1;
-    std::vector<int32_t> block(static_cast<size_t>(rows));
-    const auto emit = [&](int64_t s) {
-        for (int64_t i = 0; i < rows; ++i)
-            sink(i, s, block[static_cast<size_t>(i)]);
-    };
+    scratch.block.resize(static_cast<size_t>(rows));
+    int32_t *block = scratch.block.data();
     for (int64_t s = 0; s < full_subspaces; ++s) {
-        kernel(x + s * v, in_features_, s, block.data());
-        emit(s);
+        kernel(x + s * v, in_features_, s, block);
+        sink(s, static_cast<const int32_t *>(block));
     }
     if (full_subspaces < num_subspaces_) {
         const int64_t s = full_subspaces;
         const int64_t base = s * v;
-        std::vector<float> padded(static_cast<size_t>(rows * v), 0.0f);
+        scratch.padded.assign(static_cast<size_t>(rows * v), 0.0f);
         for (int64_t i = 0; i < rows; ++i) {
             const float *row = x + i * in_features_;
-            float *dst = padded.data() + i * v;
+            float *dst = scratch.padded.data() + i * v;
             for (int64_t t = 0; t < v && base + t < in_features_; ++t)
                 dst[t] = row[base + t];
         }
-        kernel(padded.data(), v, s, block.data());
-        emit(s);
+        kernel(scratch.padded.data(), v, s, block);
+        sink(s, static_cast<const int32_t *>(block));
     }
 }
 
 template <vq::Metric M, typename Sink>
 void
 LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
-                              Sink &&sink) const
+                              EncodeScratch &scratch, Sink &&sink) const
 {
     const int64_t v = subvector_len_, c = num_centroids_;
     // Register-resident fast path, dispatched on the RUNNING CPU (cpuid,
@@ -336,7 +327,7 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
         const util::SimdLevel level = util::simdLevel();
         if (simd::encodeL2GenericSupported(level, c)) {
             encodeBySubspace(
-                x, rows,
+                x, rows, scratch,
                 [&](const float *xs, int64_t stride, int64_t s,
                     int32_t *out) {
                     simd::encodeL2GenericRows(level, xs, rows, stride,
@@ -346,14 +337,14 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
             return;
         }
     }
-    std::vector<float> dist(static_cast<size_t>(c));
+    scratch.dist.resize(static_cast<size_t>(c));
+    float *dist = scratch.dist.data();
     encodeBySubspace(
-        x, rows,
+        x, rows, scratch,
         [&](const float *xs, int64_t stride, int64_t s, int32_t *out) {
             for (int64_t i = 0; i < rows; ++i) {
-                distanceAll<M>(xs + i * stride, codebookT(s), c, v,
-                               dist.data());
-                out[i] = argminScan(dist.data(), c);
+                distanceAll<M>(xs + i * stride, codebookT(s), c, v, dist);
+                out[i] = argminScan(dist, c);
             }
         },
         sink);
@@ -362,61 +353,70 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
 template <typename Sink>
 void
 LutTableArena::encodeDispatch(const float *x, int64_t rows,
-                              Sink &&sink) const
+                              EncodeScratch &scratch, Sink &&sink) const
 {
     switch (metric_) {
       case vq::Metric::L2:
-        encodeRowsImpl<vq::Metric::L2>(x, rows, sink);
+        encodeRowsImpl<vq::Metric::L2>(x, rows, scratch, sink);
         return;
       case vq::Metric::L1:
-        encodeRowsImpl<vq::Metric::L1>(x, rows, sink);
+        encodeRowsImpl<vq::Metric::L1>(x, rows, scratch, sink);
         return;
       case vq::Metric::Chebyshev:
-        encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, sink);
+        encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, scratch, sink);
         return;
     }
 }
 
 void
-LutTableArena::encodeRows(const float *x, int64_t rows, int32_t *codes) const
+LutTableArena::encodeRows(const float *x, int64_t rows, int32_t *codes,
+                          EncodeScratch &scratch) const
 {
-    encodeDispatch(x, rows, [codes, this](int64_t i, int64_t s,
-                                          int32_t code) {
-        codes[i * num_subspaces_ + s] = code;
-    });
+    encodeDispatch(x, rows, scratch,
+                   [codes, rows, this](int64_t s, const int32_t *block) {
+                       for (int64_t i = 0; i < rows; ++i)
+                           codes[i * num_subspaces_ + s] = block[i];
+                   });
+}
+
+const float *
+LutTableArena::stageRows(const float *x, int64_t row0, int64_t rows,
+                         std::vector<float> &staging) const
+{
+    const float *xb = x + row0 * in_features_;
+    if (!bf16_inputs_)
+        return xb;
+    staging.assign(xb, xb + rows * in_features_);
+    for (float &value : staging)
+        value = vq::toBf16(value);
+    return staging.data();
 }
 
 void
 LutTableArena::encodeBatch(const float *x, int64_t rows,
                            vq::CodeBuffer &codes,
-                           std::vector<float> &staging) const
+                           EncodeScratch &scratch) const
 {
     codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeBlock(x, 0, rows, codes, staging);
+    encodeBlock(x, 0, rows, codes, scratch);
 }
 
 void
 LutTableArena::encodeBlock(const float *x, int64_t row0, int64_t rows,
                            vq::CodeBuffer &codes,
-                           std::vector<float> &staging) const
+                           EncodeScratch &scratch) const
 {
-    const float *xb = x + row0 * in_features_;
-    if (bf16_inputs_) {
-        staging.assign(xb, xb + rows * in_features_);
-        for (float &value : staging)
-            value = vq::toBf16(value);
-        xb = staging.data();
-    }
-    encodeDispatch(xb, rows,
-                   [&codes, row0](int64_t i, int64_t s, int32_t code) {
-                       codes.set(row0 + i, s, code);
+    encodeDispatch(stageRows(x, row0, rows, scratch.staging), rows, scratch,
+                   [&codes, row0, rows](int64_t s, const int32_t *block) {
+                       codes.storeCodes(s, row0, block, rows);
                    });
 }
 
 template <typename Sink>
 void
 LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
-                              EncodeVariant variant, Sink &&sink) const
+                              EncodeVariant variant, EncodeScratch &scratch,
+                              Sink &&sink) const
 {
     const Int8EncodeBank &bank = *int8_encode_bank_;
     const int64_t v = subvector_len_, c = num_centroids_;
@@ -441,9 +441,10 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
     // scores and the strict-< lowest-index argmin with the SIMD tiers, so
     // every variant selects bit-identical codes; the property tests pin
     // it.
-    std::vector<int32_t> xq(static_cast<size_t>(v));
+    scratch.xq.resize(static_cast<size_t>(v));
+    int32_t *xq = scratch.xq.data();
     encodeBySubspace(
-        x, rows,
+        x, rows, scratch,
         [&](const float *xs, int64_t stride, int64_t s, int32_t *out) {
             const int32_t *norms = bank.norms.data() + s * bank.norm_stride;
             const float lo = bank.lo[static_cast<size_t>(s)];
@@ -459,16 +460,14 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
             for (int64_t i = 0; i < rows; ++i) {
                 const float *sub = xs + i * stride;
                 for (int64_t t = 0; t < v; ++t)
-                    xq[static_cast<size_t>(t)] =
-                        quantizeEncodeLevel(sub[t], lo, inv);
+                    xq[t] = quantizeEncodeLevel(sub[t], lo, inv);
                 int32_t best = 0;
                 int32_t best_score = std::numeric_limits<int32_t>::max();
                 for (int64_t j = 0; j < c; ++j) {
                     const int8_t *crow = cs + j * v;
                     int32_t dot = 0;
                     for (int64_t t = 0; t < v; ++t)
-                        dot += xq[static_cast<size_t>(t)] *
-                               static_cast<int32_t>(crow[t]);
+                        dot += xq[t] * static_cast<int32_t>(crow[t]);
                     const int32_t score = norms[j] - 2 * dot;
                     if (score < best_score) {
                         best_score = score;
@@ -484,31 +483,25 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
 void
 LutTableArena::encodeBatchInt8(const float *x, int64_t rows,
                                vq::CodeBuffer &codes,
-                               std::vector<float> &staging,
+                               EncodeScratch &scratch,
                                EncodeVariant variant) const
 {
     codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeBlockInt8(x, 0, rows, codes, staging, variant);
+    encodeBlockInt8(x, 0, rows, codes, scratch, variant);
 }
 
 void
 LutTableArena::encodeBlockInt8(const float *x, int64_t row0, int64_t rows,
                                vq::CodeBuffer &codes,
-                               std::vector<float> &staging,
+                               EncodeScratch &scratch,
                                EncodeVariant variant) const
 {
     LUTDLA_CHECK(int8_encode_bank_ != nullptr,
                  "encodeBlockInt8 requires ensureInt8EncodeBank() first");
-    const float *xb = x + row0 * in_features_;
-    if (bf16_inputs_) {
-        staging.assign(xb, xb + rows * in_features_);
-        for (float &value : staging)
-            value = vq::toBf16(value);
-        xb = staging.data();
-    }
-    encodeRowsInt8(xb, rows, variant,
-                   [&codes, row0](int64_t i, int64_t s, int32_t code) {
-                       codes.set(row0 + i, s, code);
+    encodeRowsInt8(stageRows(x, row0, rows, scratch.staging), rows, variant,
+                   scratch,
+                   [&codes, row0, rows](int64_t s, const int32_t *block) {
+                       codes.storeCodes(s, row0, block, rows);
                    });
 }
 
@@ -554,17 +547,17 @@ LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, int64_t row0,
     const int64_t n = out_features_;
     for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
         const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
-        scratch.unpacked.resize(static_cast<size_t>(bn * num_subspaces_));
-        codes.unpackRows(b0, bn, scratch.unpacked.data());
+        int32_t *unpacked = growScratch(scratch.unpacked, bn * num_subspaces_);
+        codes.unpackRows(b0, bn, unpacked);
         float *yb = y + b0 * n;
         std::fill(yb, yb + bn * n, 0.0f);
-        // Same ascending-subspace accumulation as forwardBatch: packing
-        // round-trips codes exactly, so this phase split stays bit-exact
-        // with the fused reference kernel.
+        // Same ascending-subspace accumulation as forwardBatch: the code
+        // buffer round-trips codes exactly, so this phase split stays
+        // bit-exact with the fused reference kernel.
         if (bn >= kTileMinRows)
-            sweepBlockGrouped(scratch.unpacked.data(), bn, yb);
+            sweepBlockGrouped(unpacked, bn, yb);
         else
-            sweepBlockSimple(scratch.unpacked.data(), bn, yb);
+            sweepBlockSimple(unpacked, bn, yb);
         addBias(yb, bn);
     }
 }
@@ -587,25 +580,25 @@ variantLevel(Variant variant)
 }
 
 /**
- * Rows per shuffle chunk for a resolved (non-Auto) quantized-gather
- * variant, 0 for the scalar sweep — after checking the variant can run:
- * its shuffle layout must exist (c <= 16 on a SIMD host) and this CPU
- * must provide its SIMD level.
+ * SIMD level of a resolved (non-Auto) quantized-gather variant, Generic
+ * for the scalar sweep — after checking the variant can run: its shuffle
+ * layout must exist (c <= 16 on a SIMD host) and this CPU must provide
+ * its SIMD level.
  */
 template <typename Variant>
-int64_t
-checkedChunkRows(Variant variant, bool layout_built, int64_t c)
+util::SimdLevel
+checkedLevel(Variant variant, bool layout_built, int64_t c)
 {
     const util::SimdLevel level = variantLevel(variant);
     if (level == util::SimdLevel::Generic)
-        return 0;
+        return level;
     LUTDLA_CHECK(layout_built, "shuffle gather needs c <= 16 (got c = ", c,
                  "); use the scalar variant");
     LUTDLA_CHECK(level <= util::simdLevel(),
                  "requested shuffle variant needs ",
                  util::simdLevelName(level), " but this CPU provides ",
                  util::simdLevelName(util::simdLevel()));
-    return simd::shuffleGatherChunkRows(level);
+    return level;
 }
 
 } // namespace
@@ -614,34 +607,42 @@ template <typename Chunk, typename Sweep>
 void
 LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, int64_t row0,
                                int64_t rows, float *y,
-                               GatherScratch &scratch, int64_t chunk,
-                               Chunk &&run_chunk, Sweep &&sweep) const
+                               GatherScratch &scratch,
+                               util::SimdLevel level, Chunk &&run_chunk,
+                               Sweep &&sweep) const
 {
     checkGatherSpan(codes, row0, rows);
     const int64_t n = out_features_;
+    const int64_t chunk = simd::shuffleGatherChunkRows(level);
+    float *colmajor = nullptr;
+    if (chunk > 0) {
+        LUTDLA_CHECK(codes.bits() == 8,
+                     "shuffle gather reads one byte per code");
+        colmajor = growScratch(scratch.colmajor, n * chunk);
+    }
     for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
         const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
         float *yb = y + b0 * n;
-        // Whole chunks run through the shuffle kernel. A row tail still
-        // worth a vector pass runs PADDED through one more chunk: pad
-        // lanes carry code 0 (a valid index), their columns are computed
-        // and never copied out — cheaper than the scalar sweep above
-        // ~chunk/4 rows, and bit-exact because the valid lanes see
-        // identical math.
+        // Whole chunks run through the shuffle kernel straight off the
+        // code planes. A row tail still worth a vector pass runs PADDED
+        // through one more chunk — cheaper than the scalar sweep above
+        // ~chunk/4 rows. Its extra lanes read the plane's zero pad or a
+        // neighbouring span's valid codes (valid indices either way);
+        // near the end of the plane the window slides back so it stays
+        // inside the buffer. Those lanes are computed and never copied
+        // out, and the valid lanes see identical math, so it is bit-exact.
+        // Planes shorter than a chunk (tiny batches, stored unpadded) take
+        // the scalar sweep.
         int64_t done = 0;
-        while (chunk > 0 && bn - done >= chunk / 4) {
+        while (chunk > 0 && chunk <= codes.planeStride() &&
+               bn - done >= chunk / 4) {
             const int64_t valid = std::min(chunk, bn - done);
-            scratch.planar.resize(
-                static_cast<size_t>(num_subspaces_ * chunk));
-            scratch.colmajor.resize(static_cast<size_t>(n * chunk));
-            if (valid < chunk)
-                std::fill(scratch.planar.begin(), scratch.planar.end(),
-                          uint8_t{0});
-            codes.unpackPlanar(b0 + done, valid, scratch.planar.data(),
-                               chunk);
-            run_chunk(scratch.planar.data(), scratch.colmajor.data());
-            transposeColMajorTail(scratch.colmajor.data(), chunk, n, valid,
-                                  yb + done * n);
+            const int64_t first = b0 + done;
+            const int64_t lane0 =
+                std::min(first, codes.planeStride() - chunk);
+            run_chunk(codes.plane(0) + lane0, codes.planeStride(), colmajor);
+            simd::transposeChunkOut(level, colmajor + (first - lane0), chunk,
+                                    valid, n, yb + done * n);
             done += valid;
         }
         if (done < bn) {
@@ -649,12 +650,12 @@ LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, int64_t row0,
             // identical group scales and exact integer accumulation, so
             // the seam between paths is invisible in the output.
             const int64_t tail = bn - done;
-            scratch.unpacked.resize(
-                static_cast<size_t>(tail * num_subspaces_));
-            codes.unpackRows(b0 + done, tail, scratch.unpacked.data());
+            int32_t *unpacked =
+                growScratch(scratch.unpacked, tail * num_subspaces_);
+            codes.unpackRows(b0 + done, tail, unpacked);
             float *yt = yb + done * n;
             std::fill(yt, yt + tail * n, 0.0f);
-            sweep(scratch.unpacked.data(), tail, yt);
+            sweep(unpacked, tail, yt);
         }
         addBias(yb, bn);
     }
@@ -679,13 +680,13 @@ LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes,
     const Int8Bank &bank = *int8_bank_;
     if (variant == Int8GatherVariant::Auto)
         variant = int8AutoVariant();
-    const util::SimdLevel level = variantLevel(variant);
+    const util::SimdLevel level =
+        checkedLevel(variant, !bank.q_quad.empty(), num_centroids_);
     gatherQuantized(
-        codes, row0, rows, y, scratch,
-        checkedChunkRows(variant, !bank.q_quad.empty(), num_centroids_),
-        [&](const uint8_t *planar, float *colmajor) {
+        codes, row0, rows, y, scratch, level,
+        [&](const uint8_t *lanes, int64_t stride, float *colmajor) {
             simd::shuffleGatherChunk(level, bank.q_quad.data(),
-                                     bank.scales.data(), planar,
+                                     bank.scales.data(), lanes, stride,
                                      num_subspaces_, out_features_,
                                      bank.num_blocks, kInt8ScaleGroup,
                                      kInt8BlockCols, colmajor);
@@ -717,13 +718,13 @@ LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes,
     const Int4Bank &bank = *int4_bank_;
     if (variant == Int4GatherVariant::Auto)
         variant = int4AutoVariant();
-    const util::SimdLevel level = variantLevel(variant);
+    const util::SimdLevel level =
+        checkedLevel(variant, !bank.q4_il.empty(), num_centroids_);
     gatherQuantized(
-        codes, row0, rows, y, scratch,
-        checkedChunkRows(variant, !bank.q4_il.empty(), num_centroids_),
-        [&](const uint8_t *planar, float *colmajor) {
+        codes, row0, rows, y, scratch, level,
+        [&](const uint8_t *lanes, int64_t stride, float *colmajor) {
             simd::shuffleGatherChunkInt4(
-                level, bank.q4_il.data(), bank.scales.data(), planar,
+                level, bank.q4_il.data(), bank.scales.data(), lanes, stride,
                 num_subspaces_, out_features_, bank.num_blocks,
                 kInt4ScaleGroup, kInt4BlockCols, colmajor);
         },
@@ -1190,21 +1191,13 @@ LutTableArena::forwardBatch(const float *x, int64_t rows, float *y) const
 {
     const int64_t n = out_features_;
     std::vector<int32_t> codes;
-    std::vector<float> rounded;  // BF16 staging, reused across blocks
+    EncodeScratch scratch;  // reused across blocks
 
     for (int64_t b0 = 0; b0 < rows; b0 += kRowBlock) {
         const int64_t bn = std::min(kRowBlock, rows - b0);
-        const float *xb = x + b0 * in_features_;
-
-        if (bf16_inputs_) {
-            rounded.assign(xb, xb + bn * in_features_);
-            for (float &value : rounded)
-                value = vq::toBf16(value);
-            xb = rounded.data();
-        }
-
         codes.resize(static_cast<size_t>(bn * num_subspaces_));
-        encodeRows(xb, bn, codes.data());
+        encodeRows(stageRows(x, b0, bn, scratch.staging), bn, codes.data(),
+                   scratch);
 
         float *yb = y + b0 * n;
         std::fill(yb, yb + bn * n, 0.0f);

@@ -19,17 +19,20 @@
  *
  * Execution model: inference splits into two phases the serving data plane
  * drives separately (see lutboost/kernels.h for the pluggable dispatch):
- *  - encode: `encodeBatch` / `encodeBlock` argmin-encode rows into a
- *    bit-packed vq::CodeBuffer (BF16 input rounding applied when the
- *    arena demands it). L2 arenas with 2 <= c <= 64 dispatch to the
- *    runtime-selected SIMD argmin (lutboost/kernels_simd.h).
+ *  - encode: `encodeBatch` / `encodeBlock` argmin-encode rows into the
+ *    planar vq::CodeBuffer, one contiguous block of codes per subspace
+ *    (BF16 input rounding applied when the arena demands it). L2 arenas
+ *    with 2 <= c <= 64 dispatch to the runtime-selected SIMD argmin
+ *    (lutboost/kernels_simd.h).
  *  - gather: `gatherAccumulate` sweeps the float table bank,
  *    `gatherAccumulateInt8` sweeps the INT8-quantized bank, and
  *    `gatherAccumulateInt4` sweeps the nibble-packed INT4 bank. For
  *    c <= 16 the quantized gathers run as an in-register shuffle lookup
  *    (AVX-512 VPSHUFB or VPERMB over 64-row chunks, AVX2 VPSHUFB over
- *    32) against the bank's one interleaved layout — the INT4 variant
- *    adds one unpack-and-shift per chunk to split the two nibble planes;
+ *    32) against the bank's one interleaved layout, reading the code
+ *    planes in place and transposing each chunk's column-major partials
+ *    out with a SIMD register transpose — the INT4 variant adds one
+ *    unpack-and-shift per lookup to split the two nibble planes;
  *    otherwise (and for row tails) a scalar group sweep runs. All paths
  *    of one bank share exact integer accumulation under
  *    per-(subspace-group, column-block) scales, so every variant of a
@@ -53,6 +56,7 @@
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "util/cpu_features.h"
 #include "vq/code_buffer.h"
 #include "vq/distance.h"
 #include "vq/lut.h"
@@ -61,15 +65,29 @@
 namespace lutdla::lutboost {
 
 /**
- * Reusable per-caller gather scratch: the per-block unpacked codes the
- * scalar sweeps run on, plus the planar code lanes and column-major
- * accumulator plane the shuffle gather uses. Caller-owned so steady-state
- * batches perform no allocations; one per concurrent caller.
+ * Reusable per-caller encode scratch: the BF16 staging rows plus the
+ * per-subspace working buffers of the encode driver. Caller-owned so
+ * steady-state encode calls perform no allocations; one per concurrent
+ * caller (each encode shard brings its own).
+ */
+struct EncodeScratch
+{
+    std::vector<float> staging;  ///< BF16-rounded input rows
+    std::vector<float> padded;   ///< [rows, v] zero-padded tail subspace
+    std::vector<int32_t> block;  ///< [rows] one subspace's codes
+    std::vector<float> dist;     ///< [c] distances (scalar float encode)
+    std::vector<int32_t> xq;     ///< [v] quantized subvector (scalar INT8)
+};
+
+/**
+ * Reusable per-caller gather scratch: the per-block row-major codes the
+ * scalar sweeps run on, plus the column-major accumulator plane the
+ * shuffle gather uses. Caller-owned so steady-state batches perform no
+ * allocations; one per concurrent caller.
  */
 struct GatherScratch
 {
     std::vector<int32_t> unpacked;  ///< [block rows, Nc] row-major codes
-    std::vector<uint8_t> planar;    ///< [Nc, chunk] planar code lanes
     std::vector<float> colmajor;    ///< [N, chunk] shuffle accumulators
 };
 
@@ -166,30 +184,31 @@ class LutTableArena
     /**
      * Encode `rows` rows of `x` (each `inFeatures()` wide, already
      * BF16-rounded when the arena demands it) into `codes` ([rows, Nc],
-     * row-major). Thread-safe.
+     * row-major int32). Thread-safe with distinct scratch.
      */
-    void encodeRows(const float *x, int64_t rows, int32_t *codes) const;
+    void encodeRows(const float *x, int64_t rows, int32_t *codes,
+                    EncodeScratch &scratch) const;
 
     /**
-     * Encode phase of the split execution model: resize `codes` for
-     * [rows, Nc] at this arena's packed code width and fill it. Unlike
+     * Encode phase of the split execution model: reset `codes` for
+     * [rows, Nc] at this arena's code width and fill it. Unlike
      * encodeRows, this applies the arena's BF16 input rounding itself,
-     * staging rounded rows in `staging` (caller-owned so steady-state
-     * batches do not allocate). Thread-safe with distinct scratch.
+     * staging rounded rows in `scratch.staging` (caller-owned so
+     * steady-state batches do not allocate). Thread-safe with distinct
+     * scratch.
      */
     void encodeBatch(const float *x, int64_t rows, vq::CodeBuffer &codes,
-                     std::vector<float> &staging) const;
+                     EncodeScratch &scratch) const;
 
     /**
      * Shardable encode span: encode rows [row0, row0 + rows) of the full
-     * batch `x` into an already-reset `codes` buffer. Packed rows are
-     * byte-aligned, so concurrent shards writing disjoint row spans of
-     * one shared CodeBuffer never race. Thread-safe with distinct
-     * `staging` per shard.
+     * batch `x` into an already-reset `codes` buffer. Each subspace's
+     * codes land as one contiguous byte run of its plane, so concurrent
+     * shards writing disjoint row spans of one shared CodeBuffer never
+     * share a byte. Thread-safe with distinct `scratch` per shard.
      */
     void encodeBlock(const float *x, int64_t row0, int64_t rows,
-                     vq::CodeBuffer &codes,
-                     std::vector<float> &staging) const;
+                     vq::CodeBuffer &codes, EncodeScratch &scratch) const;
 
     /**
      * INT8 twins of encodeBatch / encodeBlock: argmin-encode over the
@@ -200,15 +219,15 @@ class LutTableArena
      * encode the codes carry a top-1 agreement envelope instead (see
      * docs/SERVING.md). BF16 input rounding still applies first, and
      * ragged tail subspaces are zero-padded exactly like the float path.
-     * L2 metric only. Thread-safe with distinct `staging` per shard.
+     * L2 metric only. Thread-safe with distinct `scratch` per shard.
      */
     void encodeBatchInt8(const float *x, int64_t rows,
-                         vq::CodeBuffer &codes, std::vector<float> &staging,
+                         vq::CodeBuffer &codes, EncodeScratch &scratch,
                          EncodeVariant variant = EncodeVariant::Auto) const;
 
     /** Shardable INT8 encode span; see encodeBlock for the contract. */
     void encodeBlockInt8(const float *x, int64_t row0, int64_t rows,
-                         vq::CodeBuffer &codes, std::vector<float> &staging,
+                         vq::CodeBuffer &codes, EncodeScratch &scratch,
                          EncodeVariant variant = EncodeVariant::Auto) const;
 
     /**
@@ -532,23 +551,32 @@ class LutTableArena
      * `kernel(xs, stride, s, out)` once per subspace to write `rows`
      * codes into `out` (full subspaces read in place at stride K, the
      * ragged tail from a zero-padded [rows, v] plane at stride v), then
-     * hands each code to `sink(i, s, code)`. */
+     * hands that subspace's whole code block to `sink(s, block)` once.
+     * Works out of `scratch.block` / `scratch.padded`. */
     template <typename Kernel, typename Sink>
-    void encodeBySubspace(const float *x, int64_t rows, Kernel &&kernel,
+    void encodeBySubspace(const float *x, int64_t rows,
+                          EncodeScratch &scratch, Kernel &&kernel,
                           Sink &&sink) const;
 
     template <vq::Metric M, typename Sink>
-    void encodeRowsImpl(const float *x, int64_t rows, Sink &&sink) const;
+    void encodeRowsImpl(const float *x, int64_t rows, EncodeScratch &scratch,
+                        Sink &&sink) const;
 
     template <typename Sink>
-    void encodeDispatch(const float *x, int64_t rows, Sink &&sink) const;
+    void encodeDispatch(const float *x, int64_t rows, EncodeScratch &scratch,
+                        Sink &&sink) const;
 
     /** INT8 encode over `rows` already-staged rows: per-subspace scalar
-     * integer reference or SIMD kernel per `variant` (Auto resolved by
-     * the caller). Shared by encodeBatchInt8 / encodeBlockInt8. */
+     * integer reference or SIMD kernel per `variant`. Shared by
+     * encodeBatchInt8 / encodeBlockInt8. */
     template <typename Sink>
     void encodeRowsInt8(const float *x, int64_t rows, EncodeVariant variant,
-                        Sink &&sink) const;
+                        EncodeScratch &scratch, Sink &&sink) const;
+
+    /** BF16-round rows [row0, row0 + rows) of `x` into `staging` when the
+     * arena demands it; returns the rows the encode should read. */
+    const float *stageRows(const float *x, int64_t row0, int64_t rows,
+                           std::vector<float> &staging) const;
 
     /** Row-major accumulate: optimal for tiny batches. */
     void sweepBlockSimple(const int32_t *codes, int64_t bn, float *yb) const;
@@ -565,16 +593,19 @@ class LutTableArena
     /**
      * Block -> full-chunk -> padded-tail -> scalar-tail driver shared by
      * the INT8 and INT4 gathers. Per kRowBlock block, rows run through
-     * `run_chunk(planar, colmajor)` in `chunk`-row shuffle chunks (0 =
-     * scalar only); a tail of at least chunk/4 rows runs padded through
-     * one more chunk, and a smaller tail through `sweep(codes, rows, y)`
-     * over a zeroed output. Both paths share the bank's exact integer
-     * accumulation, so every seam is bit-invisible.
+     * `run_chunk(codes, code_stride, colmajor)` in shuffle chunks of
+     * simd::shuffleGatherChunkRows(level) rows (Generic = scalar only),
+     * reading the code planes in place; a tail of at least chunk/4 rows
+     * runs padded through one more chunk, and a smaller tail through
+     * `sweep(codes, rows, y)` over a zeroed output. Chunk partials reach
+     * the output through the SIMD transpose at `level`. Both paths share
+     * the bank's exact integer accumulation, so every seam is
+     * bit-invisible.
      */
     template <typename Chunk, typename Sweep>
     void gatherQuantized(const vq::CodeBuffer &codes, int64_t row0,
                          int64_t rows, float *y, GatherScratch &scratch,
-                         int64_t chunk, Chunk &&run_chunk,
+                         util::SimdLevel level, Chunk &&run_chunk,
                          Sweep &&sweep) const;
 
     /** Add the packed bias row to `bn` output rows (no-op without bias). */

@@ -34,7 +34,7 @@
  *
  * Both builders finish with the planning pass (serve/plan.h): LUT stages
  * are bound to the kernel backend the PlanOptions select (bit-exact
- * float32 by default, packed-code + INT8-table quantized on request) and
+ * float32 by default, INT8-table quantized on request) and
  * fusable neighbors (pointwise epilogues, width-adapt prologues) fold
  * into them. The resulting per-stage decisions are inspectable through
  * plan() / planSummary().

@@ -9,7 +9,7 @@
  *
  *  - precision selection: every LUT stage (ArenaStage / ConvStage /
  *    AttentionStage) is bound to a lutboost::KernelBackend (bit-exact
- *    float32 reference, packed-code + INT8-table, or nibble-packed
+ *    float32 reference, INT8-table, or nibble-packed
  *    INT4-table) — globally via PlanOptions::table_precision or
  *    heterogeneously via PlanOptions::stage_precision — and each bound
  *    quantized bank is built eagerly so serving never pays the cost;
@@ -26,7 +26,7 @@
  *    whole ping-pong plane pass.
  *
  * Each planned node is recorded as a StagePlan — final label, what got
- * folded in, the packed code width, the table precision — surfaced
+ * folded in, the stored code width, the table precision — surfaced
  * through FrozenModel::plan()/planSummary() so examples and reports can
  * show exactly what the data plane will run. See docs/SERVING.md for the
  * fusion rule table.
@@ -106,7 +106,7 @@ struct PlanOptions
      * Row-tile size for the streaming segment executor (see
      * FrozenModel::forwardBatch): 0 = auto — the largest multiple of the
      * segment's gather granule whose streamed working set (tile in-plane
-     * + packed codes + tile out-plane, at the segment's widest stage)
+     * + code planes + tile out-plane, at the segment's widest stage)
      * fits tile_cache_bytes; -1 = disable tiling entirely (full-batch
      * phase barriers, the pre-tiling executor — what the bench A/B
      * measures against); > 0 = force this many rows per tile. Any value
@@ -129,7 +129,8 @@ struct StagePlan
     std::string kind;         ///< base stage kind, e.g. "lut-gemm"
     std::string description;  ///< planned label, e.g. "lut-gemm[int8]+relu"
     std::vector<std::string> fused;  ///< kinds of stages folded in
-    int code_bits = 0;        ///< packed code width; 0 for non-LUT stages
+    int code_bits = 0;        ///< stored bits per code (8 or 16); 0 for
+                              ///< non-LUT stages
     TablePrecision precision = TablePrecision::Float32;  ///< LUT stages
     /** RESOLVED encode-phase precision (Float32 when the stage's arena
      * cannot honor an Int8 request). */

@@ -154,10 +154,11 @@ ArenaStage::tileGranuleRows() const
 int64_t
 ArenaStage::tileScratchBytesPerRow() const
 {
-    // Packed centroid codes the tile carries between encode and gather,
-    // plus the width-adapt materialization when a prologue was fused in.
-    const int64_t code_bits = vq::codeBitsFor(arena_->numCentroids());
-    int64_t bytes = (arena_->numSubspaces() * code_bits + 7) / 8;
+    // Centroid codes the tile carries between encode and gather (one
+    // plane byte per code, two above 256 centroids), plus the width-adapt
+    // materialization when a prologue was fused in.
+    int64_t bytes = arena_->numSubspaces() *
+                    (vq::codeBitsFor(arena_->numCentroids()) / 8);
     if (adapt_in_ > 0)
         bytes += arena_->inFeatures() *
                  static_cast<int64_t>(sizeof(float));

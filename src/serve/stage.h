@@ -15,10 +15,10 @@
  * execute as "for stage in stages: stage.forward".
  *
  * Execution model: LUT stages do no inline math. They emit two kernel
- * calls — encodeBatch (rows -> bit-packed centroid indices) and
+ * calls — encodeBatch (rows -> planar centroid indices) and
  * gatherAccumulate (indices -> accumulated table rows) — dispatched
  * through the lutboost::KernelBackend chosen at plan time (reference
- * float = bit-exact, quantized = packed codes + INT8 tables), and then
+ * float = bit-exact, quantized = INT8 or INT4 tables), and then
  * apply any epilogue ops the planner fused in (pointwise activations,
  * trace width adaptation) while the output is still cache-hot. The two
  * phase times are accumulated into StageScratch for the per-lane stats
@@ -95,7 +95,7 @@ enum class PointwiseOp
 /**
  * Per-worker reusable buffers for one in-flight batch: the ping-pong
  * activation planes the stage chain alternates between, the conv path's
- * im2col/GEMM scratch, the kernel backend's packed-code buffers, and the
+ * im2col/GEMM scratch, the kernel backend's code buffers, and the
  * encode/gather phase-time accumulators the front door folds into each
  * batch's lane stats. Every pool worker owns one, so steady-state serving
  * performs no per-batch allocations once the buffers have grown to the
@@ -106,7 +106,7 @@ struct StageScratch
     std::vector<float> ping;           ///< activation buffer A
     std::vector<float> pong;           ///< activation buffer B
     lutboost::ConvScratch conv;        ///< im2col + flat-GEMM scratch
-    lutboost::KernelScratch kernel;    ///< packed codes + staging planes
+    lutboost::KernelScratch kernel;    ///< code planes + staging planes
     /**
      * Skip-edge planes, indexed by the slot a SkipSaveStage was lowered
      * with: saving copies the live activations ASIDE, out of the
@@ -210,7 +210,7 @@ class FrozenStage
 
     /**
      * Per-row kernel-scratch bytes a tile of this stage streams beyond
-     * its in/out planes (packed codes, width-adapt materialization);
+     * its in/out planes (code bytes, width-adapt materialization);
      * input to the planner's tile-size model. 0 for glue stages.
      */
     virtual int64_t tileScratchBytesPerRow() const { return 0; }
@@ -265,9 +265,10 @@ void arenaGemmForward(
  * encoding. When the planner set a shard granularity (`shard_rows`) and
  * the executing scratch carries an IntraBatchPool, batches of at least
  * two shards run each phase as a parallel-for over row blocks: encode
- * shards fill disjoint rows of one shared CodeBuffer, gather shards fill
- * disjoint output rows (epilogue included, still cache-hot) — bit-exact
- * with the single-thread sweep because rows are independent.
+ * shards fill disjoint byte runs of one shared CodeBuffer's planes,
+ * gather shards fill disjoint output rows (epilogue included, still
+ * cache-hot) — bit-exact with the single-thread sweep because rows are
+ * independent.
  *
  * `encode` picks the encode-phase arithmetic (lutboost::EncodePrecision):
  * Int8 is honored only when the arena supports the quantized encode bank

@@ -1,6 +1,6 @@
 #include "vq/code_buffer.h"
 
-#include <algorithm>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -9,11 +9,7 @@ namespace lutdla::vq {
 int
 codeBitsFor(int64_t num_centroids)
 {
-    if (num_centroids <= 16)
-        return 4;
-    if (num_centroids <= 256)
-        return 8;
-    return 16;
+    return num_centroids <= 256 ? 8 : 16;
 }
 
 void
@@ -27,36 +23,18 @@ CodeBuffer::reset(int64_t rows, int64_t subspaces, int64_t num_centroids)
     rows_ = rows;
     subspaces_ = subspaces;
     bits_ = codeBitsFor(num_centroids);
-    stride_ = (subspaces * bits_ + 7) / 8;
-    data_.assign(static_cast<size_t>(rows_ * stride_), 0);
-}
-
-void
-CodeBuffer::unpackRow(int64_t row, int32_t *out) const
-{
-    const uint8_t *base = data_.data() + row * stride_;
-    switch (bits_) {
-      case 4: {
-        const int64_t pairs = subspaces_ / 2;
-        for (int64_t p = 0; p < pairs; ++p) {
-            const uint8_t byte = base[p];
-            out[2 * p] = byte & 0xF;
-            out[2 * p + 1] = byte >> 4;
-        }
-        if (subspaces_ & 1)
-            out[subspaces_ - 1] = base[pairs] & 0xF;
+    stride_ = rows < kMinPaddedRows
+                  ? rows
+                  : (rows + kPlaneAlign - 1) / kPlaneAlign * kPlaneAlign;
+    // Grow only: stages of one batch alternate between buffer sizes, and
+    // a shrink-then-grow would zero-fill the regrown bytes every batch.
+    if (data_.size() < static_cast<size_t>(sizeBytes()))
+        data_.resize(static_cast<size_t>(sizeBytes()));
+    const size_t pad = static_cast<size_t>((stride_ - rows_) * (bits_ / 8));
+    if (pad == 0)
         return;
-      }
-      case 8:
-        for (int64_t s = 0; s < subspaces_; ++s)
-            out[s] = base[s];
-        return;
-      default:
-        for (int64_t s = 0; s < subspaces_; ++s)
-            out[s] = static_cast<int32_t>(base[2 * s]) |
-                     (static_cast<int32_t>(base[2 * s + 1]) << 8);
-        return;
-    }
+    for (int64_t s = 0; s < subspaces_; ++s)
+        std::memset(data_.data() + byteOffset(s, rows_), 0, pad);
 }
 
 void
@@ -65,42 +43,20 @@ CodeBuffer::unpackRows(int64_t row0, int64_t n, int32_t *out) const
     LUTDLA_CHECK(row0 >= 0 && row0 + n <= rows_,
                  "CodeBuffer::unpackRows range [", row0, ", ", row0 + n,
                  ") exceeds ", rows_, " rows");
-    for (int64_t i = 0; i < n; ++i)
-        unpackRow(row0 + i, out + i * subspaces_);
-}
-
-void
-CodeBuffer::unpackPlanar(int64_t row0, int64_t n, uint8_t *out,
-                         int64_t stride) const
-{
-    LUTDLA_CHECK(row0 >= 0 && row0 + n <= rows_,
-                 "CodeBuffer::unpackPlanar range [", row0, ", ", row0 + n,
-                 ") exceeds ", rows_, " rows");
-    LUTDLA_CHECK(bits_ <= 8,
-                 "planar unpack carries one byte per code; bits() is ",
-                 bits_);
-    if (stride == 0)
-        stride = n;
-    LUTDLA_CHECK(stride >= n, "planar stride ", stride, " < ", n, " rows");
-    if (bits_ == 4) {
+    // Row-outer: the scalar tails are a handful of rows, so the inner loop
+    // must run over the subspaces to amortize.
+    if (bits_ == 8) {
         for (int64_t i = 0; i < n; ++i) {
-            const uint8_t *base = data_.data() + (row0 + i) * stride_;
-            const int64_t pairs = subspaces_ / 2;
-            for (int64_t p = 0; p < pairs; ++p) {
-                const uint8_t byte = base[p];
-                out[(2 * p) * stride + i] = byte & 0xF;
-                out[(2 * p + 1) * stride + i] = byte >> 4;
-            }
-            if (subspaces_ & 1)
-                out[(subspaces_ - 1) * stride + i] = base[pairs] & 0xF;
+            const uint8_t *src = data_.data() + row0 + i;
+            int32_t *dst = out + i * subspaces_;
+            for (int64_t s = 0; s < subspaces_; ++s)
+                dst[s] = src[s * stride_];
         }
         return;
     }
-    for (int64_t i = 0; i < n; ++i) {
-        const uint8_t *base = data_.data() + (row0 + i) * stride_;
+    for (int64_t i = 0; i < n; ++i)
         for (int64_t s = 0; s < subspaces_; ++s)
-            out[s * stride + i] = base[s];
-    }
+            out[i * subspaces_ + s] = get(row0 + i, s);
 }
 
 } // namespace lutdla::vq

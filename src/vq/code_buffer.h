@@ -3,22 +3,34 @@
 
 /**
  * @file
- * CodeBuffer: bit-packed storage for the per-subspace centroid indices the
+ * CodeBuffer: planar byte storage for the per-subspace centroid indices the
  * encode phase produces and the gather phase consumes.
  *
- * LUT-DLA's whole premise is that a frozen activation is an *extreme
- * low-bit* object: one ceil(log2 c)-bit index per subspace. Storing those
- * indices as int32 (as the original fused kernel did) wastes 2-8x the
- * bytes the hardware would move between the CCM (encode) and IMM (gather)
- * units. CodeBuffer commits to the packed layout: the code width is chosen
- * from the centroid count (4, 8, or 16 bits), rows are byte-aligned so
- * concurrent writers never share a row, and packing is lossless — tests
- * sweep awkward shapes (c not a power of two, single rows, ragged
- * subspace counts) and require exact round-trips.
+ * Layout: subspace-major planes, one byte per code (two bytes, little-
+ * endian, above 256 centroids). Code (row, s) lives at
+ * `s * planeStride() + row`, so one subspace's codes for every row of a
+ * batch are contiguous. That is exactly the lane layout the shuffle-gather
+ * kernels consume — a vector register loads one subspace's codes for a
+ * whole chunk of rows straight from the plane — and the layout the encode
+ * kernels produce, since they run subspace-outer over the whole batch. No
+ * reformatting step sits between the two phases, just as the paper's CCM
+ * hands its argmin indices straight to the IMM lookup units.
  *
- * Layout: row-major; within a row, code `s` occupies bits
- * [s*bits, (s+1)*bits) little-endian (4-bit codes pack low nibble first).
- * Each row starts on a byte boundary (`rowStrideBytes`).
+ * `planeStride()` is the row count rounded up to kPlaneAlign (the widest
+ * shuffle chunk), and `reset` zeroes the pad lanes [rows, planeStride) of
+ * every plane, so a ragged tail chunk may read past the last row and see
+ * code 0, a valid index. Batches of fewer than kMinPaddedRows rows keep
+ * unpadded planes (planeStride() == rows): no gather runs a shuffle chunk
+ * for them, and a 64-row pad would spread a 1-row batch's codes over one
+ * cache line per subspace. Sharded encode blocks write disjoint byte runs
+ * of each plane, so two shards never share a byte.
+ *
+ * Why no nibble packing: on the CPU this buffer is per-tile L1/L2 scratch
+ * between two kernels, not the CCM -> IMM wire. Packing c <= 16 codes two
+ * per byte halved a buffer that never leaves cache, at the price of a
+ * read-modify-write per code in the encode and an unpack per chunk in the
+ * gather. The paper's equivalent-bits accounting (ceil(log2 c) bits per
+ * index on the wire) lives in the hardware models and is unchanged.
  */
 
 #include <cstdint>
@@ -26,21 +38,32 @@
 
 namespace lutdla::vq {
 
-/** Packed bits per code for a codebook of `num_centroids` entries: 4 when
- * the index fits a nibble, 8 when it fits a byte, 16 otherwise. */
+/** Stored bits per code for a codebook of `num_centroids` entries: 8 when
+ * the index fits a byte, 16 otherwise. */
 int codeBitsFor(int64_t num_centroids);
 
-/** Bit-packed [rows, subspaces] matrix of centroid indices. */
+/** Planar [subspaces, planeStride] matrix of centroid indices. */
 class CodeBuffer
 {
   public:
+    /** Plane stride granularity in rows: the widest shuffle-gather chunk,
+     * so a chunk starting at a multiple of it never leaves the plane. */
+    static constexpr int64_t kPlaneAlign = 64;
+
+    /** Smallest batch whose planes are padded to kPlaneAlign: a quarter of
+     * the narrowest (AVX2, 32-row) shuffle chunk, the fewest rows the
+     * gathers ever run through a padded chunk. */
+    static constexpr int64_t kMinPaddedRows = 8;
+
     CodeBuffer() = default;
 
     /**
      * Size the buffer for `rows` x `subspaces` codes addressing
-     * `num_centroids` centroids (chooses the packed width) and zero it.
-     * Reuses capacity across calls, so per-batch resets do not allocate
-     * once the buffer has grown to the largest batch seen.
+     * `num_centroids` centroids (chooses the code width) and zero the pad
+     * lanes past `rows` in every plane. The valid lanes keep whatever they
+     * held: the encode overwrites them. Reuses capacity across calls, so
+     * per-batch resets do not allocate once the buffer has grown to the
+     * largest batch seen.
      */
     void reset(int64_t rows, int64_t subspaces, int64_t num_centroids);
 
@@ -50,78 +73,72 @@ class CodeBuffer
     /** Codes per row. */
     int64_t subspaces() const { return subspaces_; }
 
-    /** Packed bits per code (4, 8, or 16). */
+    /** Stored bits per code (8 or 16). */
     int bits() const { return bits_; }
 
-    /** Bytes one packed row occupies (rows are byte-aligned). */
-    int64_t rowStrideBytes() const { return stride_; }
+    /** Codes between the starts of two consecutive planes: rows() rounded
+     * up to kPlaneAlign, or rows() itself below kMinPaddedRows. */
+    int64_t planeStride() const { return stride_; }
 
-    /** Total packed payload bytes (rows * rowStrideBytes). */
-    int64_t sizeBytes() const { return rows_ * stride_; }
-
-    /** Store code `value` for (row, s); value must fit bits(). */
-    void
-    set(int64_t row, int64_t s, int32_t value)
+    /** Total payload bytes (subspaces * planeStride * bits / 8). */
+    int64_t sizeBytes() const
     {
-        uint8_t *base = data_.data() + row * stride_;
-        switch (bits_) {
-          case 4: {
-            uint8_t &byte = base[s >> 1];
-            const int shift = (s & 1) ? 4 : 0;
-            byte = static_cast<uint8_t>(
-                (byte & ~(0xF << shift)) | ((value & 0xF) << shift));
+        return subspaces_ * stride_ * (bits_ / 8);
+    }
+
+    /** First byte of subspace `s`'s plane; code (row, s) is element `row`
+     * of it (bits() / 8 bytes each). */
+    const uint8_t *plane(int64_t s) const
+    {
+        return data_.data() + byteOffset(s, 0);
+    }
+
+    /**
+     * Store `n` codes of subspace `s` for rows [row0, row0 + n): one
+     * contiguous narrowing copy into the plane. Values must fit bits().
+     * Inline so the encode TU vectorizes it.
+     */
+    void
+    storeCodes(int64_t s, int64_t row0, const int32_t *codes, int64_t n)
+    {
+        uint8_t *dst = data_.data() + byteOffset(s, row0);
+        if (bits_ == 8) {
+            for (int64_t i = 0; i < n; ++i)
+                dst[i] = static_cast<uint8_t>(codes[i]);
             return;
-          }
-          case 8:
-            base[s] = static_cast<uint8_t>(value);
-            return;
-          default:
-            base[2 * s] = static_cast<uint8_t>(value & 0xFF);
-            base[2 * s + 1] = static_cast<uint8_t>((value >> 8) & 0xFF);
-            return;
+        }
+        for (int64_t i = 0; i < n; ++i) {
+            dst[2 * i] = static_cast<uint8_t>(codes[i] & 0xFF);
+            dst[2 * i + 1] = static_cast<uint8_t>((codes[i] >> 8) & 0xFF);
         }
     }
 
-    /** Read back the code for (row, s). */
+    /** Read back the code for (row, s). Rows in [rows(), planeStride())
+     * are pad lanes and read 0. */
     int32_t
     get(int64_t row, int64_t s) const
     {
-        const uint8_t *base = data_.data() + row * stride_;
-        switch (bits_) {
-          case 4:
-            return (base[s >> 1] >> ((s & 1) ? 4 : 0)) & 0xF;
-          case 8:
-            return base[s];
-          default:
-            return static_cast<int32_t>(base[2 * s]) |
-                   (static_cast<int32_t>(base[2 * s + 1]) << 8);
-        }
+        const uint8_t *p = data_.data() + byteOffset(s, row);
+        if (bits_ == 8)
+            return p[0];
+        return static_cast<int32_t>(p[0]) |
+               (static_cast<int32_t>(p[1]) << 8);
     }
 
-    /** Unpack one row's codes into `out` (subspaces() entries). */
-    void unpackRow(int64_t row, int32_t *out) const;
-
     /**
-     * Unpack rows [row0, row0 + n) into `out` ([n, subspaces] row-major
-     * int32) — the gather sweeps run on unpacked blocks so their inner
-     * loops stay branch-free.
+     * Copy rows [row0, row0 + n) into `out` ([n, subspaces] row-major
+     * int32) — the scalar sweeps index codes per row, so they run on this
+     * row-major copy of a small block.
      */
     void unpackRows(int64_t row0, int64_t n, int32_t *out) const;
 
-    /**
-     * Unpack rows [row0, row0 + n) PLANAR: out[s * stride + i] is the
-     * code of (row0 + i, subspace s), one byte each (stride 0 means n).
-     * This is the lane layout the shuffle-gather kernels consume — all
-     * rows' codes for one subspace land contiguously, so a vector
-     * register loads one subspace's lane block directly; a stride wider
-     * than n leaves the pad lanes untouched (callers zero them to run a
-     * ragged tail through a full-width chunk). Requires bits() <= 8 (the
-     * shuffle path only exists for c <= 256, and in practice c <= 16).
-     */
-    void unpackPlanar(int64_t row0, int64_t n, uint8_t *out,
-                      int64_t stride = 0) const;
-
   private:
+    int64_t
+    byteOffset(int64_t s, int64_t row) const
+    {
+        return (s * stride_ + row) * (bits_ / 8);
+    }
+
     int64_t rows_ = 0;
     int64_t subspaces_ = 0;
     int bits_ = 8;

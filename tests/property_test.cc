@@ -2,7 +2,7 @@
  * @file
  * Parameterized property sweeps over the library's core invariants:
  * approximation error trends over (v, c), simulator monotonicity,
- * dataflow memory dominance, packed-code round-trips, and the serving
+ * dataflow memory dominance, code-buffer round-trips, and the serving
  * data plane's bit-exactness across awkward shapes (K not divisible by
  * v, centroid counts that are not powers of two, single-row batches).
  */
@@ -192,33 +192,67 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Property: CodeBuffer round-trips codes exactly --------------------
 
+/** Codes of every subspace's plane at or past rows() (the pad lanes up to
+ * planeStride()) must read 0. */
+void
+expectZeroPadLanes(const vq::CodeBuffer &buffer, const std::string &what)
+{
+    for (int64_t s = 0; s < buffer.subspaces(); ++s)
+        for (int64_t r = buffer.rows(); r < buffer.planeStride(); ++r)
+            ASSERT_EQ(buffer.get(r, s), 0)
+                << what << ": pad lane r=" << r << " s=" << s;
+}
+
+/** Leave `buffer` as a bigger earlier batch would: reset for `rows` + 70
+ * rows with every code at `centroids` - 1, so any lane a later reset
+ * fails to zero (or an encode fails to write) shows up. */
+void
+dirtyCodeBuffer(vq::CodeBuffer &buffer, int64_t rows, int64_t subspaces,
+                int64_t centroids)
+{
+    buffer.reset(rows + 70, subspaces, centroids);
+    const std::vector<int32_t> top(static_cast<size_t>(rows + 70),
+                                   static_cast<int32_t>(centroids - 1));
+    for (int64_t s = 0; s < subspaces; ++s)
+        buffer.storeCodes(s, 0, top.data(), rows + 70);
+}
+
 class CodeBufferRoundTrip
     : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, int64_t>>
 {
 };
 
-TEST_P(CodeBufferRoundTrip, PackUnpackIsLossless)
+TEST_P(CodeBufferRoundTrip, StoreReadIsLossless)
 {
     const auto [rows, subspaces, centroids] = GetParam();
     vq::CodeBuffer buffer;
     buffer.reset(rows, subspaces, centroids);
 
-    // Expected width: 4 bits through c=16, 8 through c=256, else 16.
-    const int want_bits = centroids <= 16 ? 4 : centroids <= 256 ? 8 : 16;
+    // One byte per code through c = 256, two above; every plane padded
+    // to a whole number of 64-row chunks, except below 8 rows, where no
+    // shuffle chunk ever runs.
+    const int want_bits = centroids <= 256 ? 8 : 16;
+    const int64_t want_stride = rows < 8 ? rows : (rows + 63) / 64 * 64;
     EXPECT_EQ(buffer.bits(), want_bits);
-    EXPECT_EQ(buffer.sizeBytes(),
-              rows * ((subspaces * want_bits + 7) / 8));
+    EXPECT_EQ(buffer.planeStride(), want_stride);
+    EXPECT_EQ(buffer.sizeBytes(), subspaces * want_stride * want_bits / 8);
 
+    // Store each subspace in ragged 7-row blocks, the way encode shards
+    // write their spans.
     Rng rng(17 + static_cast<uint64_t>(centroids));
-    std::vector<int32_t> expected(
-        static_cast<size_t>(rows * subspaces));
-    for (int64_t r = 0; r < rows; ++r)
-        for (int64_t s = 0; s < subspaces; ++s) {
-            const int32_t code = static_cast<int32_t>(
+    std::vector<int32_t> expected(static_cast<size_t>(rows * subspaces));
+    std::vector<int32_t> column(static_cast<size_t>(rows));
+    for (int64_t s = 0; s < subspaces; ++s) {
+        for (int64_t r = 0; r < rows; ++r) {
+            column[static_cast<size_t>(r)] = static_cast<int32_t>(
                 rng.uniformInt(0, centroids - 1));
-            expected[static_cast<size_t>(r * subspaces + s)] = code;
-            buffer.set(r, s, code);
+            expected[static_cast<size_t>(r * subspaces + s)] =
+                column[static_cast<size_t>(r)];
         }
+        for (int64_t r0 = 0; r0 < rows; r0 += 7)
+            buffer.storeCodes(s, r0, column.data() + r0,
+                              std::min<int64_t>(7, rows - r0));
+    }
     std::vector<int32_t> unpacked(expected.size());
     buffer.unpackRows(0, rows, unpacked.data());
     for (int64_t r = 0; r < rows; ++r)
@@ -228,6 +262,7 @@ TEST_P(CodeBufferRoundTrip, PackUnpackIsLossless)
                 << "r=" << r << " s=" << s;
             EXPECT_EQ(unpacked[i], expected[i]) << "r=" << r << " s=" << s;
         }
+    expectZeroPadLanes(buffer, "round trip");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -237,39 +272,163 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values<int64_t>(1, 5, 8),            // subspaces (odd!)
         ::testing::Values<int64_t>(5, 16, 100, 257)));  // c, some non-pow2
 
-// ---- Property: planar unpack agrees with the row-major view ------------
+// ---- Property: the planes are the subspace-major layout the gather reads
 
-TEST(CodeBufferPlanar, MatchesRowMajorUnpackOnAwkwardShapes)
+TEST(CodeBufferPlanes, SubspaceMajorLayoutOnAwkwardShapes)
 {
-    for (const int64_t centroids : {4, 16, 200}) {
+    for (const int64_t centroids : {4, 16, 200, 300}) {
         for (const int64_t rows : {1, 7, 64, 65}) {
             for (const int64_t subspaces : {1, 5, 12}) {
+                const std::string what =
+                    "c=" + std::to_string(centroids) +
+                    " rows=" + std::to_string(rows) +
+                    " Nc=" + std::to_string(subspaces);
                 vq::CodeBuffer buffer;
+                dirtyCodeBuffer(buffer, rows, subspaces, centroids);
                 buffer.reset(rows, subspaces, centroids);
+                expectZeroPadLanes(buffer, what);
                 Rng rng(3 + static_cast<uint64_t>(centroids * rows));
-                for (int64_t r = 0; r < rows; ++r)
-                    for (int64_t s = 0; s < subspaces; ++s)
-                        buffer.set(r, s,
-                                   static_cast<int32_t>(rng.uniformInt(
-                                       0, centroids - 1)));
-                // Planar over a row span: out[s * n + i] = code(row0+i, s).
+                std::vector<int32_t> column(static_cast<size_t>(rows));
+                for (int64_t s = 0; s < subspaces; ++s) {
+                    for (int32_t &code : column)
+                        code = static_cast<int32_t>(
+                            rng.uniformInt(0, centroids - 1));
+                    buffer.storeCodes(s, 0, column.data(), rows);
+                }
+                // Code (row, s) at plane(s)[row], little-endian when two
+                // bytes wide; planes sit planeStride() codes apart.
+                const int bytes = buffer.bits() / 8;
+                for (int64_t s = 0; s < subspaces; ++s) {
+                    const uint8_t *plane = buffer.plane(s);
+                    EXPECT_EQ(plane - buffer.plane(0),
+                              s * buffer.planeStride() * bytes)
+                        << what;
+                    for (int64_t r = 0; r < rows; ++r) {
+                        const int32_t stored =
+                            bytes == 1 ? plane[r]
+                                       : plane[2 * r] | (plane[2 * r + 1] << 8);
+                        EXPECT_EQ(stored, buffer.get(r, s))
+                            << what << " r=" << r << " s=" << s;
+                    }
+                }
+                // A row span off row 0 unpacks to the same codes.
                 const int64_t row0 = rows > 2 ? 1 : 0;
                 const int64_t n = rows - row0;
-                std::vector<uint8_t> planar(
-                    static_cast<size_t>(subspaces * n));
-                buffer.unpackPlanar(row0, n, planar.data());
+                std::vector<int32_t> unpacked(
+                    static_cast<size_t>(n * subspaces));
+                buffer.unpackRows(row0, n, unpacked.data());
                 for (int64_t i = 0; i < n; ++i)
                     for (int64_t s = 0; s < subspaces; ++s)
                         EXPECT_EQ(
-                            static_cast<int32_t>(
-                                planar[static_cast<size_t>(s * n + i)]),
+                            unpacked[static_cast<size_t>(i * subspaces + s)],
                             buffer.get(row0 + i, s))
-                            << "c=" << centroids << " row=" << row0 + i
-                            << " s=" << s;
+                            << what << " row=" << row0 + i << " s=" << s;
             }
         }
     }
 }
+
+// ---- Property: sharded encode on the planes matches the whole batch ----
+
+/**
+ * Encode shards write disjoint byte runs of one shared CodeBuffer. Blocks
+ * of 13 rows (never chunk-aligned) followed by a final 1-row block must
+ * leave exactly the codes a whole-batch encode writes, for the float
+ * encode and every INT8 encode tier this host runs — and the pad lanes
+ * must read 0 even when the buffer held a bigger batch before. Shapes
+ * straddle the 64-row plane alignment; c covers nibble-sized, byte-sized
+ * and two-byte codes, on both the SIMD and the scalar encode paths.
+ */
+class EncodeShardSeams
+    : public ::testing::TestWithParam<std::tuple<int64_t, int64_t>>
+{
+};
+
+/** Run `encode_block(row0, n)` over `rows` rows as 13-row blocks from row
+ * 0 and then one final 1-row block. */
+template <typename EncodeBlock>
+void
+encodeInUnalignedShards(int64_t rows, EncodeBlock &&encode_block)
+{
+    const int64_t last = rows - 1;
+    for (int64_t r0 = 0; r0 < last; r0 += 13)
+        encode_block(r0, std::min<int64_t>(13, last - r0));
+    encode_block(last, 1);
+}
+
+void
+expectSameCodes(const vq::CodeBuffer &got, const vq::CodeBuffer &want,
+                const std::string &what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.subspaces(), want.subspaces()) << what;
+    ASSERT_EQ(got.planeStride(), want.planeStride()) << what;
+    for (int64_t s = 0; s < want.subspaces(); ++s)
+        for (int64_t r = 0; r < want.rows(); ++r)
+            ASSERT_EQ(got.get(r, s), want.get(r, s))
+                << what << " r=" << r << " s=" << s;
+    expectZeroPadLanes(got, what);
+}
+
+TEST_P(EncodeShardSeams, UnalignedBlocksMatchWholeBatch)
+{
+    const auto [rows, c] = GetParam();
+    const int64_t k = 23, v = 4;  // ragged zero-padded tail subspace
+    vq::PQConfig pq;
+    pq.v = v;
+    pq.c = c;
+    lutboost::LutLinear layer(k, 10, pq, /*bias=*/false,
+                              /*seed=*/static_cast<uint64_t>(rows + c));
+    layer.refreshInferenceLut();
+    const auto arena = layer.inferenceArena();
+    arena->ensureInt8EncodeBank();
+    const int64_t nc = arena->numSubspaces();
+
+    Rng rng(29 + static_cast<uint64_t>(rows * c));
+    Tensor x(Shape{rows, k});
+    for (int64_t i = 0; i < x.numel(); ++i)
+        x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
+    const std::string what =
+        "rows=" + std::to_string(rows) + " c=" + std::to_string(c);
+
+    lutboost::EncodeScratch scratch;
+    vq::CodeBuffer whole, shards;
+    arena->encodeBatch(x.data(), rows, whole, scratch);
+    dirtyCodeBuffer(shards, rows, nc, c);
+    shards.reset(rows, nc, c);
+    encodeInUnalignedShards(rows, [&](int64_t r0, int64_t n) {
+        arena->encodeBlock(x.data(), r0, n, shards, scratch);
+    });
+    expectSameCodes(shards, whole, "float encode " + what);
+
+    // The SIMD INT8 tiers need c <= 16; the scalar reference runs all c.
+    std::vector<lutboost::EncodeVariant> variants{
+        lutboost::EncodeVariant::Scalar};
+    const util::SimdLevel level = util::simdLevel();
+    if (c <= 16 && level >= util::SimdLevel::Avx2)
+        variants.push_back(lutboost::EncodeVariant::MaddAvx2);
+    if (c <= 16 && level >= util::SimdLevel::Avx512Vnni)
+        variants.push_back(lutboost::EncodeVariant::DotVnni);
+    for (const auto variant : variants) {
+        const std::string tier =
+            std::string("int8 ") +
+            lutboost::LutTableArena::encodeVariantName(variant) + " " + what;
+        arena->encodeBatchInt8(x.data(), rows, whole, scratch, variant);
+        dirtyCodeBuffer(shards, rows, nc, c);
+        shards.reset(rows, nc, c);
+        encodeInUnalignedShards(rows, [&](int64_t r0, int64_t n) {
+            arena->encodeBlockInt8(x.data(), r0, n, shards, scratch,
+                                   variant);
+        });
+        expectSameCodes(shards, whole, tier);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PlaneSeams, EncodeShardSeams,
+    ::testing::Combine(::testing::Values<int64_t>(1, 15, 17, 63, 64, 65,
+                                                  130),
+                       ::testing::Values<int64_t>(4, 16, 17, 256, 300)));
 
 // ---- Property: every INT8 gather variant is bit-identical --------------
 
@@ -278,21 +437,23 @@ TEST(CodeBufferPlanar, MatchesRowMajorUnpackOnAwkwardShapes)
  * share exact integer accumulation under group scales, so their float
  * outputs must match BIT FOR BIT across awkward shapes — c in {4, 16},
  * K % v != 0, row counts around the 32/64-row chunk boundaries, single
- * rows, and multi-block batches with ragged tails.
+ * rows, and multi-block batches with ragged tails. The output widths
+ * cover the transpose-out: 64 is whole 16-wide tiles only, 7 is edges
+ * only, 70 is both.
  */
 class Int8GatherVariants
     : public ::testing::TestWithParam<
-          std::tuple<int64_t, int64_t, int64_t, int64_t>>
+          std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t>>
 {
 };
 
 TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
 {
-    const auto [k, v, c, rows] = GetParam();
+    const auto [k, v, c, rows, n] = GetParam();
     vq::PQConfig pq;
     pq.v = v;
     pq.c = c;
-    lutboost::LutLinear layer(k, 70, pq, /*bias=*/true,
+    lutboost::LutLinear layer(k, n, pq, /*bias=*/true,
                               /*seed=*/static_cast<uint64_t>(k + c + rows));
     layer.refreshInferenceLut();
     const auto arena = layer.inferenceArena();
@@ -307,7 +468,7 @@ TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
     lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
                                              scratch);
 
-    Tensor scalar(Shape{rows, 70});
+    Tensor scalar(Shape{rows, n});
     arena->gatherAccumulateInt8(scratch.codes, scalar.data(),
                                 scratch.gather,
                                 lutboost::Int8GatherVariant::Scalar);
@@ -323,16 +484,16 @@ TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
     if (variants.empty())
         GTEST_SKIP() << "no SIMD level on this host; scalar-only";
     for (const auto variant : variants) {
-        Tensor shuffled(Shape{rows, 70});
+        Tensor shuffled(Shape{rows, n});
         arena->gatherAccumulateInt8(scratch.codes, shuffled.data(),
                                     scratch.gather, variant);
         EXPECT_TRUE(shuffled.equals(scalar))
             << lutboost::LutTableArena::int8GatherVariantName(variant)
             << " diverged: k=" << k << " v=" << v << " c=" << c
-            << " rows=" << rows
+            << " rows=" << rows << " n=" << n
             << " maxdiff=" << Tensor::maxAbsDiff(shuffled, scalar);
         // Auto must resolve to one of the paths just proven equal.
-        Tensor autod(Shape{rows, 70});
+        Tensor autod(Shape{rows, n});
         arena->gatherAccumulateInt8(scratch.codes, autod.data(),
                                     scratch.gather);
         EXPECT_TRUE(autod.equals(scalar));
@@ -340,7 +501,7 @@ TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
 
     // Span-sharded sweep (what the engine's parallel-for runs) must hit
     // the same bits as the whole-buffer call.
-    Tensor spans(Shape{rows, 70});
+    Tensor spans(Shape{rows, n});
     const int64_t half = rows / 2;
     if (half > 0)
         arena->gatherAccumulateInt8(scratch.codes, 0, half, spans.data(),
@@ -359,7 +520,10 @@ INSTANTIATE_TEST_SUITE_P(
                        // chunk-boundary row counts: single, sub-chunk,
                        // one AVX2 chunk, one AVX-512 chunk +/- 1, ragged
                        ::testing::Values<int64_t>(1, 31, 32, 63, 64, 65,
-                                                  130)));
+                                                  130),
+                       // output widths: tiles and edges, tiles only,
+                       // edges only
+                       ::testing::Values<int64_t>(70, 64, 7)));
 
 // ---- Property: every INT4 gather variant is bit-identical --------------
 
@@ -367,13 +531,14 @@ INSTANTIATE_TEST_SUITE_P(
  * The INT4 twin of the Int8GatherVariants contract: the nibble-packed
  * shuffle kernels and the scalar packed sweep share exact biased-nibble
  * accumulation under the same group scales, so their float outputs must
- * match BIT FOR BIT across the same awkward-shape grid. The output width
- * is ODD (71) so every run exercises the dangling low-plane column of
- * the last packed pair.
+ * match BIT FOR BIT across the same awkward-shape grid. The ODD output
+ * widths (71, 7) exercise the dangling low-plane column of the last
+ * packed pair; 64 and 7 also put whole transpose tiles only and edges
+ * only under test.
  */
 class Int4GatherVariants
     : public ::testing::TestWithParam<
-          std::tuple<int64_t, int64_t, int64_t, int64_t>>
+          std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t>>
 {
 };
 
@@ -430,11 +595,11 @@ expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
 
 TEST_P(Int4GatherVariants, ShuffleBitExactVsScalar)
 {
-    const auto [k, v, c, rows] = GetParam();
+    const auto [k, v, c, rows, n] = GetParam();
     vq::PQConfig pq;
     pq.v = v;
     pq.c = c;
-    lutboost::LutLinear layer(k, 71, pq, /*bias=*/true,
+    lutboost::LutLinear layer(k, n, pq, /*bias=*/true,
                               /*seed=*/static_cast<uint64_t>(k + c + rows));
     layer.refreshInferenceLut();
     const auto arena = layer.inferenceArena();
@@ -448,7 +613,8 @@ TEST_P(Int4GatherVariants, ShuffleBitExactVsScalar)
     expectInt4TiersMatchScalar(
         *arena, x,
         "k=" + std::to_string(k) + " v=" + std::to_string(v) +
-            " c=" + std::to_string(c) + " rows=" + std::to_string(rows),
+            " c=" + std::to_string(c) + " rows=" + std::to_string(rows) +
+            " n=" + std::to_string(n),
         scalar);
 }
 
@@ -458,7 +624,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<int64_t>(3, 8),
                        ::testing::Values<int64_t>(4, 16),
                        ::testing::Values<int64_t>(1, 31, 32, 63, 64, 65,
-                                                  130)));
+                                                  130),
+                       ::testing::Values<int64_t>(71, 64, 7)));
 
 /**
  * The u8 bound of the shuffle tiers, hit exactly: every centroid and
@@ -509,9 +676,9 @@ expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
 {
     const int64_t rows = x.dim(0);
     const int64_t nc = arena.numSubspaces();
-    std::vector<float> staging;
+    lutboost::EncodeScratch scratch;
     vq::CodeBuffer scalar;
-    arena.encodeBatchInt8(x.data(), rows, scalar, staging,
+    arena.encodeBatchInt8(x.data(), rows, scalar, scratch,
                           lutboost::EncodeVariant::Scalar);
     ASSERT_EQ(scalar.rows(), rows);
     ASSERT_EQ(scalar.subspaces(), nc);
@@ -526,7 +693,7 @@ expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
         GTEST_SKIP() << "no SIMD level on this host; scalar-only";
     for (const auto variant : variants) {
         vq::CodeBuffer simd;
-        arena.encodeBatchInt8(x.data(), rows, simd, staging, variant);
+        arena.encodeBatchInt8(x.data(), rows, simd, scratch, variant);
         for (int64_t r = 0; r < rows; ++r)
             for (int64_t s = 0; s < nc; ++s)
                 ASSERT_EQ(simd.get(r, s), scalar.get(r, s))
@@ -536,7 +703,7 @@ expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
 
     // Auto must resolve to one of the tiers just proven identical.
     vq::CodeBuffer autod;
-    arena.encodeBatchInt8(x.data(), rows, autod, staging);
+    arena.encodeBatchInt8(x.data(), rows, autod, scratch);
     for (int64_t r = 0; r < rows; ++r)
         for (int64_t s = 0; s < nc; ++s)
             ASSERT_EQ(autod.get(r, s), scalar.get(r, s)) << what;
@@ -547,8 +714,8 @@ expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
     spans.reset(rows, nc, arena.numCentroids());
     const int64_t half = rows / 2;
     if (half > 0)
-        arena.encodeBlockInt8(x.data(), 0, half, spans, staging);
-    arena.encodeBlockInt8(x.data(), half, rows - half, spans, staging);
+        arena.encodeBlockInt8(x.data(), 0, half, spans, scratch);
+    arena.encodeBlockInt8(x.data(), half, rows - half, spans, scratch);
     for (int64_t r = 0; r < rows; ++r)
         for (int64_t s = 0; s < nc; ++s)
             ASSERT_EQ(spans.get(r, s), scalar.get(r, s))
@@ -695,9 +862,9 @@ TEST_P(Int8EncodeHostile, SimdTiersMatchScalarOnHostileRows)
             " rows=" + std::to_string(rows));
 
     // The tie rows really are ties, and they resolve to centroid 0.
-    std::vector<float> staging;
+    lutboost::EncodeScratch scratch;
     vq::CodeBuffer codes;
-    arena->encodeBatchInt8(x.data(), rows, codes, staging,
+    arena->encodeBatchInt8(x.data(), rows, codes, scratch,
                            lutboost::EncodeVariant::Scalar);
     for (int64_t r = 2; r < rows; r += 4)
         for (int64_t s = 0; s < nc; ++s)
