@@ -10,6 +10,13 @@ namespace {
 
 constexpr char kMagic[9] = "LUTDLAR1";
 
+/** Smallest serialized GemmShape: m, k, n and the tag's length word. */
+constexpr uint64_t kGemmMinBytes = 4 * sizeof(uint64_t);
+
+/** Smallest serialized LayerReport: its GEMM, the nine SimStats words and
+ * the cycle share. */
+constexpr uint64_t kLayerMinBytes = kGemmMinBytes + 10 * sizeof(uint64_t);
+
 using lutboost::BinReader;
 using lutboost::BinWriter;
 
@@ -226,7 +233,8 @@ loadArtifacts(const std::string &path)
                                "'");
 
     uint64_t count = 0;
-    if (!in.u64(count) || count > (1u << 22))
+    if (!in.u64(count) || count > (1u << 22) ||
+        !in.fits(count, kGemmMinBytes))
         return Status::ioError("bad GEMM count in '" + path + "'");
     a.gemms.resize(count);
     for (sim::GemmShape &g : a.gemms)
@@ -239,7 +247,8 @@ loadArtifacts(const std::string &path)
     a.simulated = flag != 0;
     if (!readSimConfig(in, a.sim_config))
         return Status::ioError("truncated sim config in '" + path + "'");
-    if (!in.u64(count) || count > (1u << 22))
+    if (!in.u64(count) || count > (1u << 22) ||
+        !in.fits(count, kLayerMinBytes))
         return Status::ioError("bad layer count in '" + path + "'");
     a.report.layers.resize(count);
     for (sim::LayerReport &layer : a.report.layers) {

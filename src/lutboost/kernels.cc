@@ -64,34 +64,6 @@ KernelBackend::encodeBatch(const LutTableArena &arena, const float *x,
 }
 
 void
-KernelBackend::encodePrepare(const LutTableArena &arena, int64_t rows,
-                             vq::CodeBuffer &codes) const
-{
-    codes.reset(rows, arena.numSubspaces(), arena.numCentroids());
-}
-
-void
-KernelBackend::encodeBlock(const LutTableArena &arena, const float *x,
-                           int64_t row0, int64_t rows,
-                           vq::CodeBuffer &codes, KernelScratch &local,
-                           EncodePrecision encode) const
-{
-    if (useInt8Encode(arena, encode)) {
-        arena.ensureInt8EncodeBank();
-        arena.encodeBlockInt8(x, row0, rows, codes, local.encode);
-        return;
-    }
-    arena.encodeBlock(x, row0, rows, codes, local.encode);
-}
-
-void
-KernelBackend::gatherAccumulate(const LutTableArena &arena,
-                                KernelScratch &scratch, float *y) const
-{
-    gatherBlock(arena, scratch.codes, 0, scratch.codes.rows(), y, scratch);
-}
-
-void
 KernelBackend::forwardTile(const LutTableArena &arena, const float *x,
                            int64_t rows, float *y, KernelScratch &scratch,
                            uint64_t *encode_ns, uint64_t *gather_ns,
@@ -129,11 +101,10 @@ class ReferenceBackend final : public KernelBackend
     bool bitExact() const override { return true; }
 
     void
-    gatherBlock(const LutTableArena &arena, const vq::CodeBuffer &codes,
-                int64_t row0, int64_t rows, float *y,
-                KernelScratch &local) const override
+    gatherAccumulate(const LutTableArena &arena, KernelScratch &scratch,
+                     float *y) const override
     {
-        arena.gatherAccumulate(codes, row0, rows, y, local.gather);
+        arena.gatherAccumulate(scratch.codes, y, scratch.gather);
     }
 
     int64_t
@@ -152,11 +123,10 @@ class QuantizedBackend final : public KernelBackend
     bool bitExact() const override { return false; }
 
     void
-    gatherBlock(const LutTableArena &arena, const vq::CodeBuffer &codes,
-                int64_t row0, int64_t rows, float *y,
-                KernelScratch &local) const override
+    gatherAccumulate(const LutTableArena &arena, KernelScratch &scratch,
+                     float *y) const override
     {
-        arena.gatherAccumulateInt8(codes, row0, rows, y, local.gather);
+        arena.gatherAccumulateInt8(scratch.codes, y, scratch.gather);
     }
 
     int64_t
@@ -194,11 +164,10 @@ class Int4Backend final : public KernelBackend
     bool bitExact() const override { return false; }
 
     void
-    gatherBlock(const LutTableArena &arena, const vq::CodeBuffer &codes,
-                int64_t row0, int64_t rows, float *y,
-                KernelScratch &local) const override
+    gatherAccumulate(const LutTableArena &arena, KernelScratch &scratch,
+                     float *y) const override
     {
-        arena.gatherAccumulateInt4(codes, row0, rows, y, local.gather);
+        arena.gatherAccumulateInt4(scratch.codes, y, scratch.gather);
     }
 
     int64_t

@@ -74,9 +74,9 @@ prefetchSpan(const void *p, int64_t bytes)
  * block, padded tail), the fused width-adapt plane and the gather-side
  * scratch (row-major tail codes, shuffle accumulators). Owned by the
  * serving StageScratch so steady-state batches perform no allocations.
- * When a batch is sharded across workers, the CodeBuffer of the
- * INITIATING worker is shared (disjoint row spans never share a byte)
- * while each participant brings its own encode/gather scratch.
+ * Nothing here is shared between workers: when a batch is split into
+ * row blocks, each block encodes into and gathers from its executing
+ * worker's own KernelScratch.
  */
 struct KernelScratch
 {
@@ -135,36 +135,21 @@ class KernelBackend
         EncodePrecision encode = EncodePrecision::Float32) const;
 
     /**
-     * Size `codes` for a `rows`-row batch before sharded encode: shards
-     * then fill disjoint row spans of the shared buffer concurrently.
-     */
-    void encodePrepare(const LutTableArena &arena, int64_t rows,
-                       vq::CodeBuffer &codes) const;
-
-    /**
-     * Shardable encode span: encode rows [row0, row0 + rows) of the full
-     * batch `x` into the shared (already encodePrepare'd) `codes`,
-     * staging through the EXECUTING worker's `local` scratch. `encode`
-     * follows the encodeBatch contract (Int8 with fallback to Float32).
-     */
-    virtual void encodeBlock(
-        const LutTableArena &arena, const float *x, int64_t row0,
-        int64_t rows, vq::CodeBuffer &codes, KernelScratch &local,
-        EncodePrecision encode = EncodePrecision::Float32) const;
-
-    /**
      * Gather phase: accumulate the table rows scratch.codes selects into
-     * `y` ([rows, arena.outFeatures()]), bias included. Default
-     * implementation runs gatherBlock over the whole buffer.
+     * `y` ([scratch.codes.rows(), arena.outFeatures()]), bias included,
+     * over this backend's table bank.
      */
     virtual void gatherAccumulate(const LutTableArena &arena,
-                                  KernelScratch &scratch, float *y) const;
+                                  KernelScratch &scratch,
+                                  float *y) const = 0;
 
     /**
-     * Fused tile entry point for the row-tiled segment executor: encode
-     * `rows` contiguous rows of `x` and immediately gather them into `y`
-     * in one call, so the tile's code planes never leave cache between
-     * the phases. Phase wall times are accumulated into *encode_ns /
+     * Fused tile entry point, the one unit of serving work: encode `rows`
+     * contiguous rows of `x` and immediately gather them into `y` in one
+     * call, so the tile's code planes never leave cache between the
+     * phases. The row-tiled segment executor runs it per tile and
+     * serve::arenaGemmForward per row block, each on the executing
+     * worker's own `scratch`. Phase wall times are accumulated into *encode_ns /
      * *gather_ns (either may be null). Bit-exact with a separate
      * encodeBatch + gatherAccumulate pair by construction — it IS that
      * pair, minus the full-batch barrier between them.
@@ -184,16 +169,6 @@ class KernelBackend
      * untiled sweep — the planner's tile-size model rounds to it.
      */
     virtual int64_t gatherGranuleRows(const LutTableArena &arena) const;
-
-    /**
-     * Shardable gather span: fill output rows [row0, row0 + rows) of `y`
-     * (the full output base) from the same rows of `codes`, using the
-     * EXECUTING worker's `local` scratch. Disjoint spans never race.
-     */
-    virtual void gatherBlock(const LutTableArena &arena,
-                             const vq::CodeBuffer &codes, int64_t row0,
-                             int64_t rows, float *y,
-                             KernelScratch &local) const = 0;
 
     /** Bytes the gather phase streams per full table sweep. */
     virtual int64_t tableBytes(const LutTableArena &arena) const = 0;

@@ -25,7 +25,7 @@ bool
 BinReader::str(std::string &s, uint64_t max_len)
 {
     uint64_t len = 0;
-    if (!u64(len) || len > max_len)
+    if (!u64(len) || len > max_len || !fits(len, 1))
         return false;
     s.resize(len);
     in_.read(s.data(), static_cast<std::streamsize>(len));
@@ -36,7 +36,7 @@ bool
 BinReader::f64vec(std::vector<double> &v, uint64_t max_len)
 {
     uint64_t len = 0;
-    if (!u64(len) || len > max_len)
+    if (!u64(len) || len > max_len || !fits(len, sizeof(double)))
         return false;
     v.resize(len);
     for (double &d : v)

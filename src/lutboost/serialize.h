@@ -81,16 +81,43 @@ class BinWriter
     std::ofstream out_;
 };
 
-/** Mirror reader for BinWriter containers; every read reports success. */
+/**
+ * Mirror reader for BinWriter containers; every read reports success.
+ * Every count read from the file is bounded by the bytes the file still
+ * holds before anything is sized for it, so a truncated or corrupted
+ * file fails the read instead of triggering a huge allocation.
+ */
 class BinReader
 {
   public:
     explicit BinReader(const std::string &path)
-        : in_(path, std::ios::binary)
+        : in_(path, std::ios::binary | std::ios::ate)
     {
+        const std::streamoff end = in_ ? std::streamoff(in_.tellg()) : -1;
+        if (end >= 0) {
+            size_ = static_cast<uint64_t>(end);
+            in_.seekg(0);
+        }
     }
 
     bool ok() const { return static_cast<bool>(in_); }
+
+    /** Bytes between the read position and the end of the file (0 once
+     * a read has failed). */
+    uint64_t
+    remaining()
+    {
+        const std::streamoff pos = in_.tellg();
+        return pos < 0 ? 0 : size_ - static_cast<uint64_t>(pos);
+    }
+
+    /** True when `count` items of at least `min_bytes` bytes each still
+     * fit in the file; check it before sizing anything for `count`. */
+    bool
+    fits(uint64_t count, uint64_t min_bytes)
+    {
+        return count <= remaining() / min_bytes;
+    }
 
     /** Read and verify the 8-byte magic tag. */
     bool magic(const char (&expected)[9]);
@@ -130,6 +157,7 @@ class BinReader
 
   private:
     std::ifstream in_;
+    uint64_t size_ = 0;  ///< file size in bytes
 };
 
 /** Serialize every parameter of `model` to `path`. Fatal on I/O error. */

@@ -380,13 +380,12 @@ LutTableArena::encodeRows(const float *x, int64_t rows, int32_t *codes,
 }
 
 const float *
-LutTableArena::stageRows(const float *x, int64_t row0, int64_t rows,
+LutTableArena::stageRows(const float *x, int64_t rows,
                          std::vector<float> &staging) const
 {
-    const float *xb = x + row0 * in_features_;
     if (!bf16_inputs_)
-        return xb;
-    staging.assign(xb, xb + rows * in_features_);
+        return x;
+    staging.assign(x, x + rows * in_features_);
     for (float &value : staging)
         value = vq::toBf16(value);
     return staging.data();
@@ -398,17 +397,9 @@ LutTableArena::encodeBatch(const float *x, int64_t rows,
                            EncodeScratch &scratch) const
 {
     codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeBlock(x, 0, rows, codes, scratch);
-}
-
-void
-LutTableArena::encodeBlock(const float *x, int64_t row0, int64_t rows,
-                           vq::CodeBuffer &codes,
-                           EncodeScratch &scratch) const
-{
-    encodeDispatch(stageRows(x, row0, rows, scratch.staging), rows, scratch,
-                   [&codes, row0, rows](int64_t s, const int32_t *block) {
-                       codes.storeCodes(s, row0, block, rows);
+    encodeDispatch(stageRows(x, rows, scratch.staging), rows, scratch,
+                   [&codes, rows](int64_t s, const int32_t *block) {
+                       codes.storeCodes(s, 0, block, rows);
                    });
 }
 
@@ -486,22 +477,12 @@ LutTableArena::encodeBatchInt8(const float *x, int64_t rows,
                                EncodeScratch &scratch,
                                EncodeVariant variant) const
 {
-    codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeBlockInt8(x, 0, rows, codes, scratch, variant);
-}
-
-void
-LutTableArena::encodeBlockInt8(const float *x, int64_t row0, int64_t rows,
-                               vq::CodeBuffer &codes,
-                               EncodeScratch &scratch,
-                               EncodeVariant variant) const
-{
     LUTDLA_CHECK(int8_encode_bank_ != nullptr,
-                 "encodeBlockInt8 requires ensureInt8EncodeBank() first");
-    encodeRowsInt8(stageRows(x, row0, rows, scratch.staging), rows, variant,
-                   scratch,
-                   [&codes, row0, rows](int64_t s, const int32_t *block) {
-                       codes.storeCodes(s, row0, block, rows);
+                 "encodeBatchInt8 requires ensureInt8EncodeBank() first");
+    codes.reset(rows, num_subspaces_, num_centroids_);
+    encodeRowsInt8(stageRows(x, rows, scratch.staging), rows, variant,
+                   scratch, [&codes, rows](int64_t s, const int32_t *block) {
+                       codes.storeCodes(s, 0, block, rows);
                    });
 }
 
@@ -520,33 +501,22 @@ LutTableArena::addBias(float *yb, int64_t bn) const
 }
 
 void
-LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, float *y,
-                                GatherScratch &scratch) const
-{
-    gatherAccumulate(codes, 0, codes.rows(), y, scratch);
-}
-
-void
-LutTableArena::checkGatherSpan(const vq::CodeBuffer &codes, int64_t row0,
-                               int64_t rows) const
+LutTableArena::checkCodes(const vq::CodeBuffer &codes) const
 {
     LUTDLA_CHECK(codes.subspaces() == num_subspaces_,
                  "code buffer carries ", codes.subspaces(),
                  " subspaces, arena has ", num_subspaces_);
-    LUTDLA_CHECK(row0 >= 0 && row0 + rows <= codes.rows(),
-                 "gather span [", row0, ", ", row0 + rows, ") exceeds ",
-                 codes.rows(), " encoded rows");
 }
 
 void
-LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, int64_t row0,
-                                int64_t rows, float *y,
+LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, float *y,
                                 GatherScratch &scratch) const
 {
-    checkGatherSpan(codes, row0, rows);
+    checkCodes(codes);
     const int64_t n = out_features_;
-    for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
-        const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
+    const int64_t rows = codes.rows();
+    for (int64_t b0 = 0; b0 < rows; b0 += kRowBlock) {
+        const int64_t bn = std::min(kRowBlock, rows - b0);
         int32_t *unpacked = growScratch(scratch.unpacked, bn * num_subspaces_);
         codes.unpackRows(b0, bn, unpacked);
         float *yb = y + b0 * n;
@@ -605,14 +575,14 @@ checkedLevel(Variant variant, bool layout_built, int64_t c)
 
 template <typename Chunk, typename Sweep>
 void
-LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, int64_t row0,
-                               int64_t rows, float *y,
+LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, float *y,
                                GatherScratch &scratch,
                                util::SimdLevel level, Chunk &&run_chunk,
                                Sweep &&sweep) const
 {
-    checkGatherSpan(codes, row0, rows);
+    checkCodes(codes);
     const int64_t n = out_features_;
+    const int64_t rows = codes.rows();
     const int64_t chunk = simd::shuffleGatherChunkRows(level);
     float *colmajor = nullptr;
     if (chunk > 0) {
@@ -620,17 +590,17 @@ LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, int64_t row0,
                      "shuffle gather reads one byte per code");
         colmajor = growScratch(scratch.colmajor, n * chunk);
     }
-    for (int64_t b0 = row0; b0 < row0 + rows; b0 += kRowBlock) {
-        const int64_t bn = std::min(kRowBlock, row0 + rows - b0);
+    for (int64_t b0 = 0; b0 < rows; b0 += kRowBlock) {
+        const int64_t bn = std::min(kRowBlock, rows - b0);
         float *yb = y + b0 * n;
         // Whole chunks run through the shuffle kernel straight off the
         // code planes. A row tail still worth a vector pass runs PADDED
         // through one more chunk — cheaper than the scalar sweep above
-        // ~chunk/4 rows. Its extra lanes read the plane's zero pad or a
-        // neighbouring span's valid codes (valid indices either way);
-        // near the end of the plane the window slides back so it stays
-        // inside the buffer. Those lanes are computed and never copied
-        // out, and the valid lanes see identical math, so it is bit-exact.
+        // ~chunk/4 rows. Its extra lanes read the plane's zero pad (code
+        // 0, a valid index); they are computed and never copied out, and
+        // the valid lanes see identical math, so it is bit-exact. Chunks
+        // start at multiples of the chunk width and a padded plane is a
+        // multiple of kPlaneAlign, so every chunk lies inside the plane.
         // Planes shorter than a chunk (tiny batches, stored unpadded) take
         // the scalar sweep.
         int64_t done = 0;
@@ -638,11 +608,13 @@ LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, int64_t row0,
                bn - done >= chunk / 4) {
             const int64_t valid = std::min(chunk, bn - done);
             const int64_t first = b0 + done;
-            const int64_t lane0 =
-                std::min(first, codes.planeStride() - chunk);
-            run_chunk(codes.plane(0) + lane0, codes.planeStride(), colmajor);
-            simd::transposeChunkOut(level, colmajor + (first - lane0), chunk,
-                                    valid, n, yb + done * n);
+            LUTDLA_CHECK(first + chunk <= codes.planeStride(),
+                         "shuffle chunk [", first, ", ", first + chunk,
+                         ") leaves the ", codes.planeStride(),
+                         "-lane code plane");
+            run_chunk(codes.plane(0) + first, codes.planeStride(), colmajor);
+            simd::transposeChunkOut(level, colmajor, chunk, valid, n,
+                                    yb + done * n);
             done += valid;
         }
         if (done < bn) {
@@ -666,15 +638,6 @@ LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes, float *y,
                                     GatherScratch &scratch,
                                     Int8GatherVariant variant) const
 {
-    gatherAccumulateInt8(codes, 0, codes.rows(), y, scratch, variant);
-}
-
-void
-LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes,
-                                    int64_t row0, int64_t rows, float *y,
-                                    GatherScratch &scratch,
-                                    Int8GatherVariant variant) const
-{
     LUTDLA_CHECK(int8_bank_ != nullptr,
                  "gatherAccumulateInt8 requires ensureInt8Bank() first");
     const Int8Bank &bank = *int8_bank_;
@@ -683,7 +646,7 @@ LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes,
     const util::SimdLevel level =
         checkedLevel(variant, !bank.q_quad.empty(), num_centroids_);
     gatherQuantized(
-        codes, row0, rows, y, scratch, level,
+        codes, y, scratch, level,
         [&](const uint8_t *lanes, int64_t stride, float *colmajor) {
             simd::shuffleGatherChunk(level, bank.q_quad.data(),
                                      bank.scales.data(), lanes, stride,
@@ -704,15 +667,6 @@ LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes, float *y,
                                     GatherScratch &scratch,
                                     Int4GatherVariant variant) const
 {
-    gatherAccumulateInt4(codes, 0, codes.rows(), y, scratch, variant);
-}
-
-void
-LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes,
-                                    int64_t row0, int64_t rows, float *y,
-                                    GatherScratch &scratch,
-                                    Int4GatherVariant variant) const
-{
     LUTDLA_CHECK(int4_bank_ != nullptr,
                  "gatherAccumulateInt4 requires ensureInt4Bank() first");
     const Int4Bank &bank = *int4_bank_;
@@ -721,7 +675,7 @@ LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes,
     const util::SimdLevel level =
         checkedLevel(variant, !bank.q4_il.empty(), num_centroids_);
     gatherQuantized(
-        codes, row0, rows, y, scratch, level,
+        codes, y, scratch, level,
         [&](const uint8_t *lanes, int64_t stride, float *colmajor) {
             simd::shuffleGatherChunkInt4(
                 level, bank.q4_il.data(), bank.scales.data(), lanes, stride,
@@ -1196,8 +1150,8 @@ LutTableArena::forwardBatch(const float *x, int64_t rows, float *y) const
     for (int64_t b0 = 0; b0 < rows; b0 += kRowBlock) {
         const int64_t bn = std::min(kRowBlock, rows - b0);
         codes.resize(static_cast<size_t>(bn * num_subspaces_));
-        encodeRows(stageRows(x, b0, bn, scratch.staging), bn, codes.data(),
-                   scratch);
+        encodeRows(stageRows(x + b0 * in_features_, bn, scratch.staging),
+                   bn, codes.data(), scratch);
 
         float *yb = y + b0 * n;
         std::fill(yb, yb + bn * n, 0.0f);

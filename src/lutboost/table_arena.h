@@ -19,7 +19,7 @@
  *
  * Execution model: inference splits into two phases the serving data plane
  * drives separately (see lutboost/kernels.h for the pluggable dispatch):
- *  - encode: `encodeBatch` / `encodeBlock` argmin-encode rows into the
+ *  - encode: `encodeBatch` / `encodeBatchInt8` argmin-encode rows into the
  *    planar vq::CodeBuffer, one contiguous block of codes per subspace
  *    (BF16 input rounding applied when the arena demands it). L2 arenas
  *    with 2 <= c <= 64 dispatch to the runtime-selected SIMD argmin
@@ -37,9 +37,11 @@
  *    of one bank share exact integer accumulation under
  *    per-(subspace-group, column-block) scales, so every variant of a
  *    bank is bit-identical by construction.
- * Both phases take explicit [row0, row0 + rows) spans so the serving
- * engine can shard one batch across its worker pool; the whole-buffer
- * overloads are the single-thread convenience.
+ * Both phases work on whole code buffers: an encode fills one from row
+ * 0, a gather reads all of its rows. The serving runtime splits a batch
+ * by handing each worker its own contiguous block of input rows, its own
+ * CodeBuffer and its own slice of the output, never a span of a shared
+ * buffer.
  * The fused `forwardBatch` composes encode + float gather and is the
  * bit-exact reference everything else is tested against.
  *
@@ -68,7 +70,7 @@ namespace lutdla::lutboost {
  * Reusable per-caller encode scratch: the BF16 staging rows plus the
  * per-subspace working buffers of the encode driver. Caller-owned so
  * steady-state encode calls perform no allocations; one per concurrent
- * caller (each encode shard brings its own).
+ * caller.
  */
 struct EncodeScratch
 {
@@ -201,17 +203,7 @@ class LutTableArena
                      EncodeScratch &scratch) const;
 
     /**
-     * Shardable encode span: encode rows [row0, row0 + rows) of the full
-     * batch `x` into an already-reset `codes` buffer. Each subspace's
-     * codes land as one contiguous byte run of its plane, so concurrent
-     * shards writing disjoint row spans of one shared CodeBuffer never
-     * share a byte. Thread-safe with distinct `scratch` per shard.
-     */
-    void encodeBlock(const float *x, int64_t row0, int64_t rows,
-                     vq::CodeBuffer &codes, EncodeScratch &scratch) const;
-
-    /**
-     * INT8 twins of encodeBatch / encodeBlock: argmin-encode over the
+     * INT8 twin of encodeBatch: argmin-encode over the
      * quantized encode bank (requires ensureInt8EncodeBank() first;
      * panics otherwise). Rows are quantized onto the bank's per-subspace
      * 7-bit grid and scored in exact int32 arithmetic, so every variant
@@ -219,14 +211,9 @@ class LutTableArena
      * encode the codes carry a top-1 agreement envelope instead (see
      * docs/SERVING.md). BF16 input rounding still applies first, and
      * ragged tail subspaces are zero-padded exactly like the float path.
-     * L2 metric only. Thread-safe with distinct `scratch` per shard.
+     * L2 metric only. Thread-safe with distinct `scratch` per caller.
      */
     void encodeBatchInt8(const float *x, int64_t rows,
-                         vq::CodeBuffer &codes, EncodeScratch &scratch,
-                         EncodeVariant variant = EncodeVariant::Auto) const;
-
-    /** Shardable INT8 encode span; see encodeBlock for the contract. */
-    void encodeBlockInt8(const float *x, int64_t row0, int64_t rows,
                          vq::CodeBuffer &codes, EncodeScratch &scratch,
                          EncodeVariant variant = EncodeVariant::Auto) const;
 
@@ -287,15 +274,6 @@ class LutTableArena
                           GatherScratch &scratch) const;
 
     /**
-     * Shardable float gather span: fill output rows [row0, row0 + rows)
-     * of `y` (the FULL [codes.rows(), N] output base) from the same rows
-     * of `codes`. Disjoint spans never race.
-     */
-    void gatherAccumulate(const vq::CodeBuffer &codes, int64_t row0,
-                          int64_t rows, float *y,
-                          GatherScratch &scratch) const;
-
-    /**
      * Gather phase over the INT8 bank (requires ensureInt8Bank() first;
      * panics otherwise). Accumulation is exact integer arithmetic per
      * scale group (kInt8ScaleGroup subspaces share one scale per
@@ -306,12 +284,6 @@ class LutTableArena
      */
     void gatherAccumulateInt8(
         const vq::CodeBuffer &codes, float *y, GatherScratch &scratch,
-        Int8GatherVariant variant = Int8GatherVariant::Auto) const;
-
-    /** Shardable INT8 gather span; see the float span overload. */
-    void gatherAccumulateInt8(
-        const vq::CodeBuffer &codes, int64_t row0, int64_t rows, float *y,
-        GatherScratch &scratch,
         Int8GatherVariant variant = Int8GatherVariant::Auto) const;
 
     /**
@@ -367,12 +339,6 @@ class LutTableArena
      */
     void gatherAccumulateInt4(
         const vq::CodeBuffer &codes, float *y, GatherScratch &scratch,
-        Int4GatherVariant variant = Int4GatherVariant::Auto) const;
-
-    /** Shardable INT4 gather span; see the float span overload. */
-    void gatherAccumulateInt4(
-        const vq::CodeBuffer &codes, int64_t row0, int64_t rows, float *y,
-        GatherScratch &scratch,
         Int4GatherVariant variant = Int4GatherVariant::Auto) const;
 
     /**
@@ -567,15 +533,15 @@ class LutTableArena
                         Sink &&sink) const;
 
     /** INT8 encode over `rows` already-staged rows: per-subspace scalar
-     * integer reference or SIMD kernel per `variant`. Shared by
-     * encodeBatchInt8 / encodeBlockInt8. */
+     * integer reference or SIMD kernel per `variant`; encodeBatchInt8's
+     * body. */
     template <typename Sink>
     void encodeRowsInt8(const float *x, int64_t rows, EncodeVariant variant,
                         EncodeScratch &scratch, Sink &&sink) const;
 
-    /** BF16-round rows [row0, row0 + rows) of `x` into `staging` when the
-     * arena demands it; returns the rows the encode should read. */
-    const float *stageRows(const float *x, int64_t row0, int64_t rows,
+    /** BF16-round the `rows` rows of `x` into `staging` when the arena
+     * demands it; returns the rows the encode should read. */
+    const float *stageRows(const float *x, int64_t rows,
                            std::vector<float> &staging) const;
 
     /** Row-major accumulate: optimal for tiny batches. */
@@ -585,28 +551,26 @@ class LutTableArena
     void sweepBlockGrouped(const int32_t *codes, int64_t bn,
                            float *yb) const;
 
-    /** Panic unless `codes` matches this arena and holds rows
-     * [row0, row0 + rows). */
-    void checkGatherSpan(const vq::CodeBuffer &codes, int64_t row0,
-                         int64_t rows) const;
+    /** Panic unless `codes` carries this arena's subspace count. */
+    void checkCodes(const vq::CodeBuffer &codes) const;
 
     /**
      * Block -> full-chunk -> padded-tail -> scalar-tail driver shared by
      * the INT8 and INT4 gathers. Per kRowBlock block, rows run through
      * `run_chunk(codes, code_stride, colmajor)` in shuffle chunks of
      * simd::shuffleGatherChunkRows(level) rows (Generic = scalar only),
-     * reading the code planes in place; a tail of at least chunk/4 rows
-     * runs padded through one more chunk, and a smaller tail through
+     * reading the code planes in place from row 0; a tail of at least
+     * chunk/4 rows runs padded through one more chunk (its extra lanes
+     * read the plane's zero pad), and a smaller tail through
      * `sweep(codes, rows, y)` over a zeroed output. Chunk partials reach
      * the output through the SIMD transpose at `level`. Both paths share
      * the bank's exact integer accumulation, so every seam is
      * bit-invisible.
      */
     template <typename Chunk, typename Sweep>
-    void gatherQuantized(const vq::CodeBuffer &codes, int64_t row0,
-                         int64_t rows, float *y, GatherScratch &scratch,
-                         util::SimdLevel level, Chunk &&run_chunk,
-                         Sweep &&sweep) const;
+    void gatherQuantized(const vq::CodeBuffer &codes, float *y,
+                         GatherScratch &scratch, util::SimdLevel level,
+                         Chunk &&run_chunk, Sweep &&sweep) const;
 
     /** Add the packed bias row to `bn` output rows (no-op without bias). */
     void addBias(float *yb, int64_t bn) const;

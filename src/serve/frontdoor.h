@@ -37,15 +37,17 @@
  * were admitted against, new submissions ride the new version, and no
  * batch ever mixes versions. See registry.h for the version semantics.
  *
- * Intra-batch parallelism: the pool implements IntraBatchPool, so a
- * large batch's encode/gather phases shard across idle workers. The
- * initiating worker publishes a ShardTask under the same mutex that
- * guards the request queues, and idle workers sleep on ONE condition
- * variable that wakes for either kind of work — a worker waiting for
- * requests can never miss shard work. Helpers claim blocks through the
- * task's atomic cursor (wait-free) and run them with their own
- * StageScratch; results are bit-exact with the unsharded sweep because
- * shards cover disjoint rows.
+ * Intra-batch parallelism: the pool implements IntraBatchPool, the
+ * backend of serve::forEachBlock, so a large batch's row blocks (tiles of
+ * a tiled segment, fused encode -> gather blocks of a LUT stage, attention
+ * sequences) spread across idle workers. The initiating worker publishes
+ * a ShardTask under the same mutex that guards the request queues, and
+ * idle workers sleep on ONE condition variable that wakes for either
+ * kind of work — a worker waiting for requests can never miss block
+ * work. Helpers claim blocks through the task's atomic cursor
+ * (wait-free) and run each whole block with their own StageScratch;
+ * results are bit-exact with the single-thread sweep because blocks
+ * cover disjoint rows.
  */
 
 #include <atomic>
@@ -171,7 +173,7 @@ class Tenant
 /**
  * Serving front door: a ModelRegistry plus one shared worker pool with
  * deadline-aware, priority-stratified scheduling. Implements
- * IntraBatchPool so LUT stages shard big batches across the pool.
+ * IntraBatchPool so forEachBlock splits big batches across the pool.
  */
 class FrontDoor : private IntraBatchPool
 {

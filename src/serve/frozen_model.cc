@@ -776,18 +776,9 @@ FrozenModel::runTiledSegment(const TilePlan &seg, const float *in,
         if (!stages_[s]->inPlace())
             last_oop = s;
 
-    const ShardFn run_tile = [&](int64_t t, StageScratch &local) {
-        // A tile IS the work-stealing unit — null the pool so no stage
-        // tries to shard WITHIN the tile (nested parallelFor would also
-        // deadlock the caller-participates pool).
-        IntraBatchPool *const saved_pool = local.pool;
-        local.pool = nullptr;
-        // Helpers' phase counters are restored on exit: only the
-        // initiator's tile deltas feed the per-batch phase
-        // stats, the same wall-clock convention the sharded phases use.
-        const uint64_t saved_encode = local.encode_ns;
-        const uint64_t saved_gather = local.gather_ns;
-
+    // A tile IS the work-stealing unit: forEachBlock nulls the pool inside
+    // it, so no stage splits the tile again.
+    forEachBlock(scratch, tiles, [&](int64_t t, StageScratch &local) {
         const int64_t r0 = t * tile;
         const int64_t rn = std::min(tile, rows - r0);
         if (r0 + rn < rows) {
@@ -843,19 +834,7 @@ FrozenModel::runTiledSegment(const TilePlan &seg, const float *in,
                 cur = cur_mut;
             }
         }
-
-        if (&local != &scratch) {
-            local.encode_ns = saved_encode;
-            local.gather_ns = saved_gather;
-        }
-        local.pool = saved_pool;
-    };
-
-    if (scratch.pool != nullptr && tiles >= 2)
-        scratch.pool->parallelFor(tiles, run_tile, scratch);
-    else
-        for (int64_t t = 0; t < tiles; ++t)
-            run_tile(t, scratch);
+    });
 }
 
 } // namespace lutdla::serve

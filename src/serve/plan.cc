@@ -79,15 +79,13 @@ collectEpilogue(const std::vector<StagePtr> &stages, size_t j,
 }
 
 /**
- * Resolve the shard granularity: explicit wins; auto binds to one
- * shuffle-gather chunk so a shard never hands the vector kernels a
- * partial chunk (which would fall back to the scalar tail sweep).
+ * The intra-batch block granularity: one shuffle-gather chunk, so a block
+ * never hands the vector kernels a partial chunk (which would fall back
+ * to the scalar tail sweep).
  */
 int64_t
-resolveShardRows(const PlanOptions &options)
+intraBatchBlockRows()
 {
-    if (options.shard_rows > 0)
-        return options.shard_rows;
     const int64_t chunk =
         lutboost::simd::shuffleGatherChunkRows(util::simdLevel());
     return chunk > 0 ? chunk : 32;
@@ -247,7 +245,7 @@ void
 planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
            std::vector<StagePlan> &plan, TileExecPlan *tiles)
 {
-    const int64_t shard_rows = resolveShardRows(options);
+    const int64_t shard_rows = intraBatchBlockRows();
 
     std::vector<StagePtr> out;
     out.reserve(stages.size());

@@ -96,13 +96,6 @@ struct PlanOptions
     /** Fold pointwise / width-adapt neighbors into LUT stages. */
     bool fuse = true;
     /**
-     * Intra-batch shard granularity in rows for lut-gemm stages (the
-     * serving worker pool splits batches of >= 2 shards). 0 = auto: one
-     * shuffle-gather chunk (64 rows on AVX-512, 32 on AVX2, else 32) so
-     * sharding never starves the vector kernels of full chunks.
-     */
-    int64_t shard_rows = 0;
-    /**
      * Row-tile size for the streaming segment executor (see
      * FrozenModel::forwardBatch): 0 = auto — the largest multiple of the
      * segment's gather granule whose streamed working set (tile in-plane
@@ -149,8 +142,8 @@ struct StagePlan
      * and INT4 banks); empty for
      * non-LUT stages. */
     std::string gather_kernel;
-    /** Intra-batch shard granularity bound at plan time (0 = unsharded,
-     * e.g. conv stages). */
+    /** Intra-batch block granularity in rows, one shuffle-gather chunk
+     * (0 = never split, e.g. conv stages). */
     int64_t shard_rows = 0;
     /** Tiled-executor segment this stage belongs to; -1 for barrier
      * stages and untiled glue runs (see TilePlan). */

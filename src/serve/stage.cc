@@ -166,62 +166,60 @@ ArenaStage::tileScratchBytesPerRow() const
 }
 
 void
+forEachBlock(StageScratch &scratch, int64_t blocks, const ShardFn &fn)
+{
+    const ShardFn run_block = [&](int64_t block, StageScratch &local) {
+        // A block IS the work-stealing unit: null the pool so nothing
+        // inside it fans out again (a nested parallelFor would also
+        // deadlock the caller-participates pool).
+        IntraBatchPool *const saved_pool = local.pool;
+        local.pool = nullptr;
+        // Helpers' phase counters are restored on exit, so only the
+        // initiator's block deltas feed the per-batch phase stats.
+        const uint64_t saved_encode = local.encode_ns;
+        const uint64_t saved_gather = local.gather_ns;
+        fn(block, local);
+        if (&local != &scratch) {
+            local.encode_ns = saved_encode;
+            local.gather_ns = saved_gather;
+        }
+        local.pool = saved_pool;
+    };
+    if (scratch.pool != nullptr && blocks >= 2)
+        scratch.pool->parallelFor(blocks, run_block, scratch);
+    else
+        for (int64_t b = 0; b < blocks; ++b)
+            run_block(b, scratch);
+}
+
+void
 arenaGemmForward(const lutboost::LutTableArena &arena,
                  const lutboost::KernelBackend &backend, const float *in,
                  int64_t rows, float *out, int64_t shard_rows,
                  const std::vector<PointwiseOp> &epilogue,
                  StageScratch &scratch, lutboost::EncodePrecision encode)
 {
-    // Shard both phases over the serving worker pool when the batch is
-    // big enough to split (rows are independent, so the sharded sweep is
-    // bit-exact with the single-thread one). Phase timing stays on the
-    // initiating worker only, so encode_ns / gather_ns deltas measure the
-    // batch's per-phase WALL time regardless of how many workers helped.
-    const auto t0 = Clock::now();
-    const int64_t shard = shard_rows;
+    // One pass per row block: the fused encode -> gather tile, then the
+    // epilogue while the slab is cache-hot, all on the executing
+    // worker's own KernelScratch. Rows are independent, so any blocking
+    // is bit-exact with the single-block sweep. Without a pool or with a
+    // batch of fewer than two blocks this is one whole-batch tile.
+    const int64_t in_width = arena.inFeatures();
     const int64_t out_width = arena.outFeatures();
     const bool sharded =
-        scratch.pool != nullptr && shard > 0 && rows >= 2 * shard;
-    if (!sharded) {
-        // The fused tile entry point: whole-batch execution is just the
-        // one-tile case of the streaming executor's per-tile sweep.
-        backend.forwardTile(arena, in, rows, out, scratch.kernel,
-                            &scratch.encode_ns, &scratch.gather_ns,
-                            encode);
-        const auto t1 = Clock::now();
-        applyPointwiseOps(epilogue, out, rows * out_width);
-        scratch.gather_ns += nanosSince(t1);
-        return;
-    }
-
-    const int64_t blocks = (rows + shard - 1) / shard;
-    vq::CodeBuffer &codes = scratch.kernel.codes;
-    backend.encodePrepare(arena, rows, codes);
-    scratch.pool->parallelFor(
-        blocks,
-        [&](int64_t block, StageScratch &local) {
-            const int64_t r0 = block * shard;
-            const int64_t rn = std::min(shard, rows - r0);
-            backend.encodeBlock(arena, in, r0, rn, codes, local.kernel,
-                                encode);
-        },
-        scratch);
-    scratch.encode_ns += nanosSince(t0);
-
-    const auto t1 = Clock::now();
-    scratch.pool->parallelFor(
-        blocks,
-        [&](int64_t block, StageScratch &local) {
-            const int64_t r0 = block * shard;
-            const int64_t rn = std::min(shard, rows - r0);
-            backend.gatherBlock(arena, codes, r0, rn, out, local.kernel);
-            // Epilogue per shard: elementwise, so shard boundaries cannot
-            // change it, and the slab is still cache-hot.
-            applyPointwiseOps(epilogue, out + r0 * out_width,
-                              rn * out_width);
-        },
-        scratch);
-    scratch.gather_ns += nanosSince(t1);
+        scratch.pool != nullptr && shard_rows > 0 && rows >= 2 * shard_rows;
+    const int64_t block_rows = sharded ? shard_rows : rows;
+    const int64_t blocks = sharded ? (rows + block_rows - 1) / block_rows : 1;
+    forEachBlock(scratch, blocks, [&](int64_t block, StageScratch &local) {
+        const int64_t r0 = block * block_rows;
+        const int64_t rn = std::min(block_rows, rows - r0);
+        float *y = out + r0 * out_width;
+        backend.forwardTile(arena, in + r0 * in_width, rn, y, local.kernel,
+                            &local.encode_ns, &local.gather_ns, encode);
+        const auto t0 = Clock::now();
+        applyPointwiseOps(epilogue, y, rn * out_width);
+        local.gather_ns += nanosSince(t0);
+    });
 }
 
 void

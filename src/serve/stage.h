@@ -14,13 +14,15 @@
  * batch loop is topology-agnostic: MLPs, CNNs, and future attention graphs all
  * execute as "for stage in stages: stage.forward".
  *
- * Execution model: LUT stages do no inline math. They emit two kernel
- * calls — encodeBatch (rows -> planar centroid indices) and
- * gatherAccumulate (indices -> accumulated table rows) — dispatched
- * through the lutboost::KernelBackend chosen at plan time (reference
- * float = bit-exact, quantized = INT8 or INT4 tables), and then
- * apply any epilogue ops the planner fused in (pointwise activations,
- * trace width adaptation) while the output is still cache-hot. The two
+ * Execution model: LUT stages do no inline math. Each block of rows runs
+ * the fused KernelBackend::forwardTile — encodeBatch (rows -> planar
+ * centroid indices) straight into gatherAccumulate (indices ->
+ * accumulated table rows) on the executing worker's own KernelScratch,
+ * with no barrier between the phases — dispatched through the
+ * lutboost::KernelBackend chosen at plan time (reference float =
+ * bit-exact, quantized = INT8 or INT4 tables), and then applies any
+ * epilogue ops the planner fused in (pointwise activations, trace width
+ * adaptation) while the block's output is still cache-hot. The two
  * phase times are accumulated into StageScratch for the per-lane stats
  * (LaneStats encode/gather split).
  *
@@ -58,7 +60,7 @@ namespace lutdla::serve {
 /** Defined below; forward-declared for ShardFn / IntraBatchPool. */
 struct StageScratch;
 
-/** One shard of an intra-batch parallel phase: `block` indexes the shard,
+/** One block of an intra-batch parallel pass: `block` indexes the block,
  * `scratch` is the EXECUTING worker's scratch (each participant brings
  * its own buffers; shared state is captured by the closure). */
 using ShardFn = std::function<void(int64_t block, StageScratch &scratch)>;
@@ -66,10 +68,10 @@ using ShardFn = std::function<void(int64_t block, StageScratch &scratch)>;
 /**
  * Intra-batch parallelism seam: the serving runtime (FrontDoor, which
  * also backs the single-model InferenceEngine) hands each worker's
- * StageScratch a pool pointer, and LUT stages shard their encode / gather
- * phases over it instead of sweeping the whole batch on one thread.
- * parallelFor() blocks until every shard ran; the CALLER participates
- * (running shards with `caller` scratch) while idle workers steal the
+ * StageScratch a pool pointer, and forEachBlock() splits a batch's row
+ * blocks over it instead of sweeping the whole batch on one thread.
+ * parallelFor() blocks until every block ran; the CALLER participates
+ * (running blocks with `caller` scratch) while idle workers steal the
  * rest from a shared block queue, so progress never depends on another
  * worker being free.
  */
@@ -120,7 +122,7 @@ struct StageScratch
      * context accumulator), sized [rows, d_model] by AttentionStage. */
     std::vector<float> attn_q, attn_k, attn_v, attn_ctx;
     /** Attention probability rows [heads, T, T]; per-PARTICIPANT scratch
-     * (each sharded sequence runs with its executing worker's plane). */
+     * (each sequence block runs with its executing worker's plane). */
     std::vector<float> attn_probs;
     /**
      * Tile-local activation planes for the row-tiled segment executor
@@ -134,8 +136,8 @@ struct StageScratch
     uint64_t encode_ns = 0;            ///< accumulated encode-phase time
     uint64_t gather_ns = 0;            ///< accumulated gather-phase time
     /** Intra-batch worker pool (the front door's); null = single-threaded.
-     * Phase times stay wall-clock: only the initiating worker's timers
-     * run while shards execute in parallel. */
+     * forEachBlock() nulls it inside a block, so blocks never nest, and
+     * only the initiating worker's block deltas reach its phase times. */
     IntraBatchPool *pool = nullptr;
 };
 
@@ -237,17 +239,31 @@ void applyPointwiseOps(const std::vector<PointwiseOp> &ops, float *data,
                        int64_t total);
 
 /**
+ * The one intra-batch parallel unit: run fn(block, local) for every block
+ * in [0, blocks) — over `scratch.pool` when it is set and there are at
+ * least two blocks, else serially on `scratch`. Inside a block
+ * `local.pool` is null, so blocks never nest; a helper's encode_ns /
+ * gather_ns are restored afterwards, so only the initiator's block deltas
+ * reach the batch's phase stats. The tiled executor's row tiles,
+ * arenaGemmForward's row blocks and AttentionStage's sequences all run
+ * through it.
+ */
+void forEachBlock(StageScratch &scratch, int64_t blocks, const ShardFn &fn);
+
+/**
  * The arena LUT-GEMM execution body shared by ArenaStage and
  * AttentionStage's four projection GEMMs: encode `in` ([rows, arena K])
- * then gather into `out` ([rows, arena N]) through `backend`, applying
- * `epilogue` on the output while it is cache-hot, with phase times
- * accumulated into scratch.encode_ns / gather_ns. When `shard_rows` > 0
- * and `scratch.pool` is set, batches of at least two shards run each
- * phase as a parallel-for over row blocks (bit-exact with the
- * single-thread sweep; see ArenaStage). `encode` picks the encode-phase
- * arithmetic (see lutboost::EncodePrecision); sharded and unsharded
- * sweeps route it identically, so the choice never depends on batch
- * size.
+ * and gather into `out` ([rows, arena N]) through `backend`'s fused
+ * forwardTile, applying `epilogue` on the output while it is cache-hot,
+ * with phase times accumulated into scratch.encode_ns / gather_ns. When
+ * `shard_rows` > 0 and `scratch.pool` is set, batches of at least two
+ * blocks split into `shard_rows`-row blocks through forEachBlock; each
+ * block runs the whole tile (encode, gather, epilogue) on its worker's
+ * own KernelScratch, so there is no full-batch barrier and no shared
+ * code buffer, and the result is bit-exact with the single-block sweep.
+ * `encode` picks the encode-phase arithmetic (see
+ * lutboost::EncodePrecision); every block routes it identically, so the
+ * choice never depends on batch size.
  */
 void arenaGemmForward(
     const lutboost::LutTableArena &arena,
@@ -262,13 +278,12 @@ void arenaGemmForward(
  * optional `adapt_in_width` prologue absorbs a preceding WidthAdaptStage
  * (trace models): the stage then consumes `adapt_in_width`-wide rows and
  * cyclically replicates them to the arena width in scratch before
- * encoding. When the planner set a shard granularity (`shard_rows`) and
- * the executing scratch carries an IntraBatchPool, batches of at least
- * two shards run each phase as a parallel-for over row blocks: encode
- * shards fill disjoint byte runs of one shared CodeBuffer's planes,
- * gather shards fill disjoint output rows (epilogue included, still
- * cache-hot) — bit-exact with the single-thread sweep because rows are
- * independent.
+ * encoding. When the planner bound a block granularity (`shard_rows`,
+ * one shuffle-gather chunk) and the executing scratch carries an
+ * IntraBatchPool, batches of at least two blocks split into row blocks
+ * that each run encode -> gather -> epilogue on their worker's own
+ * scratch (see arenaGemmForward) — bit-exact with the single-thread
+ * sweep because rows are independent.
  *
  * `encode` picks the encode-phase arithmetic (lutboost::EncodePrecision):
  * Int8 is honored only when the arena supports the quantized encode bank
@@ -326,9 +341,6 @@ class ArenaStage : public FrozenStage
 
     /** Fused width-adapt prologue input width (0 when absent). */
     int64_t adaptInWidth() const { return adapt_in_; }
-
-    /** Intra-batch shard granularity in rows (0 = never shard). */
-    int64_t shardRows() const { return shard_rows_; }
 
     /** The RESOLVED encode precision (Int8 only when the arena supports
      * the quantized encode bank; Float32 otherwise). */

@@ -194,7 +194,8 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
     scratch.attn_ctx.resize(static_cast<size_t>(total));
 
     // Three projection LUT-GEMMs into the worker's attention planes; the
-    // shared arena body shards them over rows exactly like ArenaStage.
+    // shared arena body splits them into row blocks exactly like
+    // ArenaStage.
     static const std::vector<PointwiseOp> kNoEpilogue;
     arenaGemmForward(*arenas_.q, *backend_, in, rows,
                      scratch.attn_q.data(), shard_rows_, kNoEpilogue,
@@ -207,9 +208,9 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
                      scratch, encode_);
 
     // Scaled-dot-product core: the shared eval kernel per sequence, into
-    // a zeroed context plane. Sequences are independent, so sharding over
-    // them is bit-exact (disjoint context rows); each participant brings
-    // its own probability plane. Charged to the gather phase.
+    // a zeroed context plane. Sequences are independent, so one block per
+    // sequence is bit-exact (disjoint context rows); each participant
+    // brings its own probability plane. Charged to the gather phase.
     const auto t0 = Clock::now();
     std::fill(scratch.attn_ctx.begin(),
               scratch.attn_ctx.begin() + static_cast<size_t>(total), 0.0f);
@@ -219,19 +220,14 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
     const float *k = scratch.attn_k.data();
     const float *v = scratch.attn_v.data();
     float *ctx = scratch.attn_ctx.data();
-    const auto run_sequence = [&](int64_t b, StageScratch &local) {
+    const ShardFn run_sequence = [&](int64_t b, StageScratch &local) {
         local.attn_probs.resize(static_cast<size_t>(probs_floats));
         const int64_t off = b * seq_len_ * d_model_;
         nn::attentionSequenceContext(q + off, k + off, v + off, seq_len_,
                                      heads_, d_model_, ctx + off,
                                      local.attn_probs.data());
     };
-    if (scratch.pool != nullptr && sequences >= 2) {
-        scratch.pool->parallelFor(sequences, run_sequence, scratch);
-    } else {
-        for (int64_t b = 0; b < sequences; ++b)
-            run_sequence(b, scratch);
-    }
+    forEachBlock(scratch, sequences, run_sequence);
     scratch.gather_ns += nanosSince(t0);
 
     // Output projection (with any fused epilogue) into the stage output.

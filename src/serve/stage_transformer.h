@@ -147,9 +147,10 @@ class SoftmaxStage : public FrozenStage
  * softmax core between them executed by the shared
  * nn::attentionSequenceContext kernel per sequence. Batches must be
  * whole sequences ([B * seq_len, d_model] rows); the front door enforces
- * this at admission via FrozenModel::rowGroup(). Projection GEMMs shard
- * over rows and the sdpa core shards over sequences when the executing
- * scratch carries an IntraBatchPool — all bit-exact with the
+ * this at admission via FrozenModel::rowGroup(). When the executing
+ * scratch carries an IntraBatchPool, the projection GEMMs split into row
+ * blocks (each a fused encode -> gather tile) and the sdpa core into one
+ * block per sequence, all through forEachBlock — bit-exact with the
  * single-thread sweep. The planner may fuse a pointwise epilogue into
  * the output projection.
  */
@@ -201,9 +202,6 @@ class AttentionStage : public FrozenStage
 
     /** Embedding width D. */
     int64_t dModel() const { return d_model_; }
-
-    /** Intra-batch shard granularity in rows (0 = never shard). */
-    int64_t shardRows() const { return shard_rows_; }
 
     /** The RESOLVED encode precision, shared by all four projection
      * GEMMs (Int8 only when EVERY projection arena supports the

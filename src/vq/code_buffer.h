@@ -22,8 +22,9 @@
  * code 0, a valid index. Batches of fewer than kMinPaddedRows rows keep
  * unpadded planes (planeStride() == rows): no gather runs a shuffle chunk
  * for them, and a 64-row pad would spread a 1-row batch's codes over one
- * cache line per subspace. Sharded encode blocks write disjoint byte runs
- * of each plane, so two shards never share a byte.
+ * cache line per subspace. A buffer belongs to one worker: the encode
+ * fills it from row 0 and the gather reads it from row 0, so a gather
+ * chunk that starts at a multiple of its width never leaves the plane.
  *
  * Why no nibble packing: on the CPU this buffer is per-tile L1/L2 scratch
  * between two kernels, not the CCM -> IMM wire. Packing c <= 16 codes two

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "api/lutdla.h"
+#include "lutboost/serialize.h"
 #include "nn/models.h"
 
 namespace lutdla::api {
@@ -138,6 +139,39 @@ TEST(ApiPipeline, LoadArtifactsRejectsGarbage)
         fclose(f);
     }
     EXPECT_EQ(loadArtifacts(path).status().code(), StatusCode::IoError);
+    std::remove(path.c_str());
+}
+
+TEST(ApiPipeline, LoadArtifactsBoundsCountsByFileSize)
+{
+    // A truncated file whose GEMM count claims 4M entries (inside the
+    // format's hard cap) must fail typed AT the count, before the trace
+    // vector is sized for it: the file holds no bytes for a single GEMM.
+    const std::string path = "api_artifacts_oversized_count.bin";
+    {
+        lutboost::BinWriter out(path);
+        out.magic("LUTDLAR1");
+        out.str("truncated");
+        for (int i = 0; i < 6; ++i)  // pq v, c, metric, iters, seed;
+            out.u64(0);              // converted flag
+        out.i64(0);                  // replaced layers
+        for (int i = 0; i < 3; ++i)  // conversion accuracies
+            out.f64(0.0);
+        for (int stage = 0; stage < 2; ++stage) {  // two TrainResults
+            out.f64vec({});
+            out.f64vec({});
+            out.f64(0.0);
+            out.f64(0.0);
+        }
+        out.f64(0.0);         // deployed accuracy
+        out.u64(1u << 22);    // GEMM count, then the file ends
+    }
+    Result<RunArtifacts> loaded = loadArtifacts(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::IoError);
+    EXPECT_NE(loaded.status().toString().find("bad GEMM count"),
+              std::string::npos)
+        << loaded.status().toString();
     std::remove(path.c_str());
 }
 

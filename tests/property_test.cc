@@ -237,8 +237,8 @@ TEST_P(CodeBufferRoundTrip, StoreReadIsLossless)
     EXPECT_EQ(buffer.planeStride(), want_stride);
     EXPECT_EQ(buffer.sizeBytes(), subspaces * want_stride * want_bits / 8);
 
-    // Store each subspace in ragged 7-row blocks, the way encode shards
-    // write their spans.
+    // Store each subspace in ragged 7-row blocks, so stores at unaligned
+    // row offsets are covered too.
     Rng rng(17 + static_cast<uint64_t>(centroids));
     std::vector<int32_t> expected(static_cast<size_t>(rows * subspaces));
     std::vector<int32_t> column(static_cast<size_t>(rows));
@@ -328,46 +328,50 @@ TEST(CodeBufferPlanes, SubspaceMajorLayoutOnAwkwardShapes)
     }
 }
 
-// ---- Property: sharded encode on the planes matches the whole batch ----
+// ---- Property: block-by-block encode matches the whole batch ----------
 
 /**
- * Encode shards write disjoint byte runs of one shared CodeBuffer. Blocks
- * of 13 rows (never chunk-aligned) followed by a final 1-row block must
- * leave exactly the codes a whole-batch encode writes, for the float
- * encode and every INT8 encode tier this host runs — and the pad lanes
- * must read 0 even when the buffer held a bigger batch before. Shapes
- * straddle the 64-row plane alignment; c covers nibble-sized, byte-sized
- * and two-byte codes, on both the SIMD and the scalar encode paths.
+ * The serving runtime splits a batch into row blocks, and each block
+ * encodes its own input rows (x + r0 * K) into its worker's own
+ * CodeBuffer. Blocks of 13 rows (never chunk-aligned) followed by a final
+ * 1-row block, encoded one after another into ONE reused buffer that
+ * first held a bigger dirty batch, must each carry exactly the codes the
+ * whole-batch encode writes for the same rows, for the float encode and
+ * every INT8 encode tier this host runs, and each block's pad lanes must
+ * read 0. Shapes straddle the 64-row plane alignment; c covers
+ * nibble-sized, byte-sized and two-byte codes, on both the SIMD and the
+ * scalar encode paths.
  */
 class EncodeShardSeams
     : public ::testing::TestWithParam<std::tuple<int64_t, int64_t>>
 {
 };
 
-/** Run `encode_block(row0, n)` over `rows` rows as 13-row blocks from row
- * 0 and then one final 1-row block. */
-template <typename EncodeBlock>
+/** Run `fn(row0, n)` over `rows` rows as 13-row blocks from row 0 and
+ * then one final 1-row block. */
+template <typename Fn>
 void
-encodeInUnalignedShards(int64_t rows, EncodeBlock &&encode_block)
+forEachUnalignedBlock(int64_t rows, Fn &&fn)
 {
     const int64_t last = rows - 1;
     for (int64_t r0 = 0; r0 < last; r0 += 13)
-        encode_block(r0, std::min<int64_t>(13, last - r0));
-    encode_block(last, 1);
+        fn(r0, std::min<int64_t>(13, last - r0));
+    fn(last, 1);
 }
 
+/** `block` must hold exactly rows [r0, r0 + block.rows()) of `whole`, and
+ * its pad lanes must read 0. */
 void
-expectSameCodes(const vq::CodeBuffer &got, const vq::CodeBuffer &want,
-                const std::string &what)
+expectBlockCodes(const vq::CodeBuffer &block, const vq::CodeBuffer &whole,
+                 int64_t r0, const std::string &what)
 {
-    ASSERT_EQ(got.rows(), want.rows()) << what;
-    ASSERT_EQ(got.subspaces(), want.subspaces()) << what;
-    ASSERT_EQ(got.planeStride(), want.planeStride()) << what;
-    for (int64_t s = 0; s < want.subspaces(); ++s)
-        for (int64_t r = 0; r < want.rows(); ++r)
-            ASSERT_EQ(got.get(r, s), want.get(r, s))
-                << what << " r=" << r << " s=" << s;
-    expectZeroPadLanes(got, what);
+    ASSERT_EQ(block.subspaces(), whole.subspaces()) << what;
+    ASSERT_LE(r0 + block.rows(), whole.rows()) << what;
+    for (int64_t s = 0; s < whole.subspaces(); ++s)
+        for (int64_t r = 0; r < block.rows(); ++r)
+            ASSERT_EQ(block.get(r, s), whole.get(r0 + r, s))
+                << what << " r=" << r0 + r << " s=" << s;
+    expectZeroPadLanes(block, what);
 }
 
 TEST_P(EncodeShardSeams, UnalignedBlocksMatchWholeBatch)
@@ -392,14 +396,22 @@ TEST_P(EncodeShardSeams, UnalignedBlocksMatchWholeBatch)
         "rows=" + std::to_string(rows) + " c=" + std::to_string(c);
 
     lutboost::EncodeScratch scratch;
-    vq::CodeBuffer whole, shards;
-    arena->encodeBatch(x.data(), rows, whole, scratch);
-    dirtyCodeBuffer(shards, rows, nc, c);
-    shards.reset(rows, nc, c);
-    encodeInUnalignedShards(rows, [&](int64_t r0, int64_t n) {
-        arena->encodeBlock(x.data(), r0, n, shards, scratch);
-    });
-    expectSameCodes(shards, whole, "float encode " + what);
+    vq::CodeBuffer whole, block;
+    // `encode(x, n, codes)` runs one encode tier; the whole batch and
+    // every block go through it.
+    const auto check_blocks = [&](const std::string &tier, auto &&encode) {
+        encode(x.data(), rows, whole);
+        dirtyCodeBuffer(block, rows, nc, c);
+        forEachUnalignedBlock(rows, [&](int64_t r0, int64_t n) {
+            encode(x.data() + r0 * k, n, block);
+            expectBlockCodes(block, whole, r0,
+                             tier + " block r0=" + std::to_string(r0));
+        });
+    };
+    check_blocks("float encode " + what,
+                 [&](const float *xs, int64_t n, vq::CodeBuffer &codes) {
+                     arena->encodeBatch(xs, n, codes, scratch);
+                 });
 
     // The SIMD INT8 tiers need c <= 16; the scalar reference runs all c.
     std::vector<lutboost::EncodeVariant> variants{
@@ -410,17 +422,13 @@ TEST_P(EncodeShardSeams, UnalignedBlocksMatchWholeBatch)
     if (c <= 16 && level >= util::SimdLevel::Avx512Vnni)
         variants.push_back(lutboost::EncodeVariant::DotVnni);
     for (const auto variant : variants) {
-        const std::string tier =
+        check_blocks(
             std::string("int8 ") +
-            lutboost::LutTableArena::encodeVariantName(variant) + " " + what;
-        arena->encodeBatchInt8(x.data(), rows, whole, scratch, variant);
-        dirtyCodeBuffer(shards, rows, nc, c);
-        shards.reset(rows, nc, c);
-        encodeInUnalignedShards(rows, [&](int64_t r0, int64_t n) {
-            arena->encodeBlockInt8(x.data(), r0, n, shards, scratch,
-                                   variant);
-        });
-        expectSameCodes(shards, whole, tier);
+                lutboost::LutTableArena::encodeVariantName(variant) + " " +
+                what,
+            [&](const float *xs, int64_t n, vq::CodeBuffer &codes) {
+                arena->encodeBatchInt8(xs, n, codes, scratch, variant);
+            });
     }
 }
 
@@ -473,6 +481,19 @@ TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
                                 scratch.gather,
                                 lutboost::Int8GatherVariant::Scalar);
 
+    // Block-by-block sweep (what the serving runtime's row blocks run):
+    // each block encodes its own rows into one reused scratch and gathers
+    // them into its slice of the output; the seams must be invisible.
+    Tensor blocks(Shape{rows, n});
+    lutboost::KernelScratch local;
+    forEachUnalignedBlock(rows, [&](int64_t r0, int64_t bn) {
+        lutboost::quantizedBackend().forwardTile(
+            *arena, x.data() + r0 * k, bn, blocks.data() + r0 * n, local,
+            nullptr, nullptr);
+    });
+    EXPECT_TRUE(blocks.equals(scalar))
+        << "block seams changed the INT8 gather result";
+
     const util::SimdLevel level = util::simdLevel();
     std::vector<lutboost::Int8GatherVariant> variants;
     if (level >= util::SimdLevel::Avx2)
@@ -499,17 +520,6 @@ TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
         EXPECT_TRUE(autod.equals(scalar));
     }
 
-    // Span-sharded sweep (what the engine's parallel-for runs) must hit
-    // the same bits as the whole-buffer call.
-    Tensor spans(Shape{rows, n});
-    const int64_t half = rows / 2;
-    if (half > 0)
-        arena->gatherAccumulateInt8(scratch.codes, 0, half, spans.data(),
-                                    scratch.gather);
-    arena->gatherAccumulateInt8(scratch.codes, half, rows - half,
-                                spans.data(), scratch.gather);
-    EXPECT_TRUE(spans.equals(scalar))
-        << "span seam changed the INT8 gather result";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -545,7 +555,7 @@ class Int4GatherVariants
 /**
  * Encode `x`, gather it through the scalar packed sweep into `scalar`,
  * and require every INT4 shuffle tier this host runs (forced and Auto,
- * whole-buffer and split at rows / 2) to match it bit for bit.
+ * whole-buffer and block by block) to match it bit for bit.
  */
 void
 expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
@@ -559,6 +569,18 @@ expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
     scalar = Tensor(Shape{rows, n});
     arena.gatherAccumulateInt4(scratch.codes, scalar.data(), scratch.gather,
                                lutboost::Int4GatherVariant::Scalar);
+
+    // Block-by-block sweep (what the serving runtime's row blocks run).
+    Tensor blocks(Shape{rows, n});
+    lutboost::KernelScratch local;
+    const int64_t k = arena.inFeatures();
+    forEachUnalignedBlock(rows, [&](int64_t r0, int64_t bn) {
+        lutboost::int4Backend().forwardTile(arena, x.data() + r0 * k, bn,
+                                            blocks.data() + r0 * n, local,
+                                            nullptr, nullptr);
+    });
+    EXPECT_TRUE(blocks.equals(scalar))
+        << "block seams changed the INT4 gather result: " << what;
 
     const util::SimdLevel level = util::simdLevel();
     std::vector<lutboost::Int4GatherVariant> variants;
@@ -582,15 +604,6 @@ expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
         EXPECT_TRUE(autod.equals(scalar));
     }
 
-    Tensor spans(Shape{rows, n});
-    const int64_t half = rows / 2;
-    if (half > 0)
-        arena.gatherAccumulateInt4(scratch.codes, 0, half, spans.data(),
-                                   scratch.gather);
-    arena.gatherAccumulateInt4(scratch.codes, half, rows - half,
-                               spans.data(), scratch.gather);
-    EXPECT_TRUE(spans.equals(scalar))
-        << "span seam changed the INT4 gather result: " << what;
 }
 
 TEST_P(Int4GatherVariants, ShuffleBitExactVsScalar)
@@ -667,8 +680,8 @@ TEST(Int4GatherSaturatedGroup, NibblesOfFifteenReach240BitExact)
 
 /**
  * Encode `x` with the scalar integer reference and require every INT8
- * encode tier this host runs (forced and Auto, whole-buffer and split at
- * rows / 2) to select the same code for every (row, subspace).
+ * encode tier this host runs (forced and Auto, whole-buffer and block by
+ * block) to select the same code for every (row, subspace).
  */
 void
 expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
@@ -682,6 +695,16 @@ expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
                           lutboost::EncodeVariant::Scalar);
     ASSERT_EQ(scalar.rows(), rows);
     ASSERT_EQ(scalar.subspaces(), nc);
+
+    // Block-by-block encode (what the serving runtime's row blocks run):
+    // each block's codes must equal the same rows of the whole batch.
+    const int64_t k = arena.inFeatures();
+    vq::CodeBuffer block;
+    forEachUnalignedBlock(rows, [&](int64_t r0, int64_t n) {
+        arena.encodeBatchInt8(x.data() + r0 * k, n, block, scratch);
+        expectBlockCodes(block, scalar, r0,
+                         "block seam changed the INT8 encode: " + what);
+    });
 
     const util::SimdLevel level = util::simdLevel();
     std::vector<lutboost::EncodeVariant> variants;
@@ -708,19 +731,6 @@ expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
         for (int64_t s = 0; s < nc; ++s)
             ASSERT_EQ(autod.get(r, s), scalar.get(r, s)) << what;
 
-    // Span-sharded encode (what the engine's parallel-for runs) must
-    // select the same codes as the whole-buffer call across the seam.
-    vq::CodeBuffer spans;
-    spans.reset(rows, nc, arena.numCentroids());
-    const int64_t half = rows / 2;
-    if (half > 0)
-        arena.encodeBlockInt8(x.data(), 0, half, spans, scratch);
-    arena.encodeBlockInt8(x.data(), half, rows - half, spans, scratch);
-    for (int64_t r = 0; r < rows; ++r)
-        for (int64_t s = 0; s < nc; ++s)
-            ASSERT_EQ(spans.get(r, s), scalar.get(r, s))
-                << "span seam changed the INT8 encode: " << what
-                << " r=" << r;
 }
 
 /**

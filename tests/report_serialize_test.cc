@@ -129,6 +129,51 @@ TEST_F(SerializeTest, RejectsGarbageFile)
     EXPECT_FALSE(lutboost::loadParameters(model, path_));
 }
 
+TEST_F(SerializeTest, CountsBoundedByBytesLeftInFile)
+{
+    // A length word claiming more items than the file still holds fails
+    // the read BEFORE anything is sized for it, so a truncated file never
+    // turns into a multi-megabyte allocation.
+    {
+        lutboost::BinWriter out(path_);
+        out.u64(1u << 20);  // string length at str()'s cap
+        out.f64(1.0);       // 8 bytes of payload
+    }
+    {
+        lutboost::BinReader in(path_);
+        EXPECT_EQ(in.remaining(), 16u);
+        std::string s;
+        EXPECT_FALSE(in.str(s));
+        EXPECT_TRUE(s.empty()) << "str() sized the string before the bound";
+    }
+    {
+        lutboost::BinWriter out(path_);
+        out.u64((1u << 24) - 1);  // f64 count under f64vec()'s cap
+        out.f64(1.0);
+        out.f64(2.0);
+    }
+    {
+        lutboost::BinReader in(path_);
+        std::vector<double> v;
+        EXPECT_FALSE(in.f64vec(v));
+        EXPECT_TRUE(v.empty()) << "f64vec() sized the vector before the bound";
+    }
+    // Counts that do fit still read back exactly, up to the last byte.
+    {
+        lutboost::BinWriter out(path_);
+        out.str("abc");
+        out.f64vec({1.0, 2.0});
+    }
+    lutboost::BinReader in(path_);
+    std::string s;
+    std::vector<double> v;
+    ASSERT_TRUE(in.str(s));
+    ASSERT_TRUE(in.f64vec(v));
+    EXPECT_EQ(s, "abc");
+    EXPECT_EQ(v, (std::vector<double>{1.0, 2.0}));
+    EXPECT_EQ(in.remaining(), 0u);
+}
+
 TEST_F(SerializeTest, MissingFileFailsGracefully)
 {
     auto model = nn::makeMlp(4, {4}, 2, 56);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "api/lutdla.h"
+#include "lutboost/kernels_simd.h"
 #include "lutboost/lut_conv.h"
 #include "lutboost/lut_linear.h"
 #include "nn/activations.h"
@@ -17,6 +18,7 @@
 #include "nn/norm.h"
 #include "nn/sequential.h"
 #include "serve/frozen_model.h"
+#include "util/cpu_features.h"
 #include "util/rng.h"
 
 namespace lutdla {
@@ -970,51 +972,75 @@ TEST(ServingFacade, ArtifactsEngineReplaysTrace)
 }
 
 // ---------------------------------------------------------------------------
-// Intra-batch sharding: a multi-worker engine splits one big batch's
-// encode/gather phases across the pool. Must be invisible in the output.
+// Intra-batch sharding: a multi-worker engine splits one big batch into
+// row blocks, each a fused encode -> gather tile on its worker's own
+// scratch. Must be invisible in the output.
 
 TEST(InferenceEngine, ShardedBigBatchBitExactAcrossPlans)
 {
-    // Big enough rows that every lut-gemm stage shards (shard_rows is 64
-    // on AVX-512 hosts, 32 on AVX2): 256 rows = 4+ shards per phase.
+    // Big enough batches that every lut-gemm stage splits (one block is a
+    // shuffle chunk: 64 rows on AVX-512 hosts, 32 on AVX2): 256 rows =
+    // 4+ blocks. 263 rows leave a ragged last block of 7 rows, whose
+    // planes stay unpadded and whose gather takes the scalar tail.
     std::vector<sim::GemmShape> gemms{{4, 24, 18, "a"}, {4, 18, 7, "b"}};
     vq::PQConfig pq;
     pq.v = 4;
     pq.c = 16;
-    const Tensor rows = randomRows(256, 24, 77);
 
-    for (const bool int8 : {false, true}) {
+    struct Plan
+    {
+        const char *name;
+        serve::TablePrecision tables;
+        serve::EncodePrecision encode;
+    };
+    const Plan plans[] = {
+        {"float32", serve::TablePrecision::Float32,
+         serve::EncodePrecision::Float32},
+        {"int8", serve::TablePrecision::Int8,
+         serve::EncodePrecision::Float32},
+        // The resnet18-bulk plan: int4 tables fed by the int8 encode.
+        {"int4+enc:int8", serve::TablePrecision::Int4,
+         serve::EncodePrecision::Int8},
+    };
+    for (const Plan &p : plans) {
         serve::PlanOptions plan;
-        plan.table_precision = int8 ? serve::TablePrecision::Int8
-                                    : serve::TablePrecision::Float32;
+        plan.table_precision = p.tables;
+        plan.encode_precision = p.encode;
         auto model = serve::FrozenModel::fromTrace(gemms, pq, {}, 91, plan);
         ASSERT_TRUE(model.ok()) << model.status().toString();
         ASSERT_GT(model->plan()[0].shard_rows, 0)
             << "planner must bind a shard granularity to lut-gemm stages";
+        EXPECT_EQ(model->plan()[0].encode_precision, p.encode) << p.name;
 
-        // Reference: the same frozen model swept on ONE thread.
-        const Tensor reference = model->forwardBatch(rows);
+        for (const int64_t batch : {256, 263}) {
+            const Tensor rows =
+                randomRows(batch, 24, 77 + static_cast<uint64_t>(batch));
+            // Reference: the same frozen model swept on ONE thread.
+            const Tensor reference = model->forwardBatch(rows);
 
-        serve::EngineOptions options;
-        options.threads = 4;
-        options.max_batch = 256;
-        auto engine = serve::InferenceEngine::create(*model, options);
-        ASSERT_TRUE(engine.ok()) << engine.status().toString();
-        auto result = engine.value()->submit(rows);
-        ASSERT_TRUE(result.ok()) << result.status().toString();
-        EXPECT_TRUE(result->equals(reference))
-            << "int8=" << int8 << " sharded sweep diverged, maxdiff="
-            << Tensor::maxAbsDiff(*result, reference);
-        engine.value()->shutdown();
+            serve::EngineOptions options;
+            options.threads = 4;
+            options.max_batch = batch;
+            auto engine = serve::InferenceEngine::create(*model, options);
+            ASSERT_TRUE(engine.ok()) << engine.status().toString();
+            auto result = engine.value()->submit(rows);
+            ASSERT_TRUE(result.ok()) << result.status().toString();
+            EXPECT_TRUE(result->equals(reference))
+                << p.name << " rows=" << batch
+                << " sharded sweep diverged, maxdiff="
+                << Tensor::maxAbsDiff(*result, reference);
+            engine.value()->shutdown();
 
-        const serve::EngineStats stats = engine.value()->stats();
-        EXPECT_GE(stats.active_workers, 1);
-        EXPECT_LE(stats.active_workers, 4);
-        EXPECT_GT(stats.encode_seconds, 0.0);
-        EXPECT_GT(stats.gather_seconds, 0.0);
-        // The raw cross-worker sums are always >= the per-worker average.
-        EXPECT_GE(stats.encode_cpu_seconds, stats.encode_seconds);
-        EXPECT_GE(stats.gather_cpu_seconds, stats.gather_seconds);
+            const serve::EngineStats stats = engine.value()->stats();
+            EXPECT_GE(stats.active_workers, 1);
+            EXPECT_LE(stats.active_workers, 4);
+            EXPECT_GT(stats.encode_seconds, 0.0);
+            EXPECT_GT(stats.gather_seconds, 0.0);
+            // The raw cross-worker sums are always >= the per-worker
+            // average.
+            EXPECT_GE(stats.encode_cpu_seconds, stats.encode_seconds);
+            EXPECT_GE(stats.gather_cpu_seconds, stats.gather_seconds);
+        }
     }
 }
 
@@ -1099,19 +1125,24 @@ TEST(PlanSummary, RecordsIsaKernelsAndShardGranularity)
     pq.c = 16;
     serve::PlanOptions plan;
     plan.table_precision = serve::TablePrecision::Int8;
-    plan.shard_rows = 48;  // explicit granularity wins over auto
     auto model = serve::FrozenModel::fromTrace(gemms, pq, {}, 91, plan);
     ASSERT_TRUE(model.ok());
     ASSERT_EQ(model->plan().size(), 1u);
     const serve::StagePlan &p = model->plan()[0];
-    EXPECT_EQ(p.shard_rows, 48);
+    // The block granularity is one shuffle-gather chunk (32 rows when no
+    // vector tier runs).
+    const int64_t chunk =
+        lutboost::simd::shuffleGatherChunkRows(util::simdLevel());
+    const int64_t want = chunk > 0 ? chunk : 32;
+    EXPECT_EQ(p.shard_rows, want);
     EXPECT_FALSE(p.encode_kernel.empty());
     EXPECT_FALSE(p.gather_kernel.empty());
 
     const std::string summary = model->planSummary();
     EXPECT_NE(summary.find("isa: "), std::string::npos)
         << "planSummary must log the runtime-dispatched ISA level";
-    EXPECT_NE(summary.find("shard 48"), std::string::npos);
+    EXPECT_NE(summary.find("shard " + std::to_string(want)),
+              std::string::npos);
     EXPECT_NE(summary.find(p.gather_kernel), std::string::npos);
 }
 

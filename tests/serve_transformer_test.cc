@@ -215,7 +215,9 @@ TEST(FrozenModel, NestedResidualBlocksStackSkipSlots)
 
 TEST(ServingFacade, TransformerRacedAcrossWorkersIsBitExact)
 {
-    const int64_t seq_len = 16, sequences = 4;
+    // 8 sequences x 16 rows = 128 rows: at least two row blocks of one
+    // shuffle chunk, so the projections split across the pool.
+    const int64_t seq_len = 16, sequences = 8;
     nn::LayerPtr model =
         makeLutTransformer(seq_len, /*heads=*/4, {}, 81);
     const Tensor x = randomRows(sequences * seq_len, kInWidth, 82);
@@ -224,7 +226,6 @@ TEST(ServingFacade, TransformerRacedAcrossWorkersIsBitExact)
     api::ServeOptions options;
     options.engine.threads = 4;
     options.engine.max_batch = sequences * seq_len;
-    options.plan.shard_rows = 8;  // force intra-batch sharding
     auto engine = api::makeEngine(model, options);
     ASSERT_TRUE(engine.ok()) << engine.status().toString();
 
