@@ -5,13 +5,13 @@
  * the serving arena's split data-plane kernels (planar-code encodeBatch,
  * the INT8 argmin-encode at every forced EncodeVariant — scalar integer
  * reference vs VPMADDUBSW/VPMADDWD vs VPDPBUSD, identical codes across
- * all three — float-bank gather, INT8-bank gather with every kernel
- * variant forced:
- * scalar group sweep vs VPSHUFB shuffle vs VPERMB+VPDPBUSD dot — the
- * c=16 shuffle-vs-scalar pair is the PR-5 acceptance comparison — and the
+ * all three — float-bank gather, INT8-bank gather with both kernel
+ * variants forced (scalar group sweep vs VPERMB+VPDPBUSD dot), and the
  * nibble-packed INT4-bank gather at its forced variants for the
- * bytes-halved-vs-unpack-cost comparison against INT8 and float). These
- * are software-kernel timings (host CPU), complementing the cycle
+ * bytes-halved-vs-unpack-cost comparison against INT8 and float). The
+ * shapes double as the kernel tier audit in docs/SERVING.md; regenerate
+ * it with one --benchmark_enable_random_interleaving run. These are
+ * software-kernel timings (host CPU), complementing the cycle
  * simulator's hardware numbers.
  *
  * Run: ./build/bench/bench_kernels [--json <path>] [google-benchmark args]
@@ -225,9 +225,9 @@ BM_ArenaEncodeInt8DotVnni(benchmark::State &state)
 }
 
 /**
- * INT8 gather at a forced kernel variant (the acceptance comparison:
- * shuffle vs scalar at c=16 on identical codes, bit-exact outputs).
- * Unsupported variants (e.g. shuffle on a non-SIMD host) skip.
+ * INT8 gather at a forced kernel variant (the tier audit: VNNI shuffle
+ * vs scalar at c=16 on identical codes, bit-exact outputs). The VNNI
+ * variant skips on hosts without VBMI+VNNI.
  */
 void
 gatherInt8Variant(benchmark::State &state,
@@ -236,16 +236,6 @@ gatherInt8Variant(benchmark::State &state,
     if (variant == lutboost::Int8GatherVariant::ShuffleVnni &&
         util::simdLevel() < util::SimdLevel::Avx512Vnni) {
         state.SkipWithError("AVX-512 VBMI+VNNI not available");
-        return;
-    }
-    if (variant == lutboost::Int8GatherVariant::ShuffleAvx512 &&
-        util::simdLevel() < util::SimdLevel::Avx512) {
-        state.SkipWithError("AVX-512 not available");
-        return;
-    }
-    if (variant == lutboost::Int8GatherVariant::ShuffleAvx2 &&
-        util::simdLevel() < util::SimdLevel::Avx2) {
-        state.SkipWithError("AVX2 not available");
         return;
     }
     ArenaFixture ax(state.range(0), state.range(1), state.range(2), 4,
@@ -270,18 +260,6 @@ void
 BM_ArenaGatherInt8Scalar(benchmark::State &state)
 {
     gatherInt8Variant(state, lutboost::Int8GatherVariant::Scalar);
-}
-
-void
-BM_ArenaGatherInt8ShuffleAvx512(benchmark::State &state)
-{
-    gatherInt8Variant(state, lutboost::Int8GatherVariant::ShuffleAvx512);
-}
-
-void
-BM_ArenaGatherInt8ShuffleAvx2(benchmark::State &state)
-{
-    gatherInt8Variant(state, lutboost::Int8GatherVariant::ShuffleAvx2);
 }
 
 void
@@ -397,30 +375,42 @@ BENCHMARK(BM_ArenaEncodeInt8DotVnni)
     ->Args({64, 4608, 8})
     ->Args({4, 4608, 8})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherFloat)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt8)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt8Scalar)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt8ShuffleAvx512)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt8ShuffleAvx2)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ArenaGatherInt8ShuffleVnni)
-    ->Args({128, 256, 256})
-    ->Args({256, 512, 512})
-    ->Unit(benchmark::kMicrosecond);
+/** Float gather args: the generic shapes, then the tiny batches (1, 3
+ * and 7 rows) that the grouped sweep serves like any other. */
+void
+floatGatherArgs(benchmark::internal::Benchmark *b)
+{
+    b->Args({128, 256, 256})
+        ->Args({256, 512, 512})
+        ->Args({1, 256, 256})
+        ->Args({3, 256, 256})
+        ->Args({7, 256, 256})
+        ->Args({1, 4608, 512})
+        ->Args({3, 4608, 512})
+        ->Args({7, 4608, 512})
+        ->Unit(benchmark::kMicrosecond);
+}
+
+/** INT8 gather args (rows, K, N): the generic shapes, a K 256 -> N 1024
+ * layer at 16, 64 and 512 rows, and the widest resnet18 stage at one
+ * 64-row tile and a 256-row batch. */
+void
+int8GatherArgs(benchmark::internal::Benchmark *b)
+{
+    b->Args({128, 256, 256})
+        ->Args({256, 512, 512})
+        ->Args({16, 256, 1024})
+        ->Args({64, 256, 1024})
+        ->Args({512, 256, 1024})
+        ->Args({64, 4608, 512})
+        ->Args({256, 4608, 512})
+        ->Unit(benchmark::kMicrosecond);
+}
+
+BENCHMARK(BM_ArenaGatherFloat)->Apply(floatGatherArgs);
+BENCHMARK(BM_ArenaGatherInt8)->Apply(int8GatherArgs);
+BENCHMARK(BM_ArenaGatherInt8Scalar)->Apply(int8GatherArgs);
+BENCHMARK(BM_ArenaGatherInt8ShuffleVnni)->Apply(int8GatherArgs);
 /** INT4 gather args: the generic shapes, the hottest resnet18 stage at
  * one tile and at a 4-row tail, then the resnet18-bulk stage shapes at
  * a 256-row batch (K / N = 576 / 64 ... 4608 / 512, and the 512 / 1000

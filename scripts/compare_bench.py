@@ -81,7 +81,7 @@ def main():
     # Kernel variants are cpuid-dispatched, so rows/s is a function of
     # the ISA level, and normalizing by the float arena baseline cannot
     # cancel a different int8-kernel tier (e.g. the artifact's
-    # shuffle-vnni vs an AVX2-only runner's shuffle-avx2). Across ISA
+    # shuffle-vnni vs an AVX2-only runner's scalar sweep). Across ISA
     # levels the comparison is informational only — gating it would fail
     # CI on every non-matching runner with zero code regression.
     gating = old.get("isa") == new.get("isa")

@@ -163,8 +163,9 @@ class KernelBackend
     /**
      * Rows one full sweep of this backend's table bank covers: kRowBlock
      * (256) for the float bank's grouped sweep and for the scalar
-     * quantized paths, one shuffle-gather chunk (64 on AVX-512, 32 on
-     * AVX2) for the vectorized INT8/INT4 banks. Row tiles that are a
+     * quantized paths, one shuffle-gather chunk for the vectorized
+     * banks (64 for INT8 on VBMI+VNNI and INT4 on AVX-512, 32 for INT4
+     * on AVX2). Row tiles that are a
      * multiple of this granule add NO extra table traffic versus the
      * untiled sweep — the planner's tile-size model rounds to it.
      */

@@ -544,15 +544,27 @@ encodeInt8RowsAvx2(const float *x, int64_t rows, int64_t stride,
     }
 }
 
+// The INT4 shuffle gathers sum up to one scale group of biased nibbles
+// (each <= 15) in u8 lanes before widening; that is exact only while the
+// group sum fits a byte.
+static_assert(LutTableArena::kInt4ScaleGroup * 15 <= 255,
+              "INT4 group sums must fit the u8 accumulator lanes");
+
 /**
- * Dequantize one column's 64 rows of int16 group sums (rows 0..31 in lo,
- * 32..63 in hi) into the column-major output: spill through int32, then
- * one mul + add per group — the scalar sweep's exact float ops. The first
- * group stores instead of adding.
+ * Dequantize one nibble plane's u8 group sums (64 rows) into the
+ * column-major output: widen to int16, remove the +8 bias of every summed
+ * nibble (`bias` = 8 * group size), spill through int32, then one mul +
+ * add per group — the scalar sweep's exact float ops. The first group
+ * stores instead of adding.
  */
 __attribute__((target("avx512f,avx512bw"), always_inline)) inline void
-spillGroupAvx512(float *out, __m512i lo, __m512i hi, __m512 vs, bool first)
+spillNibblePlaneAvx512(float *out, __m512i sums, __m512i bias, __m512 vs,
+                       bool first)
 {
+    const __m512i lo = _mm512_sub_epi16(
+        _mm512_cvtepu8_epi16(_mm512_castsi512_si256(sums)), bias);
+    const __m512i hi = _mm512_sub_epi16(
+        _mm512_cvtepu8_epi16(_mm512_extracti64x4_epi64(sums, 1)), bias);
     const __m256i parts[4] = {
         _mm512_castsi512_si256(lo), _mm512_extracti64x4_epi64(lo, 1),
         _mm512_castsi512_si256(hi), _mm512_extracti64x4_epi64(hi, 1)};
@@ -564,11 +576,15 @@ spillGroupAvx512(float *out, __m512i lo, __m512i hi, __m512 vs, bool first)
     }
 }
 
-/** AVX2 twin of spillGroupAvx512 over a 32-row column (rows 0..15 in lo,
- * 16..31 in hi). */
+/** AVX2 twin of spillNibblePlaneAvx512 (32 rows). */
 __attribute__((target("avx2"), always_inline)) inline void
-spillGroupAvx2(float *out, __m256i lo, __m256i hi, __m256 vs, bool first)
+spillNibblePlaneAvx2(float *out, __m256i sums, __m256i bias, __m256 vs,
+                     bool first)
 {
+    const __m256i lo = _mm256_sub_epi16(
+        _mm256_cvtepu8_epi16(_mm256_castsi256_si128(sums)), bias);
+    const __m256i hi = _mm256_sub_epi16(
+        _mm256_cvtepu8_epi16(_mm256_extracti128_si256(sums, 1)), bias);
     const __m128i parts[4] = {
         _mm256_castsi256_si128(lo), _mm256_extracti128_si256(lo, 1),
         _mm256_castsi256_si128(hi), _mm256_extracti128_si256(hi, 1)};
@@ -580,150 +596,17 @@ spillGroupAvx2(float *out, __m256i lo, __m256i hi, __m256 vs, bool first)
     }
 }
 
-/** The 16-byte LUT of (subspace s, column col) inside the quad-interleaved
- * INT8 bank: quarter s % 4 of the (s / 4, col) 64-byte block. */
-inline const int8_t *
-quadLut(const int8_t *q_quad, int64_t s, int64_t n, int64_t col)
-{
-    return q_quad + ((s / 4) * n + col) * 64 + 16 * (s % 4);
-}
-
 /**
- * INT8 shuffle gather, AVX-512 tier: each (subspace, column) LUT is one
- * quarter of the quad-interleaved bank's 64-byte block, broadcast to every
- * 128-bit lane so VPSHUFB resolves all 64 rows' lookups in one
- * instruction; lookups widen to int16 and sum across the scale group.
- */
-__attribute__((target("avx512f,avx512bw"))) void
-gatherChunkAvx512(const int8_t *__restrict__ q_quad,
-                  const float *__restrict__ scales,
-                  const uint8_t *__restrict__ codes, int64_t code_stride,
-                  int64_t num_subspaces, int64_t n, int64_t num_blocks,
-                  int64_t scale_group, int64_t block_cols,
-                  float *__restrict__ colmajor)
-{
-    constexpr int64_t kChunk = 64;
-    const int64_t num_groups =
-        (num_subspaces + scale_group - 1) / scale_group;
-    for (int64_t g = 0; g < num_groups; ++g) {
-        const int64_t s0 = g * scale_group;
-        const int64_t gs =
-            std::min<int64_t>(scale_group, num_subspaces - s0);
-        // Code lanes for the whole group stay register/L1-resident
-        // across the column sweep (<= 16 zmm of indices).
-        __m512i idx[16];
-        for (int64_t i = 0; i < gs; ++i)
-            idx[i] = _mm512_loadu_si512(codes + (s0 + i) * code_stride);
-        const float *srow = scales + g * num_blocks;
-        for (int64_t col = 0; col < n; ++col) {
-            __m512i lo = _mm512_setzero_si512();
-            __m512i hi = _mm512_setzero_si512();
-            for (int64_t i = 0; i < gs; ++i) {
-                const __m512i lut = _mm512_broadcast_i32x4(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                        quadLut(q_quad, s0 + i, n, col))));
-                const __m512i v = _mm512_shuffle_epi8(lut, idx[i]);
-                lo = _mm512_add_epi16(
-                    lo, _mm512_cvtepi8_epi16(_mm512_castsi512_si256(v)));
-                hi = _mm512_add_epi16(
-                    hi, _mm512_cvtepi8_epi16(
-                            _mm512_extracti64x4_epi64(v, 1)));
-            }
-            spillGroupAvx512(colmajor + col * kChunk, lo, hi,
-                             _mm512_set1_ps(srow[col / block_cols]),
-                             g == 0);
-        }
-    }
-}
-
-/** INT8 shuffle gather, AVX2 tier (32-row chunks) over the same
- * quad-interleaved LUTs as gatherChunkAvx512. */
-__attribute__((target("avx2"))) void
-gatherChunkAvx2(const int8_t *__restrict__ q_quad,
-                const float *__restrict__ scales,
-                const uint8_t *__restrict__ codes, int64_t code_stride,
-                int64_t num_subspaces, int64_t n, int64_t num_blocks,
-                int64_t scale_group, int64_t block_cols,
-                float *__restrict__ colmajor)
-{
-    constexpr int64_t kChunk = 32;
-    const int64_t num_groups =
-        (num_subspaces + scale_group - 1) / scale_group;
-    for (int64_t g = 0; g < num_groups; ++g) {
-        const int64_t s0 = g * scale_group;
-        const int64_t gs =
-            std::min<int64_t>(scale_group, num_subspaces - s0);
-        __m256i idx[16];
-        for (int64_t i = 0; i < gs; ++i)
-            idx[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                codes + (s0 + i) * code_stride));
-        const float *srow = scales + g * num_blocks;
-        for (int64_t col = 0; col < n; ++col) {
-            __m256i lo = _mm256_setzero_si256();
-            __m256i hi = _mm256_setzero_si256();
-            for (int64_t i = 0; i < gs; ++i) {
-                const __m256i lut = _mm256_broadcastsi128_si256(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                        quadLut(q_quad, s0 + i, n, col))));
-                const __m256i v = _mm256_shuffle_epi8(lut, idx[i]);
-                lo = _mm256_add_epi16(
-                    lo, _mm256_cvtepi8_epi16(_mm256_castsi256_si128(v)));
-                hi = _mm256_add_epi16(
-                    hi, _mm256_cvtepi8_epi16(
-                            _mm256_extracti128_si256(v, 1)));
-            }
-            spillGroupAvx2(colmajor + col * kChunk, lo, hi,
-                           _mm256_set1_ps(srow[col / block_cols]), g == 0);
-        }
-    }
-}
-
-// The INT4 shuffle gathers sum up to one scale group of biased nibbles
-// (each <= 15) in u8 lanes before widening; that is exact only while the
-// group sum fits a byte.
-static_assert(LutTableArena::kInt4ScaleGroup * 15 <= 255,
-              "INT4 group sums must fit the u8 accumulator lanes");
-
-/**
- * Widen one nibble plane's u8 group sums (64 rows) to int16, remove the
- * +8 bias of every summed nibble (`bias` = 8 * group size), and spill the
- * column like spillGroupAvx512.
- */
-__attribute__((target("avx512f,avx512bw"), always_inline)) inline void
-spillNibblePlaneAvx512(float *out, __m512i sums, __m512i bias, __m512 vs,
-                       bool first)
-{
-    spillGroupAvx512(
-        out,
-        _mm512_sub_epi16(_mm512_cvtepu8_epi16(_mm512_castsi512_si256(sums)),
-                         bias),
-        _mm512_sub_epi16(
-            _mm512_cvtepu8_epi16(_mm512_extracti64x4_epi64(sums, 1)), bias),
-        vs, first);
-}
-
-/** AVX2 twin of spillNibblePlaneAvx512 (32 rows). */
-__attribute__((target("avx2"), always_inline)) inline void
-spillNibblePlaneAvx2(float *out, __m256i sums, __m256i bias, __m256 vs,
-                     bool first)
-{
-    spillGroupAvx2(
-        out,
-        _mm256_sub_epi16(_mm256_cvtepu8_epi16(_mm256_castsi256_si128(sums)),
-                         bias),
-        _mm256_sub_epi16(
-            _mm256_cvtepu8_epi16(_mm256_extracti128_si256(sums, 1)), bias),
-        vs, first);
-}
-
-/**
- * INT4 shuffle gather, AVX-512 tier: identical chunk/LUT machinery to
- * gatherChunkAvx512, but each looked-up byte packs TWO adjacent output
- * columns (low nibble = even column, high nibble = odd column, both
- * bias-shifted by +8), so one VPSHUFB + one AND + one shift resolve 64
- * rows of BOTH columns of a pair. Biased nibbles (0..15) accumulate in u8
- * lanes across the whole scale group — at most 16 * 15 = 240, exact — so
- * the subspace loop is 6 byte ops with no widening. Once per (group,
+ * INT4 shuffle gather, AVX-512 tier: each (subspace, column pair) LUT is
+ * one 16-byte row of the interleaved bank, broadcast to every 128-bit
+ * lane, and each looked-up byte packs TWO adjacent output columns (low
+ * nibble = even column, high nibble = odd column, both bias-shifted by
+ * +8), so one VPSHUFB + one AND + one shift resolve 64 rows of BOTH
+ * columns of a pair — the reuse that makes a byte shuffle beat the
+ * scalar sweep (an INT8 lookup serves one column and loses to it).
+ * Biased nibbles (0..15) accumulate in u8 lanes across the whole scale
+ * group — at most 16 * 15 = 240, exact — so the subspace loop is 6 byte
+ * ops with no widening. Once per (group,
  * pair) each plane zero-extends to int16, one subtract of 8 * gs recovers
  * the signed sum, and the per-group dequantizing mul + add follows: the
  * same float op sequence the scalar packed sweep emits.
@@ -830,8 +713,10 @@ gatherChunkInt4Avx2(const uint8_t *__restrict__ q4_il,
  * 16-entry tables; idx bytes are (code + 16 * j) so a single VPERMB
  * resolves 16 rows x 4 subspaces, laid out [row-quad interleaved] so
  * VPDPBUSD(acc, ones, v) folds each row's 4 looked-up bytes straight
- * into its int32 lane. Kills the int8->int16->int32 widening chain that
- * port-limits the plain shuffle kernel.
+ * into its int32 lane, with no int8->int16->int32 widening chain. The
+ * only INT8 shuffle tier: a 16-byte VPSHUFB lookup per (subspace,
+ * column) measured slower than the scalar group sweep (docs/SERVING.md,
+ * "Kernel tier audit").
  */
 __attribute__((target("avx512f,avx512bw,avx512vbmi,avx512vnni"))) void
 gatherChunkVnni(const int8_t *__restrict__ q_quad,
@@ -1097,21 +982,11 @@ shuffleGatherChunk(util::SimdLevel level, const int8_t *q_quad,
                  "shuffle gather supports scale groups of 1..16 subspaces");
     LUTDLA_CHECK(code_stride >= shuffleGatherChunkRows(level),
                  "code plane stride ", code_stride, " is shorter than a chunk");
-    if (level >= util::SimdLevel::Avx512Vnni) {
-        LUTDLA_CHECK(scale_group % 4 == 0,
-                     "vnni gather needs a quad-aligned scale group");
-        gatherChunkVnni(q_quad, scales, codes, code_stride, num_subspaces, n,
-                        num_blocks, scale_group, block_cols, colmajor);
-        return;
-    }
-    if (level >= util::SimdLevel::Avx512) {
-        gatherChunkAvx512(q_quad, scales, codes, code_stride, num_subspaces,
-                          n, num_blocks, scale_group, block_cols, colmajor);
-        return;
-    }
-    LUTDLA_CHECK(level == util::SimdLevel::Avx2,
-                 "shuffleGatherChunk requires AVX2 or AVX-512");
-    gatherChunkAvx2(q_quad, scales, codes, code_stride, num_subspaces, n,
+    LUTDLA_CHECK(level >= util::SimdLevel::Avx512Vnni,
+                 "shuffleGatherChunk requires AVX-512 VBMI+VNNI");
+    LUTDLA_CHECK(scale_group % 4 == 0,
+                 "vnni gather needs a quad-aligned scale group");
+    gatherChunkVnni(q_quad, scales, codes, code_stride, num_subspaces, n,
                     num_blocks, scale_group, block_cols, colmajor);
 }
 

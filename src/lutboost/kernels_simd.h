@@ -38,21 +38,24 @@
  *    result is bit-identical to the scalar integer reference by
  *    construction.
  *
- *  - shuffle gather (INT8 bank, c <= 16): the in-register table lookup
- *    the paper's DPE performs in hardware. Codes are read in place from
- *    the vq::CodeBuffer planes (one byte lane per row, one plane per
- *    subspace) and every tier reads the one quad-interleaved bank layout, where each (subspace, column)'s
- *    16 centroid entries are a quarter of a 64-byte block. VPSHUFB
- *    resolves 64 (AVX-512) / 32 (AVX2) rows' lookups per instruction
- *    from one 16-byte quarter; the VNNI tier resolves all four quarters
- *    at once with VPERMB and folds them with VPDPBUSD. Partial sums
- *    accumulate exactly across a scale group and spill to float once
- *    per group, so the result is bit-identical to the scalar group
- *    sweep by construction.
+ *  - INT8 shuffle gather (c <= 16, AVX-512 VBMI+VNNI only): the
+ *    in-register table lookup the paper's DPE performs in hardware.
+ *    Codes are read in place from the vq::CodeBuffer planes (one byte
+ *    lane per row, one plane per subspace); the bank's quad-interleaved
+ *    mirror packs four subspaces' 16 centroid entries per (column,
+ *    64-byte block), so one VPERMB resolves 16 rows x 4 subspaces and
+ *    one VPDPBUSD folds them into int32 lanes. Partial sums accumulate
+ *    exactly across a scale group and spill to float once per group, so
+ *    the result is bit-identical to the scalar group sweep by
+ *    construction. There is no VPSHUFB INT8 tier: one 16-byte lookup
+ *    per (subspace, column) yields one INT8 byte and measured slower
+ *    than the scalar sweep, so AVX2 and plain AVX-512 hosts run the
+ *    scalar sweep (docs/SERVING.md, "Kernel tier audit").
  *
- *  - INT4 shuffle gather (nibble-packed bank, c <= 16): same VPSHUFB
- *    machinery over the packed interleaved layout, where each looked-up
- *    byte carries TWO adjacent output columns (low/high nibble plane,
+ *  - INT4 shuffle gather (nibble-packed bank, c <= 16, AVX2+): VPSHUFB
+ *    resolves 64 (AVX-512) / 32 (AVX2) rows' lookups per instruction
+ *    from one 16-byte LUT of the packed interleaved layout, where each
+ *    looked-up byte carries TWO adjacent output columns (low/high nibble plane,
  *    both bias-shifted by +8). One AND + one shift per lookup split the
  *    planes; biased nibbles accumulate in u8 lanes across the scale
  *    group (16 * 15 = 240 fits a byte), widen to int16 once per (group,
@@ -130,7 +133,8 @@ void encodeInt8C16Rows(util::SimdLevel level, const float *x, int64_t rows,
                        const int32_t *norms, float lo, float inv,
                        int64_t v, int32_t *codes);
 
-/** True when `level` provides the shuffle-based INT8/INT4 gathers. */
+/** True when `level` provides the INT4 shuffle gathers (AVX2+). The INT8
+ * shuffle gather additionally needs SimdLevel::Avx512Vnni. */
 bool shuffleGatherSupported(util::SimdLevel level);
 
 /** Rows one shuffle-gather chunk covers at `level` (64 AVX-512, 32 AVX2;
@@ -138,12 +142,11 @@ bool shuffleGatherSupported(util::SimdLevel level);
 int64_t shuffleGatherChunkRows(util::SimdLevel level);
 
 /**
- * Shuffle-gather one chunk of exactly shuffleGatherChunkRows(level) rows
- * over the quad-interleaved INT8 bank, writing column-major partial sums.
- * SimdLevel::Avx512Vnni runs the VPERMB + VPDPBUSD kernel (one VPERMB
- * resolves 16 rows x 4 subspaces, one VPDPBUSD folds each row's four
- * looked-up bytes into its int32 lane; needs scale_group % 4 == 0),
- * Avx512 / Avx2 the VPSHUFB kernels over one 16-byte quarter at a time.
+ * Shuffle-gather one 64-row chunk over the quad-interleaved INT8 bank,
+ * writing column-major partial sums: one VPERMB resolves 16 rows x 4
+ * subspaces and one VPDPBUSD folds each row's four looked-up bytes into
+ * its int32 lane. `level` must be at least SimdLevel::Avx512Vnni and
+ * scale_group a multiple of 4.
  *
  * @param q_quad     quad-interleaved bank: entry (s, col, j) at
  *                   ((s / 4) * n + col) * 64 + 16 * (s % 4) + j, zero

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <type_traits>
 
 #include "lutboost/kernels_simd.h"
 #include "util/cpu_features.h"
@@ -524,10 +523,7 @@ LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, float *y,
         // Same ascending-subspace accumulation as forwardBatch: the code
         // buffer round-trips codes exactly, so this phase split stays
         // bit-exact with the fused reference kernel.
-        if (bn >= kTileMinRows)
-            sweepBlockGrouped(unpacked, bn, yb);
-        else
-            sweepBlockSimple(unpacked, bn, yb);
+        sweepBlockGrouped(unpacked, bn, yb);
         addBias(yb, bn);
     }
 }
@@ -535,25 +531,29 @@ LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, float *y,
 namespace {
 
 /** SIMD level a quantized-gather variant runs at (Generic = scalar). */
-template <typename Variant>
 util::SimdLevel
-variantLevel(Variant variant)
+variantLevel(Int8GatherVariant variant)
 {
-    if constexpr (std::is_same_v<Variant, Int8GatherVariant>)
-        if (variant == Variant::ShuffleVnni)
-            return util::SimdLevel::Avx512Vnni;
-    if (variant == Variant::ShuffleAvx512)
+    return variant == Int8GatherVariant::ShuffleVnni
+               ? util::SimdLevel::Avx512Vnni
+               : util::SimdLevel::Generic;
+}
+
+util::SimdLevel
+variantLevel(Int4GatherVariant variant)
+{
+    if (variant == Int4GatherVariant::ShuffleAvx512)
         return util::SimdLevel::Avx512;
-    if (variant == Variant::ShuffleAvx2)
+    if (variant == Int4GatherVariant::ShuffleAvx2)
         return util::SimdLevel::Avx2;
     return util::SimdLevel::Generic;
 }
 
 /**
  * SIMD level of a resolved (non-Auto) quantized-gather variant, Generic
- * for the scalar sweep — after checking the variant can run: its shuffle
- * layout must exist (c <= 16 on a SIMD host) and this CPU must provide
- * its SIMD level.
+ * for the scalar sweep — after checking the variant can run: this CPU
+ * must provide its SIMD level and its shuffle layout must exist (c <= 16;
+ * the bank builds it only where a tier that reads it can run).
  */
 template <typename Variant>
 util::SimdLevel
@@ -562,12 +562,12 @@ checkedLevel(Variant variant, bool layout_built, int64_t c)
     const util::SimdLevel level = variantLevel(variant);
     if (level == util::SimdLevel::Generic)
         return level;
-    LUTDLA_CHECK(layout_built, "shuffle gather needs c <= 16 (got c = ", c,
-                 "); use the scalar variant");
     LUTDLA_CHECK(level <= util::simdLevel(),
                  "requested shuffle variant needs ",
                  util::simdLevelName(level), " but this CPU provides ",
                  util::simdLevelName(util::simdLevel()));
+    LUTDLA_CHECK(layout_built, "shuffle gather needs c <= 16 (got c = ", c,
+                 "); use the scalar variant");
     return level;
 }
 
@@ -740,15 +740,14 @@ LutTableArena::ensureInt8Bank() const
                     }
             }
         }
-        // The shuffle mirror is built only when the RUNNING CPU can execute
-        // a variant that reads it — INT8 tables dominate this data plane's
-        // memory, so a host that can never run the shuffle kernels must
-        // not pay for the layout. Four consecutive subspaces' LUTs share
-        // one 64-byte block per column (zero padded past c and past Nc):
-        // the VPSHUFB tiers load one 16-byte quarter, the VNNI tier the
-        // whole block.
+        // The quad mirror is built only when the RUNNING CPU can execute
+        // the VNNI tier, the one variant that reads it — INT8 tables
+        // dominate this data plane's memory, so AVX2 and plain AVX-512
+        // hosts (scalar sweep) must not pay for the layout. Four
+        // consecutive subspaces' LUTs share one 64-byte block per column
+        // (zero padded past c and past Nc), one VPERMB table.
         const bool shuffle =
-            c <= 16 && simd::shuffleGatherSupported(util::simdLevel());
+            c <= 16 && util::simdLevel() >= util::SimdLevel::Avx512Vnni;
         if (shuffle) {
             const int64_t quads = (num_subspaces_ + 3) / 4;
             bank->q_quad.assign(static_cast<size_t>(quads * n * 64), 0);
@@ -766,7 +765,7 @@ LutTableArena::ensureInt8Bank() const
         // mirror is either fully materialized because this host can run a
         // kernel that reads it, or left empty.
         LUTDLA_CHECK(bank->q_quad.empty() == !shuffle,
-                     "q_quad must be materialized exactly when the shuffle "
+                     "q_quad must be materialized exactly when the VNNI "
                      "gather can run on this host");
         int8_bank_ = std::move(bank);
     });
@@ -891,16 +890,10 @@ LutTableArena::int8ResidentBytes() const
 Int8GatherVariant
 LutTableArena::int8AutoVariant() const
 {
-    if (num_centroids_ > 16)
-        return Int8GatherVariant::Scalar;
-    const util::SimdLevel level = util::simdLevel();
-    if (level >= util::SimdLevel::Avx512Vnni)
-        return Int8GatherVariant::ShuffleVnni;
-    if (level >= util::SimdLevel::Avx512)
-        return Int8GatherVariant::ShuffleAvx512;
-    if (level == util::SimdLevel::Avx2)
-        return Int8GatherVariant::ShuffleAvx2;
-    return Int8GatherVariant::Scalar;
+    return num_centroids_ <= 16 &&
+                   util::simdLevel() >= util::SimdLevel::Avx512Vnni
+               ? Int8GatherVariant::ShuffleVnni
+               : Int8GatherVariant::Scalar;
 }
 
 const char *
@@ -909,10 +902,6 @@ LutTableArena::int8GatherVariantName(Int8GatherVariant variant)
     switch (variant) {
       case Int8GatherVariant::ShuffleVnni:
         return "shuffle-vnni";
-      case Int8GatherVariant::ShuffleAvx512:
-        return "shuffle-avx512";
-      case Int8GatherVariant::ShuffleAvx2:
-        return "shuffle-avx2";
       case Int8GatherVariant::Scalar:
         return "scalar";
       default:
@@ -1156,34 +1145,14 @@ LutTableArena::forwardBatch(const float *x, int64_t rows, float *y) const
         float *yb = y + b0 * n;
         std::fill(yb, yb + bn * n, 0.0f);
 
-        // Every path accumulates each output element's partial sums in
-        // ascending subspace order into a zero-initialized accumulator —
-        // float addition is never reassociated without -ffast-math — so
-        // the result matches the reference row-major path bit for bit.
-        if (bn >= kTileMinRows)
-            sweepBlockGrouped(codes.data(), bn, yb);
-        else
-            sweepBlockSimple(codes.data(), bn, yb);
+        // The grouped sweep accumulates each output element's partial
+        // sums in ascending subspace order into a zero-initialized
+        // accumulator — float addition is never reassociated without
+        // -ffast-math — so the result matches the reference row-major
+        // path bit for bit.
+        sweepBlockGrouped(codes.data(), bn, yb);
 
         addBias(yb, bn);
-    }
-}
-
-void
-LutTableArena::sweepBlockSimple(const int32_t *codes, int64_t bn,
-                                float *yb) const
-{
-    // Row-major reference shape: best for tiny batches, where the output
-    // row lives in L1 and each table entry is one contiguous stream.
-    const int64_t n = out_features_;
-    for (int64_t r = 0; r < bn; ++r) {
-        const int32_t *rcodes = codes + r * num_subspaces_;
-        float *__restrict__ yr = yb + r * n;
-        for (int64_t s = 0; s < num_subspaces_; ++s) {
-            const float *__restrict__ psum = entry(s, rcodes[s]);
-            for (int64_t col = 0; col < n; ++col)
-                yr[col] += psum[col];
-        }
     }
 }
 

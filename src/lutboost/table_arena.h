@@ -28,15 +28,15 @@
  *    `gatherAccumulateInt8` sweeps the INT8-quantized bank, and
  *    `gatherAccumulateInt4` sweeps the nibble-packed INT4 bank. For
  *    c <= 16 the quantized gathers run as an in-register shuffle lookup
- *    (AVX-512 VPSHUFB or VPERMB over 64-row chunks, AVX2 VPSHUFB over
- *    32) against the bank's one interleaved layout, reading the code
- *    planes in place and transposing each chunk's column-major partials
- *    out with a SIMD register transpose — the INT4 variant adds one
- *    unpack-and-shift per lookup to split the two nibble planes;
- *    otherwise (and for row tails) a scalar group sweep runs. All paths
- *    of one bank share exact integer accumulation under
- *    per-(subspace-group, column-block) scales, so every variant of a
- *    bank is bit-identical by construction.
+ *    against the bank's one interleaved layout — INT8 as VPERMB +
+ *    VPDPBUSD over 64-row chunks on AVX-512 VBMI+VNNI hosts, INT4 as
+ *    VPSHUFB plus one unpack-and-shift per lookup over 64-row (AVX-512)
+ *    or 32-row (AVX2) chunks — reading the code planes in place and
+ *    transposing each chunk's column-major partials out with a SIMD
+ *    register transpose; otherwise (and for row tails) a scalar group
+ *    sweep runs. All paths of one bank share exact integer accumulation
+ *    under per-(subspace-group, column-block) scales, so every variant
+ *    of a bank is bit-identical by construction.
  * Both phases work on whole code buffers: an encode fills one from row
  * 0, a gather reads all of its rows. The serving runtime splits a batch
  * by handing each worker its own contiguous block of input rows, its own
@@ -97,14 +97,15 @@ struct GatherScratch
  * Which INT8 gather kernel to run. Auto picks the best the CPU supports
  * (the serving planner records the resolved choice); the explicit
  * variants exist for benchmarks and the bit-exactness property tests.
+ * There is no VPSHUFB tier: a 16-byte lookup that yields one INT8 byte
+ * per (subspace, column) measured slower than the scalar sweep on AVX2
+ * and AVX-512 alike (docs/SERVING.md, "Kernel tier audit").
  */
 enum class Int8GatherVariant
 {
-    Auto,           ///< best supported (shuffle when c <= 16 and SIMD)
-    Scalar,         ///< portable group sweep (always available)
-    ShuffleAvx2,    ///< 32-row VPSHUFB chunks (requires AVX2)
-    ShuffleAvx512,  ///< 64-row VPSHUFB chunks (requires AVX-512BW)
-    ShuffleVnni     ///< VPERMB + VPDPBUSD dot chunks (AVX-512 VBMI+VNNI)
+    Auto,        ///< shuffle-vnni when c <= 16 on VBMI+VNNI, else scalar
+    Scalar,      ///< portable group sweep (always available)
+    ShuffleVnni  ///< VPERMB + VPDPBUSD dot chunks (AVX-512 VBMI+VNNI)
 };
 
 /**
@@ -123,10 +124,11 @@ enum class EncodeVariant
 };
 
 /**
- * Which INT4 gather kernel to run. Mirrors Int8GatherVariant minus the
- * VNNI tier (VPDPBUSD folds raw bytes, which would mix the two nibble
- * planes; the bit-plane split needs the explicit unpack the shuffle
- * kernels perform).
+ * Which INT4 gather kernel to run. Unlike INT8 it keeps VPSHUFB tiers:
+ * each looked-up byte serves two output columns, which is what makes a
+ * byte shuffle beat the scalar sweep. No VNNI tier (VPDPBUSD folds raw
+ * bytes, which would mix the two nibble planes; the bit-plane split
+ * needs the explicit unpack the shuffle kernels perform).
  */
 enum class Int4GatherVariant
 {
@@ -299,31 +301,31 @@ class LutTableArena
     /**
      * Bytes of the canonical INT8 bank (row-major table + scales) — the
      * traffic number plans and benches report; 0 until ensureInt8Bank().
-     * At the flagship c=16 the shuffle layout is the same size, so this
-     * is exactly what any variant streams per sweep; at c < 16 the
-     * 16-entry-padded shuffle layout streams up to 16/c x more (still
-     * well under the float bank). Resident memory adds that layout when
-     * this CPU built it — see int8ResidentBytes().
+     * At the flagship c=16 the VNNI tier's quad-interleaved layout is
+     * the same size, so this is exactly what either variant streams per
+     * sweep; at c < 16 the 16-entry-padded layout streams up to 16/c x
+     * more (still well under the float bank). Resident memory adds that
+     * layout when this CPU built it — see int8ResidentBytes().
      */
     int64_t int8TableBytes() const;
 
     /**
      * Total RESIDENT bytes of the INT8 bank: the row-major table plus
-     * the quad-interleaved shuffle mirror when this CPU built it (c <= 16
-     * on an AVX2+ host; a host that cannot run a shuffle tier never pays
-     * for it), so at most ~2x the streamed size. 0 until
-     * ensureInt8Bank().
+     * the quad-interleaved mirror when this CPU built it (c <= 16 on an
+     * AVX-512 VBMI+VNNI host, the only tier that reads it; AVX2 and
+     * plain AVX-512 hosts never pay for it), so 1.0x the streamed size
+     * there and at most ~2x on VNNI hosts. 0 until ensureInt8Bank().
      */
     int64_t int8ResidentBytes() const;
 
     /**
      * The INT8 gather variant Auto resolves to on this arena and CPU
-     * (shuffle needs c <= 16 and at least AVX2). What the serving plan
-     * records.
+     * (shuffle-vnni needs c <= 16 and SimdLevel::Avx512Vnni; scalar
+     * otherwise). What the serving plan records.
      */
     Int8GatherVariant int8AutoVariant() const;
 
-    /** Stable variant tag, e.g. "shuffle-avx512" / "scalar". */
+    /** Stable variant tag: "shuffle-vnni" / "scalar". */
     static const char *int8GatherVariantName(Int8GatherVariant variant);
 
     /**
@@ -384,9 +386,10 @@ class LutTableArena
      * Batched lookup-accumulate: y[rows, N] = gather(x) + bias.
      *
      * Rows are processed in blocks (kRowBlock) and, within a block, the
-     * accumulation walks subspace-major so one codebook's table bank stays
-     * cache-resident across the whole block. Thread-safe; `x` and `y` must
-     * not alias.
+     * accumulation walks kSubspaceGroup subspaces at a time so their
+     * table banks stay cache-resident across the whole block — at every
+     * batch size, one row included. Thread-safe; `x` and `y` must not
+     * alias.
      */
     void forwardBatch(const float *x, int64_t rows, float *y) const;
 
@@ -398,9 +401,6 @@ class LutTableArena
 
     /** Subspace banks folded per output-slab sweep in the grouped path. */
     static constexpr int64_t kSubspaceGroup = 8;
-
-    /** Minimum block rows before the grouped sweep beats the simple one. */
-    static constexpr int64_t kTileMinRows = 8;
 
     /**
      * Output columns sharing one INT8 dequantization scale. Wide enough
@@ -446,14 +446,16 @@ class LutTableArena
   private:
     /**
      * INT8 mirror of the PSum table in at most two layouts: `q` row-major
-     * [Nc, c, N] for the scalar group sweep (a 1-row batch reads N bytes
-     * per subspace), and (c <= 16 on a shuffle-capable host) `q_quad`
-     * quad-interleaved [ceil(Nc/4), N, 64] — the 16 centroid entries of
-     * subspace s, column col at ((s/4) * N + col) * 64 + 16 * (s % 4),
-     * zero padded past c and past Nc. The VPSHUFB tiers load one 16-byte
-     * quarter as a LUT, the VNNI tier the whole 64-byte block. One
-     * symmetric scale per (kInt8ScaleGroup-subspace group,
-     * kInt8BlockCols-wide output block).
+     * [Nc, c, N] for the scalar group sweep, and (c <= 16 on an AVX-512
+     * VBMI+VNNI host) `q_quad` quad-interleaved [ceil(Nc/4), N, 64] —
+     * the 16 centroid entries of subspace s, column col at ((s/4) * N +
+     * col) * 64 + 16 * (s % 4), zero padded past c and past Nc — which
+     * the VNNI tier loads as one 64-byte VPERMB table. `q` stays beside
+     * the mirror because the scalar sweep serves row tails and tiny
+     * batches: a 1-row gather reads Nc * N / 64 cache lines row-major
+     * but Nc / 4 * N 64-byte blocks interleaved, 16x more (arithmetic
+     * from the layouts, not a measurement). One symmetric scale per
+     * (kInt8ScaleGroup-subspace group, kInt8BlockCols-wide output block).
      */
     struct Int8Bank
     {
@@ -471,9 +473,10 @@ class LutTableArena
      * (row, subspace) and identical across columns, so one looked-up
      * byte serves BOTH columns of a pair — the shuffle kernels unpack
      * the two nibble planes with one AND + one shift per lookup. `q4`
-     * row-major [Nc, c, ceil(N/2)] for the scalar sweep; `q4_il`
-     * interleaved [Nc, ceil(N/2), 16] (c <= 16 only) so each
-     * (subspace, column pair) is one vector-register LUT. Odd N leaves
+     * row-major [Nc, c, ceil(N/2)] for the scalar sweep (kept beside the
+     * mirror for row tails and tiny batches, as `q` is in Int8Bank);
+     * `q4_il` interleaved [Nc, ceil(N/2), 16] (c <= 16 on an AVX2+ host)
+     * so each (subspace, column pair) is one vector-register LUT. Odd N leaves
      * the last pair's high nibble at the bias value 8 (exact zero):
      * computed, never copied out. Scale geometry matches the INT8 bank.
      */
@@ -544,10 +547,8 @@ class LutTableArena
     const float *stageRows(const float *x, int64_t rows,
                            std::vector<float> &staging) const;
 
-    /** Row-major accumulate: optimal for tiny batches. */
-    void sweepBlockSimple(const int32_t *codes, int64_t bn, float *yb) const;
-
-    /** Grouped-subspace accumulate: optimal for real batches. */
+    /** Grouped-subspace accumulate over one row block of row-major
+     * codes: the float gather at every batch size. */
     void sweepBlockGrouped(const int32_t *codes, int64_t bn,
                            float *yb) const;
 

@@ -137,10 +137,9 @@ struct StagePlan
      * "int8-dot-vnni" / "int8-madd-avx2" / "int8-scalar" under Int8
      * encode); empty for non-LUT stages. */
     std::string encode_kernel;
-    /** Gather kernel ("grouped-sweep" float bank; "shuffle-vnni" (INT8
-     * only) / "shuffle-avx512" / "shuffle-avx2" / "scalar" for the INT8
-     * and INT4 banks); empty for
-     * non-LUT stages. */
+    /** Gather kernel: "grouped-sweep" for the float bank, "shuffle-vnni"
+     * / "scalar" for the INT8 bank, "shuffle-avx512" / "shuffle-avx2" /
+     * "scalar" for the INT4 bank; empty for non-LUT stages. */
     std::string gather_kernel;
     /** Intra-batch block granularity in rows, one shuffle-gather chunk
      * (0 = never split, e.g. conv stages). */

@@ -77,13 +77,18 @@ TEST(LutTableArena, ForwardBatchBitExactWithEvalForward)
             layer.setPrecision(vq::LutPrecision{bf16, int8});
             layer.refreshInferenceLut();
 
-            const Tensor x = randomRows(300, 22, 7);  // spans >1 row block
-            const Tensor batched = layer.forwardBatch(x);
-            const Tensor reference =
-                layer.forward(x, /*train=*/false);
-            EXPECT_TRUE(batched.equals(reference))
-                << "bf16=" << bf16 << " int8=" << int8 << " maxdiff="
-                << Tensor::maxAbsDiff(batched, reference);
+            // Tiny batches and one spanning >1 row block: the grouped
+            // sweep serves every batch size.
+            for (int64_t rows : {1, 3, 7, 300}) {
+                const Tensor x = randomRows(rows, 22, 7);
+                const Tensor batched = layer.forwardBatch(x);
+                const Tensor reference =
+                    layer.forward(x, /*train=*/false);
+                EXPECT_TRUE(batched.equals(reference))
+                    << "bf16=" << bf16 << " int8=" << int8
+                    << " rows=" << rows << " maxdiff="
+                    << Tensor::maxAbsDiff(batched, reference);
+            }
         }
     }
 }

@@ -130,12 +130,8 @@ TEST(TiledExecutor, ForcedGatherVariantsBitExactUnderTiling)
     }
 
     std::vector<lutboost::Int8GatherVariant> int8_variants{
-        lutboost::Int8GatherVariant::Scalar};
-    if (level >= util::SimdLevel::Avx2)
-        int8_variants.push_back(lutboost::Int8GatherVariant::ShuffleAvx2);
-    if (level >= util::SimdLevel::Avx512)
-        int8_variants.push_back(
-            lutboost::Int8GatherVariant::ShuffleAvx512);
+        lutboost::Int8GatherVariant::Scalar,
+        lutboost::Int8GatherVariant::Auto};
     if (level >= util::SimdLevel::Avx512Vnni)
         int8_variants.push_back(lutboost::Int8GatherVariant::ShuffleVnni);
     for (const auto variant : int8_variants) {
