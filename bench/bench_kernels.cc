@@ -16,9 +16,8 @@
  *
  * Run: ./build/bench/bench_kernels [--json <path>] [google-benchmark args]
  *   --json <path>  shorthand for --benchmark_out=<path>
- *                  --benchmark_out_format=json, so CI and the cross-PR
- *                  perf trajectory get machine-readable results the same
- *                  way bench_serve_throughput writes them.
+ *                  --benchmark_out_format=json, for machine-readable
+ *                  results.
  */
 
 #include <benchmark/benchmark.h>

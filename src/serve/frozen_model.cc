@@ -495,8 +495,17 @@ lowerChain(const std::vector<nn::Layer *> &layers, ServeInputShape input,
     return {};
 }
 
-} // namespace
+/** Synthesized quantizer + weights for one traced GEMM layer. */
+struct TraceLayer
+{
+    vq::ProductQuantizer quantizer;
+    Tensor weights;  ///< [k, n]
+};
 
+/**
+ * Deterministically synthesize one trace layer for fromTrace: Gaussian
+ * codebooks and 1/sqrt(k)-scaled weights from `seed` + `index`.
+ */
 TraceLayer
 synthesizeTraceLayer(const sim::GemmShape &gemm, const vq::PQConfig &pq,
                      uint64_t seed, int64_t index, bool bf16_codebooks)
@@ -517,6 +526,8 @@ synthesizeTraceLayer(const sim::GemmShape &gemm, const vq::PQConfig &pq,
         weights.at(i) = static_cast<float>(rng.gaussian(0.0, scale));
     return {std::move(quantizer), std::move(weights)};
 }
+
+} // namespace
 
 api::Status
 FrozenModel::validateServable(const nn::LayerPtr &model,

@@ -54,24 +54,6 @@
 
 namespace lutdla::serve {
 
-/** Synthesized quantizer + weights for one traced GEMM layer. */
-struct TraceLayer
-{
-    vq::ProductQuantizer quantizer;
-    Tensor weights;  ///< [k, n]
-};
-
-/**
- * Deterministically synthesize one trace layer (Gaussian codebooks and
- * 1/sqrt(k)-scaled weights from `seed` + `index`). Single source of truth
- * for FrozenModel::fromTrace AND reference-path baselines (e.g.
- * bench_serve_throughput), so both serving stacks are built from
- * identical numbers and stay comparable.
- */
-TraceLayer synthesizeTraceLayer(const sim::GemmShape &gemm,
-                                const vq::PQConfig &pq, uint64_t seed,
-                                int64_t index, bool bf16_codebooks = false);
-
 /**
  * Spatial shape of the serving input when the model starts with conv /
  * pool / norm layers: each request row is a flattened [C, height, width]

@@ -1,18 +1,25 @@
 /**
  * @file
  * Facade tests: a tiny MLP end-to-end through PipelineBuilder with all
- * stages on, the RunArtifacts serialization round-trip, the workload
- * registry, and the typed error paths for invalid PQ/Sim configuration.
+ * stages on, the RunArtifacts serialization round-trip, a mutation sweep
+ * over the artifact and parameter deserializers, the workload registry,
+ * and the typed error paths for invalid PQ/Sim configuration.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "api/lutdla.h"
 #include "lutboost/serialize.h"
 #include "nn/models.h"
+#include "util/logging.h"
 
 namespace lutdla::api {
 namespace {
@@ -27,6 +34,26 @@ tinyConvertOptions()
     opts.joint_stage.epochs = 2;
     return opts;
 }
+
+std::string
+readFileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeFileBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Every 8-byte word value the overwrite sweep plants: all ones, the
+ * sign bit, and counts far past, well past and just past any real one. */
+constexpr uint64_t kHostileWords[] = {~0ull, 1ull << 63, 1ull << 40,
+                                      1ull << 20, 12345ull};
 
 TEST(ApiPipeline, EndToEndMlpPopulatesAllArtifacts)
 {
@@ -124,6 +151,80 @@ TEST(ApiPipeline, ArtifactsRoundTripThroughSerialize)
     EXPECT_DOUBLE_EQ(b.energy_mj, a.energy_mj);
 
     std::remove(path.c_str());
+}
+
+TEST(ApiPipeline, DeserializersSurviveTruncationAndWordOverwrites)
+{
+    // The round-trip test's run, saved once; then every prefix of the
+    // file, and the file with each 8-byte window (at every byte offset)
+    // overwritten by a hostile word. A truncated file must load as a
+    // typed error; an overwritten one may load or fail typed. Neither may
+    // throw, and the sanitizer jobs turn any overread into a failure.
+    auto builder = Pipeline::forWorkload("mlp-mixture")
+                       .pretrain()
+                       .convert(tinyConvertOptions())
+                       .design(hw::design1Tiny())
+                       .simulate();
+    auto run = builder.report();
+    ASSERT_TRUE(run.ok()) << run.status().toString();
+    const std::string artifact_path = "api_artifacts_mutation.bin";
+    const std::string params_path = "api_params_mutation.bin";
+    const std::string mutant_path = "api_mutant.bin";
+    ASSERT_TRUE(saveArtifacts(run.value(), artifact_path).ok());
+    lutboost::saveParameters(builder.convertedModel(), params_path);
+    const std::string artifact = readFileBytes(artifact_path);
+    const std::string params = readFileBytes(params_path);
+    ASSERT_GE(artifact.size(), 8u);
+    ASSERT_GE(params.size(), 8u);
+
+    // loadParameters warns on every rejected file; keep the sweep quiet.
+    const LogLevel saved_threshold = logThreshold();
+    setLogThreshold(LogLevel::Silent);
+    int64_t throws = 0, truncations_loaded = 0;
+    int64_t overwrites_ok = 0, overwrites_typed = 0;
+    // Writes `bytes` as the mutant file and loads it: 1 loaded, 0 typed
+    // failure, -1 threw.
+    const auto outcome = [&](const std::string &bytes, const auto &load) {
+        writeFileBytes(mutant_path, bytes);
+        try {
+            return load() ? 1 : 0;
+        } catch (...) {
+            ++throws;
+            return -1;
+        }
+    };
+    const auto sweep = [&](const std::string &good, const auto &load) {
+        for (size_t n = 0; n < good.size(); ++n)
+            truncations_loaded += outcome(good.substr(0, n), load) == 1;
+        for (size_t off = 0; off + 8 <= good.size(); ++off)
+            for (uint64_t word : kHostileWords) {
+                std::string mutant = good;
+                std::memcpy(&mutant[off], &word, sizeof(word));
+                const int result = outcome(mutant, load);
+                overwrites_ok += result == 1;
+                overwrites_typed += result == 0;
+            }
+    };
+    sweep(artifact, [&] { return loadArtifacts(mutant_path).ok(); });
+    sweep(params, [&] {
+        return lutboost::loadParameters(builder.convertedModel(),
+                                        mutant_path);
+    });
+    setLogThreshold(saved_threshold);
+
+    EXPECT_EQ(throws, 0);
+    EXPECT_EQ(truncations_loaded, 0) << "a truncated file loaded";
+    // Both outcomes occur, so the sweep hit counts and payload alike.
+    EXPECT_GT(overwrites_ok, 0);
+    EXPECT_GT(overwrites_typed, 0);
+
+    // The sweep left the originals loadable.
+    EXPECT_TRUE(loadArtifacts(artifact_path).ok());
+    EXPECT_TRUE(
+        lutboost::loadParameters(builder.convertedModel(), params_path));
+    std::remove(artifact_path.c_str());
+    std::remove(params_path.c_str());
+    std::remove(mutant_path.c_str());
 }
 
 TEST(ApiPipeline, LoadArtifactsRejectsGarbage)

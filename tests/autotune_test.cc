@@ -1,13 +1,17 @@
 // Mixed-precision auto-tuner (serve/autotune.h): determinism, budget
 // enforcement, greedy-revert behavior under a synthetic agreement
-// landscape, and the api::ServeOptions::autoTunePrecision facade hook.
+// landscape, the api::ServeOptions::autoTunePrecision facade hook, and
+// the joint descent's byte savings on the trained mlp-mixture model.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "api/pipeline.h"
 #include "api/serving.h"
 #include "api/workload_registry.h"
+#include "lutboost/converter.h"
+#include "lutboost/lut_linear.h"
 #include "serve/autotune.h"
 #include "serve/frozen_model.h"
 
@@ -330,6 +334,60 @@ TEST(AutoTuneJoint, FacadeAppliesJointAssignmentDeterministically)
     ASSERT_TRUE(result.ok()) << result.status().toString();
     engine.value()->shutdown();
     again.value()->shutdown();
+}
+
+TEST(AutoTuneJoint, TrainedMixtureJointPlanStreamsFewerBytes)
+{
+    // The trained mlp-mixture model (two 16-wide stages): unlike the
+    // random-codebook traces, its argmin decisions have real margins, so
+    // the descent has room to move within the 90% agreement budget.
+    lutboost::ConvertOptions opts;
+    opts.pq.v = 4;
+    opts.pq.c = 16;
+    auto builder = api::Pipeline::forWorkload("mlp-mixture")
+                       .pretrain()
+                       .convert(opts)
+                       .deployPrecision(vq::LutPrecision{true, false});
+    auto run = builder.report();
+    ASSERT_TRUE(run.ok()) << run.status().toString();
+    const nn::LayerPtr mix = builder.convertedModel();
+    for (lutboost::LutLinear *layer : lutboost::findLutLayers(mix))
+        if (!layer->inferenceLutReady())
+            layer->refreshInferenceLut();
+    auto model = serve::FrozenModel::fromModel(mix);
+    ASSERT_TRUE(model.ok()) << model.status().toString();
+
+    const serve::AutoTuneResult joint =
+        serve::autoTunePrecision(*model, {}, {});
+    serve::AutoTuneOptions table_only;
+    table_only.allow_int8_encode = false;
+    const serve::AutoTuneResult tonly =
+        serve::autoTunePrecision(*model, {}, table_only);
+    EXPECT_GE(joint.agreement, 0.90);
+    EXPECT_GE(tonly.agreement, 0.90);
+
+    serve::PlanOptions joint_plan;
+    joint_plan.stage_precision = joint.stage_precision;
+    joint_plan.stage_encode_precision = joint.stage_encode_precision;
+    serve::PlanOptions tonly_plan;
+    tonly_plan.stage_precision = tonly.stage_precision;
+    serve::PlanOptions int8_plan;
+    int8_plan.table_precision = serve::TablePrecision::Int8;
+    const serve::FrozenModel joint_model = model->withPlan(joint_plan);
+    const serve::FrozenModel tonly_model = model->withPlan(tonly_plan);
+    const serve::FrozenModel int8_model = model->withPlan(int8_plan);
+    const auto streamed = [](const serve::FrozenModel &m) {
+        return m.tableBytes() + m.encodeBytes();
+    };
+
+    // Streamed bytes, not resident bytes: residency also counts the
+    // CPU-gated gather mirrors, which differ by host tier.
+    EXPECT_LT(joint_model.tableBytes(), int8_model.tableBytes())
+        << joint_model.planSummary();
+    EXPECT_LT(streamed(joint_model), streamed(int8_model))
+        << joint_model.planSummary();
+    EXPECT_LT(streamed(joint_model), streamed(tonly_model))
+        << joint_model.planSummary() << tonly_model.planSummary();
 }
 
 } // namespace
