@@ -104,8 +104,8 @@ class PipelineBuilder
      * one-model serve::FrontDoor behind the InferenceEngine facade) on the
      * converted model (freezing any layer deployPrecision() did not already
      * freeze). `options` carries the engine knobs plus the data-plane plan
-     * (table precision, stage fusion); bare serve::EngineOptions convert
-     * implicitly. CNN workloads are served as flattened NCHW rows; the
+     * (table and encode precision, row tiling); bare serve::EngineOptions
+     * convert implicitly. CNN workloads are served as flattened NCHW rows; the
      * image shape is inferred from the configured dataset's sample shape
      * unless options.input_shape is set explicitly. The artifacts of the
      * run are discarded; use run() + Pipeline::engine() to keep both.

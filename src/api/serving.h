@@ -40,8 +40,8 @@ using EngineHandle = std::shared_ptr<serve::InferenceEngine>;
 
 /**
  * Everything a caller can tune about a serving deployment in one bundle:
- * the engine's queueing/batching knobs, the data-plane plan (kernel
- * backend precision + stage fusion), and the input image shape for
+ * the engine's queueing/batching knobs, the data-plane plan (table and
+ * encode precision, row tiling), and the input image shape for
  * spatial models. Default-constructed options serve bit-exactly.
  * Implicitly constructible from bare EngineOptions so every pre-existing
  * `makeEngine(model, engine_options)`-shaped call keeps compiling with
@@ -63,8 +63,8 @@ struct ServeOptions
      * Lowering plan: table precision, encode precision
      * (`plan.encode_precision = serve::EncodePrecision::Int8` runs the
      * integer argmin over the quantized encode bank on every supporting
-     * stage — approximate, top-1-agreement-bounded; see docs/SERVING.md),
-     * stage fusion, and the row-tiled executor override
+     * stage — approximate, top-1-agreement-bounded; see docs/SERVING.md)
+     * and the row-tiled executor override
      * (`plan.tile_rows`: 0 auto-sizes a cache-resident row tile, -1
      * forces the untiled phase-barrier executor, >0 forces a tile size —
      * all tile sizes bit-exact; see serve/plan.h).
@@ -118,7 +118,7 @@ struct ServeOptions
  * affect it.
  *
  * `options` bundles the engine knobs with the data-plane plan (table
- * precision, fusion — how the quantized INT8 plane deploys through the
+ * precision — how the quantized INT8 plane deploys through the
  * facade) and the input image shape for models that start with spatial
  * layers (conv/pool/norm; each request row is then a flattened NCHW
  * image). Bare serve::EngineOptions convert implicitly for the common

@@ -71,7 +71,7 @@ prefetchSpan(const void *p, int64_t bytes)
  * Reusable per-caller buffers for one in-flight batch of kernel calls:
  * the planar code buffer the encode phase fills and the gather phase
  * reads, plus the encode-side scratch (BF16 staging, per-subspace code
- * block, padded tail), the fused width-adapt plane and the gather-side
+ * block, padded tail), the width-adapt plane and the gather-side
  * scratch (row-major tail codes, shuffle accumulators). Owned by the
  * serving StageScratch so steady-state batches perform no allocations.
  * Nothing here is shared between workers: when a batch is split into

@@ -587,13 +587,13 @@ FrozenModel::fromTrace(const std::vector<sim::GemmShape> &gemms,
             gemm, pq, seed, index++, precision.bf16_similarity);
         const vq::LookupTable lut(layer.quantizer, layer.weights,
                                   precision);
-        if (prev_out >= 0 && prev_out != gemm.k)
-            frozen.stages_.push_back(
-                std::make_shared<WidthAdaptStage>(prev_out, gemm.k));
+        // Widths that do not chain get the stage's width-adapt prologue.
+        const int64_t adapt_in =
+            prev_out >= 0 && prev_out != gemm.k ? prev_out : 0;
         frozen.stages_.push_back(std::make_shared<ArenaStage>(
             std::make_shared<const lutboost::LutTableArena>(
-                layer.quantizer, lut, nullptr,
-                precision.bf16_similarity)));
+                layer.quantizer, lut, nullptr, precision.bf16_similarity),
+            nullptr, std::vector<PointwiseOp>{}, adapt_in));
         prev_out = gemm.n;
     }
     planStages(frozen.stages_, plan, frozen.plan_, &frozen.tiles_);
@@ -719,9 +719,8 @@ FrozenModel::forwardBatch(const Tensor &x, StageScratch &scratch) const
             std::vector<float> &dst =
                 (cur_mut != nullptr && in_ping) ? scratch.pong
                                                 : scratch.ping;
-            dst.resize(static_cast<size_t>(rows * out_w));
-            runTiledSegment(*seg, cur, rows, dst.data(), scratch);
-            cur_mut = dst.data();
+            cur_mut = growPlane(dst, rows * out_w);
+            runTiledSegment(*seg, cur, rows, cur_mut, scratch);
             cur = cur_mut;
             in_ping = (&dst == &scratch.ping);
             i = static_cast<size_t>(seg->end);
@@ -730,12 +729,10 @@ FrozenModel::forwardBatch(const Tensor &x, StageScratch &scratch) const
         const StagePtr &stage = stages_[i];
         if (stage->inPlace()) {
             if (cur_mut == nullptr) {
-                scratch.ping.resize(
-                    static_cast<size_t>(rows * stage->inWidth()));
-                std::memcpy(scratch.ping.data(), cur,
+                cur_mut = growPlane(scratch.ping, rows * stage->inWidth());
+                std::memcpy(cur_mut, cur,
                             static_cast<size_t>(rows * stage->inWidth()) *
                                 sizeof(float));
-                cur_mut = scratch.ping.data();
                 cur = cur_mut;
                 in_ping = true;
             }
@@ -744,9 +741,9 @@ FrozenModel::forwardBatch(const Tensor &x, StageScratch &scratch) const
             std::vector<float> &dst =
                 (cur_mut != nullptr && in_ping) ? scratch.pong
                                                 : scratch.ping;
-            dst.resize(static_cast<size_t>(rows * stage->outWidth()));
-            stage->forward(cur, rows, dst.data(), scratch);
-            cur_mut = dst.data();
+            float *const next = growPlane(dst, rows * stage->outWidth());
+            stage->forward(cur, rows, next, scratch);
+            cur_mut = next;
             cur = cur_mut;
             in_ping = (&dst == &scratch.ping);
         }
@@ -815,9 +812,8 @@ FrozenModel::runTiledSegment(const TilePlan &seg, const float *in,
                     if (to_out) {
                         dst = out + r0 * out_w;
                     } else {
-                        local.tile_a.resize(static_cast<size_t>(
-                            tile * stage.inWidth()));
-                        dst = local.tile_a.data();
+                        dst = growPlane(local.tile_a,
+                                        tile * stage.inWidth());
                         in_a = true;
                     }
                     std::memcpy(dst, cur,
@@ -835,9 +831,7 @@ FrozenModel::runTiledSegment(const TilePlan &seg, const float *in,
                     std::vector<float> &plane =
                         (cur_mut != nullptr && in_a) ? local.tile_b
                                                      : local.tile_a;
-                    plane.resize(
-                        static_cast<size_t>(tile * stage.outWidth()));
-                    dst = plane.data();
+                    dst = growPlane(plane, tile * stage.outWidth());
                     in_a = (&plane == &local.tile_a);
                 }
                 stage.forward(cur, rn, dst, local);

@@ -28,15 +28,16 @@
  *  - fromTrace(): synthesize a load-testing model from a workload's GEMM
  *    trace (randomized codebooks/weights, one arena stage per traced
  *    layer). Stage widths follow the trace, so consecutive stages need
- *    not chain; the lowering inserts explicit WidthAdaptStage nodes
- *    (cyclic column replication), preserving each layer's true gather
+ *    not chain; a stage whose input width differs from the previous
+ *    output gets the ArenaStage width-adapt prologue (cyclic column
+ *    replication, `adapt+lut-gemm`), preserving each layer's true gather
  *    workload.
  *
  * Both builders finish with the planning pass (serve/plan.h): LUT stages
- * are bound to the kernel backend the PlanOptions select (bit-exact
- * float32 by default, INT8-table quantized on request) and
- * fusable neighbors (pointwise epilogues, width-adapt prologues) fold
- * into them. The resulting per-stage decisions are inspectable through
+ * are bound to the kernel backend and encode precision the PlanOptions
+ * select (bit-exact float32 by default, INT8/INT4 tables and INT8 encode
+ * on request) and the pointwise stages after them fold into their
+ * epilogues. The resulting per-stage decisions are inspectable through
  * plan() / planSummary().
  */
 
@@ -82,8 +83,8 @@ class FrozenModel
      * ResidualBlock. Anything else yields InvalidArgument naming the
      * first unlowerable layer. Models whose first lowered layer is
      * spatial (conv/pool/norm) additionally require `input` to carry the
-     * image height/width. `plan` selects the kernel backend and fusion
-     * behavior (defaults are bit-exact).
+     * image height/width. `plan` selects the kernel backend and encode
+     * precision per LUT stage (defaults are bit-exact).
      */
     static api::Result<FrozenModel>
     fromModel(const nn::LayerPtr &model, ServeInputShape input = {},
@@ -101,8 +102,9 @@ class FrozenModel
     /**
      * Synthesize a load-testing model from a deployment GEMM trace: one
      * arena stage per GEMM, Gaussian random codebooks and weights
-     * (deterministic in `seed`), no bias, no activations; WidthAdaptStage
-     * between non-chaining widths. Validates `pq` like the conversion
+     * (deterministic in `seed`), no bias, no activations; a width-adapt
+     * prologue on each stage whose input width does not chain (see
+     * ArenaStage). Validates `pq` like the conversion
      * pipeline does.
      */
     static api::Result<FrozenModel>

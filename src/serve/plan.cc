@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "lutboost/kernels_simd.h"
-#include "serve/stage_transformer.h"
 #include "util/cpu_features.h"
 #include "vq/code_buffer.h"
 
@@ -78,24 +76,15 @@ collectEpilogue(const std::vector<StagePtr> &stages, size_t j,
     return j;
 }
 
-/**
- * The intra-batch block granularity: one shuffle-gather chunk, so a block
- * never hands the vector kernels a partial chunk (which would fall back
- * to the scalar tail sweep).
- */
-int64_t
-intraBatchBlockRows()
-{
-    const int64_t chunk =
-        lutboost::simd::shuffleGatherChunkRows(util::simdLevel());
-    return chunk > 0 ? chunk : 32;
-}
-
+/** The StagePlan of a rebound LUT stage: code width and kernel variants
+ * come from the arena it reports, the encode precision is the one it
+ * resolved. */
 StagePlan
-lutPlan(const FrozenStage &stage, const lutboost::LutTableArena &arena,
-        std::vector<std::string> fused, TablePrecision precision,
-        EncodePrecision encode, int64_t shard_rows)
+lutPlan(const FrozenStage &stage, std::vector<std::string> fused,
+        TablePrecision precision)
 {
+    const lutboost::LutTableArena &arena = *stage.planArena();
+    const EncodePrecision encode = stage.encodePrecision();
     StagePlan plan;
     plan.kind = stage.kind();
     plan.description = stage.description();
@@ -121,7 +110,7 @@ lutPlan(const FrozenStage &stage, const lutboost::LutTableArena &arena,
         plan.gather_kernel = "grouped-sweep";
         break;
     }
-    plan.shard_rows = shard_rows;
+    plan.shard_rows = stage.blockRows();
     return plan;
 }
 
@@ -137,7 +126,7 @@ passthroughPlan(const FrozenStage &stage)
 
 /** Auto tile-size target: ~half a contemporary L2, the other half left
  * for the table stream the gather pulls through the cache. */
-constexpr int64_t kDefaultTileCacheBytes = 1 << 20;
+constexpr int64_t kTileCacheBytes = 1 << 20;
 
 /**
  * Partition the planned chain into row-tiled segments and pick each
@@ -154,9 +143,6 @@ planTiles(const std::vector<StagePtr> &stages, const PlanOptions &options,
 {
     tiles = {};
     const bool disabled = options.tile_rows < 0;
-    const int64_t budget = options.tile_cache_bytes > 0
-                               ? options.tile_cache_bytes
-                               : kDefaultTileCacheBytes;
 
     int64_t chain_max_width = 0;   // widest plane the untiled chain holds
     int64_t barrier_max_width = 0; // widest plane still full-batch, tiled
@@ -212,7 +198,8 @@ planTiles(const std::vector<StagePtr> &stages, const PlanOptions &options,
         if (options.tile_rows > 0) {
             seg.tile_rows = options.tile_rows;
         } else {
-            const int64_t fit = budget / std::max<int64_t>(1, row_bytes);
+            const int64_t fit =
+                kTileCacheBytes / std::max<int64_t>(1, row_bytes);
             seg.tile_rows = std::max(granule, (fit / granule) * granule);
         }
         // Only the segment's boundary planes stay full-batch.
@@ -245,126 +232,35 @@ void
 planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
            std::vector<StagePlan> &plan, TileExecPlan *tiles)
 {
-    const int64_t shard_rows = intraBatchBlockRows();
-
     std::vector<StagePtr> out;
     out.reserve(stages.size());
     plan.clear();
 
-    // LUT stages resolve their backend individually, counted in chain
-    // order so PlanOptions::stage_precision lines up across replans
-    // (fusion never changes the LUT stage count, so the index is stable
-    // when an already-planned chain is planned again).
+    // One path: a LUT stage is rebound with the pointwise run after it
+    // folded into its epilogue; a glue stage passes through. LUT stages
+    // are counted in chain order so PlanOptions::stage_precision lines up
+    // across replans (fusion never changes the LUT stage count).
     size_t lut_index = 0;
     size_t i = 0;
     while (i < stages.size()) {
-        const StagePtr &stage = stages[i];
-
-        // width-adapt directly feeding an arena folds into its encode
-        // prologue (trace models only emit this pair).
-        if (options.fuse && i + 1 < stages.size()) {
-            const auto *adapt =
-                dynamic_cast<const WidthAdaptStage *>(stage.get());
-            const auto *next =
-                dynamic_cast<const ArenaStage *>(stages[i + 1].get());
-            if (adapt != nullptr && next != nullptr &&
-                next->adaptInWidth() == 0) {
-                std::vector<PointwiseOp> epilogue;
-                std::vector<std::string> fused{stage->kind()};
-                const size_t j =
-                    collectEpilogue(stages, i + 2, epilogue, fused);
-                const size_t li = lut_index++;
-                const TablePrecision prec = stagePrecisionAt(options, li);
-                auto planned = std::make_shared<ArenaStage>(
-                    next->arena(), backendFor(prec), std::move(epilogue),
-                    stage->inWidth(), shard_rows,
-                    stageEncodePrecisionAt(options, li));
-                plan.push_back(lutPlan(*planned, *planned->arena(),
-                                       std::move(fused), prec,
-                                       planned->encodePrecision(),
-                                       shard_rows));
-                out.push_back(std::move(planned));
-                i = j;
-                continue;
-            }
-        }
-
-        if (const auto *arena =
-                dynamic_cast<const ArenaStage *>(stage.get())) {
-            std::vector<PointwiseOp> epilogue = arena->epilogue();
-            std::vector<std::string> fused;
-            const size_t j = options.fuse
-                                 ? collectEpilogue(stages, i + 1, epilogue,
-                                                   fused)
-                                 : i + 1;
-            const size_t li = lut_index++;
-            const TablePrecision prec = stagePrecisionAt(options, li);
-            auto planned = std::make_shared<ArenaStage>(
-                arena->arena(), backendFor(prec), std::move(epilogue),
-                arena->adaptInWidth(), shard_rows,
-                stageEncodePrecisionAt(options, li));
-            plan.push_back(lutPlan(*planned, *planned->arena(),
-                                   std::move(fused), prec,
-                                   planned->encodePrecision(),
-                                   shard_rows));
-            out.push_back(std::move(planned));
-            i = j;
+        const FrozenStage &stage = *stages[i];
+        if (stage.planArena() == nullptr) {
+            plan.push_back(passthroughPlan(stage));
+            out.push_back(stages[i]);
+            ++i;
             continue;
         }
-
-        if (const auto *attn =
-                dynamic_cast<const AttentionStage *>(stage.get())) {
-            std::vector<PointwiseOp> epilogue = attn->epilogue();
-            std::vector<std::string> fused;
-            const size_t j = options.fuse
-                                 ? collectEpilogue(stages, i + 1, epilogue,
-                                                   fused)
-                                 : i + 1;
-            const size_t li = lut_index++;
-            const TablePrecision prec = stagePrecisionAt(options, li);
-            auto planned = std::make_shared<AttentionStage>(
-                attn->arenas(), attn->seqLen(), attn->heads(),
-                backendFor(prec), std::move(epilogue), shard_rows,
-                stageEncodePrecisionAt(options, li));
-            // Plan kernels/code width shown for the Q projection arena
-            // (all four projections share shape and dispatch);
-            // table_bytes covers all four.
-            plan.push_back(lutPlan(*planned, *planned->arenas().q,
-                                   std::move(fused), prec,
-                                   planned->encodePrecision(),
-                                   shard_rows));
-            out.push_back(std::move(planned));
-            i = j;
-            continue;
-        }
-
-        if (const auto *conv =
-                dynamic_cast<const ConvStage *>(stage.get())) {
-            std::vector<PointwiseOp> epilogue = conv->epilogue();
-            std::vector<std::string> fused;
-            const size_t j = options.fuse
-                                 ? collectEpilogue(stages, i + 1, epilogue,
-                                                   fused)
-                                 : i + 1;
-            const size_t li = lut_index++;
-            const TablePrecision prec = stagePrecisionAt(options, li);
-            auto planned = std::make_shared<ConvStage>(
-                conv->geometry(), conv->height(), conv->width(),
-                conv->arena(), backendFor(prec), std::move(epilogue),
-                stageEncodePrecisionAt(options, li));
-            // Conv stages stay unsharded (the im2col plane is shared);
-            // their shard_rows records 0 so the summary says so.
-            plan.push_back(lutPlan(*planned, *planned->arena(),
-                                   std::move(fused), prec,
-                                   planned->encodePrecision(), 0));
-            out.push_back(std::move(planned));
-            i = j;
-            continue;
-        }
-
-        plan.push_back(passthroughPlan(*stage));
-        out.push_back(stage);
-        ++i;
+        std::vector<PointwiseOp> epilogue;
+        std::vector<std::string> fused;
+        const size_t next = collectEpilogue(stages, i + 1, epilogue, fused);
+        const TablePrecision prec = stagePrecisionAt(options, lut_index);
+        StagePtr planned = stage.rebind(
+            *backendFor(prec), stageEncodePrecisionAt(options, lut_index),
+            epilogue);
+        ++lut_index;
+        plan.push_back(lutPlan(*planned, std::move(fused), prec));
+        out.push_back(std::move(planned));
+        i = next;
     }
     stages = std::move(out);
 

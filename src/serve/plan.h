@@ -5,25 +5,25 @@
  * @file
  * The lowering-time planning pass: after FrozenModel's lowering walk has
  * produced a literal stage-per-layer chain, planStages() rewrites it into
- * the chain the data plane actually executes —
+ * the chain the data plane actually executes, through one path: every
+ * LUT stage (ArenaStage / ConvStage / AttentionStage) is replaced by its
+ * FrozenStage::rebind() copy and every glue stage passes through. A
+ * rebind applies two decisions:
  *
- *  - precision selection: every LUT stage (ArenaStage / ConvStage /
- *    AttentionStage) is bound to a lutboost::KernelBackend (bit-exact
- *    float32 reference, INT8-table, or nibble-packed
- *    INT4-table) — globally via PlanOptions::table_precision or
- *    heterogeneously via PlanOptions::stage_precision — and each bound
- *    quantized bank is built eagerly so serving never pays the cost;
- *  - epilogue fusion: pointwise activation stages directly following a
- *    LUT stage fold into that stage's arena-sweep epilogue (the same
- *    float ops run while the output slab is cache-hot, so the fused chain
- *    stays bit-exact under the reference backend). Skip edges are fusion
- *    barriers: SkipSaveStage / ResidualAddStage / SoftmaxStage are not
- *    PointwiseStages, so epilogue collection stops at them and no op is
- *    ever folded across a skip edge (which would change what the edge
- *    carries or what the residual lands on);
- *  - prologue fusion: a WidthAdaptStage directly preceding an ArenaStage
- *    (trace models) folds into that stage's encode prologue, dropping a
- *    whole ping-pong plane pass.
+ *  - precision selection: the stage is bound to a lutboost::KernelBackend
+ *    (bit-exact float32 reference, INT8-table, or nibble-packed
+ *    INT4-table) and an encode precision — globally via
+ *    PlanOptions::table_precision / encode_precision or heterogeneously
+ *    via the per-stage lists — and each bound quantized bank is built
+ *    eagerly so serving never pays the cost;
+ *  - epilogue fusion (always on): pointwise activation stages directly
+ *    following a LUT stage fold into that stage's arena-sweep epilogue
+ *    (the same float ops run while the output slab is cache-hot, so the
+ *    fused chain stays bit-exact under the reference backend). Skip edges
+ *    are fusion barriers: SkipSaveStage / ResidualAddStage / SoftmaxStage
+ *    are not PointwiseStages, so epilogue collection stops at them and no
+ *    op is ever folded across a skip edge (which would change what the
+ *    edge carries or what the residual lands on).
  *
  * Each planned node is recorded as a StagePlan — final label, what got
  * folded in, the stored code width, the table precision — surfaced
@@ -71,8 +71,8 @@ struct PlanOptions
     TablePrecision table_precision = TablePrecision::Float32;
     /**
      * Heterogeneous per-stage precision: entry i binds the i-th LUT
-     * stage IN CHAIN ORDER (ArenaStage / AttentionStage / ConvStage,
-     * counted after fusion, which never changes the LUT stage count).
+     * stage IN CHAIN ORDER (ArenaStage / AttentionStage / ConvStage;
+     * fusion never changes the LUT stage count).
      * Empty = every LUT stage uses `table_precision`; shorter than the
      * chain = remaining stages fall back to `table_precision`. This is
      * the knob the mixed-precision auto-tuner (serve/autotune.h) emits.
@@ -93,14 +93,14 @@ struct PlanOptions
      * emits this alongside `stage_precision`.
      */
     std::vector<EncodePrecision> stage_encode_precision;
-    /** Fold pointwise / width-adapt neighbors into LUT stages. */
-    bool fuse = true;
     /**
      * Row-tile size for the streaming segment executor (see
      * FrozenModel::forwardBatch): 0 = auto — the largest multiple of the
      * segment's gather granule whose streamed working set (tile in-plane
      * + code planes + tile out-plane, at the segment's widest stage)
-     * fits tile_cache_bytes; -1 = disable tiling entirely (full-batch
+     * fits a fixed 1 MiB cache budget (about half a contemporary L2,
+     * leaving the other half for the table stream the gather pulls
+     * through it); -1 = disable tiling entirely (full-batch
      * phase barriers, the pre-tiling executor — what the bench A/B
      * measures against); > 0 = force this many rows per tile. Any value
      * is bit-exact with any other — the tile size only moves throughput,
@@ -108,12 +108,6 @@ struct PlanOptions
      * variant of a bank is bit-identical across row groupings.
      */
     int64_t tile_rows = 0;
-    /**
-     * Cache budget in bytes the auto tile-size model targets. 0 =
-     * default 1 MiB — about half a contemporary L2, leaving the other
-     * half for the table stream the gather pulls through it.
-     */
-    int64_t tile_cache_bytes = 0;
 };
 
 /** One planned stage: what the node runs and what was folded into it. */
@@ -142,7 +136,7 @@ struct StagePlan
      * "scalar" for the INT4 bank; empty for non-LUT stages. */
     std::string gather_kernel;
     /** Intra-batch block granularity in rows, one shuffle-gather chunk
-     * (0 = never split, e.g. conv stages). */
+     * (FrozenStage::blockRows(); 0 = never split, e.g. conv stages). */
     int64_t shard_rows = 0;
     /** Tiled-executor segment this stage belongs to; -1 for barrier
      * stages and untiled glue runs (see TilePlan). */
@@ -172,7 +166,7 @@ struct TilePlan
     int64_t granule = 1;
     /** Streamed working-set bytes per tile row at the segment's widest
      * stage (in-plane + out-plane + codes + adapt staging) — what the
-     * auto tile-size model fits into PlanOptions::tile_cache_bytes. */
+     * auto tile-size model fits into its 1 MiB cache budget. */
     int64_t row_bytes = 0;
 };
 
@@ -208,9 +202,9 @@ struct TileExecPlan
 
 /**
  * Rewrite `stages` per `options` and record one StagePlan per surviving
- * node. Idempotent on an already-planned chain; with fusion off it still
- * rebinds every LUT stage's backend (so precision and fusion compose
- * independently). When `tiles` is non-null it also receives the row-tiled
+ * node. Idempotent on an already-planned chain: a planned LUT stage has
+ * no pointwise stage left to fold, so rebinding it only re-selects its
+ * precisions. When `tiles` is non-null it also receives the row-tiled
  * executor's segment partition (empty when options.tile_rows == -1).
  */
 void planStages(std::vector<StagePtr> &stages, const PlanOptions &options,

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cstring>
 
+#include "lutboost/kernels_simd.h"
 #include "nn/activations.h"
 #include "nn/norm.h"
+#include "util/cpu_features.h"
 #include "util/logging.h"
 #include "vq/code_buffer.h"
 
@@ -69,7 +71,32 @@ encodeSweepBytes(const lutboost::LutTableArena &arena,
            static_cast<int64_t>(sizeof(float));
 }
 
+/** `own` followed by `appended`: a rebound stage's fused epilogue. */
+std::vector<PointwiseOp>
+appendOps(std::vector<PointwiseOp> own,
+          const std::vector<PointwiseOp> &appended)
+{
+    own.insert(own.end(), appended.begin(), appended.end());
+    return own;
+}
+
 } // namespace
+
+float *
+growPlane(std::vector<float> &plane, int64_t floats)
+{
+    if (plane.size() < static_cast<size_t>(floats))
+        plane.resize(static_cast<size_t>(floats));
+    return plane.data();
+}
+
+int64_t
+intraBatchBlockRows()
+{
+    const int64_t chunk =
+        lutboost::simd::shuffleGatherChunkRows(util::simdLevel());
+    return chunk > 0 ? chunk : 32;
+}
 
 void
 applyPointwiseOps(const std::vector<PointwiseOp> &ops, float *data,
@@ -108,14 +135,13 @@ FrozenStage::forwardInPlace(float *, int64_t, StageScratch &) const
 ArenaStage::ArenaStage(std::shared_ptr<const lutboost::LutTableArena> arena,
                        const lutboost::KernelBackend *backend,
                        std::vector<PointwiseOp> epilogue,
-                       int64_t adapt_in_width, int64_t shard_rows,
+                       int64_t adapt_in_width,
                        lutboost::EncodePrecision encode)
     : arena_(std::move(arena)),
       backend_(backend != nullptr ? backend
                                   : &lutboost::referenceBackend()),
       epilogue_(std::move(epilogue)),
       adapt_in_(adapt_in_width),
-      shard_rows_(shard_rows),
       encode_(resolveEncode(*arena_, encode))
 {
     backend_->prepare(*arena_);
@@ -128,6 +154,16 @@ ArenaStage::description() const
     if (!backend_->bitExact())
         out += "[" + backend_->name() + "]";
     return out + encodeSuffix(encode_) + epilogueSuffix(epilogue_);
+}
+
+StagePtr
+ArenaStage::rebind(const lutboost::KernelBackend &backend,
+                   lutboost::EncodePrecision encode,
+                   const std::vector<PointwiseOp> &epilogue) const
+{
+    return std::make_shared<ArenaStage>(arena_, &backend,
+                                        appendOps(epilogue_, epilogue),
+                                        adapt_in_, encode);
 }
 
 int64_t
@@ -156,7 +192,7 @@ ArenaStage::tileScratchBytesPerRow() const
 {
     // Centroid codes the tile carries between encode and gather (one
     // plane byte per code, two above 256 centroids), plus the width-adapt
-    // materialization when a prologue was fused in.
+    // materialization when the stage has a prologue.
     int64_t bytes = arena_->numSubspaces() *
                     (vq::codeBitsFor(arena_->numCentroids()) / 8);
     if (adapt_in_ > 0)
@@ -168,34 +204,48 @@ ArenaStage::tileScratchBytesPerRow() const
 void
 forEachBlock(StageScratch &scratch, int64_t blocks, const ShardFn &fn)
 {
-    const ShardFn run_block = [&](int64_t block, StageScratch &local) {
-        // A block IS the work-stealing unit: null the pool so nothing
-        // inside it fans out again (a nested parallelFor would also
-        // deadlock the caller-participates pool).
-        IntraBatchPool *const saved_pool = local.pool;
-        local.pool = nullptr;
-        // Helpers' phase counters are restored on exit, so only the
-        // initiator's block deltas feed the per-batch phase stats.
-        const uint64_t saved_encode = local.encode_ns;
-        const uint64_t saved_gather = local.gather_ns;
-        fn(block, local);
-        if (&local != &scratch) {
-            local.encode_ns = saved_encode;
-            local.gather_ns = saved_gather;
-        }
-        local.pool = saved_pool;
-    };
-    if (scratch.pool != nullptr && blocks >= 2)
-        scratch.pool->parallelFor(blocks, run_block, scratch);
-    else
+    // A block IS the work-stealing unit: the pool is null inside it so
+    // nothing fans out again (a nested parallelFor would also deadlock
+    // the caller-participates pool).
+    IntraBatchPool *const pool = scratch.pool;
+    if (pool == nullptr || blocks < 2) {
+        scratch.pool = nullptr;
         for (int64_t b = 0; b < blocks; ++b)
-            run_block(b, scratch);
+            fn(b, scratch);
+        scratch.pool = pool;
+        return;
+    }
+    // Each block records its phase deltas in its own slot and leaves the
+    // executing worker's counters as it found them; the initiator then
+    // credits every block, stolen or not, to its batch.
+    if (scratch.block_ns.size() < static_cast<size_t>(2 * blocks))
+        scratch.block_ns.resize(static_cast<size_t>(2 * blocks));
+    uint64_t *const slots = scratch.block_ns.data();
+    pool->parallelFor(
+        blocks,
+        [&](int64_t block, StageScratch &local) {
+            IntraBatchPool *const saved_pool = local.pool;
+            local.pool = nullptr;
+            const uint64_t encode0 = local.encode_ns;
+            const uint64_t gather0 = local.gather_ns;
+            fn(block, local);
+            slots[2 * block] = local.encode_ns - encode0;
+            slots[2 * block + 1] = local.gather_ns - gather0;
+            local.encode_ns = encode0;
+            local.gather_ns = gather0;
+            local.pool = saved_pool;
+        },
+        scratch);
+    for (int64_t b = 0; b < blocks; ++b) {
+        scratch.encode_ns += slots[2 * b];
+        scratch.gather_ns += slots[2 * b + 1];
+    }
 }
 
 void
 arenaGemmForward(const lutboost::LutTableArena &arena,
                  const lutboost::KernelBackend &backend, const float *in,
-                 int64_t rows, float *out, int64_t shard_rows,
+                 int64_t rows, float *out,
                  const std::vector<PointwiseOp> &epilogue,
                  StageScratch &scratch, lutboost::EncodePrecision encode)
 {
@@ -206,9 +256,9 @@ arenaGemmForward(const lutboost::LutTableArena &arena,
     // batch of fewer than two blocks this is one whole-batch tile.
     const int64_t in_width = arena.inFeatures();
     const int64_t out_width = arena.outFeatures();
-    const bool sharded =
-        scratch.pool != nullptr && shard_rows > 0 && rows >= 2 * shard_rows;
-    const int64_t block_rows = sharded ? shard_rows : rows;
+    const int64_t chunk_rows = intraBatchBlockRows();
+    const bool sharded = scratch.pool != nullptr && rows >= 2 * chunk_rows;
+    const int64_t block_rows = sharded ? chunk_rows : rows;
     const int64_t blocks = sharded ? (rows + block_rows - 1) / block_rows : 1;
     forEachBlock(scratch, blocks, [&](int64_t block, StageScratch &local) {
         const int64_t r0 = block * block_rows;
@@ -228,14 +278,11 @@ ArenaStage::forward(const float *in, int64_t rows, float *out,
 {
     const float *src = in;
     if (adapt_in_ > 0) {
-        // Fused width-adapt prologue: materialize the cyclically
-        // replicated rows into kernel scratch instead of running a whole
-        // extra stage (and ping-pong plane) for them. Charged to the
-        // encode phase like the historical inline path.
+        // Width-adapt prologue: materialize the cyclically replicated
+        // rows into kernel scratch, charged to the encode phase.
         const auto t0 = Clock::now();
         const int64_t k = arena_->inFeatures();
-        scratch.kernel.adapted.resize(static_cast<size_t>(rows * k));
-        float *dst = scratch.kernel.adapted.data();
+        float *dst = growPlane(scratch.kernel.adapted, rows * k);
         for (int64_t r = 0; r < rows; ++r) {
             const float *row = in + r * adapt_in_;
             float *drow = dst + r * k;
@@ -251,8 +298,8 @@ ArenaStage::forward(const float *in, int64_t rows, float *out,
         src = dst;
         scratch.encode_ns += nanosSince(t0);
     }
-    arenaGemmForward(*arena_, *backend_, src, rows, out, shard_rows_,
-                     epilogue_, scratch, encode_);
+    arenaGemmForward(*arena_, *backend_, src, rows, out, epilogue_,
+                     scratch, encode_);
 }
 
 ConvStage::ConvStage(ConvGeometry geom, int64_t height, int64_t width,
@@ -267,6 +314,16 @@ ConvStage::ConvStage(ConvGeometry geom, int64_t height, int64_t width,
       encode_(resolveEncode(*arena_, encode))
 {
     backend_->prepare(*arena_);
+}
+
+StagePtr
+ConvStage::rebind(const lutboost::KernelBackend &backend,
+                  lutboost::EncodePrecision encode,
+                  const std::vector<PointwiseOp> &epilogue) const
+{
+    return std::make_shared<ConvStage>(geom_, h_, w_, arena_, &backend,
+                                       appendOps(epilogue_, epilogue),
+                                       encode);
 }
 
 std::string
@@ -346,25 +403,6 @@ LayerNormStage::forwardInPlace(float *data, int64_t rows,
 {
     nn::layerNormForward(data, rows, inWidth(), gamma_.data(), beta_.data(),
                          eps_, data, nullptr, nullptr);
-}
-
-void
-WidthAdaptStage::forward(const float *in, int64_t rows, float *out,
-                         StageScratch &) const
-{
-    for (int64_t r = 0; r < rows; ++r) {
-        const float *src = in + r * in_;
-        float *dst = out + r * out_;
-        if (out_ > in_) {
-            for (int64_t j = 0; j < out_; j += in_)
-                std::memcpy(dst + j, src,
-                            static_cast<size_t>(std::min(in_, out_ - j)) *
-                                sizeof(float));
-        } else {
-            std::memcpy(dst, src, static_cast<size_t>(out_) *
-                                      sizeof(float));
-        }
-    }
 }
 
 } // namespace lutdla::serve

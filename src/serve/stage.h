@@ -9,10 +9,11 @@
  * every LUTBoost-converted layer kind onto one of the concrete stages
  * here — arena LUT-GEMM for LutLinear, im2col + arena LUT-GEMM for
  * LutConv2d, pooling / flatten / norm / pointwise for the glue layers —
- * then a planning pass (serve/plan.h) picks each LUT stage's kernel
- * backend and folds fusable neighbors into it, so the serving runtime's
- * batch loop is topology-agnostic: MLPs, CNNs, and future attention graphs all
- * execute as "for stage in stages: stage.forward".
+ * then a planning pass (serve/plan.h) rebinds each LUT stage to its
+ * kernel backend and encode precision and folds the pointwise stages
+ * after it into its epilogue (FrozenStage::rebind), so the serving
+ * runtime's batch loop is topology-agnostic: MLPs, CNNs, and future
+ * attention graphs all execute as "for stage in stages: stage.forward".
  *
  * Execution model: LUT stages do no inline math. Each block of rows runs
  * the fused KernelBackend::forwardTile — encodeBatch (rows -> planar
@@ -21,10 +22,10 @@
  * with no barrier between the phases — dispatched through the
  * lutboost::KernelBackend chosen at plan time (reference float =
  * bit-exact, quantized = INT8 or INT4 tables), and then applies any
- * epilogue ops the planner fused in (pointwise activations, trace width
- * adaptation) while the block's output is still cache-hot. The two
- * phase times are accumulated into StageScratch for the per-lane stats
- * (LaneStats encode/gather split).
+ * pointwise epilogue ops the planner fused in while the block's output is
+ * still cache-hot. The two phase times are accumulated into StageScratch
+ * for the per-lane stats (LaneStats encode/gather split); a block run by
+ * a helper worker is credited to the batch that initiated it.
  *
  * Layout contract: a batch is always a [rows, width] row-major matrix of
  * floats. Spatial stages interpret each row as a flattened NCHW image
@@ -135,11 +136,38 @@ struct StageScratch
     std::vector<float> tile_a, tile_b;
     uint64_t encode_ns = 0;            ///< accumulated encode-phase time
     uint64_t gather_ns = 0;            ///< accumulated gather-phase time
+    /** Per-block (encode, gather) phase deltas of the forEachBlock this
+     * scratch initiated: each block writes its own pair, whichever worker
+     * ran it, and the initiator sums them into encode_ns / gather_ns.
+     * Grow-only, like the planes. */
+    std::vector<uint64_t> block_ns;
     /** Intra-batch worker pool (the front door's); null = single-threaded.
-     * forEachBlock() nulls it inside a block, so blocks never nest, and
-     * only the initiating worker's block deltas reach its phase times. */
+     * forEachBlock() nulls it inside a block, so blocks never nest. */
     IntraBatchPool *pool = nullptr;
 };
+
+/**
+ * Grow-only plane sizing: resize `plane` only when it holds fewer than
+ * `floats` elements, and return its data. A plane sized down for a
+ * narrow stage and back up for a wide one would otherwise zero-fill the
+ * regrown part on every batch; callers overwrite what they use.
+ */
+float *growPlane(std::vector<float> &plane, int64_t floats);
+
+/**
+ * The intra-batch block granularity in rows: one shuffle-gather chunk of
+ * the runtime-dispatched tier (32 when no vector tier runs), so a block
+ * never hands the vector kernels a partial chunk (which would fall back
+ * to the scalar tail sweep).
+ */
+int64_t intraBatchBlockRows();
+
+/** Defined below; forward-declared for StagePtr (FrozenStage::rebind
+ * returns one). */
+class FrozenStage;
+
+/** Shared-ownership handle to an immutable stage. */
+using StagePtr = std::shared_ptr<const FrozenStage>;
 
 /**
  * One node of the serving stage graph. Implementations are immutable and
@@ -218,6 +246,45 @@ class FrozenStage
     virtual int64_t tileScratchBytesPerRow() const { return 0; }
 
     /**
+     * LUT stages only: a copy of this stage bound to `backend` and to
+     * `encode` (resolved against the stage's arenas), with `epilogue`
+     * appended to its own fused epilogue. The planner binds every LUT
+     * stage through this one call, so binding an already-planned chain
+     * again changes nothing it did not ask for. Null for glue stages.
+     */
+    virtual StagePtr
+    rebind(const lutboost::KernelBackend & /*backend*/,
+           lutboost::EncodePrecision /*encode*/,
+           const std::vector<PointwiseOp> & /*epilogue*/) const
+    {
+        return nullptr;
+    }
+
+    /**
+     * LUT stages only: the arena whose code width and kernel variants the
+     * stage's StagePlan records (attention reports its Q projection; the
+     * four share shape and dispatch). Null for glue stages, which is how
+     * the planner tells the two apart.
+     */
+    virtual const lutboost::LutTableArena *planArena() const
+    {
+        return nullptr;
+    }
+
+    /** The RESOLVED encode precision: Int8 only when the stage's arenas
+     * support the quantized encode bank; Float32 otherwise and for glue
+     * stages. */
+    virtual lutboost::EncodePrecision
+    encodePrecision() const
+    {
+        return lutboost::EncodePrecision::Float32;
+    }
+
+    /** Rows per intra-batch block when the stage splits a batch over the
+     * pool (intraBatchBlockRows()); 0 = the stage never splits one. */
+    virtual int64_t blockRows() const { return 0; }
+
+    /**
      * Out-of-place execution: read [rows, inWidth()] from `in`, write
      * [rows, outWidth()] to `out` (caller-sized; never aliases `in`).
      * In-place stages inherit this adapter, which copies then mutates.
@@ -231,9 +298,6 @@ class FrozenStage
                                 StageScratch &scratch) const;
 };
 
-/** Shared-ownership handle to an immutable stage. */
-using StagePtr = std::shared_ptr<const FrozenStage>;
-
 /** Apply fused pointwise epilogue ops to `total` contiguous floats. */
 void applyPointwiseOps(const std::vector<PointwiseOp> &ops, float *data,
                        int64_t total);
@@ -242,9 +306,10 @@ void applyPointwiseOps(const std::vector<PointwiseOp> &ops, float *data,
  * The one intra-batch parallel unit: run fn(block, local) for every block
  * in [0, blocks) — over `scratch.pool` when it is set and there are at
  * least two blocks, else serially on `scratch`. Inside a block
- * `local.pool` is null, so blocks never nest; a helper's encode_ns /
- * gather_ns are restored afterwards, so only the initiator's block deltas
- * reach the batch's phase stats. The tiled executor's row tiles,
+ * `local.pool` is null, so blocks never nest. Every block's encode_ns /
+ * gather_ns delta is credited to `scratch`, whichever worker ran it (the
+ * executing worker's own counters are left as they were), so a batch's
+ * phase stats cover all of its blocks. The tiled executor's row tiles,
  * arenaGemmForward's row blocks and AttentionStage's sequences all run
  * through it.
  */
@@ -256,8 +321,8 @@ void forEachBlock(StageScratch &scratch, int64_t blocks, const ShardFn &fn);
  * and gather into `out` ([rows, arena N]) through `backend`'s fused
  * forwardTile, applying `epilogue` on the output while it is cache-hot,
  * with phase times accumulated into scratch.encode_ns / gather_ns. When
- * `shard_rows` > 0 and `scratch.pool` is set, batches of at least two
- * blocks split into `shard_rows`-row blocks through forEachBlock; each
+ * `scratch.pool` is set, batches of at least two blocks split into
+ * intraBatchBlockRows()-row blocks through forEachBlock; each
  * block runs the whole tile (encode, gather, epilogue) on its worker's
  * own KernelScratch, so there is no full-batch barrier and no shared
  * code buffer, and the result is bit-exact with the single-block sweep.
@@ -268,21 +333,23 @@ void forEachBlock(StageScratch &scratch, int64_t blocks, const ShardFn &fn);
 void arenaGemmForward(
     const lutboost::LutTableArena &arena,
     const lutboost::KernelBackend &backend, const float *in, int64_t rows,
-    float *out, int64_t shard_rows,
-    const std::vector<PointwiseOp> &epilogue, StageScratch &scratch,
+    float *out, const std::vector<PointwiseOp> &epilogue,
+    StageScratch &scratch,
     lutboost::EncodePrecision encode = lutboost::EncodePrecision::Float32);
 
 /**
  * Arena-backed LUT-GEMM stage (lowered LutLinear): encode -> gather
  * through the planned kernel backend, then any fused epilogue. The
- * optional `adapt_in_width` prologue absorbs a preceding WidthAdaptStage
- * (trace models): the stage then consumes `adapt_in_width`-wide rows and
- * cyclically replicates them to the arena width in scratch before
- * encoding. When the planner bound a block granularity (`shard_rows`,
- * one shuffle-gather chunk) and the executing scratch carries an
- * IntraBatchPool, batches of at least two blocks split into row blocks
- * that each run encode -> gather -> epilogue on their worker's own
- * scratch (see arenaGemmForward) — bit-exact with the single-thread
+ * optional `adapt_in_width` prologue is the trace models' width adapt
+ * (FrozenModel::fromTrace, whose consecutive GEMM widths need not chain):
+ * the stage then consumes `adapt_in_width`-wide rows and cyclically
+ * replicates them to the arena width K in scratch before encoding —
+ * column j copies input column j % adapt_in_width, truncating when
+ * K < adapt_in_width — preserving each traced layer's true gather
+ * workload. When the executing scratch carries an IntraBatchPool,
+ * batches of at least two intraBatchBlockRows() blocks split into row
+ * blocks that each run encode -> gather -> epilogue on their worker's
+ * own scratch (see arenaGemmForward) — bit-exact with the single-thread
  * sweep because rows are independent.
  *
  * `encode` picks the encode-phase arithmetic (lutboost::EncodePrecision):
@@ -298,7 +365,7 @@ class ArenaStage : public FrozenStage
         std::shared_ptr<const lutboost::LutTableArena> arena,
         const lutboost::KernelBackend *backend = nullptr,
         std::vector<PointwiseOp> epilogue = {},
-        int64_t adapt_in_width = 0, int64_t shard_rows = 0,
+        int64_t adapt_in_width = 0,
         lutboost::EncodePrecision encode =
             lutboost::EncodePrecision::Float32);
 
@@ -325,6 +392,20 @@ class ArenaStage : public FrozenStage
     bool rowTileable() const override { return true; }
     int64_t tileGranuleRows() const override;
     int64_t tileScratchBytesPerRow() const override;
+    StagePtr rebind(const lutboost::KernelBackend &backend,
+                    lutboost::EncodePrecision encode,
+                    const std::vector<PointwiseOp> &epilogue) const override;
+    const lutboost::LutTableArena *
+    planArena() const override
+    {
+        return arena_.get();
+    }
+    lutboost::EncodePrecision
+    encodePrecision() const override
+    {
+        return encode_;
+    }
+    int64_t blockRows() const override { return intraBatchBlockRows(); }
 
     /** The frozen arena this stage gathers from. */
     const std::shared_ptr<const lutboost::LutTableArena> &
@@ -336,26 +417,14 @@ class ArenaStage : public FrozenStage
     /** The kernel backend the planner chose. */
     const lutboost::KernelBackend &backend() const { return *backend_; }
 
-    /** Fused epilogue ops (empty before planning). */
-    const std::vector<PointwiseOp> &epilogue() const { return epilogue_; }
-
-    /** Fused width-adapt prologue input width (0 when absent). */
+    /** Width-adapt prologue input width (0 when absent). */
     int64_t adaptInWidth() const { return adapt_in_; }
-
-    /** The RESOLVED encode precision (Int8 only when the arena supports
-     * the quantized encode bank; Float32 otherwise). */
-    lutboost::EncodePrecision
-    encodePrecision() const
-    {
-        return encode_;
-    }
 
   private:
     std::shared_ptr<const lutboost::LutTableArena> arena_;
     const lutboost::KernelBackend *backend_;
     std::vector<PointwiseOp> epilogue_;
     int64_t adapt_in_;
-    int64_t shard_rows_;
     lutboost::EncodePrecision encode_;
 };
 
@@ -402,33 +471,19 @@ class ConvStage : public FrozenStage
      * inherited rowTileable() == false): the im2col expansion reshapes
      * the working set into a batch-shaped scratch plane whose patch rows
      * outnumber the batch rows, so the planner's row-tile size model does
-     * not describe it. The conv path keeps its own internal blocking. */
-
-    /** The conv geometry this stage was lowered with. */
-    const ConvGeometry &geometry() const { return geom_; }
-
-    /** The frozen arena this stage gathers from. */
-    const std::shared_ptr<const lutboost::LutTableArena> &
-    arena() const
+     * not describe it. The conv path keeps its own internal blocking and
+     * never splits a batch over the pool (the inherited blockRows() == 0:
+     * the im2col plane is shared). */
+    StagePtr rebind(const lutboost::KernelBackend &backend,
+                    lutboost::EncodePrecision encode,
+                    const std::vector<PointwiseOp> &epilogue) const override;
+    const lutboost::LutTableArena *
+    planArena() const override
     {
-        return arena_;
+        return arena_.get();
     }
-
-    /** The kernel backend the planner chose. */
-    const lutboost::KernelBackend &backend() const { return *backend_; }
-
-    /** Fused epilogue ops (empty before planning). */
-    const std::vector<PointwiseOp> &epilogue() const { return epilogue_; }
-
-    /** Input image height baked in at lowering time. */
-    int64_t height() const { return h_; }
-
-    /** Input image width baked in at lowering time. */
-    int64_t width() const { return w_; }
-
-    /** The RESOLVED encode precision (see ArenaStage). */
     lutboost::EncodePrecision
-    encodePrecision() const
+    encodePrecision() const override
     {
         return encode_;
     }
@@ -603,33 +658,6 @@ class LayerNormStage : public FrozenStage
   private:
     std::vector<float> gamma_, beta_;
     float eps_;
-};
-
-/**
- * Cyclic width adapter used only by trace-synthesized models, whose
- * consecutive GEMM widths need not chain: each output column j copies
- * input column j % inWidth, preserving each traced layer's true gather
- * workload. The planner fuses these into the following ArenaStage as an
- * encode prologue; an unfused node survives only when fusion is off or
- * no LUT stage follows.
- */
-class WidthAdaptStage : public FrozenStage
-{
-  public:
-    WidthAdaptStage(int64_t in_width, int64_t out_width)
-        : in_(in_width), out_(out_width)
-    {
-    }
-
-    std::string kind() const override { return "width-adapt"; }
-    int64_t inWidth() const override { return in_; }
-    int64_t outWidth() const override { return out_; }
-    bool rowTileable() const override { return true; }
-    void forward(const float *in, int64_t rows, float *out,
-                 StageScratch &scratch) const override;
-
-  private:
-    int64_t in_, out_;
 };
 
 } // namespace lutdla::serve

@@ -33,15 +33,12 @@ epilogueSuffix(const std::vector<PointwiseOp> &ops)
 }
 
 /** Size a skip slot's plane, growing the slot vector on first use. */
-std::vector<float> &
+float *
 skipPlane(StageScratch &scratch, int64_t slot, int64_t total)
 {
     if (static_cast<size_t>(slot) >= scratch.skip.size())
         scratch.skip.resize(static_cast<size_t>(slot) + 1);
-    std::vector<float> &plane = scratch.skip[static_cast<size_t>(slot)];
-    if (plane.size() < static_cast<size_t>(total))
-        plane.resize(static_cast<size_t>(total));
-    return plane;
+    return growPlane(scratch.skip[static_cast<size_t>(slot)], total);
 }
 
 } // namespace
@@ -57,8 +54,7 @@ SkipSaveStage::forwardInPlace(float *data, int64_t rows,
                               StageScratch &scratch) const
 {
     const int64_t total = rows * width_;
-    std::vector<float> &plane = skipPlane(scratch, slot_, total);
-    std::memcpy(plane.data(), data,
+    std::memcpy(skipPlane(scratch, slot_, total), data,
                 static_cast<size_t>(total) * sizeof(float));
 }
 
@@ -95,13 +91,12 @@ AttentionStage::AttentionStage(Arenas arenas, int64_t seq_len,
                                int64_t heads,
                                const lutboost::KernelBackend *backend,
                                std::vector<PointwiseOp> epilogue,
-                               int64_t shard_rows,
                                lutboost::EncodePrecision encode)
     : arenas_(std::move(arenas)), seq_len_(seq_len), heads_(heads),
       d_model_(arenas_.q->outFeatures()),
       backend_(backend != nullptr ? backend
                                   : &lutboost::referenceBackend()),
-      epilogue_(std::move(epilogue)), shard_rows_(shard_rows),
+      epilogue_(std::move(epilogue)),
       encode_(lutboost::EncodePrecision::Float32)
 {
     LUTDLA_CHECK(arenas_.q && arenas_.k && arenas_.v && arenas_.o,
@@ -140,6 +135,18 @@ AttentionStage::description() const
     if (encode_ == lutboost::EncodePrecision::Int8)
         out += "[enc:int8]";
     return out + epilogueSuffix(epilogue_);
+}
+
+StagePtr
+AttentionStage::rebind(const lutboost::KernelBackend &backend,
+                       lutboost::EncodePrecision encode,
+                       const std::vector<PointwiseOp> &epilogue) const
+{
+    std::vector<PointwiseOp> ops = epilogue_;
+    ops.insert(ops.end(), epilogue.begin(), epilogue.end());
+    return std::make_shared<AttentionStage>(arenas_, seq_len_, heads_,
+                                            &backend, std::move(ops),
+                                            encode);
 }
 
 int64_t
@@ -188,23 +195,20 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
                  " rows is not a multiple of seq_len ", seq_len_,
                  "; the front door admits whole sequences only");
     const int64_t total = rows * d_model_;
-    scratch.attn_q.resize(static_cast<size_t>(total));
-    scratch.attn_k.resize(static_cast<size_t>(total));
-    scratch.attn_v.resize(static_cast<size_t>(total));
-    scratch.attn_ctx.resize(static_cast<size_t>(total));
+    float *q = growPlane(scratch.attn_q, total);
+    float *k = growPlane(scratch.attn_k, total);
+    float *v = growPlane(scratch.attn_v, total);
+    float *ctx = growPlane(scratch.attn_ctx, total);
 
     // Three projection LUT-GEMMs into the worker's attention planes; the
     // shared arena body splits them into row blocks exactly like
     // ArenaStage.
     static const std::vector<PointwiseOp> kNoEpilogue;
-    arenaGemmForward(*arenas_.q, *backend_, in, rows,
-                     scratch.attn_q.data(), shard_rows_, kNoEpilogue,
+    arenaGemmForward(*arenas_.q, *backend_, in, rows, q, kNoEpilogue,
                      scratch, encode_);
-    arenaGemmForward(*arenas_.k, *backend_, in, rows,
-                     scratch.attn_k.data(), shard_rows_, kNoEpilogue,
+    arenaGemmForward(*arenas_.k, *backend_, in, rows, k, kNoEpilogue,
                      scratch, encode_);
-    arenaGemmForward(*arenas_.v, *backend_, in, rows,
-                     scratch.attn_v.data(), shard_rows_, kNoEpilogue,
+    arenaGemmForward(*arenas_.v, *backend_, in, rows, v, kNoEpilogue,
                      scratch, encode_);
 
     // Scaled-dot-product core: the shared eval kernel per sequence, into
@@ -212,27 +216,22 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
     // sequence is bit-exact (disjoint context rows); each participant
     // brings its own probability plane. Charged to the gather phase.
     const auto t0 = Clock::now();
-    std::fill(scratch.attn_ctx.begin(),
-              scratch.attn_ctx.begin() + static_cast<size_t>(total), 0.0f);
+    std::fill(ctx, ctx + total, 0.0f);
     const int64_t sequences = rows / seq_len_;
     const int64_t probs_floats = heads_ * seq_len_ * seq_len_;
-    const float *q = scratch.attn_q.data();
-    const float *k = scratch.attn_k.data();
-    const float *v = scratch.attn_v.data();
-    float *ctx = scratch.attn_ctx.data();
     const ShardFn run_sequence = [&](int64_t b, StageScratch &local) {
-        local.attn_probs.resize(static_cast<size_t>(probs_floats));
         const int64_t off = b * seq_len_ * d_model_;
         nn::attentionSequenceContext(q + off, k + off, v + off, seq_len_,
                                      heads_, d_model_, ctx + off,
-                                     local.attn_probs.data());
+                                     growPlane(local.attn_probs,
+                                               probs_floats));
     };
     forEachBlock(scratch, sequences, run_sequence);
     scratch.gather_ns += nanosSince(t0);
 
     // Output projection (with any fused epilogue) into the stage output.
-    arenaGemmForward(*arenas_.o, *backend_, ctx, rows, out, shard_rows_,
-                     epilogue_, scratch, encode_);
+    arenaGemmForward(*arenas_.o, *backend_, ctx, rows, out, epilogue_,
+                     scratch, encode_);
 }
 
 } // namespace lutdla::serve

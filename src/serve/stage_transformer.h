@@ -166,7 +166,6 @@ class AttentionStage : public FrozenStage
     AttentionStage(Arenas arenas, int64_t seq_len, int64_t heads,
                    const lutboost::KernelBackend *backend = nullptr,
                    std::vector<PointwiseOp> epilogue = {},
-                   int64_t shard_rows = 0,
                    lutboost::EncodePrecision encode =
                        lutboost::EncodePrecision::Float32);
 
@@ -184,33 +183,22 @@ class AttentionStage : public FrozenStage
     int64_t residentBytes() const override;
     void forward(const float *in, int64_t rows, float *out,
                  StageScratch &scratch) const override;
-
-    /** The four frozen projection arenas. */
-    const Arenas &arenas() const { return arenas_; }
-
-    /** The kernel backend the planner chose. */
-    const lutboost::KernelBackend &backend() const { return *backend_; }
-
-    /** Fused epilogue ops on the output projection (empty pre-plan). */
-    const std::vector<PointwiseOp> &epilogue() const { return epilogue_; }
-
-    /** Sequence length T; batches must be a multiple of it. */
-    int64_t seqLen() const { return seq_len_; }
-
-    /** Head count (columns split as d_model / heads slices). */
-    int64_t heads() const { return heads_; }
-
-    /** Embedding width D. */
-    int64_t dModel() const { return d_model_; }
-
-    /** The RESOLVED encode precision, shared by all four projection
-     * GEMMs (Int8 only when EVERY projection arena supports the
-     * quantized encode bank; Float32 otherwise). */
+    StagePtr rebind(const lutboost::KernelBackend &backend,
+                    lutboost::EncodePrecision encode,
+                    const std::vector<PointwiseOp> &epilogue) const override;
+    const lutboost::LutTableArena *
+    planArena() const override
+    {
+        return arenas_.q.get();
+    }
+    /** Shared by all four projection GEMMs: Int8 only when EVERY
+     * projection arena supports the quantized encode bank. */
     lutboost::EncodePrecision
-    encodePrecision() const
+    encodePrecision() const override
     {
         return encode_;
     }
+    int64_t blockRows() const override { return intraBatchBlockRows(); }
 
   private:
     Arenas arenas_;
@@ -219,7 +207,6 @@ class AttentionStage : public FrozenStage
     int64_t d_model_;
     const lutboost::KernelBackend *backend_;
     std::vector<PointwiseOp> epilogue_;
-    int64_t shard_rows_;
     lutboost::EncodePrecision encode_;
 };
 

@@ -126,11 +126,11 @@ struct LaneStats
     /**
      * Encode-phase seconds (argmin encoding of batch rows into packed
      * codes, including im2col / BF16 staging), reported as the
-     * PER-ACTIVE-WORKER AVERAGE of per-batch wall times: sharded phases
-     * time only the initiating worker, and the cross-worker sum is
-     * divided by the pool's active_workers — so the number is comparable
-     * across thread counts instead of inflating ~Nx with N concurrent
-     * workers. Approximation caveat: the divisor counts workers that EVER
+     * PER-ACTIVE-WORKER AVERAGE of per-batch wall times: a split batch
+     * is credited with every one of its blocks, whichever worker ran it
+     * (serve::forEachBlock), and the cross-worker sum is divided by the
+     * pool's active_workers — so the number is comparable across thread
+     * counts instead of inflating ~Nx with N concurrent workers. Approximation caveat: the divisor counts workers that EVER
      * did batch work, an upper bound on actual concurrency, so under
      * light load spread across the pool this is a LOWER bound on
      * per-worker phase wall time; at saturation it is tight.

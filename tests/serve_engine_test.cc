@@ -147,26 +147,6 @@ TEST(FrozenModel, MatchesModelEvalBitExact)
     EXPECT_GT(frozen->tableBytes(), 0);
 }
 
-TEST(FrozenModel, NoFusePlanKeepsDiscreteStagesAndStaysBitExact)
-{
-    FrozenFixture fx = makeFrozenMlp(vq::LutPrecision{true, true});
-    serve::PlanOptions plan;
-    plan.fuse = false;
-    auto unfused = serve::FrozenModel::fromModel(fx.model, {}, plan);
-    ASSERT_TRUE(unfused.ok()) << unfused.status().toString();
-    EXPECT_EQ(unfused->describe(), "lut-gemm -> relu -> lut-gemm");
-    EXPECT_EQ(unfused->numStages(), 3);
-
-    // Fusion only moves where the same float ops run: fused and unfused
-    // plans must agree bit for bit (and with the eval forward).
-    auto fused = serve::FrozenModel::fromModel(fx.model);
-    ASSERT_TRUE(fused.ok());
-    const Tensor a = unfused->forwardBatch(fx.rows);
-    const Tensor b = fused->forwardBatch(fx.rows);
-    EXPECT_TRUE(a.equals(b)) << "maxdiff=" << Tensor::maxAbsDiff(a, b);
-    EXPECT_TRUE(a.equals(fx.model->forward(fx.rows, false)));
-}
-
 TEST(FrozenModel, QuantizedPlanTopOneAgreementWithinTolerance)
 {
     // The INT8 data plane is approximate by design. The documented
@@ -278,32 +258,91 @@ TEST(FrozenModel, Int8EncodePlanHoldsTopOneAgreementEnvelope)
     engine.value()->shutdown();
 }
 
-TEST(FrozenModel, TracePlanFusesWidthAdaptIntoArenaProlog)
+TEST(FrozenModel, TraceWidthAdaptMatchesHandReplicatedBackendReference)
 {
-    std::vector<sim::GemmShape> gemms{{4, 12, 6, "a"}, {4, 9, 5, "b"}};
+    // Stage b widens 6 -> 9 (K % v = 1, so its last subspace is ragged);
+    // stage c truncates 10 -> 8.
+    std::vector<sim::GemmShape> gemms{
+        {4, 12, 6, "a"}, {4, 9, 10, "b"}, {4, 8, 5, "c"}};
     vq::PQConfig pq;
     pq.v = 4;
-    pq.c = 8;
-    auto fused = serve::FrozenModel::fromTrace(gemms, pq);
-    ASSERT_TRUE(fused.ok());
-    EXPECT_EQ(fused->describe(), "lut-gemm -> adapt+lut-gemm");
-    EXPECT_EQ(fused->numStages(), 2);
+    pq.c = 16;
+    const int64_t rows = 37;
+    const Tensor x = randomRows(rows, 12, 9);
 
-    serve::PlanOptions no_fuse;
-    no_fuse.fuse = false;
-    auto unfused = serve::FrozenModel::fromTrace(gemms, pq, {}, 91, no_fuse);
-    ASSERT_TRUE(unfused.ok());
-    EXPECT_EQ(unfused->describe(), "lut-gemm -> width-adapt -> lut-gemm");
+    struct Plan
+    {
+        serve::TablePrecision tables;
+        serve::EncodePrecision encode;
+        const char *describe;
+    };
+    const Plan plans[] = {
+        {serve::TablePrecision::Float32, serve::EncodePrecision::Float32,
+         "lut-gemm -> adapt+lut-gemm -> adapt+lut-gemm"},
+        // The resnet18-bulk plan: int4 tables fed by the int8 encode.
+        {serve::TablePrecision::Int4, serve::EncodePrecision::Int8,
+         "lut-gemm[int4][enc:int8] -> adapt+lut-gemm[int4][enc:int8] -> "
+         "adapt+lut-gemm[int4][enc:int8]"},
+    };
+    for (const Plan &p : plans) {
+        // Untiled, forced 8-row tiles and the auto tile size.
+        for (const int64_t tile_rows : {-1, 8, 0}) {
+            serve::PlanOptions plan;
+            plan.table_precision = p.tables;
+            plan.encode_precision = p.encode;
+            plan.tile_rows = tile_rows;
+            auto model =
+                serve::FrozenModel::fromTrace(gemms, pq, {}, 91, plan);
+            ASSERT_TRUE(model.ok()) << model.status().toString();
+            EXPECT_EQ(model->describe(), p.describe);
+            ASSERT_EQ(model->plan().size(), 3u);
+            for (const serve::StagePlan &sp : model->plan()) {
+                EXPECT_TRUE(sp.fused.empty()) << sp.description;
+                EXPECT_GT(sp.code_bits, 0);
+            }
 
-    const Tensor x = randomRows(7, 12, 9);
-    EXPECT_TRUE(fused->forwardBatch(x).equals(unfused->forwardBatch(x)));
+            // Reference: each stage's own backend forwardTile on rows
+            // replicated by hand, column j = input column j % w.
+            std::vector<float> cur(x.data(), x.data() + x.numel());
+            int64_t w = 12;
+            int adapts = 0;
+            lutboost::KernelScratch kernel;
+            for (const serve::StagePtr &ptr : model->stages()) {
+                const auto *stage =
+                    dynamic_cast<const serve::ArenaStage *>(ptr.get());
+                ASSERT_NE(stage, nullptr);
+                const lutboost::LutTableArena &arena = *stage->arena();
+                const int64_t k = arena.inFeatures();
+                const int64_t n = arena.outFeatures();
+                EXPECT_EQ(stage->inWidth(), w);
+                EXPECT_EQ(stage->adaptInWidth(), k == w ? 0 : w);
+                adapts += stage->adaptInWidth() > 0 ? 1 : 0;
+                std::vector<float> in(static_cast<size_t>(rows * k));
+                for (int64_t r = 0; r < rows; ++r)
+                    for (int64_t j = 0; j < k; ++j)
+                        in[static_cast<size_t>(r * k + j)] =
+                            cur[static_cast<size_t>(r * w + j % w)];
+                std::vector<float> out(static_cast<size_t>(rows * n));
+                uint64_t encode_ns = 0, gather_ns = 0;
+                stage->backend().forwardTile(arena, in.data(), rows,
+                                             out.data(), kernel, &encode_ns,
+                                             &gather_ns,
+                                             stage->encodePrecision());
+                EXPECT_EQ(stage->encodePrecision(), p.encode);
+                cur = std::move(out);
+                w = n;
+            }
+            EXPECT_EQ(adapts, 2);
 
-    // The plan records what was folded where.
-    ASSERT_EQ(fused->plan().size(), 2u);
-    EXPECT_EQ(fused->plan()[1].fused,
-              std::vector<std::string>{"width-adapt"});
-    EXPECT_GT(fused->plan()[0].code_bits, 0);
-    EXPECT_FALSE(fused->planSummary().empty());
+            const Tensor y = model->forwardBatch(x);
+            ASSERT_EQ(y.numel(), static_cast<int64_t>(cur.size()));
+            int64_t mismatches = 0;
+            for (int64_t i = 0; i < y.numel(); ++i)
+                mismatches += y.at(i) == cur[static_cast<size_t>(i)] ? 0 : 1;
+            EXPECT_EQ(mismatches, 0)
+                << p.describe << " tile_rows=" << tile_rows;
+        }
+    }
 }
 
 TEST(ServingFacade, ServeOptionsDeployQuantizedPlanWithPhaseStats)
@@ -1046,6 +1085,53 @@ TEST(InferenceEngine, ShardedBigBatchBitExactAcrossPlans)
             EXPECT_GE(stats.encode_cpu_seconds, stats.encode_seconds);
             EXPECT_GE(stats.gather_cpu_seconds, stats.gather_seconds);
         }
+    }
+}
+
+/** Pool whose helper scratch runs every block: the initiator steals
+ * none, as when woken helpers claim all of a small stage's blocks. */
+class HelperRunsEveryBlock : public serve::IntraBatchPool
+{
+  public:
+    void
+    parallelFor(int64_t blocks, const serve::ShardFn &fn,
+                serve::StageScratch &) override
+    {
+        for (int64_t b = 0; b < blocks; ++b)
+            fn(b, helper);
+    }
+
+    serve::StageScratch helper;
+};
+
+TEST(InferenceEngine, StolenBlocksCreditPhaseTimeToTheBatch)
+{
+    std::vector<sim::GemmShape> gemms{{4, 24, 18, "a"}, {4, 18, 7, "b"}};
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    const int64_t block = serve::intraBatchBlockRows();
+    const Tensor rows = randomRows(4 * block + 3, 24, 5);
+    // Untiled: each stage splits into row blocks; tiled: one tile per
+    // block.
+    for (const int64_t tile_rows : {int64_t{-1}, block}) {
+        serve::PlanOptions plan;
+        plan.tile_rows = tile_rows;
+        auto model = serve::FrozenModel::fromTrace(gemms, pq, {}, 91, plan);
+        ASSERT_TRUE(model.ok()) << model.status().toString();
+
+        HelperRunsEveryBlock pool;
+        serve::StageScratch scratch;
+        scratch.pool = &pool;
+        const Tensor y = model->forwardBatch(rows, scratch);
+        EXPECT_TRUE(y.equals(model->forwardBatch(rows)))
+            << "tile_rows=" << tile_rows;
+        EXPECT_GT(scratch.encode_ns, 0u) << "tile_rows=" << tile_rows;
+        EXPECT_GT(scratch.gather_ns, 0u) << "tile_rows=" << tile_rows;
+        // The helper's own counters are left as they were.
+        EXPECT_EQ(pool.helper.encode_ns, 0u);
+        EXPECT_EQ(pool.helper.gather_ns, 0u);
+        EXPECT_EQ(scratch.pool, &pool);
     }
 }
 

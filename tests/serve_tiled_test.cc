@@ -37,7 +37,7 @@ randomRows(int64_t rows, int64_t width, uint64_t seed)
 }
 
 /** A three-GEMM trace chain with a non-chaining width in the middle, so
- * the tiled segment also covers a fused width-adapt prologue. */
+ * the tiled segment also covers a width-adapt prologue. */
 serve::FrozenModel
 makeTraceModel(serve::PlanOptions plan)
 {
