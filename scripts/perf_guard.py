@@ -13,7 +13,9 @@ runner cancels host speed, so no baseline artifact is kept.
 
 Exits nonzero when any run exits nonzero (a mismatched or failed
 response, or a build failure), or when this tree's median rows_per_s is
-below FLOOR times the parent's on any guarded workload.
+below FLOOR times the parent's on any guarded workload. The report also
+prints each side's latency_p50_us and peak_rss_mb (median, q1, q3) per
+workload; those are shown, not gated.
 """
 
 import json
@@ -27,10 +29,14 @@ SECONDS = 2
 WORKLOADS = ["resnet18-bulk", "bert-encoder"]
 FLOOR = 0.85
 SEED = 1
+GATED = "rows_per_s"
+# Shown beside the gate, not gated: metric -> decimals printed.
+REPORTED = {"latency_p50_us": 0, "peak_rss_mb": 1}
 
 
-def rows_per_s(tree, workload, seed):
-    """One run of `tree`'s run.py; returns rows/s, or None if it failed."""
+def run_metrics(tree, workload, seed):
+    """One run of `tree`'s run.py; returns {metric: value} for GATED and
+    REPORTED, or None if it failed."""
     cmd = [sys.executable, str(tree / "bench" / "e2e" / "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS)]
@@ -40,12 +46,24 @@ def rows_per_s(tree, workload, seed):
         print(f"FAIL: {tree} {workload} seed {seed} exited "
               f"{proc.returncode}\n{proc.stdout}", flush=True)
         return None
-    return json.loads(lines[-1])["metrics"]["rows_per_s"]["value"]
+    metrics = json.loads(lines[-1])["metrics"]
+    return {name: metrics[name]["value"] for name in [GATED, *REPORTED]}
 
 
-def quartiles(values):
+def quartiles(values, digits=0):
     q1, med, q3 = statistics.quantiles(values, n=4)
-    return f"median {med:.0f} (q1 {q1:.0f}, q3 {q3:.0f})"
+    return (f"median {med:.{digits}f} (q1 {q1:.{digits}f}, "
+            f"q3 {q3:.{digits}f})")
+
+
+def report(name, parent, change):
+    """One side-by-side line for a metric that is shown, not gated."""
+    if len(parent) < 2 or len(change) < 2:
+        return f"  {name}: too few runs"
+    digits = REPORTED[name]
+    ratio = statistics.median(change) / statistics.median(parent)
+    return (f"  {name}: parent {quartiles(parent, digits)}, change "
+            f"{quartiles(change, digits)}, ratio {ratio:.3f} (report only)")
 
 
 def main():
@@ -60,15 +78,18 @@ def main():
         for workload in WORKLOADS:
             seed = SEED + pair
             for side in order:
-                rate = rows_per_s(sides[side], workload, seed)
-                ok &= rate is not None
-                if rate is not None:
-                    samples[(side, workload)].append(rate)
+                run = run_metrics(sides[side], workload, seed)
+                ok &= run is not None
+                if run is not None:
+                    samples[(side, workload)].append(run)
                     print(f"pair {pair + 1}/{PAIRS} {workload} seed {seed} "
-                          f"{side}: {rate:.0f} rows/s", flush=True)
+                          f"{side}: {run[GATED]:.0f} rows/s, p50 "
+                          f"{run['latency_p50_us']:.0f} us, RSS "
+                          f"{run['peak_rss_mb']:.1f} MB", flush=True)
     for workload in WORKLOADS:
-        parent, change = (samples[("parent", workload)],
-                          samples[("change", workload)])
+        runs = {side: samples[(side, workload)] for side in sides}
+        parent, change = ([run[GATED] for run in runs["parent"]],
+                          [run[GATED] for run in runs["change"]])
         if len(parent) < 2 or len(change) < 2:
             ok = False
             continue
@@ -78,6 +99,9 @@ def main():
         print(f"{workload}: parent {quartiles(parent)}, change "
               f"{quartiles(change)}, ratio {ratio:.3f} "
               f"(floor {FLOOR}) {'ok' if passed else 'FAIL'}")
+        for name in REPORTED:
+            print(report(name, [run[name] for run in runs["parent"]],
+                         [run[name] for run in runs["change"]]))
     return 0 if ok else 1
 
 

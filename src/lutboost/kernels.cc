@@ -50,27 +50,28 @@ encodePrecisionName(EncodePrecision precision)
 void
 KernelBackend::encodeBatch(const LutTableArena &arena, const float *x,
                            int64_t rows, KernelScratch &scratch,
-                           EncodePrecision encode) const
+                           EncodePrecision encode, int64_t width) const
 {
     // Every backend shares the arena's encode phase; `encode` picks the
     // argmin arithmetic (exact float scan vs integer scan over the INT8
     // encode bank), independent of the gather-side table precision.
     if (useInt8Encode(arena, encode)) {
         arena.ensureInt8EncodeBank();
-        arena.encodeBatchInt8(x, rows, scratch.codes, scratch.encode);
+        arena.encodeBatchInt8(x, rows, scratch.codes, scratch.encode,
+                              EncodeVariant::Auto, width);
         return;
     }
-    arena.encodeBatch(x, rows, scratch.codes, scratch.encode);
+    arena.encodeBatch(x, rows, scratch.codes, scratch.encode, width);
 }
 
 void
 KernelBackend::forwardTile(const LutTableArena &arena, const float *x,
                            int64_t rows, float *y, KernelScratch &scratch,
                            uint64_t *encode_ns, uint64_t *gather_ns,
-                           EncodePrecision encode) const
+                           EncodePrecision encode, int64_t width) const
 {
     const auto t0 = std::chrono::steady_clock::now();
-    encodeBatch(arena, x, rows, scratch, encode);
+    encodeBatch(arena, x, rows, scratch, encode, width);
     if (encode_ns != nullptr)
         *encode_ns += nanosSince(t0);
     const auto t1 = std::chrono::steady_clock::now();

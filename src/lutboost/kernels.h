@@ -71,19 +71,18 @@ prefetchSpan(const void *p, int64_t bytes)
  * Reusable per-caller buffers for one in-flight batch of kernel calls:
  * the planar code buffer the encode phase fills and the gather phase
  * reads, plus the encode-side scratch (BF16 staging, per-subspace code
- * block, padded tail), the width-adapt plane and the gather-side
- * scratch (row-major tail codes, shuffle accumulators). Owned by the
- * serving StageScratch so steady-state batches perform no allocations.
- * Nothing here is shared between workers: when a batch is split into
- * row blocks, each block encodes into and gathers from its executing
- * worker's own KernelScratch.
+ * block, padded subspace) and the gather-side scratch (row-major tail
+ * codes, shuffle accumulators). Owned by the serving StageScratch so
+ * steady-state batches perform no allocations. Nothing here is shared
+ * between workers: when a batch is split into row blocks, each block
+ * encodes into and gathers from its executing worker's own
+ * KernelScratch.
  */
 struct KernelScratch
 {
-    vq::CodeBuffer codes;        ///< planar [Nc, planeStride] indices
-    EncodeScratch encode;        ///< staging + per-subspace encode buffers
-    std::vector<float> adapted;  ///< width-adapted input rows
-    GatherScratch gather;        ///< row-major tail codes / colmajor
+    vq::CodeBuffer codes;  ///< planar [Nc, planeStride] indices
+    EncodeScratch encode;  ///< staging + per-subspace encode buffers
+    GatherScratch gather;  ///< row-major tail codes / colmajor
 };
 
 /**
@@ -121,18 +120,20 @@ class KernelBackend
     virtual bool bitExact() const = 0;
 
     /**
-     * Encode phase: argmin-encode `rows` rows of `x` (arena.inFeatures()
-     * wide) into scratch.codes at the arena's code width. Applies the
-     * arena's BF16 input rounding via scratch.encode.staging. `encode`
-     * selects the argmin arithmetic: Float32 is the exact scan; Int8
-     * routes through the arena's quantized encode bank when the arena
-     * supports it (L2 metric) and silently falls back to the exact scan
-     * otherwise, mirroring how the planner resolves the choice.
+     * Encode phase: argmin-encode `rows` rows of `x` (`width` floats,
+     * 0 = K, read as LutTableArena::encodeBatch does) into scratch.codes
+     * at the arena's code width. Applies the arena's BF16 input rounding
+     * via scratch.encode.staging. `encode` selects the argmin
+     * arithmetic: Float32 is the exact scan; Int8 routes through the
+     * arena's quantized encode bank when the arena supports it (L2
+     * metric) and silently falls back to the exact scan otherwise,
+     * mirroring how the planner resolves the choice.
      */
     virtual void encodeBatch(
         const LutTableArena &arena, const float *x, int64_t rows,
         KernelScratch &scratch,
-        EncodePrecision encode = EncodePrecision::Float32) const;
+        EncodePrecision encode = EncodePrecision::Float32,
+        int64_t width = 0) const;
 
     /**
      * Gather phase: accumulate the table rows scratch.codes selects into
@@ -145,20 +146,21 @@ class KernelBackend
 
     /**
      * Fused tile entry point, the one unit of serving work: encode `rows`
-     * contiguous rows of `x` and immediately gather them into `y` in one
-     * call, so the tile's code planes never leave cache between the
-     * phases. The row-tiled segment executor runs it per tile and
-     * serve::arenaGemmForward per row block, each on the executing
-     * worker's own `scratch`. Phase wall times are accumulated into *encode_ns /
-     * *gather_ns (either may be null). Bit-exact with a separate
+     * contiguous `width`-float rows of `x` (see encodeBatch) and
+     * immediately gather them into `y` in one call, so the tile's code
+     * planes never leave cache between the phases. The row-tiled segment
+     * executor runs it per tile and serve::arenaGemmForward per row
+     * block, each on the executing worker's own `scratch`. Phase wall
+     * times are accumulated into *encode_ns / *gather_ns (either may be
+     * null). Bit-exact with a separate
      * encodeBatch + gatherAccumulate pair by construction — it IS that
      * pair, minus the full-batch barrier between them.
      */
     void forwardTile(const LutTableArena &arena, const float *x,
                      int64_t rows, float *y, KernelScratch &scratch,
                      uint64_t *encode_ns, uint64_t *gather_ns,
-                     EncodePrecision encode = EncodePrecision::Float32)
-        const;
+                     EncodePrecision encode = EncodePrecision::Float32,
+                     int64_t width = 0) const;
 
     /**
      * Rows one full sweep of this backend's table bank covers: kRowBlock

@@ -279,43 +279,42 @@ sweepInt4ColOuter(const uint8_t *__restrict__ qbank,
 
 template <typename Kernel, typename Sink>
 void
-LutTableArena::encodeBySubspace(const float *x, int64_t rows,
+LutTableArena::encodeBySubspace(const float *x, int64_t rows, int64_t width,
                                 EncodeScratch &scratch, Kernel &&kernel,
                                 Sink &&sink) const
 {
     // Subspace-outer: one subspace's codebook stays L1-resident across the
     // whole batch, and its codes come out as one contiguous block — the
-    // shape of a CodeBuffer plane. Full subspaces are read in place (row
-    // stride K); the ragged tail is zero-padded into a compact [rows, v]
-    // plane, exactly like ProductQuantizer::extractSubvector, and encoded
-    // the same way.
+    // shape of a CodeBuffer plane. Encoded column j is input column
+    // j % width (the identity at width == K), zero past K. A subspace
+    // inside one input period is read in place at row stride `width`;
+    // one that wraps or runs past K is gathered into a zero-padded
+    // [rows, v] plane, exactly like ProductQuantizer::extractSubvector.
     const int64_t v = subvector_len_;
-    const int64_t full_subspaces =
-        in_features_ % v == 0 ? num_subspaces_ : num_subspaces_ - 1;
     scratch.block.resize(static_cast<size_t>(rows));
     int32_t *block = scratch.block.data();
-    for (int64_t s = 0; s < full_subspaces; ++s) {
-        kernel(x + s * v, in_features_, s, block);
-        sink(s, static_cast<const int32_t *>(block));
-    }
-    if (full_subspaces < num_subspaces_) {
-        const int64_t s = full_subspaces;
-        const int64_t base = s * v;
-        scratch.padded.assign(static_cast<size_t>(rows * v), 0.0f);
-        for (int64_t i = 0; i < rows; ++i) {
-            const float *row = x + i * in_features_;
-            float *dst = scratch.padded.data() + i * v;
-            for (int64_t t = 0; t < v && base + t < in_features_; ++t)
-                dst[t] = row[base + t];
+    for (int64_t s = 0, col = 0; s < num_subspaces_;
+         ++s, col = (col + v) % width) {
+        const int64_t valid = std::min(v, in_features_ - s * v);
+        if (valid == v && col + v <= width) {
+            kernel(x + col, width, s, block);
+        } else {
+            float *padded = growScratch(scratch.padded, rows * v);
+            for (int64_t i = 0; i < rows; ++i) {
+                float *dst = padded + i * v;
+                for (int64_t t = 0; t < valid; ++t)
+                    dst[t] = x[i * width + (col + t) % width];
+                std::fill(dst + valid, dst + v, 0.0f);
+            }
+            kernel(static_cast<const float *>(padded), v, s, block);
         }
-        kernel(scratch.padded.data(), v, s, block);
         sink(s, static_cast<const int32_t *>(block));
     }
 }
 
 template <vq::Metric M, typename Sink>
 void
-LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
+LutTableArena::encodeRowsImpl(const float *x, int64_t rows, int64_t width,
                               EncodeScratch &scratch, Sink &&sink) const
 {
     const int64_t v = subvector_len_, c = num_centroids_;
@@ -326,7 +325,7 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
         const util::SimdLevel level = util::simdLevel();
         if (simd::encodeL2GenericSupported(level, c)) {
             encodeBySubspace(
-                x, rows, scratch,
+                x, rows, width, scratch,
                 [&](const float *xs, int64_t stride, int64_t s,
                     int32_t *out) {
                     simd::encodeL2GenericRows(level, xs, rows, stride,
@@ -339,7 +338,7 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
     scratch.dist.resize(static_cast<size_t>(c));
     float *dist = scratch.dist.data();
     encodeBySubspace(
-        x, rows, scratch,
+        x, rows, width, scratch,
         [&](const float *xs, int64_t stride, int64_t s, int32_t *out) {
             for (int64_t i = 0; i < rows; ++i) {
                 distanceAll<M>(xs + i * stride, codebookT(s), c, v, dist);
@@ -351,40 +350,30 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows,
 
 template <typename Sink>
 void
-LutTableArena::encodeDispatch(const float *x, int64_t rows,
+LutTableArena::encodeDispatch(const float *x, int64_t rows, int64_t width,
                               EncodeScratch &scratch, Sink &&sink) const
 {
     switch (metric_) {
       case vq::Metric::L2:
-        encodeRowsImpl<vq::Metric::L2>(x, rows, scratch, sink);
+        encodeRowsImpl<vq::Metric::L2>(x, rows, width, scratch, sink);
         return;
       case vq::Metric::L1:
-        encodeRowsImpl<vq::Metric::L1>(x, rows, scratch, sink);
+        encodeRowsImpl<vq::Metric::L1>(x, rows, width, scratch, sink);
         return;
       case vq::Metric::Chebyshev:
-        encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, scratch, sink);
+        encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, width, scratch,
+                                              sink);
         return;
     }
 }
 
-void
-LutTableArena::encodeRows(const float *x, int64_t rows, int32_t *codes,
-                          EncodeScratch &scratch) const
-{
-    encodeDispatch(x, rows, scratch,
-                   [codes, rows, this](int64_t s, const int32_t *block) {
-                       for (int64_t i = 0; i < rows; ++i)
-                           codes[i * num_subspaces_ + s] = block[i];
-                   });
-}
-
 const float *
-LutTableArena::stageRows(const float *x, int64_t rows,
+LutTableArena::stageRows(const float *x, int64_t rows, int64_t width,
                          std::vector<float> &staging) const
 {
     if (!bf16_inputs_)
         return x;
-    staging.assign(x, x + rows * in_features_);
+    staging.assign(x, x + rows * width);
     for (float &value : staging)
         value = vq::toBf16(value);
     return staging.data();
@@ -392,19 +381,21 @@ LutTableArena::stageRows(const float *x, int64_t rows,
 
 void
 LutTableArena::encodeBatch(const float *x, int64_t rows,
-                           vq::CodeBuffer &codes,
-                           EncodeScratch &scratch) const
+                           vq::CodeBuffer &codes, EncodeScratch &scratch,
+                           int64_t width) const
 {
+    if (width <= 0)
+        width = in_features_;
     codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeDispatch(stageRows(x, rows, scratch.staging), rows, scratch,
-                   [&codes, rows](int64_t s, const int32_t *block) {
+    encodeDispatch(stageRows(x, rows, width, scratch.staging), rows, width,
+                   scratch, [&codes, rows](int64_t s, const int32_t *block) {
                        codes.storeCodes(s, 0, block, rows);
                    });
 }
 
 template <typename Sink>
 void
-LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
+LutTableArena::encodeRowsInt8(const float *x, int64_t rows, int64_t width,
                               EncodeVariant variant, EncodeScratch &scratch,
                               Sink &&sink) const
 {
@@ -434,7 +425,7 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows,
     scratch.xq.resize(static_cast<size_t>(v));
     int32_t *xq = scratch.xq.data();
     encodeBySubspace(
-        x, rows, scratch,
+        x, rows, width, scratch,
         [&](const float *xs, int64_t stride, int64_t s, int32_t *out) {
             const int32_t *norms = bank.norms.data() + s * bank.norm_stride;
             const float lo = bank.lo[static_cast<size_t>(s)];
@@ -474,13 +465,16 @@ void
 LutTableArena::encodeBatchInt8(const float *x, int64_t rows,
                                vq::CodeBuffer &codes,
                                EncodeScratch &scratch,
-                               EncodeVariant variant) const
+                               EncodeVariant variant, int64_t width) const
 {
     LUTDLA_CHECK(int8_encode_bank_ != nullptr,
                  "encodeBatchInt8 requires ensureInt8EncodeBank() first");
+    if (width <= 0)
+        width = in_features_;
     codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeRowsInt8(stageRows(x, rows, scratch.staging), rows, variant,
-                   scratch, [&codes, rows](int64_t s, const int32_t *block) {
+    encodeRowsInt8(stageRows(x, rows, width, scratch.staging), rows, width,
+                   variant, scratch,
+                   [&codes, rows](int64_t s, const int32_t *block) {
                        codes.storeCodes(s, 0, block, rows);
                    });
 }
@@ -1139,8 +1133,14 @@ LutTableArena::forwardBatch(const float *x, int64_t rows, float *y) const
     for (int64_t b0 = 0; b0 < rows; b0 += kRowBlock) {
         const int64_t bn = std::min(kRowBlock, rows - b0);
         codes.resize(static_cast<size_t>(bn * num_subspaces_));
-        encodeRows(stageRows(x + b0 * in_features_, bn, scratch.staging),
-                   bn, codes.data(), scratch);
+        encodeDispatch(stageRows(x + b0 * in_features_, bn, in_features_,
+                                 scratch.staging),
+                       bn, in_features_, scratch,
+                       [&codes, bn, this](int64_t s, const int32_t *block) {
+                           for (int64_t i = 0; i < bn; ++i)
+                               codes[static_cast<size_t>(
+                                   i * num_subspaces_ + s)] = block[i];
+                       });
 
         float *yb = y + b0 * n;
         std::fill(yb, yb + bn * n, 0.0f);

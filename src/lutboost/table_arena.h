@@ -75,7 +75,7 @@ namespace lutdla::lutboost {
 struct EncodeScratch
 {
     std::vector<float> staging;  ///< BF16-rounded input rows
-    std::vector<float> padded;   ///< [rows, v] zero-padded tail subspace
+    std::vector<float> padded;   ///< [rows, v] wrapped or ragged subspace
     std::vector<int32_t> block;  ///< [rows] one subspace's codes
     std::vector<float> dist;     ///< [c] distances (scalar float encode)
     std::vector<int32_t> xq;     ///< [v] quantized subvector (scalar INT8)
@@ -186,23 +186,17 @@ class LutTableArena
     }
 
     /**
-     * Encode `rows` rows of `x` (each `inFeatures()` wide, already
-     * BF16-rounded when the arena demands it) into `codes` ([rows, Nc],
-     * row-major int32). Thread-safe with distinct scratch.
-     */
-    void encodeRows(const float *x, int64_t rows, int32_t *codes,
-                    EncodeScratch &scratch) const;
-
-    /**
      * Encode phase of the split execution model: reset `codes` for
-     * [rows, Nc] at this arena's code width and fill it. Unlike
-     * encodeRows, this applies the arena's BF16 input rounding itself,
-     * staging rounded rows in `scratch.staging` (caller-owned so
-     * steady-state batches do not allocate). Thread-safe with distinct
-     * scratch.
+     * [rows, Nc] at this arena's code width and fill it, applying the
+     * arena's BF16 input rounding via `scratch.staging` (caller-owned so
+     * steady-state batches do not allocate). Rows of `x` are `width`
+     * floats (0 = K), read in place as if cyclically replicated to K —
+     * column j is input column j % width, the trace models' width
+     * adapt — so the codes equal those of the replicated copy. Thread-
+     * safe with distinct scratch.
      */
     void encodeBatch(const float *x, int64_t rows, vq::CodeBuffer &codes,
-                     EncodeScratch &scratch) const;
+                     EncodeScratch &scratch, int64_t width = 0) const;
 
     /**
      * INT8 twin of encodeBatch: argmin-encode over the
@@ -211,13 +205,14 @@ class LutTableArena
      * 7-bit grid and scored in exact int32 arithmetic, so every variant
      * — scalar or SIMD — selects bit-identical codes; vs the float
      * encode the codes carry a top-1 agreement envelope instead (see
-     * docs/SERVING.md). BF16 input rounding still applies first, and
-     * ragged tail subspaces are zero-padded exactly like the float path.
-     * L2 metric only. Thread-safe with distinct `scratch` per caller.
+     * docs/SERVING.md). BF16 input rounding, `width` and ragged tail
+     * subspaces work exactly like the float path. L2 metric only.
+     * Thread-safe with distinct `scratch` per caller.
      */
     void encodeBatchInt8(const float *x, int64_t rows,
                          vq::CodeBuffer &codes, EncodeScratch &scratch,
-                         EncodeVariant variant = EncodeVariant::Auto) const;
+                         EncodeVariant variant = EncodeVariant::Auto,
+                         int64_t width = 0) const;
 
     /**
      * Build the INT8 encode bank (idempotent, thread-safe): per-subspace
@@ -518,33 +513,35 @@ class LutTableArena
 
     /** Subspace-outer encode driver shared by every encode path: calls
      * `kernel(xs, stride, s, out)` once per subspace to write `rows`
-     * codes into `out` (full subspaces read in place at stride K, the
-     * ragged tail from a zero-padded [rows, v] plane at stride v), then
-     * hands that subspace's whole code block to `sink(s, block)` once.
-     * Works out of `scratch.block` / `scratch.padded`. */
+     * codes into `out` (in place at stride `width` when the subspace
+     * lies in one input period, else from a zero-padded [rows, v] plane
+     * at stride v), then hands that subspace's whole code block to
+     * `sink(s, block)` once. Works out of `scratch.block` /
+     * `scratch.padded`. */
     template <typename Kernel, typename Sink>
-    void encodeBySubspace(const float *x, int64_t rows,
+    void encodeBySubspace(const float *x, int64_t rows, int64_t width,
                           EncodeScratch &scratch, Kernel &&kernel,
                           Sink &&sink) const;
 
     template <vq::Metric M, typename Sink>
-    void encodeRowsImpl(const float *x, int64_t rows, EncodeScratch &scratch,
-                        Sink &&sink) const;
+    void encodeRowsImpl(const float *x, int64_t rows, int64_t width,
+                        EncodeScratch &scratch, Sink &&sink) const;
 
     template <typename Sink>
-    void encodeDispatch(const float *x, int64_t rows, EncodeScratch &scratch,
-                        Sink &&sink) const;
+    void encodeDispatch(const float *x, int64_t rows, int64_t width,
+                        EncodeScratch &scratch, Sink &&sink) const;
 
     /** INT8 encode over `rows` already-staged rows: per-subspace scalar
      * integer reference or SIMD kernel per `variant`; encodeBatchInt8's
      * body. */
     template <typename Sink>
-    void encodeRowsInt8(const float *x, int64_t rows, EncodeVariant variant,
-                        EncodeScratch &scratch, Sink &&sink) const;
+    void encodeRowsInt8(const float *x, int64_t rows, int64_t width,
+                        EncodeVariant variant, EncodeScratch &scratch,
+                        Sink &&sink) const;
 
-    /** BF16-round the `rows` rows of `x` into `staging` when the arena
-     * demands it; returns the rows the encode should read. */
-    const float *stageRows(const float *x, int64_t rows,
+    /** BF16-round `rows` rows of `width` floats into `staging` when the
+     * arena demands it; returns the rows the encode should read. */
+    const float *stageRows(const float *x, int64_t rows, int64_t width,
                            std::vector<float> &staging) const;
 
     /** Grouped-subspace accumulate over one row block of row-major

@@ -587,7 +587,7 @@ FrozenModel::fromTrace(const std::vector<sim::GemmShape> &gemms,
             gemm, pq, seed, index++, precision.bf16_similarity);
         const vq::LookupTable lut(layer.quantizer, layer.weights,
                                   precision);
-        // Widths that do not chain get the stage's width-adapt prologue.
+        // Widths that do not chain get the stage's width adapt.
         const int64_t adapt_in =
             prev_out >= 0 && prev_out != gemm.k ? prev_out : 0;
         frozen.stages_.push_back(std::make_shared<ArenaStage>(

@@ -29,9 +29,10 @@
  *    trace (randomized codebooks/weights, one arena stage per traced
  *    layer). Stage widths follow the trace, so consecutive stages need
  *    not chain; a stage whose input width differs from the previous
- *    output gets the ArenaStage width-adapt prologue (cyclic column
- *    replication, `adapt+lut-gemm`), preserving each layer's true gather
- *    workload.
+ *    output is an ArenaStage width adapt (`adapt+lut-gemm`): its encode
+ *    reads the narrower or wider rows in place as if cyclically
+ *    replicated to the layer's K, with no copy, preserving each layer's
+ *    true gather workload.
  *
  * Both builders finish with the planning pass (serve/plan.h): LUT stages
  * are bound to the kernel backend and encode precision the PlanOptions
@@ -102,9 +103,9 @@ class FrozenModel
     /**
      * Synthesize a load-testing model from a deployment GEMM trace: one
      * arena stage per GEMM, Gaussian random codebooks and weights
-     * (deterministic in `seed`), no bias, no activations; a width-adapt
-     * prologue on each stage whose input width does not chain (see
-     * ArenaStage). Validates `pq` like the conversion
+     * (deterministic in `seed`), no bias, no activations; a width adapt
+     * on each stage whose input width does not chain, read in place by
+     * the encode (see ArenaStage). Validates `pq` like the conversion
      * pipeline does.
      */
     static api::Result<FrozenModel>

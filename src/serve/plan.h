@@ -165,7 +165,8 @@ struct TilePlan
      * table sweeps for the tiling. */
     int64_t granule = 1;
     /** Streamed working-set bytes per tile row at the segment's widest
-     * stage (in-plane + out-plane + codes + adapt staging) — what the
+     * stage (in-plane + out-plane + code bytes; a width-adapted stage's
+     * encode reads its in-plane in place, so it adds nothing) — what the
      * auto tile-size model fits into its 1 MiB cache budget. */
     int64_t row_bytes = 0;
 };

@@ -191,14 +191,10 @@ int64_t
 ArenaStage::tileScratchBytesPerRow() const
 {
     // Centroid codes the tile carries between encode and gather (one
-    // plane byte per code, two above 256 centroids), plus the width-adapt
-    // materialization when the stage has a prologue.
-    int64_t bytes = arena_->numSubspaces() *
-                    (vq::codeBitsFor(arena_->numCentroids()) / 8);
-    if (adapt_in_ > 0)
-        bytes += arena_->inFeatures() *
-                 static_cast<int64_t>(sizeof(float));
-    return bytes;
+    // plane byte per code, two above 256 centroids). A width-adapted
+    // stage adds nothing: its encode reads the in-plane in place.
+    return arena_->numSubspaces() *
+           (vq::codeBitsFor(arena_->numCentroids()) / 8);
 }
 
 void
@@ -247,14 +243,16 @@ arenaGemmForward(const lutboost::LutTableArena &arena,
                  const lutboost::KernelBackend &backend, const float *in,
                  int64_t rows, float *out,
                  const std::vector<PointwiseOp> &epilogue,
-                 StageScratch &scratch, lutboost::EncodePrecision encode)
+                 StageScratch &scratch, lutboost::EncodePrecision encode,
+                 int64_t in_width)
 {
     // One pass per row block: the fused encode -> gather tile, then the
     // epilogue while the slab is cache-hot, all on the executing
     // worker's own KernelScratch. Rows are independent, so any blocking
     // is bit-exact with the single-block sweep. Without a pool or with a
     // batch of fewer than two blocks this is one whole-batch tile.
-    const int64_t in_width = arena.inFeatures();
+    if (in_width <= 0)
+        in_width = arena.inFeatures();
     const int64_t out_width = arena.outFeatures();
     const int64_t chunk_rows = intraBatchBlockRows();
     const bool sharded = scratch.pool != nullptr && rows >= 2 * chunk_rows;
@@ -265,7 +263,8 @@ arenaGemmForward(const lutboost::LutTableArena &arena,
         const int64_t rn = std::min(block_rows, rows - r0);
         float *y = out + r0 * out_width;
         backend.forwardTile(arena, in + r0 * in_width, rn, y, local.kernel,
-                            &local.encode_ns, &local.gather_ns, encode);
+                            &local.encode_ns, &local.gather_ns, encode,
+                            in_width);
         const auto t0 = Clock::now();
         applyPointwiseOps(epilogue, y, rn * out_width);
         local.gather_ns += nanosSince(t0);
@@ -276,30 +275,10 @@ void
 ArenaStage::forward(const float *in, int64_t rows, float *out,
                     StageScratch &scratch) const
 {
-    const float *src = in;
-    if (adapt_in_ > 0) {
-        // Width-adapt prologue: materialize the cyclically replicated
-        // rows into kernel scratch, charged to the encode phase.
-        const auto t0 = Clock::now();
-        const int64_t k = arena_->inFeatures();
-        float *dst = growPlane(scratch.kernel.adapted, rows * k);
-        for (int64_t r = 0; r < rows; ++r) {
-            const float *row = in + r * adapt_in_;
-            float *drow = dst + r * k;
-            // Cyclic replication as whole-period copies (one ragged
-            // tail), not a per-element modulo — the division unit is far
-            // slower than the copy itself at trace widths.
-            for (int64_t j = 0; j < k; j += adapt_in_)
-                std::memcpy(drow + j, row,
-                            static_cast<size_t>(
-                                std::min(adapt_in_, k - j)) *
-                                sizeof(float));
-        }
-        src = dst;
-        scratch.encode_ns += nanosSince(t0);
-    }
-    arenaGemmForward(*arena_, *backend_, src, rows, out, epilogue_,
-                     scratch, encode_);
+    // A width-adapted stage's rows are inWidth() wide; the encode reads
+    // them through the cyclic adapt in place.
+    arenaGemmForward(*arena_, *backend_, in, rows, out, epilogue_, scratch,
+                     encode_, inWidth());
 }
 
 ConvStage::ConvStage(ConvGeometry geom, int64_t height, int64_t width,

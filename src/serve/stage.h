@@ -240,8 +240,8 @@ class FrozenStage
 
     /**
      * Per-row kernel-scratch bytes a tile of this stage streams beyond
-     * its in/out planes (code bytes, width-adapt materialization);
-     * input to the planner's tile-size model. 0 for glue stages.
+     * its in/out planes (the centroid code bytes); input to the
+     * planner's tile-size model. 0 for glue stages.
      */
     virtual int64_t tileScratchBytesPerRow() const { return 0; }
 
@@ -317,8 +317,9 @@ void forEachBlock(StageScratch &scratch, int64_t blocks, const ShardFn &fn);
 
 /**
  * The arena LUT-GEMM execution body shared by ArenaStage and
- * AttentionStage's four projection GEMMs: encode `in` ([rows, arena K])
- * and gather into `out` ([rows, arena N]) through `backend`'s fused
+ * AttentionStage's four projection GEMMs: encode `in` ([rows, in_width],
+ * 0 = arena K; see LutTableArena::encodeBatch) and gather into `out`
+ * ([rows, arena N]) through `backend`'s fused
  * forwardTile, applying `epilogue` on the output while it is cache-hot,
  * with phase times accumulated into scratch.encode_ns / gather_ns. When
  * `scratch.pool` is set, batches of at least two blocks split into
@@ -335,22 +336,23 @@ void arenaGemmForward(
     const lutboost::KernelBackend &backend, const float *in, int64_t rows,
     float *out, const std::vector<PointwiseOp> &epilogue,
     StageScratch &scratch,
-    lutboost::EncodePrecision encode = lutboost::EncodePrecision::Float32);
+    lutboost::EncodePrecision encode = lutboost::EncodePrecision::Float32,
+    int64_t in_width = 0);
 
 /**
  * Arena-backed LUT-GEMM stage (lowered LutLinear): encode -> gather
  * through the planned kernel backend, then any fused epilogue. The
- * optional `adapt_in_width` prologue is the trace models' width adapt
+ * optional `adapt_in_width` is the trace models' width adapt
  * (FrozenModel::fromTrace, whose consecutive GEMM widths need not chain):
- * the stage then consumes `adapt_in_width`-wide rows and cyclically
- * replicates them to the arena width K in scratch before encoding —
- * column j copies input column j % adapt_in_width, truncating when
+ * the stage then consumes `adapt_in_width`-wide rows, which its encode
+ * reads in place as if cyclically replicated to the arena width K —
+ * column j is input column j % adapt_in_width, truncating when
  * K < adapt_in_width — preserving each traced layer's true gather
- * workload. When the executing scratch carries an IntraBatchPool,
- * batches of at least two intraBatchBlockRows() blocks split into row
- * blocks that each run encode -> gather -> epilogue on their worker's
- * own scratch (see arenaGemmForward) — bit-exact with the single-thread
- * sweep because rows are independent.
+ * workload with no copy. When the executing scratch carries an
+ * IntraBatchPool, batches of at least two intraBatchBlockRows() blocks
+ * split into row blocks that each run encode -> gather -> epilogue on
+ * their worker's own scratch (see arenaGemmForward) — bit-exact with the
+ * single-thread sweep because rows are independent.
  *
  * `encode` picks the encode-phase arithmetic (lutboost::EncodePrecision):
  * Int8 is honored only when the arena supports the quantized encode bank
@@ -417,7 +419,7 @@ class ArenaStage : public FrozenStage
     /** The kernel backend the planner chose. */
     const lutboost::KernelBackend &backend() const { return *backend_; }
 
-    /** Width-adapt prologue input width (0 when absent). */
+    /** Width-adapt input width (0 when absent). */
     int64_t adaptInWidth() const { return adapt_in_; }
 
   private:

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <string>
 
@@ -374,6 +375,50 @@ expectBlockCodes(const vq::CodeBuffer &block, const vq::CodeBuffer &whole,
     expectZeroPadLanes(block, what);
 }
 
+/** One encode tier of an arena: `encode(x, rows, width, codes)`. */
+struct EncodeTier
+{
+    std::string name;
+    std::function<void(const float *, int64_t, int64_t, vq::CodeBuffer &)>
+        encode;
+};
+
+/** The float encode plus every INT8 encode tier this host runs on
+ * `arena` (the SIMD tiers need c <= 16 and v <= 128; the scalar
+ * reference runs all c), each working out of `scratch`. The arena's INT8
+ * encode bank must be built. */
+std::vector<EncodeTier>
+encodeTiers(const lutboost::LutTableArena &arena,
+            lutboost::EncodeScratch &scratch)
+{
+    std::vector<EncodeTier> tiers{
+        {"float encode",
+         [&arena, &scratch](const float *x, int64_t rows, int64_t width,
+                            vq::CodeBuffer &codes) {
+             arena.encodeBatch(x, rows, codes, scratch, width);
+         }}};
+    std::vector<lutboost::EncodeVariant> variants{
+        lutboost::EncodeVariant::Scalar};
+    const util::SimdLevel level = util::simdLevel();
+    const bool simd =
+        arena.numCentroids() <= 16 && arena.subvectorLen() <= 128;
+    if (simd && level >= util::SimdLevel::Avx2)
+        variants.push_back(lutboost::EncodeVariant::MaddAvx2);
+    if (simd && level >= util::SimdLevel::Avx512Vnni)
+        variants.push_back(lutboost::EncodeVariant::DotVnni);
+    for (const auto variant : variants)
+        tiers.push_back(
+            {std::string("int8 ") +
+                 lutboost::LutTableArena::encodeVariantName(variant),
+             [&arena, &scratch, variant](const float *x, int64_t rows,
+                                         int64_t width,
+                                         vq::CodeBuffer &codes) {
+                 arena.encodeBatchInt8(x, rows, codes, scratch, variant,
+                                       width);
+             }});
+    return tiers;
+}
+
 TEST_P(EncodeShardSeams, UnalignedBlocksMatchWholeBatch)
 {
     const auto [rows, c] = GetParam();
@@ -397,38 +442,16 @@ TEST_P(EncodeShardSeams, UnalignedBlocksMatchWholeBatch)
 
     lutboost::EncodeScratch scratch;
     vq::CodeBuffer whole, block;
-    // `encode(x, n, codes)` runs one encode tier; the whole batch and
-    // every block go through it.
-    const auto check_blocks = [&](const std::string &tier, auto &&encode) {
-        encode(x.data(), rows, whole);
+    // The whole batch and every block go through each tier.
+    for (const EncodeTier &tier : encodeTiers(*arena, scratch)) {
+        tier.encode(x.data(), rows, k, whole);
         dirtyCodeBuffer(block, rows, nc, c);
         forEachUnalignedBlock(rows, [&](int64_t r0, int64_t n) {
-            encode(x.data() + r0 * k, n, block);
+            tier.encode(x.data() + r0 * k, n, k, block);
             expectBlockCodes(block, whole, r0,
-                             tier + " block r0=" + std::to_string(r0));
+                             tier.name + " " + what +
+                                 " block r0=" + std::to_string(r0));
         });
-    };
-    check_blocks("float encode " + what,
-                 [&](const float *xs, int64_t n, vq::CodeBuffer &codes) {
-                     arena->encodeBatch(xs, n, codes, scratch);
-                 });
-
-    // The SIMD INT8 tiers need c <= 16; the scalar reference runs all c.
-    std::vector<lutboost::EncodeVariant> variants{
-        lutboost::EncodeVariant::Scalar};
-    const util::SimdLevel level = util::simdLevel();
-    if (c <= 16 && level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::EncodeVariant::MaddAvx2);
-    if (c <= 16 && level >= util::SimdLevel::Avx512Vnni)
-        variants.push_back(lutboost::EncodeVariant::DotVnni);
-    for (const auto variant : variants) {
-        check_blocks(
-            std::string("int8 ") +
-                lutboost::LutTableArena::encodeVariantName(variant) + " " +
-                what,
-            [&](const float *xs, int64_t n, vq::CodeBuffer &codes) {
-                arena->encodeBatchInt8(xs, n, codes, scratch, variant);
-            });
     }
 }
 
@@ -437,6 +460,248 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<int64_t>(1, 15, 17, 63, 64, 65,
                                                   130),
                        ::testing::Values<int64_t>(4, 16, 17, 256, 300)));
+
+// ---- Property: the strided cyclic encode equals the replicated copy ---
+
+/** The [rows, K] rows a width-adapted stage encodes: column j of row r
+ * is column j % w of `x`'s row r ([rows, w]). */
+std::vector<float>
+replicateCyclic(const std::vector<float> &x, int64_t rows, int64_t w,
+                int64_t k)
+{
+    std::vector<float> out(static_cast<size_t>(rows * k));
+    for (int64_t r = 0; r < rows; ++r)
+        for (int64_t j = 0; j < k; ++j)
+            out[static_cast<size_t>(r * k + j)] =
+                x[static_cast<size_t>(r * w + j % w)];
+    return out;
+}
+
+/**
+ * Encode `x` ([rows, w]) through every encode tier of `arena` with row
+ * width w — the whole batch, then unaligned 13-row blocks read at
+ * x + r0 * w into one reused dirty buffer — and require the codes of
+ * encoding the hand-replicated [rows, K] copy.
+ */
+void
+expectStridedEncodeMatchesReplicated(const lutboost::LutTableArena &arena,
+                                     const std::vector<float> &x,
+                                     int64_t rows, int64_t w,
+                                     const std::string &what)
+{
+    const int64_t k = arena.inFeatures();
+    const std::vector<float> copy = replicateCyclic(x, rows, w, k);
+    lutboost::EncodeScratch scratch;
+    vq::CodeBuffer want, whole, block;
+    for (const EncodeTier &tier : encodeTiers(arena, scratch)) {
+        const std::string at = tier.name + " " + what;
+        tier.encode(copy.data(), rows, k, want);
+        tier.encode(x.data(), rows, w, whole);
+        expectBlockCodes(whole, want, 0, at + " whole batch");
+        dirtyCodeBuffer(block, rows, arena.numSubspaces(),
+                        arena.numCentroids());
+        forEachUnalignedBlock(rows, [&](int64_t r0, int64_t n) {
+            tier.encode(x.data() + r0 * w, n, w, block);
+            expectBlockCodes(block, want, r0,
+                             at + " block r0=" + std::to_string(r0));
+        });
+    }
+}
+
+/**
+ * A width-adapted stage's encode reads its w-wide input rows in place:
+ * column j of the K-wide row it encodes is input column j mod w, zero
+ * past K. The codes must equal those of encoding a replicated [rows, K]
+ * copy bit for bit, for the float encode and every INT8 tier, on plain
+ * and BF16-input arenas. K = 23, v = 4 (a ragged tail subspace), with w
+ * covering widening where subspaces straddle the wrap (w = 6: 4..7 reads
+ * columns 4, 5, 0, 1), v | w (8), truncation (30), the identity (23) and
+ * a period shorter than one subvector (3).
+ */
+class StridedCyclicEncode
+    : public ::testing::TestWithParam<
+          std::tuple<int64_t, int64_t, bool, int64_t>>
+{
+};
+
+TEST_P(StridedCyclicEncode, MatchesReplicatedCopy)
+{
+    const auto [w, c, bf16, rows] = GetParam();
+    const int64_t k = 23;
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = c;
+    lutboost::LutLinear layer(k, 10, pq, /*bias=*/false,
+                              /*seed=*/static_cast<uint64_t>(w * 5 + c));
+    vq::LutPrecision precision;
+    precision.bf16_similarity = bf16;
+    layer.setPrecision(precision);
+    layer.refreshInferenceLut();
+    const auto arena = layer.inferenceArena();
+    ASSERT_EQ(arena->bf16Inputs(), bf16);
+    arena->ensureInt8EncodeBank();
+
+    Rng rng(43 + static_cast<uint64_t>(w * rows));
+    std::vector<float> x(static_cast<size_t>(rows * w));
+    for (float &e : x)
+        e = static_cast<float>(rng.gaussian(0.0, 1.0));
+    expectStridedEncodeMatchesReplicated(
+        *arena, x, rows, w,
+        "w=" + std::to_string(w) + " c=" + std::to_string(c) +
+            " bf16=" + std::to_string(bf16) +
+            " rows=" + std::to_string(rows));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AdaptWidths, StridedCyclicEncode,
+    ::testing::Combine(::testing::Values<int64_t>(6, 8, 30, 23, 3),
+                       ::testing::Values<int64_t>(4, 16, 17, 256),
+                       ::testing::Bool(),
+                       ::testing::Values<int64_t>(1, 65)));
+
+// ---- Property: hostile floats never split a tier from its reference ---
+
+/** NaN, both infinities, both smallest denormals, both largest finite
+ * floats and negative zero. */
+const float kHostileFloats[] = {
+    std::numeric_limits<float>::quiet_NaN(),
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+    std::numeric_limits<float>::denorm_min(),
+    -std::numeric_limits<float>::denorm_min(),
+    std::numeric_limits<float>::max(),
+    -std::numeric_limits<float>::max(),
+    -0.0f};
+constexpr int64_t kNumHostileFloats =
+    sizeof(kHostileFloats) / sizeof(kHostileFloats[0]);
+
+/** `rows` rows `width` floats apart, cycling by row through three
+ * patterns: one hostile value in an otherwise Gaussian row, hostile
+ * values everywhere, and a whole row of one hostile value. */
+std::vector<float>
+hostileRows(int64_t rows, int64_t width, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<float> x(static_cast<size_t>(rows * width));
+    for (int64_t r = 0; r < rows; ++r) {
+        const float pick = kHostileFloats[(r / 3) % kNumHostileFloats];
+        for (int64_t i = 0; i < width; ++i) {
+            float &e = x[static_cast<size_t>(r * width + i)];
+            switch (r % 3) {
+              case 0:
+                e = i == r % width
+                        ? pick
+                        : static_cast<float>(rng.gaussian(0.0, 1.0));
+                break;
+              case 1:
+                e = kHostileFloats[(r + i) % kNumHostileFloats];
+                break;
+              default:
+                e = pick;
+                break;
+            }
+        }
+    }
+    return x;
+}
+
+/**
+ * The masked generic-c float encode must select the code of the scalar
+ * distance + ascending argmin scan (zeroed accumulators, ascending t,
+ * strict < from centroid 0) on hostile rows, at every SIMD level this
+ * host runs: NaN rows take the scalar fallback, overflowed (+inf)
+ * distances tie to the lowest index, and -0 and denormals score as the
+ * finite values they are.
+ */
+TEST(HostileInputs, GenericCFloatEncodeMatchesScalarScan)
+{
+    const util::SimdLevel host = util::simdLevel();
+    std::vector<util::SimdLevel> levels;
+    if (host >= util::SimdLevel::Avx2)
+        levels.push_back(util::SimdLevel::Avx2);
+    if (host >= util::SimdLevel::Avx512)
+        levels.push_back(util::SimdLevel::Avx512);
+    if (levels.empty())
+        GTEST_SKIP() << "no SIMD level on this host; scalar-only";
+
+    constexpr int64_t kRows = 48;
+    int64_t checked = 0;
+    for (const int64_t c : {4, 11, 16, 33, 64}) {
+        for (const int64_t v : {3, 8, 16}) {
+            const int64_t stride = v + 2;
+            Rng rng(3 + static_cast<uint64_t>(c * 100 + v));
+            std::vector<float> cbt(static_cast<size_t>(v * c));
+            for (float &e : cbt)
+                e = static_cast<float>(rng.gaussian(0.0, 1.0));
+            const std::vector<float> x =
+                hostileRows(kRows, stride, static_cast<uint64_t>(c + v));
+
+            std::vector<int32_t> want(static_cast<size_t>(kRows));
+            std::vector<float> d(static_cast<size_t>(c));
+            for (int64_t r = 0; r < kRows; ++r) {
+                const float *sub = x.data() + r * stride;
+                for (int64_t j = 0; j < c; ++j) {
+                    float dist = 0.0f;
+                    for (int64_t t = 0; t < v; ++t) {
+                        const float diff =
+                            sub[t] - cbt[static_cast<size_t>(t * c + j)];
+                        dist += diff * diff;
+                    }
+                    d[static_cast<size_t>(j)] = dist;
+                }
+                int32_t best = 0;
+                for (int64_t j = 1; j < c; ++j)
+                    if (d[static_cast<size_t>(j)] <
+                        d[static_cast<size_t>(best)])
+                        best = static_cast<int32_t>(j);
+                want[static_cast<size_t>(r)] = best;
+            }
+
+            for (const util::SimdLevel level : levels) {
+                std::vector<int32_t> got(static_cast<size_t>(kRows), -1);
+                lutboost::simd::encodeL2GenericRows(level, x.data(), kRows,
+                                                    stride, cbt.data(), v,
+                                                    c, got.data());
+                for (int64_t r = 0; r < kRows; ++r)
+                    ASSERT_EQ(got[static_cast<size_t>(r)],
+                              want[static_cast<size_t>(r)])
+                        << util::simdLevelName(level) << " c=" << c
+                        << " v=" << v << " r=" << r;
+                checked += kRows;
+            }
+        }
+    }
+    EXPECT_GT(checked, 0);
+}
+
+/** Hostile rows through the strided width-adapt encode, every tier, on
+ * plain and BF16-input arenas: still the codes of the replicated copy. */
+TEST(HostileInputs, StridedAdaptEncodeMatchesReplicatedCopy)
+{
+    for (const bool bf16 : {false, true}) {
+        for (const int64_t c : {16, 17}) {
+            vq::PQConfig pq;
+            pq.v = 4;
+            pq.c = c;
+            lutboost::LutLinear layer(23, 10, pq, /*bias=*/false,
+                                      /*seed=*/static_cast<uint64_t>(c));
+            vq::LutPrecision precision;
+            precision.bf16_similarity = bf16;
+            layer.setPrecision(precision);
+            layer.refreshInferenceLut();
+            const auto arena = layer.inferenceArena();
+            arena->ensureInt8EncodeBank();
+            for (const int64_t w : {6, 30}) {
+                constexpr int64_t kRows = 65;
+                expectStridedEncodeMatchesReplicated(
+                    *arena, hostileRows(kRows, w, static_cast<uint64_t>(w)),
+                    kRows, w,
+                    "hostile w=" + std::to_string(w) + " c=" +
+                        std::to_string(c) + " bf16=" + std::to_string(bf16));
+            }
+        }
+    }
+}
 
 // ---- Property: every INT8 gather variant is bit-identical --------------
 

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -767,6 +769,88 @@ TEST(InferenceEngine, ServesConcurrentSubmittersCorrectly)
     EXPECT_EQ(stats.rejected, 0u);
     EXPECT_GE(stats.batches, 1u);
     EXPECT_LE(stats.batches, stats.requests);
+}
+
+/**
+ * Hostile rows — NaN, +/-Inf, +/-denorm_min, +/-FLT_MAX and -0, one per
+ * row, everywhere, or a whole row of one — through a 4-worker engine on
+ * a width-adapting trace model: every response is ok and byte-equal
+ * (memcmp, since NaN != NaN) to the single-thread forwardBatch, whether
+ * the rows arrive as one batch or as concurrent single-row requests.
+ */
+TEST(InferenceEngine, HostileRowsServeOkAndBitExact)
+{
+    const float hostile[] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::denorm_min(),
+                             -std::numeric_limits<float>::denorm_min(),
+                             std::numeric_limits<float>::max(),
+                             -std::numeric_limits<float>::max(),
+                             -0.0f};
+    constexpr int64_t kHostile = sizeof(hostile) / sizeof(hostile[0]);
+    constexpr int64_t kRows = 48, kWidth = 12;
+    Tensor x = randomRows(kRows, kWidth, 77);
+    for (int64_t r = 0; r < kRows; ++r)
+        for (int64_t i = 0; i < kWidth; ++i) {
+            const float pick = hostile[(r / 3) % kHostile];
+            if (r % 3 == 0 && i == r % kWidth)
+                x.at(r, i) = pick;
+            else if (r % 3 == 1)
+                x.at(r, i) = hostile[(r + i) % kHostile];
+            else if (r % 3 == 2)
+                x.at(r, i) = pick;
+        }
+
+    // Stage b widens 6 -> 9 and stage c truncates 10 -> 8.
+    const std::vector<sim::GemmShape> gemms{
+        {4, 12, 6, "a"}, {4, 9, 10, "b"}, {4, 8, 5, "c"}};
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    for (const bool quantized : {false, true}) {
+        serve::PlanOptions plan;
+        if (quantized) {
+            plan.table_precision = serve::TablePrecision::Int4;
+            plan.encode_precision = serve::EncodePrecision::Int8;
+        }
+        auto model = serve::FrozenModel::fromTrace(gemms, pq, {}, 91, plan);
+        ASSERT_TRUE(model.ok()) << model.status().toString();
+        const Tensor reference = model->forwardBatch(x);
+        const int64_t n = reference.dim(1);
+        const auto same_row = [&](const Tensor &got, int64_t got_row,
+                                  int64_t ref_row) {
+            return std::memcmp(got.data() + got_row * n,
+                               reference.data() + ref_row * n,
+                               static_cast<size_t>(n) * sizeof(float)) == 0;
+        };
+
+        serve::EngineOptions options;
+        options.threads = 4;
+        options.max_batch = kRows;
+        auto engine = serve::InferenceEngine::create(model.take(), options);
+        ASSERT_TRUE(engine.ok()) << engine.status().toString();
+        auto batch = engine.value()->submit(x);
+        ASSERT_TRUE(batch.ok()) << batch.status().toString();
+        for (int64_t r = 0; r < kRows; ++r)
+            EXPECT_TRUE(same_row(*batch, r, r))
+                << "batch row " << r << " quantized=" << quantized;
+
+        std::vector<std::future<api::Result<Tensor>>> singles;
+        for (int64_t r = 0; r < kRows; ++r) {
+            Tensor row(Shape{1, kWidth});
+            std::copy(x.data() + r * kWidth, x.data() + (r + 1) * kWidth,
+                      row.data());
+            singles.push_back(engine.value()->submitAsync(row));
+        }
+        for (int64_t r = 0; r < kRows; ++r) {
+            auto result = singles[static_cast<size_t>(r)].get();
+            ASSERT_TRUE(result.ok()) << result.status().toString();
+            EXPECT_TRUE(same_row(*result, 0, r))
+                << "single row " << r << " quantized=" << quantized;
+        }
+        engine.value()->shutdown();
+    }
 }
 
 TEST(InferenceEngine, DynamicBatchingCoalescesQueuedRequests)

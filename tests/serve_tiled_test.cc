@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -242,6 +243,64 @@ TEST(TiledExecutor, PlanReportsSegmentsAndScratchReduction)
     EXPECT_TRUE(untiled.tilePlan().segments.empty());
     EXPECT_EQ(untiled.tilePlan().scratchBytesPerWorker(batch, true),
               untiled.tilePlan().scratchBytesPerWorker(batch, false));
+}
+
+// ---------------------------------------------------------------------------
+// Tile arithmetic: the plan counts only bytes a tile really streams. A
+// width-adapted stage's encode reads its in-plane in place, so it adds
+// no adapt plane; the formula is pinned rather than a tile count (the
+// granule is 64 rows at AVX-512 and 32 at AVX2).
+
+TEST(TiledExecutor, TileArithmeticCountsOnlyRealBytes)
+{
+    for (const int64_t c : {16, 300}) {  // 8-bit and 16-bit codes
+        vq::PQConfig pq;
+        pq.v = 4;
+        pq.c = c;
+        lutboost::LutLinear layer(52, 70, pq, /*bias=*/false, /*seed=*/3);
+        layer.refreshInferenceLut();
+        const auto arena = layer.inferenceArena();
+        const int64_t code_bytes =
+            arena->numSubspaces() * (vq::codeBitsFor(c) / 8);
+        const serve::ArenaStage plain(arena);
+        const serve::ArenaStage widened(arena, nullptr, {}, 24);
+        const serve::ArenaStage truncated(arena, nullptr, {}, 80);
+        EXPECT_EQ(plain.tileScratchBytesPerRow(), code_bytes) << "c=" << c;
+        EXPECT_EQ(widened.tileScratchBytesPerRow(), code_bytes)
+            << "c=" << c;
+        EXPECT_EQ(truncated.tileScratchBytesPerRow(), code_bytes)
+            << "c=" << c;
+    }
+
+    // The middle stage widens 256 -> 1024: its replicated rows would be
+    // the widest plane in the segment, and they no longer exist.
+    std::vector<sim::GemmShape> gemms{
+        {4, 64, 256, "a"}, {4, 1024, 128, "b"}, {4, 128, 100, "c"}};
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    for (const serve::TablePrecision precision :
+         {serve::TablePrecision::Float32, serve::TablePrecision::Int4}) {
+        serve::PlanOptions plan;
+        plan.table_precision = precision;
+        auto model = serve::FrozenModel::fromTrace(gemms, pq, {}, 91, plan);
+        ASSERT_TRUE(model.ok()) << model.status().toString();
+        ASSERT_EQ(model->tilePlan().segments.size(), 1u);
+        const serve::TilePlan &seg = model->tilePlan().segments[0];
+        int64_t want = 0;
+        for (int64_t i = seg.begin; i < seg.end; ++i) {
+            const serve::FrozenStage &stage = *model->stages()[i];
+            const int64_t codes = stage.planArena()->numSubspaces() *
+                                  model->plan()[i].code_bits / 8;
+            want = std::max(
+                want, (stage.inWidth() + stage.outWidth()) *
+                              static_cast<int64_t>(sizeof(float)) +
+                          codes);
+        }
+        EXPECT_EQ(seg.row_bytes, want) << model->planSummary();
+        EXPECT_EQ(seg.row_bytes, (256 + 128) * 4 + 256)
+            << "the widening stage sets the footprint by its planes";
+    }
 }
 
 // ---------------------------------------------------------------------------
