@@ -8,7 +8,10 @@
  * all three — float-bank gather, INT8-bank gather with both kernel
  * variants forced (scalar group sweep vs VPERMB+VPDPBUSD dot), and the
  * nibble-packed INT4-bank gather at its forced variants for the
- * bytes-halved-vs-unpack-cost comparison against INT8 and float). The
+ * bytes-halved-vs-unpack-cost comparison against INT8 and float), and
+ * the element-wise and attention math around the tables (GELU over one
+ * FFN epilogue and one sequence's attention core, scalar twin vs
+ * AVX-512, identical bits). The
  * shapes double as the kernel tier audit in docs/SERVING.md; regenerate
  * it with one --benchmark_enable_random_interleaving run. These are
  * software-kernel timings (host CPU), complementing the cycle
@@ -22,12 +25,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "lutboost/kernels.h"
+#include "nn/activations.h"
+#include "nn/attention.h"
 #include "tensor/gemm.h"
 #include "util/cpu_features.h"
 #include "util/rng.h"
@@ -328,6 +334,88 @@ BM_ArenaGatherInt4ShuffleAvx2(benchmark::State &state)
     gatherInt4Variant(state, lutboost::Int4GatherVariant::ShuffleAvx2);
 }
 
+/** Skips `state` when `level` asks for more than the running CPU has. */
+bool
+skipAboveHost(benchmark::State &state, util::SimdLevel level)
+{
+    if (level <= util::simdLevel())
+        return false;
+    state.SkipWithError("SIMD tier not available on this CPU");
+    return true;
+}
+
+/**
+ * GELU over one bert-encoder FFN epilogue (512 rows x d_ff 1024 =
+ * 524,288 floats) at a forced math tier: the scalar twin vs the AVX-512
+ * variant, identical bits. Each iteration restores the input with a
+ * 2 MB memcpy before the in-place GELU.
+ */
+void
+geluTier(benchmark::State &state, util::SimdLevel level)
+{
+    if (skipAboveHost(state, level))
+        return;
+    const Tensor x = randomMatrix(512, 1024, 4);
+    std::vector<float> y(static_cast<size_t>(x.numel()));
+    for (auto _ : state) {
+        std::memcpy(y.data(), x.data(), y.size() * sizeof(float));
+        nn::geluForward(y.data(), x.numel(), level);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(state.iterations() * x.numel());
+}
+
+void
+BM_GeluForwardScalar(benchmark::State &state)
+{
+    geluTier(state, util::SimdLevel::Generic);
+}
+
+void
+BM_GeluForwardAvx512(benchmark::State &state)
+{
+    geluTier(state, util::SimdLevel::Avx512);
+}
+
+/**
+ * The attention core of one bert-encoder sequence (T = 128, d_model =
+ * 256, 4 heads) at a forced tier: scores, softmax and context, scalar
+ * loop vs the AVX-512 variant (identical bits). Each iteration zeroes
+ * the 128 KB context plane first, as AttentionStage does.
+ */
+void
+attentionTier(benchmark::State &state, util::SimdLevel level)
+{
+    if (skipAboveHost(state, level))
+        return;
+    constexpr int64_t kT = 128, kD = 256, kHeads = 4;
+    const Tensor q = randomMatrix(kT, kD, 5), k = randomMatrix(kT, kD, 6),
+                 v = randomMatrix(kT, kD, 7);
+    std::vector<float> ctx(static_cast<size_t>(kT * kD));
+    std::vector<float> probs(static_cast<size_t>(kHeads * kT * kT));
+    std::vector<float> k_t(static_cast<size_t>(kD / kHeads * kT));
+    for (auto _ : state) {
+        std::fill(ctx.begin(), ctx.end(), 0.0f);
+        nn::attentionSequenceContext(q.data(), k.data(), v.data(), kT,
+                                     kHeads, kD, ctx.data(), probs.data(),
+                                     k_t.data(), level);
+        benchmark::DoNotOptimize(ctx.data());
+    }
+    state.SetItemsProcessed(state.iterations() * kT);
+}
+
+void
+BM_AttentionSequenceContextScalar(benchmark::State &state)
+{
+    attentionTier(state, util::SimdLevel::Generic);
+}
+
+void
+BM_AttentionSequenceContextAvx512(benchmark::State &state)
+{
+    attentionTier(state, util::SimdLevel::Avx512);
+}
+
 } // namespace
 
 BENCHMARK(BM_ExactGemm)
@@ -433,6 +521,11 @@ BENCHMARK(BM_ArenaGatherInt4)->Apply(int4GatherArgs);
 BENCHMARK(BM_ArenaGatherInt4Scalar)->Apply(int4GatherArgs);
 BENCHMARK(BM_ArenaGatherInt4ShuffleAvx512)->Apply(int4GatherArgs);
 BENCHMARK(BM_ArenaGatherInt4ShuffleAvx2)->Apply(int4GatherArgs);
+
+BENCHMARK(BM_GeluForwardScalar)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GeluForwardAvx512)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AttentionSequenceContextScalar)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AttentionSequenceContextAvx512)->Unit(benchmark::kMicrosecond);
 
 int
 main(int argc, char **argv)

@@ -1,6 +1,5 @@
 #include "nn/activations.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -32,33 +31,8 @@ ReLU::backward(const Tensor &grad_out)
     return g;
 }
 
-namespace {
-
-constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
-
-} // namespace
-
-float
-geluForward(float x)
-{
-    const float inner = kGeluC * (x + 0.044715f * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(inner));
-}
-
-namespace {
-
-float
-geluGrad(float x)
-{
-    const float x3 = x * x * x;
-    const float inner = kGeluC * (x + 0.044715f * x3);
-    const float t = std::tanh(inner);
-    const float sech2 = 1.0f - t * t;
-    return 0.5f * (1.0f + t) +
-           0.5f * x * sech2 * kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-}
-
-} // namespace
+// geluForward, geluBackward and softmaxForward are SIMD-tiered and live
+// in simd_math.cc with the in-repo tanh/exp they evaluate.
 
 Tensor
 GELU::forward(const Tensor &x, bool train)
@@ -66,8 +40,7 @@ GELU::forward(const Tensor &x, bool train)
     if (train)
         cached_input_ = x;
     Tensor y = x;
-    for (int64_t i = 0; i < y.numel(); ++i)
-        y.at(i) = geluForward(y.at(i));
+    geluForward(y.data(), y.numel());
     return y;
 }
 
@@ -77,29 +50,8 @@ GELU::backward(const Tensor &grad_out)
     LUTDLA_CHECK(cached_input_.numel() == grad_out.numel(),
                  "GELU backward shape");
     Tensor g = grad_out;
-    for (int64_t i = 0; i < g.numel(); ++i)
-        g.at(i) *= geluGrad(cached_input_.at(i));
+    geluBackward(cached_input_.data(), g.numel(), g.data());
     return g;
-}
-
-void
-softmaxForward(const float *x, int64_t rows, int64_t features, float *y)
-{
-    for (int64_t r = 0; r < rows; ++r) {
-        const float *xr = x + r * features;
-        float *yr = y + r * features;
-        float row_max = -1e30f;
-        for (int64_t j = 0; j < features; ++j)
-            row_max = std::max(row_max, xr[j]);
-        float denom = 0.0f;
-        for (int64_t j = 0; j < features; ++j) {
-            yr[j] = std::exp(xr[j] - row_max);
-            denom += yr[j];
-        }
-        const float inv = 1.0f / denom;
-        for (int64_t j = 0; j < features; ++j)
-            yr[j] *= inv;
-    }
 }
 
 Tensor
@@ -155,8 +107,12 @@ maxPool2dForward(const float *x, int64_t n, int64_t c, int64_t h, int64_t w,
             const float *plane = x + (b * c + ch) * h * w;
             for (int64_t ho = 0; ho < ho_dim; ++ho) {
                 for (int64_t wo = 0; wo < wo_dim; ++wo, ++out_idx) {
-                    float best = -1e30f;
-                    int64_t best_flat = 0;
+                    // -inf and the window's first index, so a window of
+                    // values below any finite seed still reports one of
+                    // its own elements; strict > keeps NaN skipped.
+                    float best = -INFINITY;
+                    int64_t best_flat =
+                        ((b * c + ch) * h + ho * kernel) * w + wo * kernel;
                     for (int64_t kh = 0; kh < kernel; ++kh) {
                         for (int64_t kw = 0; kw < kernel; ++kw) {
                             const int64_t hi = ho * kernel + kh;

@@ -5,19 +5,39 @@
  * @file
  * Pointwise activations and shape plumbing layers. In the accelerator these
  * map onto the IMM's element-wise/dequant path (Sec. IV-A); in software they
- * are exact.
+ * are exact up to the in-repo tanh/exp (simd_math.h) that GELU and softmax
+ * evaluate, which carry SIMD tiers with identical bits.
  */
 
 #include "nn/layer.h"
+#include "util/cpu_features.h"
 
 namespace lutdla::nn {
 
 /**
- * Scalar tanh-approximation GELU (as in BERT). Exposed so the serving
- * layer's frozen stages reuse the exact same math as GELU::forward —
- * the engine's bit-exactness contract depends on a single definition.
+ * Scalar tanh-approximation GELU (as in BERT): 0.5 x (1 + tanh(c (x +
+ * 0.044715 x^3))) with the in-repo tanhFloat (simd_math.h). It is the
+ * scalar tier of the span form below.
  */
 float geluForward(float x);
+
+/**
+ * In-place GELU over data[0, n): the single definition GELU::forward and
+ * the serving layer's GELU epilogue (serve::applyPointwiseOps) share, so
+ * the engine's bit-exactness contract holds. SIMD-tiered like
+ * simd_math.h: the AVX-512 variant from util::SimdLevel::Avx512 up, else
+ * geluForward per element, with identical bits either way.
+ */
+void geluForward(float *data, int64_t n,
+                 util::SimdLevel level = util::simdLevel());
+
+/**
+ * GELU backward: grad[i] *= GELU'(x[i]) for i < n, tiered like the
+ * forward span (identical bits at every tier; a NaN product is the
+ * default quiet NaN). GELU::backward's kernel.
+ */
+void geluBackward(const float *x, int64_t n, float *grad,
+                  util::SimdLevel level = util::simdLevel());
 
 /** Scalar ReLU; the single definition ReLU::forward and serving share. */
 inline float
@@ -50,15 +70,20 @@ void globalAvgPoolForward(const float *x, int64_t n, int64_t c, int64_t h,
 
 /**
  * Numerically stable row-wise softmax: y[r, :] = softmax(x[r, :]), with
- * the row max subtracted before exponentiation so logits anywhere in
- * float range (|x| ~ 1e4 and beyond) never overflow exp. Single
- * definition shared by Softmax::forward, MultiHeadSelfAttention's
- * probability rows, and the serving layer's SoftmaxStage — the engine's
- * bit-exactness contract depends on all three running these exact float
- * ops in this exact order. In-place operation (y == x) is allowed.
+ * the row max (seeded at -inf, so rows anywhere in float range work)
+ * subtracted before exponentiation so logits of any magnitude never
+ * overflow exp. Single definition shared by Softmax::forward,
+ * MultiHeadSelfAttention's probability rows, and the serving layer's
+ * SoftmaxStage — the engine's bit-exactness contract depends on all
+ * three running these exact float ops in this exact order. The exp is
+ * the in-repo expFloat (simd_math.h), vectorized along the row at the
+ * AVX-512 tier; each row's denominator stays one serial left-to-right
+ * sum, so every tier gives identical bits. A row whose denominator is
+ * NaN (a NaN or +inf logit, or every logit -inf) comes out as the
+ * default quiet NaN. In-place operation (y == x) is allowed.
  */
 void softmaxForward(const float *x, int64_t rows, int64_t features,
-                    float *y);
+                    float *y, util::SimdLevel level = util::simdLevel());
 
 /** max(0, x). */
 class ReLU : public Layer

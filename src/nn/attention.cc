@@ -7,41 +7,7 @@
 
 namespace lutdla::nn {
 
-void
-attentionSequenceContext(const float *q, const float *k, const float *v,
-                         int64_t seq_len, int64_t heads, int64_t d_model,
-                         float *ctx, float *probs)
-{
-    const int64_t T = seq_len;
-    const int64_t d_head = d_model / heads;
-    const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-    for (int64_t h = 0; h < heads; ++h) {
-        float *p = probs + h * T * T;
-        const int64_t col = h * d_head;
-        for (int64_t t = 0; t < T; ++t) {
-            const float *qrow = q + t * d_model + col;
-            for (int64_t s = 0; s < T; ++s) {
-                const float *krow = k + s * d_model + col;
-                float dot = 0.0f;
-                for (int64_t j = 0; j < d_head; ++j)
-                    dot += qrow[j] * krow[j];
-                p[t * T + s] = dot * scale;
-            }
-        }
-        // Stable shared softmax over the T probability rows: identical
-        // float ops in identical order to the historical inline loops.
-        softmaxForward(p, T, T, p);
-        for (int64_t t = 0; t < T; ++t) {
-            float *crow = ctx + t * d_model + col;
-            for (int64_t s = 0; s < T; ++s) {
-                const float w = p[t * T + s];
-                const float *vrow = v + s * d_model + col;
-                for (int64_t j = 0; j < d_head; ++j)
-                    crow[j] += w * vrow[j];
-            }
-        }
-    }
-}
+// attentionSequenceContext is SIMD-tiered and lives in simd_math.cc.
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t seq_len,
                                                int64_t d_model,
@@ -70,6 +36,7 @@ MultiHeadSelfAttention::forward(const Tensor &x, bool train)
 
     Tensor probs(Shape{B * heads_, T, T});
     Tensor ctx(Shape{B * T, d_model_});
+    std::vector<float> k_t(static_cast<size_t>(d_head_ * T));
 
     for (int64_t b = 0; b < B; ++b)
         attentionSequenceContext(q.data() + b * T * d_model_,
@@ -77,7 +44,8 @@ MultiHeadSelfAttention::forward(const Tensor &x, bool train)
                                  v.data() + b * T * d_model_, T, heads_,
                                  d_model_,
                                  ctx.data() + b * T * d_model_,
-                                 probs.data() + b * heads_ * T * T);
+                                 probs.data() + b * heads_ * T * T,
+                                 k_t.data());
 
     if (train) {
         q_ = q;

@@ -8,7 +8,8 @@
  * The QKV/output projections and the FFN linears are ordinary Linear
  * layers exposed as slots, which is exactly the set of operators the paper
  * converts to LUTs for its BERT/DistilBERT/OPT evaluation (QKV projection
- * and FFN layers, Sec. VII-C). Softmax/LayerNorm stay exact, mirroring the
+ * and FFN layers, Sec. VII-C). Softmax/LayerNorm stay exact (up to the
+ * in-repo exp softmax evaluates, see simd_math.h), mirroring the
  * hardware's decision to offload them.
  */
 
@@ -16,6 +17,7 @@
 #include "nn/linear.h"
 #include "nn/norm.h"
 #include "nn/sequential.h"
+#include "util/cpu_features.h"
 
 namespace lutdla::nn {
 
@@ -24,18 +26,26 @@ namespace lutdla::nn {
  * MultiHeadSelfAttention::forward and the serving layer's AttentionStage
  * (single definition, bit-exact). `q`/`k`/`v` are that sequence's
  * [seq_len, d_model] projection planes; heads are column slices of width
- * d_model/heads (no materialized transpose). Per head and query row it
- * computes the scaled dots, runs the stable shared softmax
+ * d_head = d_model/heads. Per head and query row it computes the scaled
+ * dots (ascending-j sums), runs the stable shared softmax
  * (softmaxForward: row-max subtraction, so huge logits never overflow
- * exp), and accumulates the probability-weighted value rows into `ctx`,
- * which the CALLER must zero-initialize. `probs` is [heads, seq_len,
- * seq_len] caller scratch (training wants it cached; serving reuses a
- * per-worker plane).
+ * exp), and accumulates the probability-weighted value rows into `ctx`
+ * in ascending key order; the CALLER must zero-initialize `ctx`.
+ * `probs` is [heads, seq_len, seq_len] caller scratch (training wants it
+ * cached; serving reuses a per-worker plane).
+ *
+ * SIMD-tiered like simd_math.h, with identical bits at every tier: the
+ * scalar loop is the generic tier, and the AVX-512 variant transposes
+ * each head's K slice into `k_t` ([d_head, seq_len] caller scratch, which
+ * the scalar tier leaves untouched) to score 16 keys per vector and
+ * update the context 16 columns at a time, masking ragged blocks. A NaN
+ * context value is the default quiet NaN.
  */
 void attentionSequenceContext(const float *q, const float *k,
                               const float *v, int64_t seq_len,
                               int64_t heads, int64_t d_model, float *ctx,
-                              float *probs);
+                              float *probs, float *k_t,
+                              util::SimdLevel level = util::simdLevel());
 
 /** Self-attention over [B*T, D] rows with a fixed sequence length. */
 class MultiHeadSelfAttention : public Layer

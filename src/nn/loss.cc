@@ -18,7 +18,7 @@ SoftmaxCrossEntropy::forward(const Tensor &logits,
     labels_ = labels;
     double total = 0.0;
     for (int64_t b = 0; b < B; ++b) {
-        float row_max = -1e30f;
+        float row_max = -INFINITY;
         for (int64_t c = 0; c < C; ++c)
             row_max = std::max(row_max, probs_.at(b, c));
         double denom = 0.0;

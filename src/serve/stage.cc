@@ -107,8 +107,7 @@ applyPointwiseOps(const std::vector<PointwiseOp> &ops, float *data,
             for (int64_t i = 0; i < total; ++i)
                 data[i] = nn::reluForward(data[i]);
         } else {
-            for (int64_t i = 0; i < total; ++i)
-                data[i] = nn::geluForward(data[i]);
+            nn::geluForward(data, total);
         }
     }
 }

@@ -125,6 +125,9 @@ struct StageScratch
     /** Attention probability rows [heads, T, T]; per-PARTICIPANT scratch
      * (each sequence block runs with its executing worker's plane). */
     std::vector<float> attn_probs;
+    /** One head's K slice transposed to [d_head, T] for the AVX-512
+     * attention core; per-participant like attn_probs. */
+    std::vector<float> attn_k_t;
     /**
      * Tile-local activation planes for the row-tiled segment executor
      * (FrozenModel::forwardBatch): while a segment streams one row tile

@@ -214,17 +214,19 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
     // Scaled-dot-product core: the shared eval kernel per sequence, into
     // a zeroed context plane. Sequences are independent, so one block per
     // sequence is bit-exact (disjoint context rows); each participant
-    // brings its own probability plane. Charged to the gather phase.
+    // brings its own probability and K^T planes. Charged to the gather
+    // phase.
     const auto t0 = Clock::now();
     std::fill(ctx, ctx + total, 0.0f);
     const int64_t sequences = rows / seq_len_;
     const int64_t probs_floats = heads_ * seq_len_ * seq_len_;
+    const int64_t k_t_floats = (d_model_ / heads_) * seq_len_;
     const ShardFn run_sequence = [&](int64_t b, StageScratch &local) {
         const int64_t off = b * seq_len_ * d_model_;
-        nn::attentionSequenceContext(q + off, k + off, v + off, seq_len_,
-                                     heads_, d_model_, ctx + off,
-                                     growPlane(local.attn_probs,
-                                               probs_floats));
+        nn::attentionSequenceContext(
+            q + off, k + off, v + off, seq_len_, heads_, d_model_, ctx + off,
+            growPlane(local.attn_probs, probs_floats),
+            growPlane(local.attn_k_t, k_t_floats));
     };
     forEachBlock(scratch, sequences, run_sequence);
     scratch.gather_ns += nanosSince(t0);

@@ -30,8 +30,9 @@
  * plane: the Q/K/V/output projections are four arena LUT-GEMMs (the same
  * encode -> gather kernels as ArenaStage, sharded over the serving
  * worker pool), while the scaled-dot-product core reuses the exact
- * nn::attentionSequenceContext kernel — stable softmax included — that
- * eval-mode MultiHeadSelfAttention runs, so a lowered block is bit-exact
+ * nn::attentionSequenceContext kernel — stable softmax included, and
+ * SIMD-tiered with identical bits at every tier — that eval-mode
+ * MultiHeadSelfAttention runs, so a lowered block is bit-exact
  * with the training graph under the reference backend. Sequences are
  * independent, so the sdpa core shards over sequences (disjoint context
  * rows) and stays bit-exact under any worker count.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <future>
 #include <thread>
@@ -475,6 +476,24 @@ TEST(Softmax, StableUnderExtremeLogitsRegression)
     nn::Softmax layer;
     const Tensor via_layer = layer.forward(x, false);
     EXPECT_TRUE(via_layer.equals(y));
+
+    // Rows whose max lies below -1e30: the row max is seeded at -inf, so
+    // the largest logit still maps to exp(0) = 1 instead of dividing by
+    // a zero denominator. The serving SoftmaxStage (what lowering emits
+    // for nn::Softmax) gives the same bits in place.
+    const Tensor low(Shape{2, 3}, std::vector<float>{-2e30f, -3e30f,
+                                                     -2.5e30f, -FLT_MAX,
+                                                     -FLT_MAX, -FLT_MAX});
+    const Tensor low_y = layer.forward(low, false);
+    EXPECT_EQ(low_y.at(0, 0), 1.0f);
+    EXPECT_EQ(low_y.at(0, 1), 0.0f);
+    EXPECT_EQ(low_y.at(0, 2), 0.0f);
+    for (int64_t j = 0; j < 3; ++j)
+        EXPECT_EQ(low_y.at(1, j), 1.0f / 3.0f) << "j=" << j;
+    Tensor served = low;
+    serve::StageScratch scratch;
+    serve::SoftmaxStage(3).forwardInPlace(served.data(), 2, scratch);
+    EXPECT_TRUE(served.equals(low_y));
 }
 
 TEST(FrozenModel, SoftmaxHeadLowersBitExact)
