@@ -30,14 +30,13 @@ maybeAutoTune(serve::FrozenModel model, const ServeOptions &options)
     return model.withPlan(plan);
 }
 
-} // namespace
-
-Result<EngineHandle>
-makeEngine(const nn::LayerPtr &model, const ServeOptions &options)
+/** The one lowering of a converted nn model: validate its topology
+ * BEFORE freezing anything — a rejected model must come back to the
+ * caller completely unmodified (freezing pins eval-mode forward() to
+ * the inference LUT path) — then freeze, lower and auto-tune. */
+Result<serve::FrozenModel>
+lowerModel(const nn::LayerPtr &model, const ServeOptions &options)
 {
-    // Validate the topology BEFORE freezing anything: a rejected model
-    // must come back to the caller completely unmodified (freezing pins
-    // eval-mode forward() to the inference LUT path).
     if (Status status =
             serve::FrozenModel::validateServable(model,
                                                  options.input_shape);
@@ -50,8 +49,34 @@ makeEngine(const nn::LayerPtr &model, const ServeOptions &options)
         model, options.input_shape, options.plan);
     if (!frozen.ok())
         return frozen.status();
-    return serve::InferenceEngine::create(
-        maybeAutoTune(frozen.take(), options), options.engine);
+    return maybeAutoTune(frozen.take(), options);
+}
+
+/** The one lowering of a GEMM trace: validate `pq`, synthesize the
+ * model, auto-tune. */
+Result<serve::FrozenModel>
+lowerTrace(const std::vector<sim::GemmShape> &gemms, const vq::PQConfig &pq,
+           const ServeOptions &options, vq::LutPrecision precision,
+           uint64_t seed)
+{
+    if (Status status = validatePqConfig(pq); !status.ok())
+        return status;
+    Result<serve::FrozenModel> frozen = serve::FrozenModel::fromTrace(
+        gemms, pq, precision, seed, options.plan);
+    if (!frozen.ok())
+        return frozen.status();
+    return maybeAutoTune(frozen.take(), options);
+}
+
+} // namespace
+
+Result<EngineHandle>
+makeEngine(const nn::LayerPtr &model, const ServeOptions &options)
+{
+    Result<serve::FrozenModel> frozen = lowerModel(model, options);
+    if (!frozen.ok())
+        return frozen.status();
+    return serve::InferenceEngine::create(frozen.take(), options.engine);
 }
 
 Result<EngineHandle>
@@ -69,14 +94,11 @@ makeTraceEngine(const std::vector<sim::GemmShape> &gemms,
                 const vq::PQConfig &pq, const ServeOptions &options,
                 vq::LutPrecision precision, uint64_t seed)
 {
-    if (Status status = validatePqConfig(pq); !status.ok())
-        return status;
-    Result<serve::FrozenModel> frozen = serve::FrozenModel::fromTrace(
-        gemms, pq, precision, seed, options.plan);
+    Result<serve::FrozenModel> frozen =
+        lowerTrace(gemms, pq, options, precision, seed);
     if (!frozen.ok())
         return frozen.status();
-    return serve::InferenceEngine::create(
-        maybeAutoTune(frozen.take(), options), options.engine);
+    return serve::InferenceEngine::create(frozen.take(), options.engine);
 }
 
 Result<EngineHandle>
@@ -107,22 +129,10 @@ publishModel(const FrontDoorHandle &door, const std::string &name,
     if (!door)
         return Status::invalidArgument(
             "publishModel needs a front door; call makeFrontDoor first");
-    // Same contract as makeEngine: validate BEFORE freezing so a
-    // rejected model comes back completely unmodified.
-    if (Status status =
-            serve::FrozenModel::validateServable(model,
-                                                 options.input_shape);
-        !status.ok())
-        return status;
-    for (lutboost::LutLinear *layer : lutboost::findLutLayers(model))
-        if (!layer->inferenceLutReady())
-            layer->refreshInferenceLut();
-    Result<serve::FrozenModel> frozen = serve::FrozenModel::fromModel(
-        model, options.input_shape, options.plan);
+    Result<serve::FrozenModel> frozen = lowerModel(model, options);
     if (!frozen.ok())
         return frozen.status();
-    return door->publish(name, maybeAutoTune(frozen.take(), options),
-                         options.slo);
+    return door->publish(name, frozen.take(), options.slo);
 }
 
 Result<uint64_t>
@@ -135,14 +145,11 @@ publishTraceModel(const FrontDoorHandle &door, const std::string &name,
         return Status::invalidArgument(
             "publishTraceModel needs a front door; call makeFrontDoor "
             "first");
-    if (Status status = validatePqConfig(pq); !status.ok())
-        return status;
-    Result<serve::FrozenModel> frozen = serve::FrozenModel::fromTrace(
-        gemms, pq, precision, seed, options.plan);
+    Result<serve::FrozenModel> frozen =
+        lowerTrace(gemms, pq, options, precision, seed);
     if (!frozen.ok())
         return frozen.status();
-    return door->publish(name, maybeAutoTune(frozen.take(), options),
-                         options.slo);
+    return door->publish(name, frozen.take(), options.slo);
 }
 
 Result<EngineHandle>

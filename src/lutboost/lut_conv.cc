@@ -9,35 +9,6 @@ namespace lutdla::lutboost {
 void
 convArenaForward(const LutTableArena &arena, const ConvGeometry &geom,
                  const float *x, int64_t n, int64_t h, int64_t w, float *y,
-                 ConvScratch &scratch)
-{
-    const int64_t Ho = geom.outSize(h), Wo = geom.outSize(w);
-    LUTDLA_CHECK(Ho > 0 && Wo > 0, "conv output collapsed to zero");
-    LUTDLA_CHECK(arena.inFeatures() == geom.patchSize(),
-                 "arena width ", arena.inFeatures(),
-                 " != conv patch size ", geom.patchSize());
-    const int64_t rows = n * Ho * Wo;
-    const int64_t co_dim = arena.outFeatures();
-
-    scratch.cols.resize(static_cast<size_t>(rows * geom.patchSize()));
-    scratch.flat.resize(static_cast<size_t>(rows * co_dim));
-    im2colInto(x, n, h, w, geom, scratch.cols.data());
-    arena.forwardBatch(scratch.cols.data(), rows, scratch.flat.data());
-
-    // [n*Ho*Wo, C_out] -> NCHW, same traversal as LutConv2d::forward.
-    const float *flat = scratch.flat.data();
-    int64_t row = 0;
-    for (int64_t b = 0; b < n; ++b)
-        for (int64_t ho = 0; ho < Ho; ++ho)
-            for (int64_t wo = 0; wo < Wo; ++wo, ++row)
-                for (int64_t co = 0; co < co_dim; ++co)
-                    y[((b * co_dim + co) * Ho + ho) * Wo + wo] =
-                        flat[row * co_dim + co];
-}
-
-void
-convArenaForward(const LutTableArena &arena, const ConvGeometry &geom,
-                 const float *x, int64_t n, int64_t h, int64_t w, float *y,
                  ConvScratch &scratch, const KernelBackend &backend,
                  KernelScratch &kscratch, uint64_t *encode_ns,
                  uint64_t *gather_ns, EncodePrecision encode)
@@ -136,8 +107,9 @@ LutConv2d::forwardBatch(const Tensor &x) const
     Tensor y(Shape{N, geom_.out_channels, geom_.outSize(H),
                    geom_.outSize(W)});
     ConvScratch scratch;
+    KernelScratch kscratch;
     convArenaForward(*inferenceArena(), geom_, x.data(), N, H, W, y.data(),
-                     scratch);
+                     scratch, referenceBackend(), kscratch);
     return y;
 }
 

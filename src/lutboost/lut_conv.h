@@ -40,25 +40,17 @@ struct ConvScratch
 
 /**
  * Batched frozen-conv kernel: lower NCHW `x` ([n, C_in, h, w] contiguous)
- * through im2col into `scratch.cols`, run the arena's row-blocked gather
- * GEMM into `scratch.flat`, and transpose the result into NCHW `y`
- * ([n, C_out, Ho, Wo], caller-allocated). Thread-safe; bit-exact with
- * eval-mode LutConv2d::forward(x, false) on a frozen layer.
- */
-void convArenaForward(const LutTableArena &arena, const ConvGeometry &geom,
-                      const float *x, int64_t n, int64_t h, int64_t w,
-                      float *y, ConvScratch &scratch);
-
-/**
- * Backend-dispatched variant of convArenaForward: the lowered GEMM runs as
- * an explicit encode -> gather pair through `backend` (reference float or
- * quantized; see lutboost/kernels.h) with code planes in `kscratch`.
- * When `encode_ns` / `gather_ns` are non-null, the im2col + encode and
- * gather + NCHW-reshape phase times are accumulated into them — the
- * serving engine's encode/gather stat split. `encode` selects the argmin
- * arithmetic for the lowered GEMM (see KernelBackend::encodeBatch).
- * Bit-exact with the fused overload when `backend` is the reference
- * backend and `encode` is Float32.
+ * through im2col into `scratch.cols`, run the lowered GEMM as an explicit
+ * encode -> gather pair through `backend` (reference float or quantized;
+ * see lutboost/kernels.h) with code planes in `kscratch` into
+ * `scratch.flat`, and transpose the result into NCHW `y`
+ * ([n, C_out, Ho, Wo], caller-allocated). When `encode_ns` / `gather_ns`
+ * are non-null, the im2col + encode and gather + NCHW-reshape phase times
+ * are accumulated into them — the serving engine's encode/gather stat
+ * split. `encode` selects the argmin arithmetic for the lowered GEMM (see
+ * KernelBackend::encodeBatch). Thread-safe; with the reference backend
+ * and Float32 encode, bit-exact with eval-mode LutConv2d::forward(x,
+ * false) on a frozen layer.
  */
 void convArenaForward(const LutTableArena &arena, const ConvGeometry &geom,
                       const float *x, int64_t n, int64_t h, int64_t w,

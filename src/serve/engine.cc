@@ -78,7 +78,6 @@ InferenceEngine::stats() const
     const FrontDoorStats door = door_->stats();
     EngineStats out;
     static_cast<LaneStats &>(out) = door.total;  // the one model's lane
-    out.requests = out.served;
     out.active_workers = door.active_workers;
     return out;
 }

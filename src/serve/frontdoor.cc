@@ -135,18 +135,26 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
 
     // Validation failures are `rejected`, not `shed`: the request was
     // never admissible, as opposed to admissible traffic dropped under
-    // overload.
+    // overload. A name that resolves to no model gets no model lane:
+    // the caller picks the name, so counting it there would grow the
+    // stats map by one bucket per distinct bogus name.
+    SnapshotPtr snapshot = registry_.resolve(model);
+    const bool published = snapshot != nullptr;
     auto reject = [&](api::Status status) {
         {
             std::unique_lock<std::mutex> stats_lock(stats_mu_);
-            forLanes(model, tenant,
-                     [](LaneAccum &lane) { lane.rejected++; });
+            if (published) {
+                forLanes(model, tenant,
+                         [](LaneAccum &lane) { lane.rejected++; });
+            } else {
+                total_accum_.rejected++;
+                tenant_accum_[tenant].rejected++;
+            }
         }
         promise.set_value(std::move(status));
         return std::move(future);
     };
 
-    SnapshotPtr snapshot = registry_.resolve(model);
     if (!snapshot)
         return reject(api::Status::notFound(
             "model '" + model + "' is not published; publish() it first"));

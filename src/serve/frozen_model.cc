@@ -688,71 +688,9 @@ FrozenModel::forwardBatch(const Tensor &x, StageScratch &scratch) const
                  "FrozenModel expects [rows, ", inputWidth(), "], got ",
                  shapeStr(x.shape()));
     const int64_t rows = x.dim(0);
-
-    // Ping-pong execution: `cur` tracks the live activations, which start
-    // in the request tensor itself (read-only), move into a scratch plane
-    // at the first stage, and alternate planes at every out-of-place
-    // stage. In-place stages mutate the live plane directly. Planned tile
-    // segments leave this loop wholesale: the segment streams row tiles
-    // through all its stages (runTiledSegment) and lands its output in
-    // the opposite plane in one step, so only barrier stages and segment
-    // boundaries ever hold full-batch planes.
-    const float *cur = x.data();
-    float *cur_mut = nullptr;  // non-null once cur points into scratch
-    bool in_ping = false;
-    size_t seg_idx = 0;
-    size_t i = 0;
-    while (i < stages_.size()) {
-        while (seg_idx < tiles_.segments.size() &&
-               tiles_.segments[seg_idx].end <= static_cast<int64_t>(i))
-            ++seg_idx;
-        const TilePlan *seg =
-            (seg_idx < tiles_.segments.size() &&
-             tiles_.segments[seg_idx].begin == static_cast<int64_t>(i))
-                ? &tiles_.segments[seg_idx]
-                : nullptr;
-        if (seg != nullptr && rows > seg->tile_rows) {
-            // Batches of at most one tile fall through to the per-stage
-            // path below — identical work, no tiling overhead.
-            const int64_t out_w =
-                stages_[static_cast<size_t>(seg->end) - 1]->outWidth();
-            std::vector<float> &dst =
-                (cur_mut != nullptr && in_ping) ? scratch.pong
-                                                : scratch.ping;
-            cur_mut = growPlane(dst, rows * out_w);
-            runTiledSegment(*seg, cur, rows, cur_mut, scratch);
-            cur = cur_mut;
-            in_ping = (&dst == &scratch.ping);
-            i = static_cast<size_t>(seg->end);
-            continue;
-        }
-        const StagePtr &stage = stages_[i];
-        if (stage->inPlace()) {
-            if (cur_mut == nullptr) {
-                cur_mut = growPlane(scratch.ping, rows * stage->inWidth());
-                std::memcpy(cur_mut, cur,
-                            static_cast<size_t>(rows * stage->inWidth()) *
-                                sizeof(float));
-                cur = cur_mut;
-                in_ping = true;
-            }
-            stage->forwardInPlace(cur_mut, rows, scratch);
-        } else {
-            std::vector<float> &dst =
-                (cur_mut != nullptr && in_ping) ? scratch.pong
-                                                : scratch.ping;
-            float *const next = growPlane(dst, rows * stage->outWidth());
-            stage->forward(cur, rows, next, scratch);
-            cur_mut = next;
-            cur = cur_mut;
-            in_ping = (&dst == &scratch.ping);
-        }
-        ++i;
-    }
-
     Tensor y(Shape{rows, outputWidth()});
-    std::memcpy(y.data(), cur,
-                static_cast<size_t>(y.numel()) * sizeof(float));
+    runStages(0, numStages(), x.data(), rows, y.data(), scratch.ping,
+              scratch.pong, scratch, true);
     return y;
 }
 
@@ -764,82 +702,89 @@ FrozenModel::forwardBatch(const Tensor &x) const
 }
 
 void
-FrozenModel::runTiledSegment(const TilePlan &seg, const float *in,
-                             int64_t rows, float *out,
-                             StageScratch &scratch) const
+FrozenModel::runStages(int64_t begin, int64_t end, const float *in,
+                       int64_t rows, float *out, std::vector<float> &plane_a,
+                       std::vector<float> &plane_b, StageScratch &scratch,
+                       bool tiled) const
 {
-    const size_t begin = static_cast<size_t>(seg.begin);
-    const size_t end = static_cast<size_t>(seg.end);
-    const int64_t tile = seg.tile_rows;
-    const int64_t tiles = (rows + tile - 1) / tile;
-    const int64_t in_w = stages_[begin]->inWidth();
-    const int64_t out_w = stages_[end - 1]->outWidth();
-
-    // From the LAST out-of-place stage on, a tile writes straight into
-    // its disjoint span of the segment output (trailing in-place stages
-    // mutate it there), so the streamed result never needs a final copy.
-    // Stages before it alternate the tile-local planes.
-    size_t last_oop = begin;
-    for (size_t s = begin; s < end; ++s)
-        if (!stages_[s]->inPlace())
+    // The step holding the last out-of-place stage writes `out`, so the
+    // result is never copied out of a scratch plane.
+    int64_t last_oop = -1;
+    for (int64_t s = begin; s < end; ++s)
+        if (!stages_[static_cast<size_t>(s)]->inPlace())
             last_oop = s;
 
-    // A tile IS the work-stealing unit: forEachBlock nulls the pool inside
-    // it, so no stage splits the tile again.
-    forEachBlock(scratch, tiles, [&](int64_t t, StageScratch &local) {
-        const int64_t r0 = t * tile;
-        const int64_t rn = std::min(tile, rows - r0);
-        if (r0 + rn < rows) {
-            // Pull the next tile's input behind this tile's sweep. Capped
-            // well under the tile budget so the prefetch cannot evict the
-            // planes this tile is actively streaming.
-            const int64_t ahead =
-                std::min(std::min(tile, rows - r0 - rn) * in_w *
-                             static_cast<int64_t>(sizeof(float)),
-                         static_cast<int64_t>(16) << 10);
-            lutboost::prefetchSpan(in + (r0 + rn) * in_w, ahead);
+    float *live = nullptr;  // what the last step wrote; null: `in` is live
+    bool in_a = false;      // `live` is plane_a
+    int64_t i = begin;
+    while (i < end) {
+        const FrozenStage &stage = *stages_[static_cast<size_t>(i)];
+        // A planned segment is one step when the batch spans more than
+        // one tile; a batch of at most one tile walks it stage by stage
+        // (identical work, no tiling overhead).
+        const int64_t seg_idx = plan_[static_cast<size_t>(i)].segment;
+        const TilePlan *seg =
+            tiled && seg_idx >= 0 &&
+                    rows > tiles_.segments[static_cast<size_t>(seg_idx)]
+                               .tile_rows
+                ? &tiles_.segments[static_cast<size_t>(seg_idx)]
+                : nullptr;
+        const int64_t step_end = seg != nullptr ? seg->end : i + 1;
+        const bool in_place = seg == nullptr && stage.inPlace();
+        if (in_place && live != nullptr) {
+            stage.forwardInPlace(live, rows, scratch);
+            ++i;
+            continue;
         }
 
-        const float *cur = in + r0 * in_w;
-        float *cur_mut = nullptr;
-        bool in_a = false;  // live plane is tile_a (when cur_mut set)
-        for (size_t s = begin; s < end; ++s) {
-            const FrozenStage &stage = *stages_[s];
-            const bool to_out = s >= last_oop;
-            if (stage.inPlace()) {
-                if (cur_mut == nullptr) {
-                    float *dst;
-                    if (to_out) {
-                        dst = out + r0 * out_w;
-                    } else {
-                        dst = growPlane(local.tile_a,
-                                        tile * stage.inWidth());
-                        in_a = true;
-                    }
-                    std::memcpy(dst, cur,
-                                static_cast<size_t>(rn * stage.inWidth()) *
-                                    sizeof(float));
-                    cur_mut = dst;
-                    cur = cur_mut;
-                }
-                stage.forwardInPlace(cur_mut, rn, local);
-            } else {
-                float *dst;
-                if (to_out) {
-                    dst = out + r0 * out_w;
-                } else {
-                    std::vector<float> &plane =
-                        (cur_mut != nullptr && in_a) ? local.tile_b
-                                                     : local.tile_a;
-                    dst = growPlane(plane, tile * stage.outWidth());
-                    in_a = (&plane == &local.tile_a);
-                }
-                stage.forward(cur, rn, dst, local);
-                cur_mut = dst;
-                cur = cur_mut;
-            }
+        const float *src = live != nullptr ? live : in;
+        const int64_t width =
+            in_place ? stage.inWidth()
+                     : stages_[static_cast<size_t>(step_end) - 1]->outWidth();
+        float *dst = out;
+        if (step_end <= last_oop) {
+            std::vector<float> &plane =
+                (live != nullptr && in_a) ? plane_b : plane_a;
+            dst = growPlane(plane, rows * width);
+            in_a = (&plane == &plane_a);
         }
-    });
+        if (in_place) {
+            std::memcpy(dst, src,
+                        static_cast<size_t>(rows * width) * sizeof(float));
+            stage.forwardInPlace(dst, rows, scratch);
+        } else if (seg == nullptr) {
+            stage.forward(src, rows, dst, scratch);
+        } else {
+            // A tile IS the work-stealing unit: forEachBlock nulls the
+            // pool inside it, so no stage splits the tile again. Each
+            // tile walks the segment through this same runner on its
+            // executing worker's tile-local planes, into its disjoint
+            // span of `dst`.
+            const int64_t tile = seg->tile_rows;
+            const int64_t in_w = stage.inWidth();
+            forEachBlock(scratch, (rows + tile - 1) / tile,
+                         [&](int64_t t, StageScratch &local) {
+                const int64_t r0 = t * tile;
+                const int64_t rn = std::min(tile, rows - r0);
+                if (r0 + rn < rows) {
+                    // Pull the next tile's input behind this tile's
+                    // sweep, capped well under the tile budget so the
+                    // prefetch cannot evict the planes this tile streams.
+                    const int64_t ahead = std::min(
+                        std::min(tile, rows - r0 - rn) * in_w *
+                            static_cast<int64_t>(sizeof(float)),
+                        static_cast<int64_t>(16) << 10);
+                    lutboost::prefetchSpan(src + (r0 + rn) * in_w,
+                                           ahead);
+                }
+                runStages(seg->begin, seg->end, src + r0 * in_w, rn,
+                          dst + r0 * width, local.tile_a, local.tile_b,
+                          local, false);
+            });
+        }
+        live = dst;
+        i = step_end;
+    }
 }
 
 } // namespace lutdla::serve

@@ -189,16 +189,19 @@ class FrozenModel
      * — and bit-exact with the source model's eval forward (fromModel
      * case). Rows must be [batch, inputWidth()].
      *
-     * Execution is segment-streamed (the row-tiled executor): barrier
-     * stages run full-batch as before, but each planned TilePlan segment
-     * streams one row tile at a time through ALL its stages — a stage's
-     * gather + fused epilogue feeds the next stage's encode while the
-     * tile is still L1/L2-hot — with the next tile's input software-
-     * prefetched behind it. When the scratch carries an IntraBatchPool,
-     * tiles are the work-stealing unit (one task per tile, replacing the
-     * old two-barriers-per-stage sharding inside segments). Bit-exact
-     * with the untiled path (PlanOptions::tile_rows == -1) at every tile
-     * size and precision, because tileable stages are row-independent.
+     * One runner walks the chain in steps, ping-ponging the scratch
+     * planes, and the last out-of-place step writes the returned tensor
+     * directly (no final copy). A step is a single stage — barrier
+     * stages run full-batch — or, when the batch spans more than one
+     * tile, a whole planned TilePlan segment: each row tile re-enters
+     * the same runner on its worker's tile-local planes and streams
+     * through ALL the segment's stages — a stage's gather + fused
+     * epilogue feeds the next stage's encode while the tile is still
+     * L1/L2-hot — with the next tile's input software-prefetched behind
+     * it. When the scratch carries an IntraBatchPool, tiles are the
+     * work-stealing unit (one task per tile). Bit-exact with the untiled
+     * walk (PlanOptions::tile_rows == -1) at every tile size and
+     * precision, because tileable stages are row-independent.
      */
     Tensor forwardBatch(const Tensor &x, StageScratch &scratch) const;
 
@@ -206,12 +209,19 @@ class FrozenModel
     Tensor forwardBatch(const Tensor &x) const;
 
   private:
-    /** Stream one tiled segment: read [rows, seg-in-width] from `in`,
-     * write [rows, seg-out-width] to `out` (never aliasing), one tile
-     * per pool task. */
-    void runTiledSegment(const TilePlan &seg, const float *in,
-                         int64_t rows, float *out,
-                         StageScratch &scratch) const;
+    /**
+     * The one stage walk: run stages [begin, end) over `rows` rows of
+     * `in` into `out` (never aliasing `in`). The step holding the last
+     * out-of-place stage writes `out` and the in-place stages after it
+     * mutate it there; earlier steps alternate `plane_a` and `plane_b`.
+     * A step is one stage or, when `tiled` and the batch spans more than
+     * one tile, a whole planned segment, whose tiles each re-enter this
+     * runner (untiled) on their worker's tile_a / tile_b.
+     */
+    void runStages(int64_t begin, int64_t end, const float *in,
+                   int64_t rows, float *out, std::vector<float> &plane_a,
+                   std::vector<float> &plane_b, StageScratch &scratch,
+                   bool tiled) const;
 
     std::vector<StagePtr> stages_;
     std::vector<StagePlan> plan_;

@@ -12,7 +12,7 @@
  * approximate with at most ~1.6% relative bucket width (~0.8% midpoint
  * error) — about three significant figures, so ms-scale percentiles no
  * longer snap to coarse power-of-two edges — with O(1) memory no matter
- * how many requests a lane serves. Counters (requests, rows,
+ * how many requests a lane serves. Counters (served, rows,
  * batches) are exact.
  */
 
@@ -174,10 +174,6 @@ struct LaneStats
  */
 struct EngineStats : LaneStats
 {
-    /** Successfully served requests (the engine-facing name of
-     * LaneStats::served). */
-    uint64_t requests = 0;
-
     /** Workers that did real batch work: initiated at least one batch OR
      * stole at least one shard block from another worker's batch. */
     int active_workers = 0;

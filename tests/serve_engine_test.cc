@@ -764,11 +764,11 @@ TEST(InferenceEngine, ServesConcurrentSubmittersCorrectly)
         EXPECT_TRUE(status.ok()) << status.toString();
 
     const serve::EngineStats stats = engine.value()->stats();
-    EXPECT_EQ(stats.requests, kSubmitters * kPerThread);
+    EXPECT_EQ(stats.served, kSubmitters * kPerThread);
     EXPECT_EQ(stats.rows, kSubmitters * kPerThread);
     EXPECT_EQ(stats.rejected, 0u);
     EXPECT_GE(stats.batches, 1u);
-    EXPECT_LE(stats.batches, stats.requests);
+    EXPECT_LE(stats.batches, stats.served);
 }
 
 /**
@@ -880,7 +880,7 @@ TEST(InferenceEngine, DynamicBatchingCoalescesQueuedRequests)
     }
 
     const serve::EngineStats stats = engine.value()->stats();
-    EXPECT_EQ(stats.requests, 8u);
+    EXPECT_EQ(stats.served, 8u);
     EXPECT_EQ(stats.batches, 2u);  // 8 queued rows / max_batch 4
     ASSERT_EQ(stats.batch_fill.size(), 5u);
     EXPECT_EQ(stats.batch_fill[4], 2u);
@@ -946,7 +946,7 @@ TEST(InferenceEngine, CleanShutdownAnswersInFlightRequests)
         ASSERT_TRUE(result.ok()) << result.status().toString();
         EXPECT_EQ(result->dim(0), 1);
     }
-    EXPECT_EQ(engine.value()->stats().requests, 64u);
+    EXPECT_EQ(engine.value()->stats().served, 64u);
 
     // And post-shutdown submissions come back as typed errors.
     auto late = engine.value()->submit(randomRows(1, 16, 999));

@@ -185,6 +185,40 @@ TEST(FrontDoor, TypedErrorPaths)
     EXPECT_FALSE(serve::FrontDoor::create(bad_options).ok());
 }
 
+TEST(FrontDoor, UnpublishedNamesDoNotGrowModelLanesRegression)
+{
+    // The caller picks the model name, so a NotFound rejection counts on
+    // the total and tenant lanes only: distinct bogus names must not
+    // each leave a model bucket (three latency histograms apiece).
+    auto door = serve::FrontDoor::create({});
+    ASSERT_TRUE(door.ok());
+    ASSERT_TRUE(door.value()->publish("m", traceModel(1)).ok());
+    const Tensor row = randomRows(1, 24, 1);
+    for (int i = 0; i < 1000; ++i) {
+        auto missing =
+            door.value()->submit("ghost-" + std::to_string(i), row);
+        ASSERT_EQ(missing.status().code(), api::StatusCode::NotFound);
+    }
+    serve::FrontDoorStats stats = door.value()->stats();
+    EXPECT_EQ(stats.total.rejected, 1000u);
+    // "m" has seen no traffic yet, so no model lane exists at all.
+    EXPECT_TRUE(stats.models.empty()) << stats.models.size() << " lanes";
+    ASSERT_EQ(stats.tenants.count("default"), 1u);
+    EXPECT_EQ(stats.tenants.at("default").rejected, 1000u);
+
+    // A published model's own rejections still land on its lane, also
+    // those raised after the request took its snapshot.
+    serve::RequestOptions bad;
+    bad.deadline_us = -5;
+    EXPECT_EQ(door.value()->submit("m", row, bad).status().code(),
+              api::StatusCode::InvalidArgument);
+    stats = door.value()->stats();
+    EXPECT_EQ(stats.total.rejected, 1001u);
+    ASSERT_EQ(stats.models.size(), 1u);
+    EXPECT_EQ(stats.models.at("m").rejected, 1u);
+    door.value()->shutdown();
+}
+
 TEST(FrontDoor, LaneReportsBatchFillPhasesAndActiveWorkers)
 {
     // The per-batch accounting lives in the front door: each model lane

@@ -1,14 +1,16 @@
 // Tests for the row-tiled segment executor: bit-exactness of the tiled
 // forwardBatch against the untiled phase-barrier path across tile sizes,
 // table precisions, forced gather variants, and ragged tails; the tile
-// plan's segment partition and per-worker scratch accounting; and the
+// plan's segment partition and per-worker scratch accounting; the
 // multi-worker engine racing per-tile tasks over MLP / CNN / transformer
-// stage graphs.
+// stage graphs; and one poisoned scratch reused across all three.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "api/lutdla.h"
@@ -19,6 +21,7 @@
 #include "lutboost/lut_linear.h"
 #include "nn/activations.h"
 #include "nn/attention.h"
+#include "nn/norm.h"
 #include "nn/sequential.h"
 #include "serve/frozen_model.h"
 #include "util/cpu_features.h"
@@ -431,6 +434,147 @@ TEST(InferenceEngine, TiledTasksRaceBitExactTransformer)
     EXPECT_TRUE(result->equals(reference))
         << "maxdiff=" << Tensor::maxAbsDiff(*result, reference);
     engine.value()->shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Dirty-scratch battery for the one stage runner: a single StageScratch
+// carried across MLP, CNN and transformer graphs (and around again), with
+// every activation plane NaN-poisoned between calls, must give results
+// memcmp-equal to a fresh-scratch untiled walk. Any read of a plane the
+// runner did not write this call surfaces as NaN. Batch sizes straddle
+// the tile: 1 and one tile fall through to stage-by-stage walks, tile + 1
+// and 4 tiles + 7 stream segments with ragged tails. The suite runs at the
+// host's dispatch and, in CI, again at LUTDLA_SIMD=avx2.
+
+/** Freeze every LUT operator, then lower with tiling disabled. */
+serve::FrozenModel
+untiledModel(const nn::LayerPtr &model, serve::ServeInputShape input = {})
+{
+    for (lutboost::LutLinear *layer : lutboost::findLutLayers(model))
+        layer->refreshInferenceLut();
+    serve::PlanOptions off;
+    off.tile_rows = -1;
+    auto frozen = serve::FrozenModel::fromModel(model, input, off);
+    EXPECT_TRUE(frozen.ok()) << frozen.status().toString();
+    return frozen.take();
+}
+
+/** LutLinear chain whose trailing softmax mutates the caller's output in
+ * place after the last out-of-place stage. */
+serve::FrozenModel
+batteryMlp()
+{
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    return untiledModel(std::make_shared<nn::Sequential>(
+        std::vector<nn::LayerPtr>{
+            std::make_shared<lutboost::LutLinear>(24, 40, pq, true, 71),
+            std::make_shared<nn::ReLU>(),
+            std::make_shared<lutboost::LutLinear>(40, 18, pq, true, 72),
+            std::make_shared<nn::GELU>(),
+            std::make_shared<lutboost::LutLinear>(18, 9, pq, true, 73),
+            std::make_shared<nn::Softmax>()}));
+}
+
+/** Conv chain that opens with an in-place stage, so the first step
+ * copies the request into a scratch plane. */
+serve::FrozenModel
+batteryCnn()
+{
+    vq::PQConfig pq;
+    pq.v = 3;
+    pq.c = 8;
+    ConvGeometry g;
+    g.in_channels = 1;
+    g.out_channels = 4;
+    g.kernel = 3;
+    g.stride = 1;
+    g.padding = 1;
+    return untiledModel(
+        std::make_shared<nn::Sequential>(std::vector<nn::LayerPtr>{
+            std::make_shared<nn::BatchNorm2d>(1),
+            std::make_shared<lutboost::LutConv2d>(g, pq, true, 74),
+            std::make_shared<nn::ReLU>(),
+            std::make_shared<nn::MaxPool2d>(2),
+            std::make_shared<nn::Flatten>(),
+            std::make_shared<lutboost::LutLinear>(4 * 4 * 4, 12, pq, true,
+                                                  75),
+            std::make_shared<nn::ReLU>(),
+            std::make_shared<lutboost::LutLinear>(12, 5, pq, true, 76),
+            std::make_shared<nn::Softmax>()}),
+        serve::ServeInputShape{8, 8});
+}
+
+/** Embedding gemm plus a transformer block: skip edges and attention as
+ * single-stage steps, LayerNorm-led FFN segments between them. */
+serve::FrozenModel
+batteryTransformer()
+{
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 8;
+    auto model = std::make_shared<nn::Sequential>(std::vector<nn::LayerPtr>{
+        std::make_shared<lutboost::LutLinear>(12, 16, pq, true, 77),
+        std::make_shared<nn::TransformerBlock>(4, 16, 4, 32, 78)});
+    lutboost::ConvertOptions opts;
+    opts.pq = pq;
+    opts.min_in_features = 0;
+    EXPECT_EQ(lutboost::replaceOperators(model, opts), 6);
+    return untiledModel(model);
+}
+
+void
+poison(serve::StageScratch &scratch)
+{
+    for (std::vector<float> *plane :
+         {&scratch.ping, &scratch.pong, &scratch.tile_a, &scratch.tile_b})
+        std::fill(plane->begin(), plane->end(),
+                  std::numeric_limits<float>::quiet_NaN());
+}
+
+TEST(TiledExecutor, DirtyScratchAcrossModelsMatchesFreshUntiled)
+{
+    const std::vector<serve::FrozenModel> models{
+        batteryMlp(), batteryCnn(), batteryTransformer()};
+    serve::StageScratch scratch;
+    uint64_t seed = 100;
+    int64_t streamed = 0;  // calls whose batch spanned several tiles
+    for (int round = 0; round < 2; ++round) {
+        for (size_t m = 0; m < models.size(); ++m) {
+            const serve::FrozenModel &baseline = models[m];
+            ASSERT_TRUE(baseline.tilePlan().segments.empty());
+            for (const int64_t forced : {int64_t{0}, int64_t{8}}) {
+                serve::PlanOptions plan;
+                plan.tile_rows = forced;
+                const serve::FrozenModel tiled = baseline.withPlan(plan);
+                ASSERT_FALSE(tiled.tilePlan().segments.empty());
+                const int64_t tile = tiled.tilePlan().segments[0].tile_rows;
+                const int64_t group = tiled.rowGroup();
+                for (const int64_t batch :
+                     {int64_t{1}, tile, tile + 1, 4 * tile + 7}) {
+                    // Attention serves whole sequences only.
+                    const int64_t rows = (batch + group - 1) / group * group;
+                    streamed += rows > tile ? 1 : 0;
+                    const Tensor x =
+                        randomRows(rows, baseline.inputWidth(), ++seed);
+                    const Tensor reference = baseline.forwardBatch(x);
+                    poison(scratch);
+                    const Tensor y = tiled.forwardBatch(x, scratch);
+                    ASSERT_EQ(y.shape(), reference.shape());
+                    EXPECT_EQ(std::memcmp(y.data(), reference.data(),
+                                          static_cast<size_t>(y.numel()) *
+                                              sizeof(float)),
+                              0)
+                        << "round " << round << " model " << m
+                        << " tile_rows=" << forced << " (tile " << tile
+                        << ") rows=" << rows << " maxdiff="
+                        << Tensor::maxAbsDiff(y, reference);
+                }
+            }
+        }
+    }
+    EXPECT_GT(streamed, 0) << "no batch exercised a segment step";
 }
 
 } // namespace
