@@ -279,7 +279,9 @@ BM_ArenaGatherInt8ShuffleVnni(benchmark::State &state)
  * INT8 and float rows at identical shapes, this times the cost of the
  * extra unpack-and-shift against the halved table stream. Args are
  * (rows, K, N, v); 64 x 4608 x 512 at v = 8 is the hottest resnet18
- * stage at one served tile, and 4 rows of it is the scalar-tail path.
+ * stage at one served tile, and 1-15 rows of it are the row-tail path:
+ * the SIMD row sweep under Auto and the shuffle variants, the scalar
+ * sweep under Scalar.
  * The 256-row rows (int4GatherArgs) are the resnet18-bulk stage
  * shapes at a full batch: on the small-K stages and the fc, the code
  * handoff and the transpose-out are a large share of the gather.
@@ -479,14 +481,17 @@ floatGatherArgs(benchmark::internal::Benchmark *b)
 }
 
 /** INT8 gather args (rows, K, N): the generic shapes, a K 256 -> N 1024
- * layer at 16, 64 and 512 rows, and the widest resnet18 stage at one
- * 64-row tile and a 256-row batch. */
+ * layer at 16, 24 and 32 rows (either side of the padded-tail threshold,
+ * LutTableArena::kInt8PadTailRows), 64 and 512 rows, and the widest
+ * resnet18 stage at one 64-row tile and a 256-row batch. */
 void
 int8GatherArgs(benchmark::internal::Benchmark *b)
 {
     b->Args({128, 256, 256})
         ->Args({256, 512, 512})
         ->Args({16, 256, 1024})
+        ->Args({24, 256, 1024})
+        ->Args({32, 256, 1024})
         ->Args({64, 256, 1024})
         ->Args({512, 256, 1024})
         ->Args({64, 4608, 512})
@@ -498,17 +503,27 @@ BENCHMARK(BM_ArenaGatherFloat)->Apply(floatGatherArgs);
 BENCHMARK(BM_ArenaGatherInt8)->Apply(int8GatherArgs);
 BENCHMARK(BM_ArenaGatherInt8Scalar)->Apply(int8GatherArgs);
 BENCHMARK(BM_ArenaGatherInt8ShuffleVnni)->Apply(int8GatherArgs);
-/** INT4 gather args: the generic shapes, the hottest resnet18 stage at
- * one tile and at a 4-row tail, then the resnet18-bulk stage shapes at
- * a 256-row batch (K / N = 576 / 64 ... 4608 / 512, and the 512 / 1000
- * fc). */
+/** INT4 gather args: the generic shapes; the hottest resnet18 stage at
+ * one tile, at the 1-15-row batches the SIMD row sweep serves, and at
+ * 16-48 rows around the padded-tail threshold
+ * (LutTableArena::kInt4PadTailRows); the fc at a 3-row batch; then the
+ * resnet18-bulk stage shapes at a 256-row batch (K / N = 576 / 64 ...
+ * 4608 / 512, and the 512 / 1000 fc). */
 void
 int4GatherArgs(benchmark::internal::Benchmark *b)
 {
     b->Args({128, 256, 256, 4})
         ->Args({256, 512, 512, 4})
         ->Args({64, 4608, 512, 8})
-        ->Args({4, 4608, 512, 8})
+        ->Args({1, 4608, 512, 8})
+        ->Args({3, 4608, 512, 8})
+        ->Args({8, 4608, 512, 8})
+        ->Args({15, 4608, 512, 8})
+        ->Args({16, 4608, 512, 8})
+        ->Args({24, 4608, 512, 8})
+        ->Args({32, 4608, 512, 8})
+        ->Args({48, 4608, 512, 8})
+        ->Args({3, 512, 1000, 8})
         ->Args({256, 576, 64, 8})
         ->Args({256, 1152, 128, 8})
         ->Args({256, 2304, 256, 8})

@@ -709,6 +709,193 @@ gatherChunkInt4Avx2(const uint8_t *__restrict__ q4_il,
 }
 
 /**
+ * Prefetch the bank rows of subspaces [s_begin, s_end) that one row's
+ * codes select. The INT4 row sweeps call it for the next scale group
+ * while they sum the current one: with the bank streamed from the LLC
+ * (a served model's banks do not fit L2), each group's 16 scattered
+ * rows would otherwise be fetched one dependent batch at a time.
+ */
+inline void
+prefetchInt4Rows(const uint8_t *q4, const int32_t *rcodes, int64_t s_begin,
+                 int64_t s_end, int64_t c, int64_t half_n)
+{
+    for (int64_t s = s_begin; s < s_end; ++s) {
+        const char *row =
+            reinterpret_cast<const char *>(q4 + (s * c + rcodes[s]) * half_n);
+        for (int64_t b = 0; b < half_n; b += 64)
+            _mm_prefetch(row + b, _MM_HINT_T0);
+    }
+}
+
+/**
+ * Row-sweep twin of the scalar INT4 packed group sweep, AVX-512 tier:
+ * for row tails too short for a shuffle chunk. Per (row, scale group,
+ * 128-column block), one (masked) 64-byte load per subspace row of the
+ * row-major bank splits into its two nibble planes, which sum in u8
+ * lanes (at most 16 * 15 = 240, exact). VPUNPCK{L,H}BW re-interleave
+ * the planes into column order (even column = low nibble), VPMOVZXBD
+ * widens 16 columns at a time to int32, one subtract of 8 * gs removes
+ * the bias, and one mul + add per (group, column) accumulates into y —
+ * the scalar sweep's float ops in its order, so bit-identical.
+ */
+__attribute__((target("avx512f,avx512bw"))) void
+sweepInt4RowsAvx512(const uint8_t *__restrict__ q4,
+                    const float *__restrict__ scales,
+                    const int32_t *__restrict__ codes, int64_t rows,
+                    int64_t n, int64_t num_subspaces, int64_t c,
+                    int64_t num_blocks, int64_t scale_group,
+                    int64_t block_cols, float *__restrict__ y)
+{
+    const int64_t half_n = (n + 1) / 2;
+    const int64_t num_groups =
+        (num_subspaces + scale_group - 1) / scale_group;
+    const __m512i nib_mask = _mm512_set1_epi8(0x0F);
+    for (int64_t r = 0; r < rows; ++r) {
+        const int32_t *rcodes = codes + r * num_subspaces;
+        float *yr = y + r * n;
+        for (int64_t g = 0; g < num_groups; ++g) {
+            const int64_t s0 = g * scale_group;
+            const int64_t gs =
+                std::min<int64_t>(scale_group, num_subspaces - s0);
+            prefetchInt4Rows(
+                q4, rcodes, s0 + gs,
+                std::min(num_subspaces, s0 + gs + scale_group), c, half_n);
+            const uint8_t *entry[16];
+            for (int64_t i = 0; i < gs; ++i)
+                entry[i] = q4 + ((s0 + i) * c + rcodes[s0 + i]) * half_n;
+            const __m512i bias =
+                _mm512_set1_epi32(static_cast<int32_t>(8 * gs));
+            const float *srow = scales + g * num_blocks;
+            for (int64_t c0 = 0; c0 < n; c0 += 128) {
+                const int64_t bytes = std::min<int64_t>(64, half_n - c0 / 2);
+                const __mmask64 load_mask =
+                    bytes == 64 ? ~__mmask64{0}
+                                : (__mmask64{1} << bytes) - 1;
+                __m512i lo = _mm512_setzero_si512();
+                __m512i hi = _mm512_setzero_si512();
+                for (int64_t i = 0; i < gs; ++i) {
+                    const __m512i v =
+                        _mm512_maskz_loadu_epi8(load_mask, entry[i] + c0 / 2);
+                    lo = _mm512_add_epi8(lo, _mm512_and_si512(v, nib_mask));
+                    hi = _mm512_add_epi8(
+                        hi,
+                        _mm512_and_si512(_mm512_srli_epi16(v, 4), nib_mask));
+                }
+                // Per 128-bit lane L: unpacklo holds columns 32L..32L+15,
+                // unpackhi columns 32L+16..32L+31.
+                const __m512i even = _mm512_unpacklo_epi8(lo, hi);
+                const __m512i odd = _mm512_unpackhi_epi8(lo, hi);
+                const __m128i parts[8] = {
+                    _mm512_castsi512_si128(even),
+                    _mm512_castsi512_si128(odd),
+                    _mm512_extracti32x4_epi32(even, 1),
+                    _mm512_extracti32x4_epi32(odd, 1),
+                    _mm512_extracti32x4_epi32(even, 2),
+                    _mm512_extracti32x4_epi32(odd, 2),
+                    _mm512_extracti32x4_epi32(even, 3),
+                    _mm512_extracti32x4_epi32(odd, 3)};
+                const __m512 vs = _mm512_set1_ps(srow[c0 / block_cols]);
+                const int64_t cols = std::min<int64_t>(128, n - c0);
+                for (int64_t k = 0; k < 8 && 16 * k < cols; ++k) {
+                    const __mmask16 m = static_cast<__mmask16>(
+                        (1u << std::min<int64_t>(16, cols - 16 * k)) - 1);
+                    float *out = yr + c0 + 16 * k;
+                    const __m512 f = _mm512_mul_ps(
+                        vs, _mm512_cvtepi32_ps(_mm512_sub_epi32(
+                                _mm512_cvtepu8_epi32(parts[k]), bias)));
+                    _mm512_mask_storeu_ps(
+                        out, m,
+                        _mm512_add_ps(_mm512_maskz_loadu_ps(m, out), f));
+                }
+            }
+        }
+    }
+}
+
+/**
+ * AVX2 twin of sweepInt4RowsAvx512 over 64-column blocks (one 32-byte
+ * load per subspace row). A ragged last block is staged through a
+ * 32-byte buffer: AVX2 has no byte-masked load, and a full load could
+ * run past the bank's end.
+ */
+__attribute__((target("avx2"))) void
+sweepInt4RowsAvx2(const uint8_t *__restrict__ q4,
+                  const float *__restrict__ scales,
+                  const int32_t *__restrict__ codes, int64_t rows,
+                  int64_t n, int64_t num_subspaces, int64_t c,
+                  int64_t num_blocks, int64_t scale_group,
+                  int64_t block_cols, float *__restrict__ y)
+{
+    const int64_t half_n = (n + 1) / 2;
+    const int64_t num_groups =
+        (num_subspaces + scale_group - 1) / scale_group;
+    const __m256i nib_mask = _mm256_set1_epi8(0x0F);
+    const __m256i lane_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    alignas(32) uint8_t staged[32] = {};
+    for (int64_t r = 0; r < rows; ++r) {
+        const int32_t *rcodes = codes + r * num_subspaces;
+        float *yr = y + r * n;
+        for (int64_t g = 0; g < num_groups; ++g) {
+            const int64_t s0 = g * scale_group;
+            const int64_t gs =
+                std::min<int64_t>(scale_group, num_subspaces - s0);
+            prefetchInt4Rows(
+                q4, rcodes, s0 + gs,
+                std::min(num_subspaces, s0 + gs + scale_group), c, half_n);
+            const uint8_t *entry[16];
+            for (int64_t i = 0; i < gs; ++i)
+                entry[i] = q4 + ((s0 + i) * c + rcodes[s0 + i]) * half_n;
+            const __m256i bias =
+                _mm256_set1_epi32(static_cast<int32_t>(8 * gs));
+            const float *srow = scales + g * num_blocks;
+            for (int64_t c0 = 0; c0 < n; c0 += 64) {
+                const int64_t bytes = std::min<int64_t>(32, half_n - c0 / 2);
+                __m256i lo = _mm256_setzero_si256();
+                __m256i hi = _mm256_setzero_si256();
+                for (int64_t i = 0; i < gs; ++i) {
+                    const uint8_t *src = entry[i] + c0 / 2;
+                    if (bytes < 32) {
+                        std::memcpy(staged, src, static_cast<size_t>(bytes));
+                        src = staged;
+                    }
+                    const __m256i v = _mm256_loadu_si256(
+                        reinterpret_cast<const __m256i *>(src));
+                    lo = _mm256_add_epi8(lo, _mm256_and_si256(v, nib_mask));
+                    hi = _mm256_add_epi8(
+                        hi,
+                        _mm256_and_si256(_mm256_srli_epi16(v, 4), nib_mask));
+                }
+                // Per 128-bit lane L: unpacklo holds columns 32L..32L+15,
+                // unpackhi columns 32L+16..32L+31.
+                const __m256i even = _mm256_unpacklo_epi8(lo, hi);
+                const __m256i odd = _mm256_unpackhi_epi8(lo, hi);
+                const __m128i quarters[4] = {
+                    _mm256_castsi256_si128(even),
+                    _mm256_castsi256_si128(odd),
+                    _mm256_extracti128_si256(even, 1),
+                    _mm256_extracti128_si256(odd, 1)};
+                const __m256 vs = _mm256_set1_ps(srow[c0 / block_cols]);
+                const int64_t cols = std::min<int64_t>(64, n - c0);
+                for (int64_t k = 0; k < 8 && 8 * k < cols; ++k) {
+                    const __m256i m = _mm256_cmpgt_epi32(
+                        _mm256_set1_epi32(static_cast<int32_t>(cols - 8 * k)),
+                        lane_idx);
+                    const __m128i q = quarters[k / 2];
+                    const __m256i wide = _mm256_cvtepu8_epi32(
+                        k % 2 == 0 ? q : _mm_srli_si128(q, 8));
+                    float *out = yr + c0 + 8 * k;
+                    const __m256 f = _mm256_mul_ps(
+                        vs,
+                        _mm256_cvtepi32_ps(_mm256_sub_epi32(wide, bias)));
+                    _mm256_maskstore_ps(
+                        out, m, _mm256_add_ps(_mm256_maskload_ps(out, m), f));
+                }
+            }
+        }
+    }
+}
+
+/**
  * VPERMB + VPDPBUSD gather: one 64-byte LUT carries FOUR subspaces'
  * 16-entry tables; idx bytes are (code + 16 * j) so a single VPERMB
  * resolves 16 rows x 4 subspaces, laid out [row-quad interleaved] so
@@ -1014,6 +1201,28 @@ shuffleGatherChunkInt4(util::SimdLevel level, const uint8_t *q4_il,
                  "shuffleGatherChunkInt4 requires AVX2 or AVX-512");
     gatherChunkInt4Avx2(q4_il, scales, codes, code_stride, num_subspaces, n,
                         num_blocks, scale_group, block_cols, colmajor);
+}
+
+void
+sweepInt4Rows(util::SimdLevel level, const uint8_t *q4, const float *scales,
+              const int32_t *codes, int64_t rows, int64_t n,
+              int64_t num_subspaces, int64_t c, int64_t num_blocks,
+              int64_t scale_group, int64_t block_cols, float *y)
+{
+    LUTDLA_CHECK(scale_group >= 1 && scale_group <= 16,
+                 "INT4 row sweep supports scale groups of 1..16 subspaces");
+    LUTDLA_CHECK(block_cols % 128 == 0,
+                 "INT4 row sweep needs scale blocks of whole 128-column "
+                 "vector blocks");
+    if (level >= util::SimdLevel::Avx512) {
+        sweepInt4RowsAvx512(q4, scales, codes, rows, n, num_subspaces, c,
+                            num_blocks, scale_group, block_cols, y);
+        return;
+    }
+    LUTDLA_CHECK(level == util::SimdLevel::Avx2,
+                 "sweepInt4Rows requires AVX2 or AVX-512");
+    sweepInt4RowsAvx2(q4, scales, codes, rows, n, num_subspaces, c,
+                      num_blocks, scale_group, block_cols, y);
 }
 
 void

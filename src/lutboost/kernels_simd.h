@@ -12,7 +12,7 @@
  * arena kernels used to rely on. See docs/SERVING.md for the full
  * dispatch matrix (ISA x code width x table precision).
  *
- * Three kernel families:
+ * Kernel families:
  *
  *  - float encode: fused L2 distance + argmin for any 2 <= c <= 64,
  *    keeping the per-centroid accumulators in registers as blocks of
@@ -62,6 +62,13 @@
  *    column pair), and one bias-correcting subtract precedes the
  *    per-group dequantizing mul + add — again bit-identical to the
  *    scalar packed sweep.
+ *
+ *  - INT4 row sweep (AVX2+): the SIMD twin of the scalar packed sweep
+ *    for row tails too short for a shuffle chunk. It reads the
+ *    row-major bank one 64-byte (32 at AVX2) slice per looked-up entry,
+ *    sums both nibble planes in u8 lanes across the scale group as the
+ *    shuffle gathers do, and widens once per (group, 128 columns)
+ *    instead of once per byte — bit-identical to the scalar sweep.
  *
  *  - transpose-out: moves a chunk's column-major partial sums into the
  *    row-major output through 16 x 16 (AVX-512) / 8 x 8 (AVX2) register
@@ -138,7 +145,7 @@ void encodeInt8C16Rows(util::SimdLevel level, const float *x, int64_t rows,
 bool shuffleGatherSupported(util::SimdLevel level);
 
 /** Rows one shuffle-gather chunk covers at `level` (64 AVX-512, 32 AVX2;
- * 0 when unsupported). Callers hand tails to the scalar sweep. */
+ * 0 when unsupported). Callers hand short tails to a row sweep. */
 int64_t shuffleGatherChunkRows(util::SimdLevel level);
 
 /**
@@ -197,6 +204,32 @@ void shuffleGatherChunkInt4(util::SimdLevel level, const uint8_t *q4_il,
                             int64_t n, int64_t num_blocks,
                             int64_t scale_group, int64_t block_cols,
                             float *colmajor);
+
+/**
+ * Row-sweep twin of the arena's scalar INT4 packed group sweep, for row
+ * tails too short for a shuffle chunk: reads the same row-major bank and
+ * the same unpacked codes, and adds into `y` the same float values in
+ * the same order, so the output is bit-identical to the scalar sweep.
+ * Per (row, scale group, 128-column block) it loads 64 bytes (AVX-512;
+ * two 32-byte halves at AVX2) from each of up to 16 subspace rows, sums
+ * both nibble planes in u8 lanes (at most 16 * 15 = 240, exact),
+ * re-interleaves them into column order, subtracts 8 * gs in int32 and
+ * issues one mul + add per (group, column). `level` must be Avx2 or
+ * above.
+ *
+ * @param q4      row-major packed bank: the ceil(n / 2) bytes of entry
+ *                (s, j) start at q4 + (s * c + j) * ceil(n / 2); low
+ *                nibble = even column, both planes biased by +8.
+ * @param codes   [rows, num_subspaces] codes, row-major.
+ * @param y       [rows, n] row-major output, accumulated into.
+ * Other parameters as in shuffleGatherChunkInt4; block_cols must be a
+ * multiple of 128 so a vector block never straddles a scale block.
+ */
+void sweepInt4Rows(util::SimdLevel level, const uint8_t *q4,
+                   const float *scales, const int32_t *codes, int64_t rows,
+                   int64_t n, int64_t num_subspaces, int64_t c,
+                   int64_t num_blocks, int64_t scale_group,
+                   int64_t block_cols, float *y);
 
 /**
  * Copy the first `rows` lanes of a shuffle chunk's column-major partials

@@ -571,13 +571,14 @@ template <typename Chunk, typename Sweep>
 void
 LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, float *y,
                                GatherScratch &scratch,
-                               util::SimdLevel level, Chunk &&run_chunk,
-                               Sweep &&sweep) const
+                               util::SimdLevel level, int64_t pad_tail_rows,
+                               Chunk &&run_chunk, Sweep &&sweep) const
 {
     checkCodes(codes);
     const int64_t n = out_features_;
     const int64_t rows = codes.rows();
     const int64_t chunk = simd::shuffleGatherChunkRows(level);
+    const int64_t pad_min = pad_tail_rows * chunk / 64;
     float *colmajor = nullptr;
     if (chunk > 0) {
         LUTDLA_CHECK(codes.bits() == 8,
@@ -589,17 +590,17 @@ LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, float *y,
         float *yb = y + b0 * n;
         // Whole chunks run through the shuffle kernel straight off the
         // code planes. A row tail still worth a vector pass runs PADDED
-        // through one more chunk — cheaper than the scalar sweep above
-        // ~chunk/4 rows. Its extra lanes read the plane's zero pad (code
+        // through one more chunk — cheaper than the bank's row sweep from
+        // pad_min rows on. Its extra lanes read the plane's zero pad (code
         // 0, a valid index); they are computed and never copied out, and
         // the valid lanes see identical math, so it is bit-exact. Chunks
         // start at multiples of the chunk width and a padded plane is a
         // multiple of kPlaneAlign, so every chunk lies inside the plane.
         // Planes shorter than a chunk (tiny batches, stored unpadded) take
-        // the scalar sweep.
+        // the row sweep.
         int64_t done = 0;
         while (chunk > 0 && chunk <= codes.planeStride() &&
-               bn - done >= chunk / 4) {
+               bn - done >= pad_min) {
             const int64_t valid = std::min(chunk, bn - done);
             const int64_t first = b0 + done;
             LUTDLA_CHECK(first + chunk <= codes.planeStride(),
@@ -612,7 +613,7 @@ LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, float *y,
             done += valid;
         }
         if (done < bn) {
-            // Small row tail (or the whole block for the scalar variant):
+            // Short row tail (or the whole block for the scalar variant):
             // identical group scales and exact integer accumulation, so
             // the seam between paths is invisible in the output.
             const int64_t tail = bn - done;
@@ -640,7 +641,7 @@ LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes, float *y,
     const util::SimdLevel level =
         checkedLevel(variant, !bank.q_quad.empty(), num_centroids_);
     gatherQuantized(
-        codes, y, scratch, level,
+        codes, y, scratch, level, kInt8PadTailRows,
         [&](const uint8_t *lanes, int64_t stride, float *colmajor) {
             simd::shuffleGatherChunk(level, bank.q_quad.data(),
                                      bank.scales.data(), lanes, stride,
@@ -669,7 +670,7 @@ LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes, float *y,
     const util::SimdLevel level =
         checkedLevel(variant, !bank.q4_il.empty(), num_centroids_);
     gatherQuantized(
-        codes, y, scratch, level,
+        codes, y, scratch, level, kInt4PadTailRows,
         [&](const uint8_t *lanes, int64_t stride, float *colmajor) {
             simd::shuffleGatherChunkInt4(
                 level, bank.q4_il.data(), bank.scales.data(), lanes, stride,
@@ -677,10 +678,20 @@ LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes, float *y,
                 kInt4ScaleGroup, kInt4BlockCols, colmajor);
         },
         [&](const int32_t *unpacked, int64_t bn, float *yb) {
-            sweepInt4ColOuter(bank.q4.data(), bank.scales.data(), unpacked,
-                              bn, out_features_, bank.half_n,
-                              num_subspaces_, num_centroids_,
-                              bank.num_blocks, bank.num_groups, yb);
+            // The shuffle tiers sweep their row tails with the SIMD twin
+            // of the scalar sweep; the scalar variant keeps the
+            // reference.
+            if (level == util::SimdLevel::Generic)
+                sweepInt4ColOuter(bank.q4.data(), bank.scales.data(),
+                                  unpacked, bn, out_features_, bank.half_n,
+                                  num_subspaces_, num_centroids_,
+                                  bank.num_blocks, bank.num_groups, yb);
+            else
+                simd::sweepInt4Rows(level, bank.q4.data(),
+                                    bank.scales.data(), unpacked, bn,
+                                    out_features_, num_subspaces_,
+                                    num_centroids_, bank.num_blocks,
+                                    kInt4ScaleGroup, kInt4BlockCols, yb);
         });
 }
 

@@ -33,8 +33,11 @@
  *    VPSHUFB plus one unpack-and-shift per lookup over 64-row (AVX-512)
  *    or 32-row (AVX2) chunks — reading the code planes in place and
  *    transposing each chunk's column-major partials out with a SIMD
- *    register transpose; otherwise (and for row tails) a scalar group
- *    sweep runs. All paths of one bank share exact integer accumulation
+ *    register transpose; otherwise a scalar group sweep runs, and so do
+ *    the row tails too short for a chunk — for INT4 on the shuffle
+ *    tiers through its SIMD twin (simd::sweepInt4Rows), which sums the
+ *    nibbles of each group in u8 lanes. All paths of one bank share
+ *    exact integer accumulation
  *    under per-(subspace-group, column-block) scales, so every variant
  *    of a bank is bit-identical by construction.
  * Both phases work on whole code buffers: an encode fills one from row
@@ -394,6 +397,19 @@ class LutTableArena
     /** Rows per internal block of the batched kernel. */
     static constexpr int64_t kRowBlock = 256;
 
+    /**
+     * Quantized-gather row tails, in rows per 64-row shuffle chunk (a
+     * 32-row AVX2 chunk halves them): a tail of at least this many rows
+     * runs padded through one more chunk, a shorter one through the
+     * bank's row sweep. Each is its bank's measured crossover of sweep
+     * against padded chunk (docs/SERVING.md, "Kernel tier audit"): the
+     * INT8 scalar sweep ties the VNNI chunk at ~20 rows, and the INT4
+     * SIMD row sweep ties the shuffle chunk at ~32 (AVX-512) and ~16
+     * (AVX2) rows.
+     */
+    static constexpr int64_t kInt8PadTailRows = 20;
+    static constexpr int64_t kInt4PadTailRows = 32;
+
     /** Subspace banks folded per output-slab sweep in the grouped path. */
     static constexpr int64_t kSubspaceGroup = 8;
 
@@ -468,8 +484,9 @@ class LutTableArena
      * (row, subspace) and identical across columns, so one looked-up
      * byte serves BOTH columns of a pair — the shuffle kernels unpack
      * the two nibble planes with one AND + one shift per lookup. `q4`
-     * row-major [Nc, c, ceil(N/2)] for the scalar sweep (kept beside the
-     * mirror for row tails and tiny batches, as `q` is in Int8Bank);
+     * row-major [Nc, c, ceil(N/2)] for the row sweeps, scalar and SIMD
+     * (kept beside the mirror for row tails and tiny batches, as `q` is
+     * in Int8Bank);
      * `q4_il` interleaved [Nc, ceil(N/2), 16] (c <= 16 on an AVX2+ host)
      * so each (subspace, column pair) is one vector-register LUT. Odd N leaves
      * the last pair's high nibble at the bias value 8 (exact zero):
@@ -558,8 +575,9 @@ class LutTableArena
      * `run_chunk(codes, code_stride, colmajor)` in shuffle chunks of
      * simd::shuffleGatherChunkRows(level) rows (Generic = scalar only),
      * reading the code planes in place from row 0; a tail of at least
-     * chunk/4 rows runs padded through one more chunk (its extra lanes
-     * read the plane's zero pad), and a smaller tail through
+     * `pad_tail_rows` per 64 chunk rows (kInt8PadTailRows /
+     * kInt4PadTailRows) runs padded through one more chunk (its extra
+     * lanes read the plane's zero pad), and a smaller tail through
      * `sweep(codes, rows, y)` over a zeroed output. Chunk partials reach
      * the output through the SIMD transpose at `level`. Both paths share
      * the bank's exact integer accumulation, so every seam is
@@ -568,7 +586,8 @@ class LutTableArena
     template <typename Chunk, typename Sweep>
     void gatherQuantized(const vq::CodeBuffer &codes, float *y,
                          GatherScratch &scratch, util::SimdLevel level,
-                         Chunk &&run_chunk, Sweep &&sweep) const;
+                         int64_t pad_tail_rows, Chunk &&run_chunk,
+                         Sweep &&sweep) const;
 
     /** Add the packed bias row to `bn` output rows (no-op without bias). */
     void addBias(float *yb, int64_t bn) const;

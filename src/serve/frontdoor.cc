@@ -148,7 +148,7 @@ FrontDoor::enqueue(const std::string &model, Tensor rows,
                          [](LaneAccum &lane) { lane.rejected++; });
             } else {
                 total_accum_.rejected++;
-                tenant_accum_[tenant].rejected++;
+                tenantLaneLocked(tenant).rejected++;
             }
         }
         promise.set_value(std::move(status));
@@ -608,7 +608,7 @@ FrontDoor::executeBatch(std::vector<ReqPtr> &batch, int64_t rows,
             };
             record(total_accum_);
             record(model_lane);
-            record(tenant_accum_[req.tenant]);
+            record(tenantLaneLocked(req.tenant));
         }
     }
 
@@ -621,6 +621,18 @@ FrontDoor::executeBatch(std::vector<ReqPtr> &batch, int64_t rows,
         offset += req->rows;
         req->promise.set_value(std::move(slice));
     }
+}
+
+FrontDoor::LaneAccum &
+FrontDoor::tenantLaneLocked(const std::string &tenant)
+{
+    const auto it = tenant_accum_.find(tenant);
+    if (it != tenant_accum_.end())
+        return it->second;
+    // Once the cap is reached the overflow lane is the (cap + 1)-th.
+    return tenant_accum_[tenant_accum_.size() < kMaxTenantLanes
+                             ? tenant
+                             : std::string(kOverflowTenant)];
 }
 
 LaneStats

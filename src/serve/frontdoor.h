@@ -241,6 +241,15 @@ class FrontDoor : private IntraBatchPool
     /** Consistent snapshot of the lifetime serving statistics. */
     FrontDoorStats stats() const;
 
+    /** Distinct tenant names that get a stats lane of their own (each
+     * holds three latency histograms, ~50 KB); later names all count on
+     * the one kOverflowTenant lane, so caller-chosen names cannot grow
+     * the stats without bound. */
+    static constexpr size_t kMaxTenantLanes = 64;
+
+    /** Stats lane shared by every tenant past kMaxTenantLanes. */
+    static constexpr const char *kOverflowTenant = "(other tenants)";
+
     /** The options the front door runs with. */
     const FrontDoorOptions &options() const { return options_; }
 
@@ -337,6 +346,11 @@ class FrontDoor : private IntraBatchPool
     static LaneStats snapshotLane(const LaneAccum &accum,
                                   int active_workers);
 
+    /** The stats lane of `tenant`: its own while fewer than
+     * kMaxTenantLanes lanes exist, else the kOverflowTenant lane.
+     * stats_mu_ held. */
+    LaneAccum &tenantLaneLocked(const std::string &tenant);
+
     /** Apply `fn` to the total, per-model and per-tenant buckets of one
      * request. stats_mu_ held. */
     template <typename Fn>
@@ -345,7 +359,7 @@ class FrontDoor : private IntraBatchPool
     {
         fn(total_accum_);
         fn(model_accum_[model]);
-        fn(tenant_accum_[tenant]);
+        fn(tenantLaneLocked(tenant));
     }
 
     mutable std::mutex stats_mu_;

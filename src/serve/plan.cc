@@ -147,6 +147,12 @@ planTiles(const std::vector<StagePtr> &stages, const PlanOptions &options,
     int64_t chain_max_width = 0;   // widest plane the untiled chain holds
     int64_t barrier_max_width = 0; // widest plane still full-batch, tiled
     int64_t tile_interior_max = 0; // widest tile-local plane, in bytes/2
+    // The runner writes the last out-of-place stage's output straight
+    // into the result tensor (FrozenModel::runStages).
+    size_t last_oop = 0;
+    for (size_t s = 0; s < stages.size(); ++s)
+        if (!stages[s]->inPlace())
+            last_oop = s;
 
     size_t i = 0;
     while (i < stages.size()) {
@@ -202,10 +208,16 @@ planTiles(const std::vector<StagePtr> &stages, const PlanOptions &options,
                 kTileCacheBytes / std::max<int64_t>(1, row_bytes);
             seg.tile_rows = std::max(granule, (fit / granule) * granule);
         }
-        // Only the segment's boundary planes stay full-batch.
-        barrier_max_width =
-            std::max({barrier_max_width, stages[i]->inWidth(),
-                      stages[j - 1]->outWidth()});
+        // Only the segment's boundary planes stay full-batch, and not
+        // even those where the segment reads the request tensor (it
+        // starts the chain) or writes the result tensor (it holds the
+        // last out-of-place stage).
+        if (i > 0)
+            barrier_max_width =
+                std::max(barrier_max_width, stages[i]->inWidth());
+        if (j <= last_oop)
+            barrier_max_width =
+                std::max(barrier_max_width, stages[j - 1]->outWidth());
         tile_interior_max = std::max(
             tile_interior_max,
             seg.tile_rows * interior *

@@ -185,7 +185,9 @@ struct TileExecPlan
      * grown to the chain's widest stage). */
     int64_t untiled_plane_bytes_per_row = 0;
     /** Ping-pong plane bytes per batch row WITH tiling: only barrier
-     * stages and segment-boundary planes still hold full-batch rows. */
+     * stages and segment-boundary planes still hold full-batch rows — a
+     * segment that starts the chain reads the request tensor, and one
+     * holding the last out-of-place stage writes the result tensor. */
     int64_t tiled_plane_bytes_per_row = 0;
     /** Fixed tile-local plane bytes (StageScratch::tile_a/tile_b grown
      * to the widest tiled segment's interior). */

@@ -51,10 +51,10 @@ class CodeBuffer
      * so a chunk starting at a multiple of it never leaves the plane. */
     static constexpr int64_t kPlaneAlign = 64;
 
-    /** Smallest batch whose planes are padded to kPlaneAlign: a quarter of
-     * the narrowest (AVX2, 32-row) shuffle chunk, the fewest rows the
-     * gathers ever run through a padded chunk. */
-    static constexpr int64_t kMinPaddedRows = 8;
+    /** Smallest batch whose planes are padded to kPlaneAlign: the fewest
+     * rows the gathers ever run through a padded chunk (an INT4 tail at
+     * AVX2's 32-row chunk; see LutTableArena::kInt4PadTailRows). */
+    static constexpr int64_t kMinPaddedRows = 16;
 
     CodeBuffer() = default;
 

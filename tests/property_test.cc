@@ -896,6 +896,20 @@ INSTANTIATE_TEST_SUITE_P(
                                                   130),
                        ::testing::Values<int64_t>(71, 64, 7)));
 
+// The row tails of the SIMD sweep at widths that reach whole 128-column
+// vector blocks (130: one block and a 2-column ragged block; 257: two
+// blocks and a dangling odd column) and depths with whole scale groups:
+// K = 280 is 35 subspaces at v = 8 (two full 16-subspace groups and a
+// 3-subspace tail) and 94 at v = 3 (K % v != 0). 3 and 15 rows are
+// whole-batch tails, 79 = 64 + 15 a tail behind a full chunk.
+INSTANTIATE_TEST_SUITE_P(
+    WideShapes, Int4GatherVariants,
+    ::testing::Combine(::testing::Values<int64_t>(23, 280),
+                       ::testing::Values<int64_t>(3, 8),
+                       ::testing::Values<int64_t>(4, 16),
+                       ::testing::Values<int64_t>(3, 15, 79),
+                       ::testing::Values<int64_t>(130, 257)));
+
 /**
  * The u8 bound of the shuffle tiers, hit exactly: every centroid and
  * weight is 1, so every LUT entry is v, every entry quantizes to the top
@@ -905,30 +919,38 @@ INSTANTIATE_TEST_SUITE_P(
  */
 TEST(Int4GatherSaturatedGroup, NibblesOfFifteenReach240BitExact)
 {
-    const int64_t v = 4, k = 16 * v, n = 71;
+    const int64_t v = 4, k = 16 * v;
     vq::PQConfig pq;
     pq.v = v;
     pq.c = 16;
-    lutboost::LutLinear layer(k, n, pq, /*bias=*/false, /*seed=*/3);
-    layer.centroids().value.fill(1.0f);
-    layer.weight().value.fill(1.0f);
-    layer.refreshInferenceLut();
-    const auto arena = layer.inferenceArena();
-    arena->ensureInt4Bank();
-    ASSERT_EQ(arena->numSubspaces(),
-              lutboost::LutTableArena::kInt4ScaleGroup);
-    for (const int64_t rows : {16, 64, 130}) {
-        Rng rng(7 + static_cast<uint64_t>(rows));
-        Tensor x(Shape{rows, k});
-        for (int64_t i = 0; i < x.numel(); ++i)
-            x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
-        Tensor scalar;
-        expectInt4TiersMatchScalar(*arena, x,
-                                   "saturated rows=" + std::to_string(rows),
-                                   scalar);
-        for (int64_t i = 0; i < scalar.numel(); ++i)
-            ASSERT_NEAR(scalar.at(i), static_cast<float>(k), 1e-4f)
-                << "a nibble missed the top level at flat index " << i;
+    // 71 columns stay inside one vector block; 257 fill two whole
+    // 128-column blocks of the row sweep and dangle one odd column.
+    for (const int64_t n : {71, 257}) {
+        lutboost::LutLinear layer(k, n, pq, /*bias=*/false, /*seed=*/3);
+        layer.centroids().value.fill(1.0f);
+        layer.weight().value.fill(1.0f);
+        layer.refreshInferenceLut();
+        const auto arena = layer.inferenceArena();
+        arena->ensureInt4Bank();
+        ASSERT_EQ(arena->numSubspaces(),
+                  lutboost::LutTableArena::kInt4ScaleGroup);
+        // 3 rows run the row sweep alone; 16, 64 and 130 the shuffle
+        // chunks and their tails.
+        for (const int64_t rows : {3, 16, 64, 130}) {
+            Rng rng(7 + static_cast<uint64_t>(rows));
+            Tensor x(Shape{rows, k});
+            for (int64_t i = 0; i < x.numel(); ++i)
+                x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
+            Tensor scalar;
+            expectInt4TiersMatchScalar(
+                *arena, x,
+                "saturated rows=" + std::to_string(rows) +
+                    " n=" + std::to_string(n),
+                scalar);
+            for (int64_t i = 0; i < scalar.numel(); ++i)
+                ASSERT_NEAR(scalar.at(i), static_cast<float>(k), 1e-4f)
+                    << "a nibble missed the top level at flat index " << i;
+        }
     }
 }
 

@@ -219,6 +219,50 @@ TEST(FrontDoor, UnpublishedNamesDoNotGrowModelLanesRegression)
     door.value()->shutdown();
 }
 
+TEST(FrontDoor, DistinctTenantNamesShareOneOverflowLaneRegression)
+{
+    // The caller picks the tenant name too: 20,000 distinct names must
+    // not open 20,000 lanes. Past the cap they share one overflow lane,
+    // and no count is lost — the tenant lanes still add up to the total.
+    auto door = serve::FrontDoor::create({});
+    ASSERT_TRUE(door.ok());
+    ASSERT_TRUE(door.value()->publish("m", traceModel(1)).ok());
+    const Tensor row = randomRows(1, 24, 1);
+    serve::RequestOptions options;
+    for (int i = 0; i < 20000; ++i) {
+        options.tenant = "t-" + std::to_string(i);
+        ASSERT_EQ(door.value()->submit("ghost", row, options).status().code(),
+                  api::StatusCode::NotFound);
+    }
+    // Accepted traffic under fresh names lands on the overflow lane.
+    std::vector<std::future<api::Result<Tensor>>> futures;
+    for (int i = 0; i < 50; ++i) {
+        options.tenant = "late-" + std::to_string(i);
+        futures.push_back(door.value()->submitAsync("m", row, options));
+    }
+    for (auto &future : futures)
+        ASSERT_TRUE(future.get().ok());
+    door.value()->shutdown();
+
+    const serve::FrontDoorStats stats = door.value()->stats();
+    EXPECT_LE(stats.tenants.size(), serve::FrontDoor::kMaxTenantLanes + 1);
+    ASSERT_EQ(stats.tenants.count(serve::FrontDoor::kOverflowTenant), 1u);
+    EXPECT_EQ(stats.tenants.at(serve::FrontDoor::kOverflowTenant).served,
+              50u);
+    uint64_t rejected = 0, accepted = 0, served = 0, rows = 0;
+    for (const auto &entry : stats.tenants) {
+        rejected += entry.second.rejected;
+        accepted += entry.second.accepted;
+        served += entry.second.served;
+        rows += entry.second.rows;
+    }
+    EXPECT_EQ(stats.total.rejected, 20000u);
+    EXPECT_EQ(rejected, stats.total.rejected);
+    EXPECT_EQ(accepted, stats.total.accepted);
+    EXPECT_EQ(served, stats.total.served);
+    EXPECT_EQ(rows, stats.total.rows);
+}
+
 TEST(FrontDoor, LaneReportsBatchFillPhasesAndActiveWorkers)
 {
     // The per-batch accounting lives in the front door: each model lane

@@ -227,6 +227,9 @@ TEST(TiledExecutor, PlanReportsSegmentsAndScratchReduction)
     EXPECT_LT(tiles.scratchBytesPerWorker(batch, true),
               tiles.scratchBytesPerWorker(batch, false))
         << model->planSummary();
+    // The segment spans the whole chain: it reads the request tensor and
+    // writes the result tensor, so no plane holds the full batch.
+    EXPECT_EQ(tiles.tiled_plane_bytes_per_row, 0) << model->planSummary();
 
     const std::string summary = model->planSummary();
     EXPECT_NE(summary.find("tiled executor"), std::string::npos);
@@ -423,6 +426,13 @@ TEST(InferenceEngine, TiledTasksRaceBitExactTransformer)
         for (int64_t s = seg.begin; s < seg.end; ++s)
             EXPECT_TRUE(
                 tiled.stages()[static_cast<size_t>(s)]->rowTileable());
+    // The barriers between the segments still ping-pong full-batch
+    // d_model-wide planes; only the widest interior (d_ff) is tile-local.
+    EXPECT_EQ(tiled.tilePlan().tiled_plane_bytes_per_row,
+              2 * kDModel * static_cast<int64_t>(sizeof(float)))
+        << tiled.planSummary();
+    EXPECT_GT(tiled.tilePlan().untiled_plane_bytes_per_row,
+              tiled.tilePlan().tiled_plane_bytes_per_row);
 
     serve::EngineOptions options;
     options.threads = 4;
