@@ -3,11 +3,11 @@
  * Google-benchmark microbenchmarks: exact GEMM vs LUT-GEMM (encode +
  * lookup) software kernels, the encode and lookup phases separately, and
  * the serving arena's split data-plane kernels (planar-code encodeBatch,
- * the INT8 argmin-encode at every forced EncodeVariant — scalar integer
+ * the INT8 argmin-encode at every forced SIMD level — scalar integer
  * reference vs VPMADDUBSW/VPMADDWD vs VPDPBUSD, identical codes across
  * all three — float-bank gather, INT8-bank gather with both kernel
- * variants forced (scalar group sweep vs VPERMB+VPDPBUSD dot), and the
- * nibble-packed INT4-bank gather at its forced variants for the
+ * tiers forced (scalar group sweep vs VPERMB+VPDPBUSD dot), and the
+ * nibble-packed INT4-bank gather at its forced levels for the
  * bytes-halved-vs-unpack-cost comparison against INT8 and float), and
  * the element-wise and attention math around the tables (GELU over one
  * FFN epilogue and one sequence's attention core, scalar twin vs
@@ -169,35 +169,37 @@ BM_ArenaGatherFloat(benchmark::State &state)
         static_cast<double>(ax.arena.sizeBytes());
 }
 
+/** Skips `state` when `level` asks for more than the running CPU has. */
+bool
+skipAboveHost(benchmark::State &state, util::SimdLevel level)
+{
+    if (level <= util::simdLevel())
+        return false;
+    state.SkipWithError("SIMD tier not available on this CPU");
+    return true;
+}
+
 /**
- * INT8 argmin-encode at a forced kernel variant: identical codes across
- * every variant (exact int32 scores), timed against the float
+ * INT8 argmin-encode capped at a forced SIMD level: identical codes
+ * across every tier (exact int32 scores), timed against the float
  * BM_ArenaEncodeBatch rows at the same shapes — the quantized-encode
  * acceptance comparison. Args are (rows, K, v); the K = 4608, v = 8 rows
  * are the hottest resnet18 stage at one served 64-row tile (row-lane
- * blocks) and at 4 rows (the per-row remainder). Unsupported variants
+ * blocks) and at 4 rows (the per-row remainder). Levels above the host's
  * skip.
  */
 void
-encodeInt8Variant(benchmark::State &state, lutboost::EncodeVariant variant)
+encodeInt8Variant(benchmark::State &state, util::SimdLevel level)
 {
-    if (variant == lutboost::EncodeVariant::DotVnni &&
-        util::simdLevel() < util::SimdLevel::Avx512Vnni) {
-        state.SkipWithError("AVX-512 VNNI not available");
+    if (skipAboveHost(state, level))
         return;
-    }
-    if (variant == lutboost::EncodeVariant::MaddAvx2 &&
-        util::simdLevel() < util::SimdLevel::Avx2) {
-        state.SkipWithError("AVX2 not available");
-        return;
-    }
     ArenaFixture ax(state.range(0), state.range(1), 64, state.range(2),
                     16);
     ax.arena.ensureInt8EncodeBank();
     for (auto _ : state) {
         ax.arena.encodeBatchInt8(ax.fx.a.data(), ax.fx.a.dim(0),
-                                 ax.scratch.codes, ax.scratch.encode,
-                                 variant);
+                                 ax.scratch.codes, ax.scratch.encode, 0,
+                                 level);
         benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
     }
     state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
@@ -208,46 +210,42 @@ encodeInt8Variant(benchmark::State &state, lutboost::EncodeVariant variant)
 void
 BM_ArenaEncodeInt8(benchmark::State &state)
 {
-    encodeInt8Variant(state, lutboost::EncodeVariant::Auto);
+    encodeInt8Variant(state, util::simdLevel());
 }
 
 void
 BM_ArenaEncodeInt8Scalar(benchmark::State &state)
 {
-    encodeInt8Variant(state, lutboost::EncodeVariant::Scalar);
+    encodeInt8Variant(state, util::SimdLevel::Generic);
 }
 
 void
 BM_ArenaEncodeInt8MaddAvx2(benchmark::State &state)
 {
-    encodeInt8Variant(state, lutboost::EncodeVariant::MaddAvx2);
+    encodeInt8Variant(state, util::SimdLevel::Avx2);
 }
 
 void
 BM_ArenaEncodeInt8DotVnni(benchmark::State &state)
 {
-    encodeInt8Variant(state, lutboost::EncodeVariant::DotVnni);
+    encodeInt8Variant(state, util::SimdLevel::Avx512Vnni);
 }
 
 /**
- * INT8 gather at a forced kernel variant (the tier audit: VNNI shuffle
- * vs scalar at c=16 on identical codes, bit-exact outputs). The VNNI
- * variant skips on hosts without VBMI+VNNI.
+ * INT8 gather capped at a forced SIMD level (the tier audit: VNNI
+ * shuffle vs scalar at c=16 on identical codes, bit-exact outputs). The
+ * VNNI level skips on hosts without VBMI+VNNI.
  */
 void
-gatherInt8Variant(benchmark::State &state,
-                  lutboost::Int8GatherVariant variant)
+gatherInt8Variant(benchmark::State &state, util::SimdLevel level)
 {
-    if (variant == lutboost::Int8GatherVariant::ShuffleVnni &&
-        util::simdLevel() < util::SimdLevel::Avx512Vnni) {
-        state.SkipWithError("AVX-512 VBMI+VNNI not available");
+    if (skipAboveHost(state, level))
         return;
-    }
     ArenaFixture ax(state.range(0), state.range(1), state.range(2), 4,
                     16);
     for (auto _ : state) {
         ax.arena.gatherAccumulateInt8(ax.scratch.codes, ax.y.data(),
-                                      ax.scratch.gather, variant);
+                                      ax.scratch.gather, level);
         benchmark::DoNotOptimize(ax.y.data());
     }
     state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
@@ -258,53 +256,44 @@ gatherInt8Variant(benchmark::State &state,
 void
 BM_ArenaGatherInt8(benchmark::State &state)
 {
-    gatherInt8Variant(state, lutboost::Int8GatherVariant::Auto);
+    gatherInt8Variant(state, util::simdLevel());
 }
 
 void
 BM_ArenaGatherInt8Scalar(benchmark::State &state)
 {
-    gatherInt8Variant(state, lutboost::Int8GatherVariant::Scalar);
+    gatherInt8Variant(state, util::SimdLevel::Generic);
 }
 
 void
 BM_ArenaGatherInt8ShuffleVnni(benchmark::State &state)
 {
-    gatherInt8Variant(state, lutboost::Int8GatherVariant::ShuffleVnni);
+    gatherInt8Variant(state, util::SimdLevel::Avx512Vnni);
 }
 
 /**
- * INT4 gather at a forced kernel variant: same codes, nibble-packed
+ * INT4 gather capped at a forced SIMD level: same codes, nibble-packed
  * bit-plane bank (two output columns per byte). Compared against the
  * INT8 and float rows at identical shapes, this times the cost of the
  * extra unpack-and-shift against the halved table stream. Args are
  * (rows, K, N, v); 64 x 4608 x 512 at v = 8 is the hottest resnet18
  * stage at one served tile, and 1-15 rows of it are the row-tail path:
- * the SIMD row sweep under Auto and the shuffle variants, the scalar
- * sweep under Scalar.
+ * the SIMD row sweep at the default cap and the shuffle levels, the
+ * scalar sweep under Scalar.
  * The 256-row rows (int4GatherArgs) are the resnet18-bulk stage
  * shapes at a full batch: on the small-K stages and the fc, the code
  * handoff and the transpose-out are a large share of the gather.
  */
 void
-gatherInt4Variant(benchmark::State &state,
-                  lutboost::Int4GatherVariant variant)
+gatherInt4Variant(benchmark::State &state, util::SimdLevel level)
 {
-    if (variant == lutboost::Int4GatherVariant::ShuffleAvx512 &&
-        util::simdLevel() < util::SimdLevel::Avx512) {
-        state.SkipWithError("AVX-512 not available");
+    if (skipAboveHost(state, level))
         return;
-    }
-    if (variant == lutboost::Int4GatherVariant::ShuffleAvx2 &&
-        util::simdLevel() < util::SimdLevel::Avx2) {
-        state.SkipWithError("AVX2 not available");
-        return;
-    }
     ArenaFixture ax(state.range(0), state.range(1), state.range(2),
                     state.range(3), 16);
     for (auto _ : state) {
         ax.arena.gatherAccumulateInt4(ax.scratch.codes, ax.y.data(),
-                                      ax.scratch.gather, variant);
+                                      ax.scratch.gather, level);
         benchmark::DoNotOptimize(ax.y.data());
     }
     state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
@@ -315,35 +304,25 @@ gatherInt4Variant(benchmark::State &state,
 void
 BM_ArenaGatherInt4(benchmark::State &state)
 {
-    gatherInt4Variant(state, lutboost::Int4GatherVariant::Auto);
+    gatherInt4Variant(state, util::simdLevel());
 }
 
 void
 BM_ArenaGatherInt4Scalar(benchmark::State &state)
 {
-    gatherInt4Variant(state, lutboost::Int4GatherVariant::Scalar);
+    gatherInt4Variant(state, util::SimdLevel::Generic);
 }
 
 void
 BM_ArenaGatherInt4ShuffleAvx512(benchmark::State &state)
 {
-    gatherInt4Variant(state, lutboost::Int4GatherVariant::ShuffleAvx512);
+    gatherInt4Variant(state, util::SimdLevel::Avx512);
 }
 
 void
 BM_ArenaGatherInt4ShuffleAvx2(benchmark::State &state)
 {
-    gatherInt4Variant(state, lutboost::Int4GatherVariant::ShuffleAvx2);
-}
-
-/** Skips `state` when `level` asks for more than the running CPU has. */
-bool
-skipAboveHost(benchmark::State &state, util::SimdLevel level)
-{
-    if (level <= util::simdLevel())
-        return false;
-    state.SkipWithError("SIMD tier not available on this CPU");
-    return true;
+    gatherInt4Variant(state, util::SimdLevel::Avx2);
 }
 
 /**

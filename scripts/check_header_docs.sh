@@ -16,7 +16,7 @@ fail=0
 # globbed set (the glob would just stop matching, and the gate would pass
 # while checking nothing).
 # kernels_simd.h and table_arena.h carry the quantized encode plane
-# (EncodeVariant tiers + the INT8 encode bank) — kernel-layer headers,
+# (the SIMD encode tiers + the INT8 encode bank) — kernel-layer headers,
 # but public surface the serve planner documents against.
 for required in src/serve/frontdoor.h src/serve/registry.h \
                 src/serve/engine.h src/serve/frozen_model.h \

@@ -18,14 +18,12 @@ nanosSince(std::chrono::steady_clock::time_point start)
             .count());
 }
 
-/** Shuffle chunk when the vector kernels dispatch, else the float/scalar
- * sweeps' row-block granularity. */
+/** Shuffle chunk of the quantized gather's resolved `level`, or the
+ * scalar sweeps' row-block granularity at Generic. */
 int64_t
-chunkOrRowBlock(bool scalar)
+chunkOrRowBlock(util::SimdLevel level)
 {
-    if (scalar)
-        return LutTableArena::kRowBlock;
-    const int64_t chunk = simd::shuffleGatherChunkRows(util::simdLevel());
+    const int64_t chunk = simd::shuffleGatherChunkRows(level);
     return chunk > 0 ? chunk : LutTableArena::kRowBlock;
 }
 
@@ -58,7 +56,7 @@ KernelBackend::encodeBatch(const LutTableArena &arena, const float *x,
     if (useInt8Encode(arena, encode)) {
         arena.ensureInt8EncodeBank();
         arena.encodeBatchInt8(x, rows, scratch.codes, scratch.encode,
-                              EncodeVariant::Auto, width);
+                              width);
         return;
     }
     arena.encodeBatch(x, rows, scratch.codes, scratch.encode, width);
@@ -115,7 +113,7 @@ class ReferenceBackend final : public KernelBackend
     }
 };
 
-/** INT8-bank gather: ~4x less table traffic, approximate. The variant
+/** INT8-bank gather: ~4x less table traffic, approximate. The tier
  * (shuffle vs scalar) resolves per arena + CPU at run time. */
 class QuantizedBackend final : public KernelBackend
 {
@@ -139,8 +137,7 @@ class QuantizedBackend final : public KernelBackend
     int64_t
     gatherGranuleRows(const LutTableArena &arena) const override
     {
-        return chunkOrRowBlock(arena.int8AutoVariant() ==
-                               Int8GatherVariant::Scalar);
+        return chunkOrRowBlock(arena.int8GatherLevel());
     }
 
     int64_t
@@ -180,8 +177,7 @@ class Int4Backend final : public KernelBackend
     int64_t
     gatherGranuleRows(const LutTableArena &arena) const override
     {
-        return chunkOrRowBlock(arena.int4AutoVariant() ==
-                               Int4GatherVariant::Scalar);
+        return chunkOrRowBlock(arena.int4GatherLevel());
     }
 
     int64_t

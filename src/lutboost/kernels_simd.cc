@@ -1096,12 +1096,6 @@ transposeOutAvx2(const float *__restrict__ colmajor, int64_t chunk,
 
 } // namespace
 
-bool
-encodeL2GenericSupported(util::SimdLevel level, int64_t c)
-{
-    return level >= util::SimdLevel::Avx2 && c >= 2 && c <= 64;
-}
-
 void
 encodeL2GenericRows(util::SimdLevel level, const float *x, int64_t rows,
                     int64_t stride, const float *cbt, int64_t v, int64_t c,
@@ -1116,12 +1110,6 @@ encodeL2GenericRows(util::SimdLevel level, const float *x, int64_t rows,
     LUTDLA_CHECK(level == util::SimdLevel::Avx2,
                  "encodeL2GenericRows requires AVX2 or AVX-512");
     encodeL2GenericRowsAvx2<8>(x, rows, stride, cbt, v, c, codes);
-}
-
-bool
-int8EncodeSupported(util::SimdLevel level)
-{
-    return level >= util::SimdLevel::Avx2;
 }
 
 void
@@ -1140,12 +1128,6 @@ encodeInt8C16Rows(util::SimdLevel level, const float *x, int64_t rows,
     LUTDLA_CHECK(level >= util::SimdLevel::Avx2,
                  "encodeInt8C16Rows requires AVX2 or newer");
     encodeInt8RowsAvx2(x, rows, stride, cs_quad, norms, lo, inv, v, codes);
-}
-
-bool
-shuffleGatherSupported(util::SimdLevel level)
-{
-    return level >= util::SimdLevel::Avx2;
 }
 
 int64_t

@@ -7,9 +7,9 @@
  *
  * Every function here is compiled with a per-function target attribute
  * (AVX-512BW, AVX2) in a TU built WITHOUT -march=native, so a single
- * binary carries every variant; callers pick one with util::simdLevel()
- * (cpuid at first use) instead of the compile-time #ifdef guards the
- * arena kernels used to rely on. See docs/SERVING.md for the full
+ * binary carries every tier. Each kernel takes the util::SimdLevel to run
+ * at; LutTableArena's per-family resolvers pick it from the arena shape
+ * and a cap that defaults to util::simdLevel() (cpuid at first use). See docs/SERVING.md for the full
  * dispatch matrix (ISA x code width x table precision).
  *
  * Kernel families:
@@ -82,10 +82,6 @@
 
 namespace lutdla::lutboost::simd {
 
-/** True when `level` provides the masked generic-c (2 <= c <= 64) L2
- * encode tier. */
-bool encodeL2GenericSupported(util::SimdLevel level, int64_t c);
-
 /**
  * Fused L2 distance + argmin: encode `rows` subvectors (row i at x + i *
  * stride, `v` floats each) against one transposed [v, c] codebook for any
@@ -100,15 +96,10 @@ void encodeL2GenericRows(util::SimdLevel level, const float *x,
                          int64_t rows, int64_t stride, const float *cbt,
                          int64_t v, int64_t c, int32_t *codes);
 
-/** True when `level` provides an INT8 integer argmin-encode tier
- * (requires AVX2; the VNNI tier additionally requires
- * SimdLevel::Avx512Vnni). */
-bool int8EncodeSupported(util::SimdLevel level);
-
 /**
  * INT8 integer argmin-encode of `rows` subvectors (row i at x + i *
  * stride, `v` floats each, v <= 128) against one subspace's quantized
- * encode bank at `level` (which must satisfy int8EncodeSupported).
+ * encode bank at `level` (Avx2 or above; Avx512Vnni runs the VNNI tier).
  *
  * Each subvector is quantized onto the bank's 7-bit grid (x_u =
  * clamp(round((x - lo) * inv), 0, 127), NaN -> 0) and scored against all
@@ -139,10 +130,6 @@ void encodeInt8C16Rows(util::SimdLevel level, const float *x, int64_t rows,
                        int64_t stride, const int8_t *cs_quad,
                        const int32_t *norms, float lo, float inv,
                        int64_t v, int32_t *codes);
-
-/** True when `level` provides the INT4 shuffle gathers (AVX2+). The INT8
- * shuffle gather additionally needs SimdLevel::Avx512Vnni. */
-bool shuffleGatherSupported(util::SimdLevel level);
 
 /** Rows one shuffle-gather chunk covers at `level` (64 AVX-512, 32 AVX2;
  * 0 when unsupported). Callers hand short tails to a row sweep. */

@@ -129,6 +129,17 @@ growScratch(std::vector<T> &v, int64_t n)
     return v.data();
 }
 
+/** Panic unless the running CPU provides `level`: a cap may lower the
+ * tier a call runs, never raise it past what cpuid (and LUTDLA_SIMD)
+ * allow. */
+void
+checkCap(util::SimdLevel level)
+{
+    LUTDLA_CHECK(level <= util::simdLevel(), "SIMD cap ",
+                 util::simdLevelName(level), " is above this CPU's ",
+                 util::simdLevelName(util::simdLevel()));
+}
+
 inline int32_t
 argminScan(const float *__restrict__ d, int64_t c)
 {
@@ -315,15 +326,14 @@ LutTableArena::encodeBySubspace(const float *x, int64_t rows, int64_t width,
 template <vq::Metric M, typename Sink>
 void
 LutTableArena::encodeRowsImpl(const float *x, int64_t rows, int64_t width,
-                              EncodeScratch &scratch, Sink &&sink) const
+                              util::SimdLevel level, EncodeScratch &scratch,
+                              Sink &&sink) const
 {
     const int64_t v = subvector_len_, c = num_centroids_;
     // Register-resident fast path, dispatched on the RUNNING CPU (cpuid,
-    // not compile flags): the masked generic-c tier serves every
-    // 2 <= c <= 64.
+    // not compile flags): the masked generic-c tier.
     if constexpr (M == vq::Metric::L2) {
-        const util::SimdLevel level = util::simdLevel();
-        if (simd::encodeL2GenericSupported(level, c)) {
+        if (level != util::SimdLevel::Generic) {
             encodeBySubspace(
                 x, rows, width, scratch,
                 [&](const float *xs, int64_t stride, int64_t s,
@@ -351,18 +361,21 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows, int64_t width,
 template <typename Sink>
 void
 LutTableArena::encodeDispatch(const float *x, int64_t rows, int64_t width,
-                              EncodeScratch &scratch, Sink &&sink) const
+                              util::SimdLevel level, EncodeScratch &scratch,
+                              Sink &&sink) const
 {
     switch (metric_) {
       case vq::Metric::L2:
-        encodeRowsImpl<vq::Metric::L2>(x, rows, width, scratch, sink);
+        encodeRowsImpl<vq::Metric::L2>(x, rows, width, level, scratch,
+                                       sink);
         return;
       case vq::Metric::L1:
-        encodeRowsImpl<vq::Metric::L1>(x, rows, width, scratch, sink);
+        encodeRowsImpl<vq::Metric::L1>(x, rows, width, level, scratch,
+                                       sink);
         return;
       case vq::Metric::Chebyshev:
-        encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, width, scratch,
-                                              sink);
+        encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, width, level,
+                                              scratch, sink);
         return;
     }
 }
@@ -382,46 +395,40 @@ LutTableArena::stageRows(const float *x, int64_t rows, int64_t width,
 void
 LutTableArena::encodeBatch(const float *x, int64_t rows,
                            vq::CodeBuffer &codes, EncodeScratch &scratch,
-                           int64_t width) const
+                           int64_t width, util::SimdLevel level) const
 {
     if (width <= 0)
         width = in_features_;
     codes.reset(rows, num_subspaces_, num_centroids_);
     encodeDispatch(stageRows(x, rows, width, scratch.staging), rows, width,
-                   scratch, [&codes, rows](int64_t s, const int32_t *block) {
+                   encodeLevel(level), scratch,
+                   [&codes, rows](int64_t s, const int32_t *block) {
                        codes.storeCodes(s, 0, block, rows);
                    });
+}
+
+util::SimdLevel
+LutTableArena::encodeLevel(util::SimdLevel level) const
+{
+    checkCap(level);
+    if (metric_ != vq::Metric::L2 || num_centroids_ < 2 ||
+        num_centroids_ > 64 || level < util::SimdLevel::Avx2)
+        return util::SimdLevel::Generic;
+    return level >= util::SimdLevel::Avx512 ? util::SimdLevel::Avx512
+                                            : util::SimdLevel::Avx2;
 }
 
 template <typename Sink>
 void
 LutTableArena::encodeRowsInt8(const float *x, int64_t rows, int64_t width,
-                              EncodeVariant variant, EncodeScratch &scratch,
+                              util::SimdLevel level, EncodeScratch &scratch,
                               Sink &&sink) const
 {
     const Int8EncodeBank &bank = *int8_encode_bank_;
     const int64_t v = subvector_len_, c = num_centroids_;
-    if (variant == EncodeVariant::Auto)
-        variant = int8EncodeAutoVariant();
-    util::SimdLevel level = util::SimdLevel::Generic;
-    if (variant == EncodeVariant::DotVnni)
-        level = util::SimdLevel::Avx512Vnni;
-    else if (variant == EncodeVariant::MaddAvx2)
-        level = util::SimdLevel::Avx2;
-    if (variant != EncodeVariant::Scalar) {
-        LUTDLA_CHECK(!bank.cs_quad.empty(),
-                     "SIMD INT8 encode needs c <= 16 and v <= 128 (got "
-                     "c = ", c, ", v = ", v, "); use the scalar variant");
-        LUTDLA_CHECK(level <= util::simdLevel(),
-                     "requested encode variant needs ",
-                     util::simdLevelName(level),
-                     " but this CPU provides ",
-                     util::simdLevelName(util::simdLevel()));
-    }
     // The scalar integer reference shares quantizeEncodeLevel, the int32
     // scores and the strict-< lowest-index argmin with the SIMD tiers, so
-    // every variant selects bit-identical codes; the property tests pin
-    // it.
+    // every tier selects bit-identical codes; the property tests pin it.
     scratch.xq.resize(static_cast<size_t>(v));
     int32_t *xq = scratch.xq.data();
     encodeBySubspace(
@@ -430,7 +437,7 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows, int64_t width,
             const int32_t *norms = bank.norms.data() + s * bank.norm_stride;
             const float lo = bank.lo[static_cast<size_t>(s)];
             const float inv = bank.inv[static_cast<size_t>(s)];
-            if (variant != EncodeVariant::Scalar) {
+            if (level != util::SimdLevel::Generic) {
                 simd::encodeInt8C16Rows(
                     level, xs, rows, stride,
                     bank.cs_quad.data() + s * bank.vq4 * 64, norms, lo,
@@ -464,8 +471,8 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows, int64_t width,
 void
 LutTableArena::encodeBatchInt8(const float *x, int64_t rows,
                                vq::CodeBuffer &codes,
-                               EncodeScratch &scratch,
-                               EncodeVariant variant, int64_t width) const
+                               EncodeScratch &scratch, int64_t width,
+                               util::SimdLevel level) const
 {
     LUTDLA_CHECK(int8_encode_bank_ != nullptr,
                  "encodeBatchInt8 requires ensureInt8EncodeBank() first");
@@ -473,7 +480,7 @@ LutTableArena::encodeBatchInt8(const float *x, int64_t rows,
         width = in_features_;
     codes.reset(rows, num_subspaces_, num_centroids_);
     encodeRowsInt8(stageRows(x, rows, width, scratch.staging), rows, width,
-                   variant, scratch,
+                   int8EncodeLevel(level), scratch,
                    [&codes, rows](int64_t s, const int32_t *block) {
                        codes.storeCodes(s, 0, block, rows);
                    });
@@ -522,51 +529,6 @@ LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, float *y,
     }
 }
 
-namespace {
-
-/** SIMD level a quantized-gather variant runs at (Generic = scalar). */
-util::SimdLevel
-variantLevel(Int8GatherVariant variant)
-{
-    return variant == Int8GatherVariant::ShuffleVnni
-               ? util::SimdLevel::Avx512Vnni
-               : util::SimdLevel::Generic;
-}
-
-util::SimdLevel
-variantLevel(Int4GatherVariant variant)
-{
-    if (variant == Int4GatherVariant::ShuffleAvx512)
-        return util::SimdLevel::Avx512;
-    if (variant == Int4GatherVariant::ShuffleAvx2)
-        return util::SimdLevel::Avx2;
-    return util::SimdLevel::Generic;
-}
-
-/**
- * SIMD level of a resolved (non-Auto) quantized-gather variant, Generic
- * for the scalar sweep — after checking the variant can run: this CPU
- * must provide its SIMD level and its shuffle layout must exist (c <= 16;
- * the bank builds it only where a tier that reads it can run).
- */
-template <typename Variant>
-util::SimdLevel
-checkedLevel(Variant variant, bool layout_built, int64_t c)
-{
-    const util::SimdLevel level = variantLevel(variant);
-    if (level == util::SimdLevel::Generic)
-        return level;
-    LUTDLA_CHECK(level <= util::simdLevel(),
-                 "requested shuffle variant needs ",
-                 util::simdLevelName(level), " but this CPU provides ",
-                 util::simdLevelName(util::simdLevel()));
-    LUTDLA_CHECK(layout_built, "shuffle gather needs c <= 16 (got c = ", c,
-                 "); use the scalar variant");
-    return level;
-}
-
-} // namespace
-
 template <typename Chunk, typename Sweep>
 void
 LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, float *y,
@@ -613,7 +575,7 @@ LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, float *y,
             done += valid;
         }
         if (done < bn) {
-            // Short row tail (or the whole block for the scalar variant):
+            // Short row tail (or the whole block for the scalar tier):
             // identical group scales and exact integer accumulation, so
             // the seam between paths is invisible in the output.
             const int64_t tail = bn - done;
@@ -631,19 +593,16 @@ LutTableArena::gatherQuantized(const vq::CodeBuffer &codes, float *y,
 void
 LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes, float *y,
                                     GatherScratch &scratch,
-                                    Int8GatherVariant variant) const
+                                    util::SimdLevel level) const
 {
     LUTDLA_CHECK(int8_bank_ != nullptr,
                  "gatherAccumulateInt8 requires ensureInt8Bank() first");
     const Int8Bank &bank = *int8_bank_;
-    if (variant == Int8GatherVariant::Auto)
-        variant = int8AutoVariant();
-    const util::SimdLevel level =
-        checkedLevel(variant, !bank.q_quad.empty(), num_centroids_);
+    const util::SimdLevel tier = int8GatherLevel(level);
     gatherQuantized(
-        codes, y, scratch, level, kInt8PadTailRows,
+        codes, y, scratch, tier, kInt8PadTailRows,
         [&](const uint8_t *lanes, int64_t stride, float *colmajor) {
-            simd::shuffleGatherChunk(level, bank.q_quad.data(),
+            simd::shuffleGatherChunk(tier, bank.q_quad.data(),
                                      bank.scales.data(), lanes, stride,
                                      num_subspaces_, out_features_,
                                      bank.num_blocks, kInt8ScaleGroup,
@@ -660,34 +619,30 @@ LutTableArena::gatherAccumulateInt8(const vq::CodeBuffer &codes, float *y,
 void
 LutTableArena::gatherAccumulateInt4(const vq::CodeBuffer &codes, float *y,
                                     GatherScratch &scratch,
-                                    Int4GatherVariant variant) const
+                                    util::SimdLevel level) const
 {
     LUTDLA_CHECK(int4_bank_ != nullptr,
                  "gatherAccumulateInt4 requires ensureInt4Bank() first");
     const Int4Bank &bank = *int4_bank_;
-    if (variant == Int4GatherVariant::Auto)
-        variant = int4AutoVariant();
-    const util::SimdLevel level =
-        checkedLevel(variant, !bank.q4_il.empty(), num_centroids_);
+    const util::SimdLevel tier = int4GatherLevel(level);
     gatherQuantized(
-        codes, y, scratch, level, kInt4PadTailRows,
+        codes, y, scratch, tier, kInt4PadTailRows,
         [&](const uint8_t *lanes, int64_t stride, float *colmajor) {
             simd::shuffleGatherChunkInt4(
-                level, bank.q4_il.data(), bank.scales.data(), lanes, stride,
+                tier, bank.q4_il.data(), bank.scales.data(), lanes, stride,
                 num_subspaces_, out_features_, bank.num_blocks,
                 kInt4ScaleGroup, kInt4BlockCols, colmajor);
         },
         [&](const int32_t *unpacked, int64_t bn, float *yb) {
             // The shuffle tiers sweep their row tails with the SIMD twin
-            // of the scalar sweep; the scalar variant keeps the
-            // reference.
-            if (level == util::SimdLevel::Generic)
+            // of the scalar sweep; the scalar tier keeps the reference.
+            if (tier == util::SimdLevel::Generic)
                 sweepInt4ColOuter(bank.q4.data(), bank.scales.data(),
                                   unpacked, bn, out_features_, bank.half_n,
                                   num_subspaces_, num_centroids_,
                                   bank.num_blocks, bank.num_groups, yb);
             else
-                simd::sweepInt4Rows(level, bank.q4.data(),
+                simd::sweepInt4Rows(tier, bank.q4.data(),
                                     bank.scales.data(), unpacked, bn,
                                     out_features_, num_subspaces_,
                                     num_centroids_, bank.num_blocks,
@@ -746,13 +701,12 @@ LutTableArena::ensureInt8Bank() const
             }
         }
         // The quad mirror is built only when the RUNNING CPU can execute
-        // the VNNI tier, the one variant that reads it — INT8 tables
+        // the VNNI tier, the one tier that reads it — INT8 tables
         // dominate this data plane's memory, so AVX2 and plain AVX-512
         // hosts (scalar sweep) must not pay for the layout. Four
         // consecutive subspaces' LUTs share one 64-byte block per column
         // (zero padded past c and past Nc), one VPERMB table.
-        const bool shuffle =
-            c <= 16 && util::simdLevel() >= util::SimdLevel::Avx512Vnni;
+        const bool shuffle = int8GatherLevel() != util::SimdLevel::Generic;
         if (shuffle) {
             const int64_t quads = (num_subspaces_ + 3) / 4;
             bank->q_quad.assign(static_cast<size_t>(quads * n * 64), 0);
@@ -843,7 +797,8 @@ LutTableArena::ensureInt4Bank() const
         // Interleaved shuffle mirror, capability-gated like the INT8
         // mirrors: each (subspace, column pair) packs its 16 centroid
         // bytes contiguously so one 128-bit load is the whole LUT.
-        if (c <= 16 && simd::shuffleGatherSupported(util::simdLevel())) {
+        const bool shuffle = int4GatherLevel() != util::SimdLevel::Generic;
+        if (shuffle) {
             bank->q4_il.assign(
                 static_cast<size_t>(num_subspaces_ * bank->half_n * 16),
                 0x88);
@@ -856,12 +811,9 @@ LutTableArena::ensureInt4Bank() const
                             (s * bank->half_n + p) * 16 + j)] = qrow[p];
                 }
         }
-        LUTDLA_CHECK(
-            bank->q4_il.empty() ==
-                !(c <= 16 &&
-                  simd::shuffleGatherSupported(util::simdLevel())),
-            "q4_il must be materialized exactly when the shuffle gather "
-            "can run on this host");
+        LUTDLA_CHECK(bank->q4_il.empty() == !shuffle,
+                     "q4_il must be materialized exactly when the shuffle "
+                     "gather can run on this host");
         int4_bank_ = std::move(bank);
     });
 }
@@ -892,26 +844,13 @@ LutTableArena::int8ResidentBytes() const
         bank.scales.size() * sizeof(float));
 }
 
-Int8GatherVariant
-LutTableArena::int8AutoVariant() const
+util::SimdLevel
+LutTableArena::int8GatherLevel(util::SimdLevel level) const
 {
-    return num_centroids_ <= 16 &&
-                   util::simdLevel() >= util::SimdLevel::Avx512Vnni
-               ? Int8GatherVariant::ShuffleVnni
-               : Int8GatherVariant::Scalar;
-}
-
-const char *
-LutTableArena::int8GatherVariantName(Int8GatherVariant variant)
-{
-    switch (variant) {
-      case Int8GatherVariant::ShuffleVnni:
-        return "shuffle-vnni";
-      case Int8GatherVariant::Scalar:
-        return "scalar";
-      default:
-        return "auto";
-    }
+    checkCap(level);
+    return num_centroids_ <= 16 && level >= util::SimdLevel::Avx512Vnni
+               ? util::SimdLevel::Avx512Vnni
+               : util::SimdLevel::Generic;
 }
 
 bool
@@ -940,32 +879,14 @@ LutTableArena::int4ResidentBytes() const
         bank.scales.size() * sizeof(float));
 }
 
-Int4GatherVariant
-LutTableArena::int4AutoVariant() const
+util::SimdLevel
+LutTableArena::int4GatherLevel(util::SimdLevel level) const
 {
-    if (num_centroids_ > 16)
-        return Int4GatherVariant::Scalar;
-    const util::SimdLevel level = util::simdLevel();
-    if (level >= util::SimdLevel::Avx512)
-        return Int4GatherVariant::ShuffleAvx512;
-    if (level == util::SimdLevel::Avx2)
-        return Int4GatherVariant::ShuffleAvx2;
-    return Int4GatherVariant::Scalar;
-}
-
-const char *
-LutTableArena::int4GatherVariantName(Int4GatherVariant variant)
-{
-    switch (variant) {
-      case Int4GatherVariant::ShuffleAvx512:
-        return "shuffle-avx512";
-      case Int4GatherVariant::ShuffleAvx2:
-        return "shuffle-avx2";
-      case Int4GatherVariant::Scalar:
-        return "scalar";
-      default:
-        return "auto";
-    }
+    checkCap(level);
+    if (num_centroids_ > 16 || level < util::SimdLevel::Avx2)
+        return util::SimdLevel::Generic;
+    return level >= util::SimdLevel::Avx512 ? util::SimdLevel::Avx512
+                                            : util::SimdLevel::Avx2;
 }
 
 void
@@ -1024,8 +945,8 @@ LutTableArena::ensureInt8EncodeBank() const
         // Quad-interleaved mirror for the SIMD tiers, capability-gated
         // like the gather mirrors: byte ((q * 16) + j) * 4 + k holds
         // c_s[j][4q + k], zero past v and past c.
-        if (c <= 16 && v <= 128 &&
-            simd::int8EncodeSupported(util::simdLevel())) {
+        const bool simd = int8EncodeLevel() != util::SimdLevel::Generic;
+        if (simd) {
             bank->cs_quad.assign(
                 static_cast<size_t>(num_subspaces_ * bank->vq4 * 64), 0);
             for (int64_t s = 0; s < num_subspaces_; ++s)
@@ -1038,12 +959,9 @@ LutTableArena::ensureInt8EncodeBank() const
                             t % 4)] = crow[t];
                 }
         }
-        LUTDLA_CHECK(
-            bank->cs_quad.empty() ==
-                !(c <= 16 && v <= 128 &&
-                  simd::int8EncodeSupported(util::simdLevel())),
-            "cs_quad must be materialized exactly when a SIMD encode "
-            "tier can run on this host");
+        LUTDLA_CHECK(bank->cs_quad.empty() == !simd,
+                     "cs_quad must be materialized exactly when a SIMD "
+                     "encode tier can run on this host");
         int8_encode_bank_ = std::move(bank);
     });
 }
@@ -1082,62 +1000,22 @@ LutTableArena::int8EncodeSupported() const
     return metric_ == vq::Metric::L2 && subvector_len_ <= 32768;
 }
 
-EncodeVariant
-LutTableArena::int8EncodeAutoVariant() const
+util::SimdLevel
+LutTableArena::int8EncodeLevel(util::SimdLevel level) const
 {
-    if (num_centroids_ > 16 || subvector_len_ > 128)
-        return EncodeVariant::Scalar;
-    const util::SimdLevel level = util::simdLevel();
-    if (level >= util::SimdLevel::Avx512Vnni)
-        return EncodeVariant::DotVnni;
-    if (level >= util::SimdLevel::Avx2)
-        return EncodeVariant::MaddAvx2;
-    return EncodeVariant::Scalar;
-}
-
-const char *
-LutTableArena::encodeVariantName(EncodeVariant variant)
-{
-    switch (variant) {
-      case EncodeVariant::DotVnni:
-        return "dot-vnni";
-      case EncodeVariant::MaddAvx2:
-        return "madd-avx2";
-      case EncodeVariant::Scalar:
-        return "scalar";
-      default:
-        return "auto";
-    }
-}
-
-const char *
-LutTableArena::int8EncodeKernelName() const
-{
-    switch (int8EncodeAutoVariant()) {
-      case EncodeVariant::DotVnni:
-        return "int8-dot-vnni";
-      case EncodeVariant::MaddAvx2:
-        return "int8-madd-avx2";
-      default:
-        return "int8-scalar";
-    }
-}
-
-const char *
-LutTableArena::encodeVariantName() const
-{
-    const util::SimdLevel level = util::simdLevel();
-    if (metric_ == vq::Metric::L2 &&
-        simd::encodeL2GenericSupported(level, num_centroids_))
-        return level >= util::SimdLevel::Avx512 ? "avx512-genc"
-                                                : "avx2-genc";
-    return "generic";
+    checkCap(level);
+    if (num_centroids_ > 16 || subvector_len_ > 128 ||
+        level < util::SimdLevel::Avx2)
+        return util::SimdLevel::Generic;
+    return level >= util::SimdLevel::Avx512Vnni ? util::SimdLevel::Avx512Vnni
+                                                : util::SimdLevel::Avx2;
 }
 
 void
 LutTableArena::forwardBatch(const float *x, int64_t rows, float *y) const
 {
     const int64_t n = out_features_;
+    const util::SimdLevel level = encodeLevel();
     std::vector<int32_t> codes;
     EncodeScratch scratch;  // reused across blocks
 
@@ -1146,7 +1024,7 @@ LutTableArena::forwardBatch(const float *x, int64_t rows, float *y) const
         codes.resize(static_cast<size_t>(bn * num_subspaces_));
         encodeDispatch(stageRows(x + b0 * in_features_, bn, in_features_,
                                  scratch.staging),
-                       bn, in_features_, scratch,
+                       bn, in_features_, level, scratch,
                        [&codes, bn, this](int64_t s, const int32_t *block) {
                            for (int64_t i = 0; i < bn; ++i)
                                codes[static_cast<size_t>(

@@ -38,8 +38,20 @@
  *    tiers through its SIMD twin (simd::sweepInt4Rows), which sums the
  *    nibbles of each group in u8 lanes. All paths of one bank share
  *    exact integer accumulation
- *    under per-(subspace-group, column-block) scales, so every variant
+ *    under per-(subspace-group, column-block) scales, so every tier
  *    of a bank is bit-identical by construction.
+ * Tier selection: every encode and gather takes a trailing
+ * `util::SimdLevel level` cap, the convention of nn/simd_math and the
+ * simd:: kernels. It defaults to util::simdLevel(), the host's best,
+ * which LUTDLA_SIMD caps for the whole process. A call runs the best
+ * tier its arena shape allows at or below the cap, so a SIMD cap on a
+ * shape with no SIMD tier runs the scalar reference; a cap above
+ * util::simdLevel() is a checked error. Each kernel family has one
+ * resolver from (arena shape, cap) to the level it runs at —
+ * encodeLevel, int8EncodeLevel, int8GatherLevel, int4GatherLevel —
+ * and it is the only place that family's shape rule lives: the kernels,
+ * the bank builders' mirrors, KernelBackend::gatherGranuleRows and the
+ * serving plan's kernel tags all ask it.
  * Both phases work on whole code buffers: an encode fills one from row
  * 0, a gather reads all of its rows. The serving runtime splits a batch
  * by handing each worker its own contiguous block of input rows, its own
@@ -96,51 +108,6 @@ struct GatherScratch
     std::vector<float> colmajor;    ///< [N, chunk] shuffle accumulators
 };
 
-/**
- * Which INT8 gather kernel to run. Auto picks the best the CPU supports
- * (the serving planner records the resolved choice); the explicit
- * variants exist for benchmarks and the bit-exactness property tests.
- * There is no VPSHUFB tier: a 16-byte lookup that yields one INT8 byte
- * per (subspace, column) measured slower than the scalar sweep on AVX2
- * and AVX-512 alike (docs/SERVING.md, "Kernel tier audit").
- */
-enum class Int8GatherVariant
-{
-    Auto,        ///< shuffle-vnni when c <= 16 on VBMI+VNNI, else scalar
-    Scalar,      ///< portable group sweep (always available)
-    ShuffleVnni  ///< VPERMB + VPDPBUSD dot chunks (AVX-512 VBMI+VNNI)
-};
-
-/**
- * Which INT8 encode kernel to run. Mirrors the gather-variant pattern:
- * Auto picks the best the CPU supports (the serving planner records the
- * resolved choice); the explicit variants exist for benchmarks and the
- * bit-identity property tests. Every variant computes the identical
- * int32 scores, so codes match bit-for-bit across the whole enum.
- */
-enum class EncodeVariant
-{
-    Auto,      ///< best supported (SIMD when c <= 16, v <= 128)
-    Scalar,    ///< portable integer reference (always available)
-    MaddAvx2,  ///< VPMADDUBSW + VPMADDWD dots (AVX2 / plain AVX-512)
-    DotVnni    ///< VPDPBUSD quad dots (requires AVX-512 VNNI)
-};
-
-/**
- * Which INT4 gather kernel to run. Unlike INT8 it keeps VPSHUFB tiers:
- * each looked-up byte serves two output columns, which is what makes a
- * byte shuffle beat the scalar sweep. No VNNI tier (VPDPBUSD folds raw
- * bytes, which would mix the two nibble planes; the bit-plane split
- * needs the explicit unpack the shuffle kernels perform).
- */
-enum class Int4GatherVariant
-{
-    Auto,           ///< best supported (shuffle when c <= 16 and SIMD)
-    Scalar,         ///< portable packed group sweep (always available)
-    ShuffleAvx2,    ///< 32-row VPSHUFB + nibble-unpack chunks (AVX2)
-    ShuffleAvx512   ///< 64-row VPSHUFB + nibble-unpack chunks (AVX-512BW)
-};
-
 /** One frozen LUT layer in a single flat allocation. Immutable. */
 class LutTableArena
 {
@@ -195,34 +162,47 @@ class LutTableArena
      * steady-state batches do not allocate). Rows of `x` are `width`
      * floats (0 = K), read in place as if cyclically replicated to K —
      * column j is input column j % width, the trace models' width
-     * adapt — so the codes equal those of the replicated copy. Thread-
-     * safe with distinct scratch.
+     * adapt — so the codes equal those of the replicated copy. Runs at
+     * encodeLevel(level); every tier selects bit-identical codes.
+     * Thread-safe with distinct scratch.
      */
     void encodeBatch(const float *x, int64_t rows, vq::CodeBuffer &codes,
-                     EncodeScratch &scratch, int64_t width = 0) const;
+                     EncodeScratch &scratch, int64_t width = 0,
+                     util::SimdLevel level = util::simdLevel()) const;
+
+    /**
+     * Level the float encode runs at under the cap `level`: Avx512 or
+     * Avx2 (the masked generic-c L2 tier, "avx512-genc" / "avx2-genc")
+     * for an L2 arena with 2 <= c <= 64, else Generic (the scalar
+     * distance scan, "generic"). Panics when `level` is above
+     * util::simdLevel().
+     */
+    util::SimdLevel encodeLevel(
+        util::SimdLevel level = util::simdLevel()) const;
 
     /**
      * INT8 twin of encodeBatch: argmin-encode over the
      * quantized encode bank (requires ensureInt8EncodeBank() first;
      * panics otherwise). Rows are quantized onto the bank's per-subspace
-     * 7-bit grid and scored in exact int32 arithmetic, so every variant
+     * 7-bit grid and scored in exact int32 arithmetic, so every tier
      * — scalar or SIMD — selects bit-identical codes; vs the float
      * encode the codes carry a top-1 agreement envelope instead (see
      * docs/SERVING.md). BF16 input rounding, `width` and ragged tail
      * subspaces work exactly like the float path. L2 metric only.
-     * Thread-safe with distinct `scratch` per caller.
+     * Runs at int8EncodeLevel(level). Thread-safe with distinct
+     * `scratch` per caller.
      */
     void encodeBatchInt8(const float *x, int64_t rows,
                          vq::CodeBuffer &codes, EncodeScratch &scratch,
-                         EncodeVariant variant = EncodeVariant::Auto,
-                         int64_t width = 0) const;
+                         int64_t width = 0,
+                         util::SimdLevel level = util::simdLevel()) const;
 
     /**
      * Build the INT8 encode bank (idempotent, thread-safe): per-subspace
      * affine-quantized transposed codebooks on a shared 7-bit grid,
-     * precomputed integer centroid norms, and — when this CPU can run a
-     * SIMD tier and c <= 16 — the quad-interleaved signed mirror the
-     * VNNI/AVX2 kernels consume. Independent of the gather banks.
+     * precomputed integer centroid norms, and — when int8EncodeLevel()
+     * is a SIMD tier — the quad-interleaved signed mirror the VNNI/AVX2
+     * kernels consume. Independent of the gather banks.
      * Requires the L2 metric (panics otherwise; callers gate on
      * int8EncodeSupported()).
      */
@@ -252,18 +232,14 @@ class LutTableArena
     bool int8EncodeSupported() const;
 
     /**
-     * The encode variant Auto resolves to on this arena and CPU (SIMD
-     * needs c <= 16, v <= 128 and at least AVX2). What the serving plan
-     * records.
+     * Level the INT8 encode runs at under the cap `level`: for c <= 16
+     * and v <= 128, Avx512Vnni (VPDPBUSD quad dots, "int8-dot-vnni") or
+     * Avx2 (VPMADDUBSW + VPMADDWD, "int8-madd-avx2", also what a plain
+     * AVX-512 cap runs), else Generic (the integer reference,
+     * "int8-scalar"). Panics when `level` is above util::simdLevel().
      */
-    EncodeVariant int8EncodeAutoVariant() const;
-
-    /** Stable variant tag, e.g. "dot-vnni" / "madd-avx2" / "scalar". */
-    static const char *encodeVariantName(EncodeVariant variant);
-
-    /** Stable kernel tag for plans serving INT8 encode, e.g.
-     * "int8-dot-vnni"; the INT8 twin of encodeVariantName(). */
-    const char *int8EncodeKernelName() const;
+    util::SimdLevel int8EncodeLevel(
+        util::SimdLevel level = util::simdLevel()) const;
 
     /**
      * Gather phase over the bit-exact float bank:
@@ -278,13 +254,14 @@ class LutTableArena
      * panics otherwise). Accumulation is exact integer arithmetic per
      * scale group (kInt8ScaleGroup subspaces share one scale per
      * kInt8BlockCols-wide output block), dequantized with one mul + add
-     * per group — so every variant, shuffle or scalar, produces
+     * per group — so every tier, shuffle or scalar, produces
      * bit-identical output. NOT bit-exact vs the float bank; see
-     * docs/SERVING.md for the error envelope.
+     * docs/SERVING.md for the error envelope. Runs at
+     * int8GatherLevel(level).
      */
     void gatherAccumulateInt8(
         const vq::CodeBuffer &codes, float *y, GatherScratch &scratch,
-        Int8GatherVariant variant = Int8GatherVariant::Auto) const;
+        util::SimdLevel level = util::simdLevel()) const;
 
     /**
      * Build the INT8-quantized table bank (idempotent, thread-safe). The
@@ -300,7 +277,7 @@ class LutTableArena
      * Bytes of the canonical INT8 bank (row-major table + scales) — the
      * traffic number plans and benches report; 0 until ensureInt8Bank().
      * At the flagship c=16 the VNNI tier's quad-interleaved layout is
-     * the same size, so this is exactly what either variant streams per
+     * the same size, so this is exactly what either tier streams per
      * sweep; at c < 16 the 16-entry-padded layout streams up to 16/c x
      * more (still well under the float bank). Resident memory adds that
      * layout when this CPU built it — see int8ResidentBytes().
@@ -317,14 +294,16 @@ class LutTableArena
     int64_t int8ResidentBytes() const;
 
     /**
-     * The INT8 gather variant Auto resolves to on this arena and CPU
-     * (shuffle-vnni needs c <= 16 and SimdLevel::Avx512Vnni; scalar
-     * otherwise). What the serving plan records.
+     * Level the INT8 gather runs at under the cap `level`: Avx512Vnni
+     * (VPERMB + VPDPBUSD chunks, "shuffle-vnni") for c <= 16, else
+     * Generic (the scalar group sweep, "scalar"). There is no VPSHUFB
+     * tier: a 16-byte lookup that yields one INT8 byte per (subspace,
+     * column) measured slower than the scalar sweep on AVX2 and AVX-512
+     * alike (docs/SERVING.md, "Kernel tier audit"). Panics when `level`
+     * is above util::simdLevel().
      */
-    Int8GatherVariant int8AutoVariant() const;
-
-    /** Stable variant tag: "shuffle-vnni" / "scalar". */
-    static const char *int8GatherVariantName(Int8GatherVariant variant);
+    util::SimdLevel int8GatherLevel(
+        util::SimdLevel level = util::simdLevel()) const;
 
     /**
      * Gather phase over the INT4 bank (requires ensureInt4Bank() first;
@@ -333,13 +312,14 @@ class LutTableArena
      * geometry as the INT8 bank, packed two adjacent output columns per
      * byte. Accumulation is exact integer arithmetic over bias-shifted
      * nibbles with one bias-correcting subtract and one dequantizing
-     * mul + add per (group, column), so every variant — shuffle or scalar
+     * mul + add per (group, column), so every tier — shuffle or scalar
      * — produces bit-identical output. NOT bit-exact vs the float or
-     * INT8 banks; see docs/SERVING.md for the error envelope.
+     * INT8 banks; see docs/SERVING.md for the error envelope. Runs at
+     * int4GatherLevel(level).
      */
     void gatherAccumulateInt4(
         const vq::CodeBuffer &codes, float *y, GatherScratch &scratch,
-        Int4GatherVariant variant = Int4GatherVariant::Auto) const;
+        util::SimdLevel level = util::simdLevel()) const;
 
     /**
      * Build the INT4-quantized table bank (idempotent, thread-safe).
@@ -366,19 +346,16 @@ class LutTableArena
     int64_t int4ResidentBytes() const;
 
     /**
-     * The INT4 gather variant Auto resolves to on this arena and CPU
-     * (shuffle needs c <= 16 and at least AVX2). What the serving plan
-     * records.
+     * Level the INT4 gather runs at under the cap `level`: for c <= 16,
+     * Avx512 (64-row VPSHUFB + nibble-unpack chunks, "shuffle-avx512")
+     * or Avx2 (32-row chunks, "shuffle-avx2"), each sweeping its row
+     * tails with the SIMD row sweep; else Generic (the scalar packed
+     * sweep, "scalar"). No VNNI tier: VPDPBUSD folds raw bytes, which
+     * would mix the two nibble planes. Panics when `level` is above
+     * util::simdLevel().
      */
-    Int4GatherVariant int4AutoVariant() const;
-
-    /** Stable variant tag, e.g. "shuffle-avx512" / "scalar". */
-    static const char *int4GatherVariantName(Int4GatherVariant variant);
-
-    /** Stable tag of the FLOAT encode kernel this arena dispatches to:
-     * "avx512-genc"/"avx2-genc" for the SIMD L2 tier (2 <= c <= 64),
-     * else "generic" (scalar scan). */
-    const char *encodeVariantName() const;
+    util::SimdLevel int4GatherLevel(
+        util::SimdLevel level = util::simdLevel()) const;
 
     /**
      * Batched lookup-accumulate: y[rows, N] = gather(x) + bias.
@@ -540,20 +517,24 @@ class LutTableArena
                           EncodeScratch &scratch, Kernel &&kernel,
                           Sink &&sink) const;
 
+    /** Float encode at the resolved `level` (the SIMD L2 tier unless
+     * Generic); encodeDispatch picks M from the arena's metric. */
     template <vq::Metric M, typename Sink>
     void encodeRowsImpl(const float *x, int64_t rows, int64_t width,
-                        EncodeScratch &scratch, Sink &&sink) const;
+                        util::SimdLevel level, EncodeScratch &scratch,
+                        Sink &&sink) const;
 
     template <typename Sink>
     void encodeDispatch(const float *x, int64_t rows, int64_t width,
-                        EncodeScratch &scratch, Sink &&sink) const;
+                        util::SimdLevel level, EncodeScratch &scratch,
+                        Sink &&sink) const;
 
     /** INT8 encode over `rows` already-staged rows: per-subspace scalar
-     * integer reference or SIMD kernel per `variant`; encodeBatchInt8's
-     * body. */
+     * integer reference (Generic) or SIMD kernel at the resolved
+     * `level`; encodeBatchInt8's body. */
     template <typename Sink>
     void encodeRowsInt8(const float *x, int64_t rows, int64_t width,
-                        EncodeVariant variant, EncodeScratch &scratch,
+                        util::SimdLevel level, EncodeScratch &scratch,
                         Sink &&sink) const;
 
     /** BF16-round `rows` rows of `width` floats into `staging` when the

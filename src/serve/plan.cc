@@ -76,7 +76,58 @@ collectEpilogue(const std::vector<StagePtr> &stages, size_t j,
     return j;
 }
 
-/** The StagePlan of a rebound LUT stage: code width and kernel variants
+/** Stable tag of the encode kernel `arena` runs at `encode` precision,
+ * from the level its tier resolver picks on this host. */
+const char *
+encodeKernelTag(const lutboost::LutTableArena &arena,
+                EncodePrecision encode)
+{
+    if (encode == EncodePrecision::Int8) {
+        switch (arena.int8EncodeLevel()) {
+          case util::SimdLevel::Avx512Vnni:
+            return "int8-dot-vnni";
+          case util::SimdLevel::Avx2:
+            return "int8-madd-avx2";
+          default:
+            return "int8-scalar";
+        }
+    }
+    switch (arena.encodeLevel()) {
+      case util::SimdLevel::Avx512:
+        return "avx512-genc";
+      case util::SimdLevel::Avx2:
+        return "avx2-genc";
+      default:
+        return "generic";
+    }
+}
+
+/** Stable tag of the gather kernel `arena` runs at `precision`, from the
+ * level its tier resolver picks on this host. */
+const char *
+gatherKernelTag(const lutboost::LutTableArena &arena,
+                TablePrecision precision)
+{
+    switch (precision) {
+      case TablePrecision::Int8:
+        return arena.int8GatherLevel() == util::SimdLevel::Generic
+                   ? "scalar"
+                   : "shuffle-vnni";
+      case TablePrecision::Int4:
+        switch (arena.int4GatherLevel()) {
+          case util::SimdLevel::Avx512:
+            return "shuffle-avx512";
+          case util::SimdLevel::Avx2:
+            return "shuffle-avx2";
+          default:
+            return "scalar";
+        }
+      default:
+        return "grouped-sweep";
+    }
+}
+
+/** The StagePlan of a rebound LUT stage: code width and kernel tags
  * come from the arena it reports, the encode precision is the one it
  * resolved. */
 StagePlan
@@ -94,22 +145,8 @@ lutPlan(const FrozenStage &stage, std::vector<std::string> fused,
     plan.encode_precision = encode;
     plan.table_bytes = stage.tableBytes();
     plan.encode_bytes = stage.encodeBytes();
-    plan.encode_kernel = encode == EncodePrecision::Int8
-                             ? arena.int8EncodeKernelName()
-                             : arena.encodeVariantName();
-    switch (precision) {
-      case TablePrecision::Int8:
-        plan.gather_kernel = lutboost::LutTableArena::int8GatherVariantName(
-            arena.int8AutoVariant());
-        break;
-      case TablePrecision::Int4:
-        plan.gather_kernel = lutboost::LutTableArena::int4GatherVariantName(
-            arena.int4AutoVariant());
-        break;
-      default:
-        plan.gather_kernel = "grouped-sweep";
-        break;
-    }
+    plan.encode_kernel = encodeKernelTag(arena, encode);
+    plan.gather_kernel = gatherKernelTag(arena, precision);
     plan.shard_rows = stage.blockRows();
     return plan;
 }

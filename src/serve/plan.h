@@ -105,7 +105,7 @@ struct PlanOptions
      * measures against); > 0 = force this many rows per tile. Any value
      * is bit-exact with any other — the tile size only moves throughput,
      * because tileable stages are row-independent and every gather
-     * variant of a bank is bit-identical across row groupings.
+     * tier of a bank is bit-identical across row groupings.
      */
     int64_t tile_rows = 0;
 };

@@ -264,7 +264,7 @@ class FrozenStage
     }
 
     /**
-     * LUT stages only: the arena whose code width and kernel variants the
+     * LUT stages only: the arena whose code width and kernel tags the
      * stage's StagePlan records (attention reports its Q projection; the
      * four share shape and dispatch). Null for glue stages, which is how
      * the planner tells the two apart.

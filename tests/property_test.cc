@@ -383,6 +383,21 @@ struct EncodeTier
         encode;
 };
 
+/** The levels at or below this host's whose cap `resolve` maps to
+ * themselves: the tiers a family really runs on one arena, each once. */
+template <typename Resolve>
+std::vector<util::SimdLevel>
+tierLevels(Resolve &&resolve)
+{
+    std::vector<util::SimdLevel> levels;
+    for (const util::SimdLevel level :
+         {util::SimdLevel::Generic, util::SimdLevel::Avx2,
+          util::SimdLevel::Avx512, util::SimdLevel::Avx512Vnni})
+        if (level <= util::simdLevel() && resolve(level) == level)
+            levels.push_back(level);
+    return levels;
+}
+
 /** The float encode plus every INT8 encode tier this host runs on
  * `arena` (the SIMD tiers need c <= 16 and v <= 128; the scalar
  * reference runs all c), each working out of `scratch`. The arena's INT8
@@ -397,24 +412,17 @@ encodeTiers(const lutboost::LutTableArena &arena,
                             vq::CodeBuffer &codes) {
              arena.encodeBatch(x, rows, codes, scratch, width);
          }}};
-    std::vector<lutboost::EncodeVariant> variants{
-        lutboost::EncodeVariant::Scalar};
-    const util::SimdLevel level = util::simdLevel();
-    const bool simd =
-        arena.numCentroids() <= 16 && arena.subvectorLen() <= 128;
-    if (simd && level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::EncodeVariant::MaddAvx2);
-    if (simd && level >= util::SimdLevel::Avx512Vnni)
-        variants.push_back(lutboost::EncodeVariant::DotVnni);
-    for (const auto variant : variants)
+    const auto levels = tierLevels([&arena](util::SimdLevel level) {
+        return arena.int8EncodeLevel(level);
+    });
+    for (const util::SimdLevel level : levels)
         tiers.push_back(
-            {std::string("int8 ") +
-                 lutboost::LutTableArena::encodeVariantName(variant),
-             [&arena, &scratch, variant](const float *x, int64_t rows,
-                                         int64_t width,
-                                         vq::CodeBuffer &codes) {
-                 arena.encodeBatchInt8(x, rows, codes, scratch, variant,
-                                       width);
+            {std::string("int8 ") + util::simdLevelName(level),
+             [&arena, &scratch, level](const float *x, int64_t rows,
+                                       int64_t width,
+                                       vq::CodeBuffer &codes) {
+                 arena.encodeBatchInt8(x, rows, codes, scratch, width,
+                                       level);
              }});
     return tiers;
 }
@@ -703,10 +711,10 @@ TEST(HostileInputs, StridedAdaptEncodeMatchesReplicatedCopy)
     }
 }
 
-// ---- Property: every INT8 gather variant is bit-identical --------------
+// ---- Property: every INT8 gather tier is bit-identical -----------------
 
 /**
- * The INT8 gather contract: the VNNI shuffle and scalar variants share
+ * The INT8 gather contract: the VNNI shuffle and scalar tiers share
  * exact integer accumulation under group scales, so their float outputs
  * must match BIT FOR BIT across awkward shapes — c in {4, 16},
  * K % v != 0, row counts around the 32/64-row chunk boundaries, single
@@ -714,13 +722,13 @@ TEST(HostileInputs, StridedAdaptEncodeMatchesReplicatedCopy)
  * cover the transpose-out: 64 is whole 16-wide tiles only, 7 is edges
  * only, 70 is both.
  */
-class Int8GatherVariants
+class Int8GatherTiers
     : public ::testing::TestWithParam<
           std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t>>
 {
 };
 
-TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
+TEST_P(Int8GatherTiers, ShuffleBitExactVsScalar)
 {
     const auto [k, v, c, rows, n] = GetParam();
     vq::PQConfig pq;
@@ -743,8 +751,7 @@ TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
 
     Tensor scalar(Shape{rows, n});
     arena->gatherAccumulateInt8(scratch.codes, scalar.data(),
-                                scratch.gather,
-                                lutboost::Int8GatherVariant::Scalar);
+                                scratch.gather, util::SimdLevel::Generic);
 
     // Block-by-block sweep (what the serving runtime's row blocks run):
     // each block encodes its own rows into one reused scratch and gathers
@@ -759,7 +766,8 @@ TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
     EXPECT_TRUE(blocks.equals(scalar))
         << "block seams changed the INT8 gather result";
 
-    // Auto resolves to scalar or shuffle-vnni; either must match.
+    // The default cap resolves to scalar or shuffle-vnni; either must
+    // match.
     Tensor autod(Shape{rows, n});
     arena->gatherAccumulateInt8(scratch.codes, autod.data(),
                                 scratch.gather);
@@ -767,10 +775,12 @@ TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
 
     if (util::simdLevel() < util::SimdLevel::Avx512Vnni)
         GTEST_SKIP() << "no VBMI+VNNI on this host; scalar-only";
+    ASSERT_EQ(arena->int8GatherLevel(util::SimdLevel::Avx512Vnni),
+              util::SimdLevel::Avx512Vnni);
     Tensor shuffled(Shape{rows, n});
     arena->gatherAccumulateInt8(scratch.codes, shuffled.data(),
                                 scratch.gather,
-                                lutboost::Int8GatherVariant::ShuffleVnni);
+                                util::SimdLevel::Avx512Vnni);
     EXPECT_TRUE(shuffled.equals(scalar))
         << "shuffle-vnni diverged: k=" << k << " v=" << v << " c=" << c
         << " rows=" << rows << " n=" << n
@@ -779,7 +789,7 @@ TEST_P(Int8GatherVariants, ShuffleBitExactVsScalar)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AwkwardShapes, Int8GatherVariants,
+    AwkwardShapes, Int8GatherTiers,
     ::testing::Combine(::testing::Values<int64_t>(23, 52),  // K % v != 0
                        ::testing::Values<int64_t>(3, 8),
                        ::testing::Values<int64_t>(4, 16),
@@ -791,10 +801,10 @@ INSTANTIATE_TEST_SUITE_P(
                        // edges only
                        ::testing::Values<int64_t>(70, 64, 7)));
 
-// ---- Property: every INT4 gather variant is bit-identical --------------
+// ---- Property: every INT4 gather tier is bit-identical -----------------
 
 /**
- * The INT4 twin of the Int8GatherVariants contract: the nibble-packed
+ * The INT4 twin of the Int8GatherTiers contract: the nibble-packed
  * shuffle kernels and the scalar packed sweep share exact biased-nibble
  * accumulation under the same group scales, so their float outputs must
  * match BIT FOR BIT across the same awkward-shape grid. The ODD output
@@ -802,7 +812,7 @@ INSTANTIATE_TEST_SUITE_P(
  * packed pair; 64 and 7 also put whole transpose tiles only and edges
  * only under test.
  */
-class Int4GatherVariants
+class Int4GatherTiers
     : public ::testing::TestWithParam<
           std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t>>
 {
@@ -810,8 +820,9 @@ class Int4GatherVariants
 
 /**
  * Encode `x`, gather it through the scalar packed sweep into `scalar`,
- * and require every INT4 shuffle tier this host runs (forced and Auto,
- * whole-buffer and block by block) to match it bit for bit.
+ * and require every INT4 shuffle tier this host runs (at a forced level
+ * and at the default cap, whole-buffer and block by block) to match it
+ * bit for bit.
  */
 void
 expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
@@ -824,7 +835,7 @@ expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
                                              scratch);
     scalar = Tensor(Shape{rows, n});
     arena.gatherAccumulateInt4(scratch.codes, scalar.data(), scratch.gather,
-                               lutboost::Int4GatherVariant::Scalar);
+                               util::SimdLevel::Generic);
 
     // Block-by-block sweep (what the serving runtime's row blocks run).
     Tensor blocks(Shape{rows, n});
@@ -838,21 +849,21 @@ expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
     EXPECT_TRUE(blocks.equals(scalar))
         << "block seams changed the INT4 gather result: " << what;
 
-    const util::SimdLevel level = util::simdLevel();
-    std::vector<lutboost::Int4GatherVariant> variants;
-    if (level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx2);
-    if (level >= util::SimdLevel::Avx512)
-        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx512);
-    if (variants.empty())
+    const util::SimdLevel host = util::simdLevel();
+    std::vector<util::SimdLevel> levels;
+    if (host >= util::SimdLevel::Avx2)
+        levels.push_back(util::SimdLevel::Avx2);
+    if (host >= util::SimdLevel::Avx512)
+        levels.push_back(util::SimdLevel::Avx512);
+    if (levels.empty())
         GTEST_SKIP() << "no SIMD level on this host; scalar-only";
-    for (const auto variant : variants) {
+    for (const util::SimdLevel level : levels) {
+        ASSERT_EQ(arena.int4GatherLevel(level), level) << what;
         Tensor shuffled(Shape{rows, n});
         arena.gatherAccumulateInt4(scratch.codes, shuffled.data(),
-                                   scratch.gather, variant);
+                                   scratch.gather, level);
         EXPECT_TRUE(shuffled.equals(scalar))
-            << lutboost::LutTableArena::int4GatherVariantName(variant)
-            << " diverged: " << what
+            << util::simdLevelName(level) << " diverged: " << what
             << " maxdiff=" << Tensor::maxAbsDiff(shuffled, scalar);
         Tensor autod(Shape{rows, n});
         arena.gatherAccumulateInt4(scratch.codes, autod.data(),
@@ -862,7 +873,7 @@ expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
 
 }
 
-TEST_P(Int4GatherVariants, ShuffleBitExactVsScalar)
+TEST_P(Int4GatherTiers, ShuffleBitExactVsScalar)
 {
     const auto [k, v, c, rows, n] = GetParam();
     vq::PQConfig pq;
@@ -888,7 +899,7 @@ TEST_P(Int4GatherVariants, ShuffleBitExactVsScalar)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AwkwardShapes, Int4GatherVariants,
+    AwkwardShapes, Int4GatherTiers,
     ::testing::Combine(::testing::Values<int64_t>(23, 52),  // K % v != 0
                        ::testing::Values<int64_t>(3, 8),
                        ::testing::Values<int64_t>(4, 16),
@@ -903,7 +914,7 @@ INSTANTIATE_TEST_SUITE_P(
 // 3-subspace tail) and 94 at v = 3 (K % v != 0). 3 and 15 rows are
 // whole-batch tails, 79 = 64 + 15 a tail behind a full chunk.
 INSTANTIATE_TEST_SUITE_P(
-    WideShapes, Int4GatherVariants,
+    WideShapes, Int4GatherTiers,
     ::testing::Combine(::testing::Values<int64_t>(23, 280),
                        ::testing::Values<int64_t>(3, 8),
                        ::testing::Values<int64_t>(4, 16),
@@ -954,12 +965,13 @@ TEST(Int4GatherSaturatedGroup, NibblesOfFifteenReach240BitExact)
     }
 }
 
-// ---- Property: every INT8 encode variant is bit-identical --------------
+// ---- Property: every INT8 encode tier is bit-identical -----------------
 
 /**
  * Encode `x` with the scalar integer reference and require every INT8
- * encode tier this host runs (forced and Auto, whole-buffer and block by
- * block) to select the same code for every (row, subspace).
+ * encode tier this host runs (at a forced level and at the default cap,
+ * whole-buffer and block by block) to select the same code for every
+ * (row, subspace).
  */
 void
 expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
@@ -969,8 +981,8 @@ expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
     const int64_t nc = arena.numSubspaces();
     lutboost::EncodeScratch scratch;
     vq::CodeBuffer scalar;
-    arena.encodeBatchInt8(x.data(), rows, scalar, scratch,
-                          lutboost::EncodeVariant::Scalar);
+    arena.encodeBatchInt8(x.data(), rows, scalar, scratch, 0,
+                          util::SimdLevel::Generic);
     ASSERT_EQ(scalar.rows(), rows);
     ASSERT_EQ(scalar.subspaces(), nc);
 
@@ -984,25 +996,27 @@ expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
                          "block seam changed the INT8 encode: " + what);
     });
 
-    const util::SimdLevel level = util::simdLevel();
-    std::vector<lutboost::EncodeVariant> variants;
-    if (level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::EncodeVariant::MaddAvx2);
-    if (level >= util::SimdLevel::Avx512Vnni)
-        variants.push_back(lutboost::EncodeVariant::DotVnni);
-    if (variants.empty())
+    const util::SimdLevel host = util::simdLevel();
+    std::vector<util::SimdLevel> levels;
+    if (host >= util::SimdLevel::Avx2)
+        levels.push_back(util::SimdLevel::Avx2);
+    if (host >= util::SimdLevel::Avx512Vnni)
+        levels.push_back(util::SimdLevel::Avx512Vnni);
+    if (levels.empty())
         GTEST_SKIP() << "no SIMD level on this host; scalar-only";
-    for (const auto variant : variants) {
+    for (const util::SimdLevel level : levels) {
+        ASSERT_EQ(arena.int8EncodeLevel(level), level) << what;
         vq::CodeBuffer simd;
-        arena.encodeBatchInt8(x.data(), rows, simd, scratch, variant);
+        arena.encodeBatchInt8(x.data(), rows, simd, scratch, 0, level);
         for (int64_t r = 0; r < rows; ++r)
             for (int64_t s = 0; s < nc; ++s)
                 ASSERT_EQ(simd.get(r, s), scalar.get(r, s))
-                    << lutboost::LutTableArena::encodeVariantName(variant)
-                    << " diverged: " << what << " r=" << r << " s=" << s;
+                    << util::simdLevelName(level) << " diverged: " << what
+                    << " r=" << r << " s=" << s;
     }
 
-    // Auto must resolve to one of the tiers just proven identical.
+    // The default cap must resolve to one of the tiers just proven
+    // identical.
     vq::CodeBuffer autod;
     arena.encodeBatchInt8(x.data(), rows, autod, scratch);
     for (int64_t r = 0; r < rows; ++r)
@@ -1021,13 +1035,13 @@ expectInt8EncodeTiersMatchScalar(const lutboost::LutTableArena &arena,
  * Agreement with the float encode is a separate, statistical contract
  * (see the serve tests); THIS test is about exactness across kernels.
  */
-class Int8EncodeVariants
+class Int8EncodeTiers
     : public ::testing::TestWithParam<
           std::tuple<int64_t, int64_t, int64_t, int64_t>>
 {
 };
 
-TEST_P(Int8EncodeVariants, SimdTiersBitIdenticalToScalarReference)
+TEST_P(Int8EncodeTiers, SimdTiersBitIdenticalToScalarReference)
 {
     const auto [k, v, c, rows] = GetParam();
     vq::PQConfig pq;
@@ -1052,7 +1066,7 @@ TEST_P(Int8EncodeVariants, SimdTiersBitIdenticalToScalarReference)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AwkwardShapes, Int8EncodeVariants,
+    AwkwardShapes, Int8EncodeTiers,
     ::testing::Combine(
         // K % v != 0 plus the attention-shaped d_model 64 (v | K)
         ::testing::Values<int64_t>(23, 52, 64),
@@ -1065,7 +1079,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Long subvectors up to the SIMD tiers' v <= 128 bound: many 8-dim
 // chunks per row-lane block, odd quad counts, and a ragged tail.
 INSTANTIATE_TEST_SUITE_P(
-    LongSubvectors, Int8EncodeVariants,
+    LongSubvectors, Int8EncodeTiers,
     ::testing::Combine(::testing::Values<int64_t>(300),
                        ::testing::Values<int64_t>(37, 128),
                        ::testing::Values<int64_t>(4, 16),
@@ -1152,8 +1166,8 @@ TEST_P(Int8EncodeHostile, SimdTiersMatchScalarOnHostileRows)
     // The tie rows really are ties, and they resolve to centroid 0.
     lutboost::EncodeScratch scratch;
     vq::CodeBuffer codes;
-    arena->encodeBatchInt8(x.data(), rows, codes, scratch,
-                           lutboost::EncodeVariant::Scalar);
+    arena->encodeBatchInt8(x.data(), rows, codes, scratch, 0,
+                           util::SimdLevel::Generic);
     for (int64_t r = 2; r < rows; r += 4)
         for (int64_t s = 0; s < nc; ++s)
             EXPECT_NE(codes.get(r, s), 1)
@@ -1235,8 +1249,6 @@ TEST(GenericCFloatEncode, MaskedSimdBitExactVsScalarScan)
                 }
 
                 for (const util::SimdLevel level : levels) {
-                    ASSERT_TRUE(
-                        lutboost::simd::encodeL2GenericSupported(level, c));
                     std::vector<int32_t> got(static_cast<size_t>(rows), -1);
                     lutboost::simd::encodeL2GenericRows(
                         level, x.data(), rows, stride, cbt.data(), v, c,
@@ -1262,11 +1274,191 @@ TEST(GenericCFloatEncode, ArenaAtSixteenCentroidsUsesGenericTier)
     pq.c = 16;
     lutboost::LutLinear layer(32, 24, pq, /*bias=*/false, /*seed=*/16);
     layer.refreshInferenceLut();
-    const util::SimdLevel level = util::simdLevel();
-    const std::string want = level >= util::SimdLevel::Avx512 ? "avx512-genc"
-                             : level >= util::SimdLevel::Avx2 ? "avx2-genc"
-                                                              : "generic";
-    EXPECT_EQ(layer.inferenceArena()->encodeVariantName(), want);
+    const util::SimdLevel host = util::simdLevel();
+    const util::SimdLevel want = host >= util::SimdLevel::Avx512
+                                     ? util::SimdLevel::Avx512
+                                 : host >= util::SimdLevel::Avx2
+                                     ? util::SimdLevel::Avx2
+                                     : util::SimdLevel::Generic;
+    EXPECT_EQ(layer.inferenceArena()->encodeLevel(), want);
+}
+
+// ---- Property: every float encode tier matches the scalar scan --------
+
+/** Every SIMD level at or below this host's, Generic first. */
+std::vector<util::SimdLevel>
+levelsUpToHost()
+{
+    return tierLevels([](util::SimdLevel level) { return level; });
+}
+
+/**
+ * The arena's float encode at every level cap this host allows must
+ * select the codes of the Generic scalar scan, bit for bit: c from 2
+ * (the masked tier's low edge) through 64 to 65 (above its limit, where
+ * every cap runs the scalar scan), K % v != 0 (a zero-padded ragged
+ * tail subspace), K-wide rows and width-adapted reads (w = 6 and 30,
+ * where subspaces wrap and the period truncates), plain and BF16-input
+ * arenas, and Gaussian and hostile rows (NaN, +/-Inf, +/-FLT_MAX,
+ * denormals, -0).
+ */
+class FloatEncodeTiers
+    : public ::testing::TestWithParam<std::tuple<int64_t, bool>>
+{
+};
+
+TEST_P(FloatEncodeTiers, EveryLevelMatchesGenericCodes)
+{
+    const auto [c, bf16] = GetParam();
+    const int64_t k = 23, rows = 65;
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = c;
+    lutboost::LutLinear layer(k, 10, pq, /*bias=*/false,
+                              /*seed=*/static_cast<uint64_t>(c * 2 + bf16));
+    vq::LutPrecision precision;
+    precision.bf16_similarity = bf16;
+    layer.setPrecision(precision);
+    layer.refreshInferenceLut();
+    const auto arena = layer.inferenceArena();
+    ASSERT_EQ(arena->bf16Inputs(), bf16);
+    const util::SimdLevel host = util::simdLevel();
+    if (c > 64 || host < util::SimdLevel::Avx2)
+        EXPECT_EQ(arena->encodeLevel(), util::SimdLevel::Generic);
+    else
+        EXPECT_NE(arena->encodeLevel(), util::SimdLevel::Generic);
+
+    lutboost::EncodeScratch scratch;
+    for (const int64_t w : {k, int64_t{6}, int64_t{30}}) {
+        for (const bool hostile : {false, true}) {
+            const uint64_t seed = static_cast<uint64_t>(w * 100 + c);
+            std::vector<float> x = hostileRows(rows, w, seed);
+            if (!hostile) {
+                Rng rng(seed);
+                for (float &e : x)
+                    e = static_cast<float>(rng.gaussian(0.0, 1.0));
+            }
+            vq::CodeBuffer want, got;
+            arena->encodeBatch(x.data(), rows, want, scratch, w,
+                               util::SimdLevel::Generic);
+            for (const util::SimdLevel level : levelsUpToHost()) {
+                arena->encodeBatch(x.data(), rows, got, scratch, w, level);
+                expectBlockCodes(
+                    got, want, 0,
+                    std::string(util::simdLevelName(level)) +
+                        " c=" + std::to_string(c) +
+                        " bf16=" + std::to_string(bf16) +
+                        " w=" + std::to_string(w) +
+                        " hostile=" + std::to_string(hostile));
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CentroidCounts, FloatEncodeTiers,
+    ::testing::Combine(::testing::Values<int64_t>(2, 5, 16, 17, 64, 65),
+                       ::testing::Bool()));
+
+// ---- Property: a level cap is a ceiling, not a demand ------------------
+
+/**
+ * On shapes with no SIMD tier, every cap up to the host's runs the
+ * scalar reference and matches the Generic output bit for bit: c = 32
+ * for both quantized gathers (their shuffle layouts hold 16 entries per
+ * lookup) and v = 129 for the INT8 encode (its SIMD tiers stop at
+ * v = 128).
+ */
+TEST(TierCaps, SimdCapOnShapeWithoutSimdTierRunsScalar)
+{
+    {
+        vq::PQConfig pq;
+        pq.v = 4;
+        pq.c = 32;
+        const int64_t k = 52, n = 70, rows = 130;
+        lutboost::LutLinear layer(k, n, pq, /*bias=*/true, /*seed=*/32);
+        layer.refreshInferenceLut();
+        const auto arena = layer.inferenceArena();
+        arena->ensureInt8Bank();
+        arena->ensureInt4Bank();
+        Rng rng(33);
+        Tensor x(Shape{rows, k});
+        for (int64_t i = 0; i < x.numel(); ++i)
+            x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
+        lutboost::KernelScratch scratch;
+        lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
+                                                 scratch);
+        Tensor want8(Shape{rows, n}), want4(Shape{rows, n});
+        arena->gatherAccumulateInt8(scratch.codes, want8.data(),
+                                    scratch.gather, util::SimdLevel::Generic);
+        arena->gatherAccumulateInt4(scratch.codes, want4.data(),
+                                    scratch.gather, util::SimdLevel::Generic);
+        for (const util::SimdLevel level : levelsUpToHost()) {
+            const std::string at = util::simdLevelName(level);
+            EXPECT_EQ(arena->int8GatherLevel(level), util::SimdLevel::Generic)
+                << at;
+            EXPECT_EQ(arena->int4GatherLevel(level), util::SimdLevel::Generic)
+                << at;
+            Tensor got8(Shape{rows, n}), got4(Shape{rows, n});
+            arena->gatherAccumulateInt8(scratch.codes, got8.data(),
+                                        scratch.gather, level);
+            arena->gatherAccumulateInt4(scratch.codes, got4.data(),
+                                        scratch.gather, level);
+            EXPECT_TRUE(got8.equals(want8)) << "int8 gather at " << at;
+            EXPECT_TRUE(got4.equals(want4)) << "int4 gather at " << at;
+        }
+    }
+    {
+        vq::PQConfig pq;
+        pq.v = 129;
+        pq.c = 16;
+        const int64_t k = 300, rows = 65;  // a ragged third subspace
+        lutboost::LutLinear layer(k, 10, pq, /*bias=*/false, /*seed=*/129);
+        layer.refreshInferenceLut();
+        const auto arena = layer.inferenceArena();
+        arena->ensureInt8EncodeBank();
+        Rng rng(130);
+        Tensor x(Shape{rows, k});
+        for (int64_t i = 0; i < x.numel(); ++i)
+            x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
+        lutboost::EncodeScratch scratch;
+        vq::CodeBuffer want, got;
+        arena->encodeBatchInt8(x.data(), rows, want, scratch, 0,
+                               util::SimdLevel::Generic);
+        for (const util::SimdLevel level : levelsUpToHost()) {
+            const std::string at = util::simdLevelName(level);
+            EXPECT_EQ(arena->int8EncodeLevel(level), util::SimdLevel::Generic)
+                << at;
+            arena->encodeBatchInt8(x.data(), rows, got, scratch, 0, level);
+            expectBlockCodes(got, want, 0, "int8 encode v=129 at " + at);
+        }
+    }
+}
+
+/** A cap above the running CPU's level is a checked error, never a
+ * silent clamp. Runs only where some level lies above the host's (for
+ * example under LUTDLA_SIMD=avx2). */
+TEST(TierCapsDeathTest, CapAboveHostPanics)
+{
+    if (util::simdLevel() == util::SimdLevel::Avx512Vnni)
+        GTEST_SKIP() << "no level above this host's";
+    vq::PQConfig pq;
+    pq.v = 4;
+    pq.c = 16;
+    lutboost::LutLinear layer(16, 8, pq, /*bias=*/false, /*seed=*/34);
+    layer.refreshInferenceLut();
+    const auto arena = layer.inferenceArena();
+    arena->ensureInt4Bank();
+    lutboost::KernelScratch scratch;
+    Tensor x(Shape{4, 16}, 0.5f);
+    lutboost::referenceBackend().encodeBatch(*arena, x.data(), 4, scratch);
+    Tensor y(Shape{4, 8});
+    EXPECT_DEATH(arena->gatherAccumulateInt4(scratch.codes, y.data(),
+                                             scratch.gather,
+                                             util::SimdLevel::Avx512Vnni),
+                 "above this CPU");
+    EXPECT_DEATH(arena->encodeLevel(util::SimdLevel::Avx512Vnni),
+                 "above this CPU");
 }
 
 // ---- Property: quantized banks account exactly for resident layouts ----
@@ -1305,8 +1497,7 @@ TEST(QuantizedBankAccounting, ResidentBytesMatchMaterializedLayouts)
     const int64_t scale_bytes =
         groups * blocks * static_cast<int64_t>(sizeof(float));
     const bool quad = util::simdLevel() >= util::SimdLevel::Avx512Vnni;
-    const bool shuffle4 =
-        lutboost::simd::shuffleGatherSupported(util::simdLevel());
+    const bool shuffle4 = util::simdLevel() >= util::SimdLevel::Avx2;
 
     // Two-layout rule: row-major plus, when the VNNI tier can run, the
     // quad-interleaved mirror it reads (the only INT8 tier that does).
@@ -1393,7 +1584,7 @@ TEST(QuantizedBankAccounting, EncodeBankSeparateFromGatherBanks)
     EXPECT_EQ(arena->int8EncodeTableBytes(), table);
 
     int64_t resident = table;
-    if (lutboost::simd::int8EncodeSupported(util::simdLevel()))
+    if (util::simdLevel() >= util::SimdLevel::Avx2)
         resident += nc * ((v + 3) / 4) * 64;                 // quad mirror
     EXPECT_EQ(arena->int8EncodeResidentBytes(), resident);
 

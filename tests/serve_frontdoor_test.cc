@@ -423,6 +423,40 @@ TEST(FrontDoor, ModelDefaultDeadlineApplies)
     door.value()->shutdown();
 }
 
+TEST(FrontDoor, ExplicitZeroDeadlineIsUnboundedUnderModelDefault)
+{
+    serve::FrontDoorOptions options;
+    options.threads = 1;
+    options.autostart = false;
+    auto door = serve::FrontDoor::create(options);
+    ASSERT_TRUE(door.ok());
+    serve::ModelSlo slo;
+    slo.default_deadline_us = 1;
+    ASSERT_TRUE(door.value()->publish("m", traceModel(1), slo).ok());
+
+    // An explicit 0 overrides the model's 1 us default with "unbounded";
+    // its twin without an override inherits the default and expires.
+    serve::RequestOptions unbounded;
+    unbounded.deadline_us = 0;
+    auto kept =
+        door.value()->submitAsync("m", randomRows(1, 24, 1), unbounded);
+    auto doomed = door.value()->submitAsync("m", randomRows(1, 24, 2));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    door.value()->start();
+
+    auto ok = kept.get();
+    ASSERT_TRUE(ok.ok()) << ok.status().toString();
+    EXPECT_EQ(doomed.get().status().code(),
+              api::StatusCode::DeadlineExceeded);
+    door.value()->shutdown();
+
+    const serve::FrontDoorStats stats = door.value()->stats();
+    EXPECT_EQ(stats.models.at("m").served, 1u);
+    EXPECT_EQ(stats.models.at("m").shed_deadline, 1u);
+    // The served request carried no deadline at all.
+    EXPECT_EQ(stats.models.at("m").with_deadline, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Cancellation.
 
@@ -559,6 +593,51 @@ TEST(FrontDoor, HotSwapKeepsServingPinnedVersionWithZeroDrain)
     EXPECT_EQ(stats.total.served, 129u);
     EXPECT_EQ(stats.total.shed(), 0u);
     EXPECT_EQ(stats.total.rejected, 0u);
+    EXPECT_EQ(stats.last_version.at("m"), 2u);
+}
+
+TEST(FrontDoor, WidthChangingHotSwapPinsQueuedRequestsToOldVersion)
+{
+    serve::FrontDoorOptions options;
+    options.threads = 1;
+    options.autostart = false;  // everything below is queued before start
+    auto door = serve::FrontDoor::create(options);
+    ASSERT_TRUE(door.ok());
+
+    serve::FrozenModel v1 = traceModel(1, 24);
+    serve::FrozenModel v2 = traceModel(2, 32);
+    ASSERT_TRUE(door.value()->publish("m", v1).ok());
+
+    const Tensor narrow = randomRows(3, 24, 41);
+    const Tensor wide = randomRows(3, 32, 42);
+    std::vector<std::future<api::Result<Tensor>>> before;
+    for (int i = 0; i < 4; ++i)
+        before.push_back(door.value()->submitAsync("m", narrow));
+    auto v2_version = door.value()->publish("m", v2);
+    ASSERT_TRUE(v2_version.ok());
+    EXPECT_EQ(*v2_version, 2u);
+
+    // After the publish the name means v2: its width is the one checked.
+    auto stale = door.value()->submitAsync("m", narrow);
+    auto fresh = door.value()->submitAsync("m", wide);
+    EXPECT_EQ(stale.get().status().code(),
+              api::StatusCode::InvalidArgument);
+    door.value()->start();
+
+    const Tensor ref_v1 = v1.forwardBatch(narrow);
+    for (auto &f : before) {
+        auto result = f.get();
+        ASSERT_TRUE(result.ok()) << result.status().toString();
+        EXPECT_TRUE(result->equals(ref_v1));
+    }
+    auto result = fresh.get();
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    EXPECT_TRUE(result->equals(v2.forwardBatch(wide)));
+    door.value()->shutdown();
+
+    const serve::FrontDoorStats stats = door.value()->stats();
+    EXPECT_EQ(stats.total.served, 5u);
+    EXPECT_EQ(stats.total.rejected, 1u);
     EXPECT_EQ(stats.last_version.at("m"), 2u);
 }
 

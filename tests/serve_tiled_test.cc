@@ -1,6 +1,6 @@
 // Tests for the row-tiled segment executor: bit-exactness of the tiled
 // forwardBatch against the untiled phase-barrier path across tile sizes,
-// table precisions, forced gather variants, and ragged tails; the tile
+// table precisions, forced gather levels, and ragged tails; the tile
 // plan's segment partition and per-worker scratch accounting; the
 // multi-worker engine racing per-tile tasks over MLP / CNN / transformer
 // stage graphs; and one poisoned scratch reused across all three.
@@ -105,11 +105,11 @@ TEST(TiledExecutor, TraceSweepBitExactAcrossTileSizesAndPrecisions)
 }
 
 // ---------------------------------------------------------------------------
-// Forced gather variants: per-tile encode + gather (exactly what the
+// Forced gather levels: per-tile encode + gather (exactly what the
 // executor runs inside a segment) is bit-identical to the whole-batch
-// sweep for EVERY variant, not just the auto-resolved one.
+// sweep at EVERY tier, not just the one the default cap resolves to.
 
-TEST(TiledExecutor, ForcedGatherVariantsBitExactUnderTiling)
+TEST(TiledExecutor, ForcedGatherLevelsBitExactUnderTiling)
 {
     vq::PQConfig pq;
     pq.v = 4;
@@ -133,15 +133,15 @@ TEST(TiledExecutor, ForcedGatherVariantsBitExactUnderTiling)
         tile_sizes.push_back(chunk + 1);
     }
 
-    std::vector<lutboost::Int8GatherVariant> int8_variants{
-        lutboost::Int8GatherVariant::Scalar,
-        lutboost::Int8GatherVariant::Auto};
+    // The host's own level is the default cap.
+    std::vector<util::SimdLevel> int8_levels{util::SimdLevel::Generic,
+                                             level};
     if (level >= util::SimdLevel::Avx512Vnni)
-        int8_variants.push_back(lutboost::Int8GatherVariant::ShuffleVnni);
-    for (const auto variant : int8_variants) {
+        int8_levels.push_back(util::SimdLevel::Avx512Vnni);
+    for (const util::SimdLevel cap : int8_levels) {
         Tensor whole(Shape{rows, n});
         arena->gatherAccumulateInt8(full.codes, whole.data(), full.gather,
-                                    variant);
+                                    cap);
         for (const int64_t tile : tile_sizes) {
             Tensor tiled(Shape{rows, n});
             lutboost::KernelScratch local;
@@ -151,25 +151,23 @@ TEST(TiledExecutor, ForcedGatherVariantsBitExactUnderTiling)
                     *arena, x.data() + r0 * k, rn, local);
                 arena->gatherAccumulateInt8(local.codes,
                                             tiled.data() + r0 * n,
-                                            local.gather, variant);
+                                            local.gather, cap);
             }
             EXPECT_TRUE(tiled.equals(whole))
-                << lutboost::LutTableArena::int8GatherVariantName(variant)
+                << "int8 at " << util::simdLevelName(cap)
                 << " tile=" << tile << " diverged under per-tile sweep";
         }
     }
 
-    std::vector<lutboost::Int4GatherVariant> int4_variants{
-        lutboost::Int4GatherVariant::Scalar};
+    std::vector<util::SimdLevel> int4_levels{util::SimdLevel::Generic};
     if (level >= util::SimdLevel::Avx2)
-        int4_variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx2);
+        int4_levels.push_back(util::SimdLevel::Avx2);
     if (level >= util::SimdLevel::Avx512)
-        int4_variants.push_back(
-            lutboost::Int4GatherVariant::ShuffleAvx512);
-    for (const auto variant : int4_variants) {
+        int4_levels.push_back(util::SimdLevel::Avx512);
+    for (const util::SimdLevel cap : int4_levels) {
         Tensor whole(Shape{rows, n});
         arena->gatherAccumulateInt4(full.codes, whole.data(), full.gather,
-                                    variant);
+                                    cap);
         for (const int64_t tile : tile_sizes) {
             Tensor tiled(Shape{rows, n});
             lutboost::KernelScratch local;
@@ -179,10 +177,10 @@ TEST(TiledExecutor, ForcedGatherVariantsBitExactUnderTiling)
                     *arena, x.data() + r0 * k, rn, local);
                 arena->gatherAccumulateInt4(local.codes,
                                             tiled.data() + r0 * n,
-                                            local.gather, variant);
+                                            local.gather, cap);
             }
             EXPECT_TRUE(tiled.equals(whole))
-                << lutboost::LutTableArena::int4GatherVariantName(variant)
+                << "int4 at " << util::simdLevelName(cap)
                 << " tile=" << tile << " diverged under per-tile sweep";
         }
     }

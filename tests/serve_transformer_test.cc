@@ -2,7 +2,7 @@
 // the lowered encoder block against the nn:: eval forward across head
 // counts, sequence lengths, and deployment precisions; skip-edge scratch
 // aliasing under the sharded worker pool; the typed lowering error paths;
-// the shared numerically stable softmax; and INT8 gather-variant
+// the shared numerically stable softmax; and INT8 gather-tier
 // bit-identity over the attention projection arenas.
 
 #include <gtest/gtest.h>
@@ -38,7 +38,7 @@ smallPq()
 {
     vq::PQConfig pq;
     pq.v = 4;
-    pq.c = 8;  // c <= 16 keeps the INT8 shuffle variants eligible
+    pq.c = 8;  // c <= 16 keeps the INT8 shuffle tier eligible
     return pq;
 }
 
@@ -525,20 +525,20 @@ TEST(FrozenModel, SoftmaxHeadLowersBitExact)
 // ---------------------------------------------------------------------------
 // INT8 data plane over the attention arenas.
 
-TEST(AttentionArenas, Int8GatherVariantsBitIdenticalAcrossSimdTiers)
+TEST(AttentionArenas, Int8GatherLevelsBitIdenticalAcrossSimdTiers)
 {
-    // The forced VNNI INT8 gather (where the host has it) and Auto over
-    // the transformer's projection arenas must match the scalar variant
-    // bit for bit (the same contract the generic property test proves,
+    // The VNNI INT8 gather at a forced level (where the host has it) and
+    // at the default cap over the transformer's projection arenas must
+    // match the scalar tier bit for bit (the same contract the generic property test proves,
     // here over the arenas attention actually serves from, at a ragged
     // row count).
     nn::LayerPtr model =
         makeLutTransformer(/*seq_len=*/65, /*heads=*/4, {}, 121);
 
-    std::vector<lutboost::Int8GatherVariant> variants{
-        lutboost::Int8GatherVariant::Auto};
+    // The host's own level is the default cap.
+    std::vector<util::SimdLevel> levels{util::simdLevel()};
     if (util::simdLevel() >= util::SimdLevel::Avx512Vnni)
-        variants.push_back(lutboost::Int8GatherVariant::ShuffleVnni);
+        levels.push_back(util::SimdLevel::Avx512Vnni);
 
     int64_t checked = 0;
     for (lutboost::LutLinear *layer : lutboost::findLutLayers(model)) {
@@ -553,15 +553,13 @@ TEST(AttentionArenas, Int8GatherVariantsBitIdenticalAcrossSimdTiers)
                                                  scratch);
         Tensor scalar(Shape{rows, n});
         arena->gatherAccumulateInt8(scratch.codes, scalar.data(),
-                                    scratch.gather,
-                                    lutboost::Int8GatherVariant::Scalar);
-        for (const auto variant : variants) {
+                                    scratch.gather, util::SimdLevel::Generic);
+        for (const util::SimdLevel level : levels) {
             Tensor shuffled(Shape{rows, n});
             arena->gatherAccumulateInt8(scratch.codes, shuffled.data(),
-                                        scratch.gather, variant);
+                                        scratch.gather, level);
             EXPECT_TRUE(shuffled.equals(scalar))
-                << lutboost::LutTableArena::int8GatherVariantName(variant)
-                << " diverged on arena " << checked << " maxdiff="
+                << util::simdLevelName(level) << " diverged on arena " << checked << " maxdiff="
                 << Tensor::maxAbsDiff(shuffled, scalar);
         }
         ++checked;
@@ -569,23 +567,23 @@ TEST(AttentionArenas, Int8GatherVariantsBitIdenticalAcrossSimdTiers)
     EXPECT_EQ(checked, 7) << "embedding + q/k/v/o + 2 FFN arenas";
 }
 
-TEST(AttentionArenas, Int4GatherVariantsBitIdenticalAcrossSimdTiers)
+TEST(AttentionArenas, Int4GatherLevelsBitIdenticalAcrossSimdTiers)
 {
-    // The INT4 mirror of the test above: every SIMD tier's forced
-    // nibble-packed gather over the transformer's projection arenas
+    // The INT4 mirror of the test above: every SIMD tier's nibble-packed
+    // gather at a forced level over the transformer's projection arenas
     // must match the scalar sweep bit for bit (one unpack-and-shift
     // per chunk on top of the same VPSHUFB path; no VNNI tier — the
     // dot-product instruction would mix the two nibble planes).
     nn::LayerPtr model =
         makeLutTransformer(/*seq_len=*/65, /*heads=*/4, {}, 121);
 
-    std::vector<lutboost::Int4GatherVariant> variants;
-    const util::SimdLevel level = util::simdLevel();
-    if (level >= util::SimdLevel::Avx2)
-        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx2);
-    if (level >= util::SimdLevel::Avx512)
-        variants.push_back(lutboost::Int4GatherVariant::ShuffleAvx512);
-    if (variants.empty())
+    std::vector<util::SimdLevel> levels;
+    const util::SimdLevel host = util::simdLevel();
+    if (host >= util::SimdLevel::Avx2)
+        levels.push_back(util::SimdLevel::Avx2);
+    if (host >= util::SimdLevel::Avx512)
+        levels.push_back(util::SimdLevel::Avx512);
+    if (levels.empty())
         GTEST_SKIP() << "no SIMD level on this host; scalar-only";
 
     int64_t checked = 0;
@@ -601,15 +599,13 @@ TEST(AttentionArenas, Int4GatherVariantsBitIdenticalAcrossSimdTiers)
                                                  scratch);
         Tensor scalar(Shape{rows, n});
         arena->gatherAccumulateInt4(scratch.codes, scalar.data(),
-                                    scratch.gather,
-                                    lutboost::Int4GatherVariant::Scalar);
-        for (const auto variant : variants) {
+                                    scratch.gather, util::SimdLevel::Generic);
+        for (const util::SimdLevel level : levels) {
             Tensor shuffled(Shape{rows, n});
             arena->gatherAccumulateInt4(scratch.codes, shuffled.data(),
-                                        scratch.gather, variant);
+                                        scratch.gather, level);
             EXPECT_TRUE(shuffled.equals(scalar))
-                << lutboost::LutTableArena::int4GatherVariantName(variant)
-                << " diverged on arena " << checked << " maxdiff="
+                << util::simdLevelName(level) << " diverged on arena " << checked << " maxdiff="
                 << Tensor::maxAbsDiff(shuffled, scalar);
         }
         ++checked;
