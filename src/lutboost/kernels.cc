@@ -27,16 +27,6 @@ chunkOrRowBlock(util::SimdLevel level)
     return chunk > 0 ? chunk : LutTableArena::kRowBlock;
 }
 
-/** True when the arena can honor an Int8 encode request; unsupported
- * arenas (non-L2 metric, oversized subvectors) fall back to the exact
- * float argmin rather than faulting — the planner resolves the same
- * predicate, so the fallback only fires for hand-built configurations. */
-bool
-useInt8Encode(const LutTableArena &arena, EncodePrecision encode)
-{
-    return encode == EncodePrecision::Int8 && arena.int8EncodeSupported();
-}
-
 } // namespace
 
 const char *
@@ -45,21 +35,68 @@ encodePrecisionName(EncodePrecision precision)
     return precision == EncodePrecision::Int8 ? "int8" : "float32";
 }
 
+const char *
+tablePrecisionName(TablePrecision precision)
+{
+    switch (precision) {
+      case TablePrecision::Int8:
+        return "int8";
+      case TablePrecision::Int4:
+        return "int4";
+      default:
+        return "float32";
+    }
+}
+
+EncodePrecision
+resolveEncode(const LutTableArena &arena, EncodePrecision requested)
+{
+    return requested == EncodePrecision::Int8 && arena.int8EncodeSupported()
+               ? EncodePrecision::Int8
+               : EncodePrecision::Float32;
+}
+
+const KernelBackend &
+KernelBackend::of(TablePrecision precision)
+{
+    static const KernelBackend backends[] = {
+        KernelBackend(TablePrecision::Float32),
+        KernelBackend(TablePrecision::Int8),
+        KernelBackend(TablePrecision::Int4)};
+    return backends[static_cast<int>(precision)];
+}
+
 void
 KernelBackend::encodeBatch(const LutTableArena &arena, const float *x,
                            int64_t rows, KernelScratch &scratch,
                            EncodePrecision encode, int64_t width) const
 {
-    // Every backend shares the arena's encode phase; `encode` picks the
-    // argmin arithmetic (exact float scan vs integer scan over the INT8
-    // encode bank), independent of the gather-side table precision.
-    if (useInt8Encode(arena, encode)) {
+    // Every table precision shares the arena's encode phase; `encode`
+    // picks the argmin arithmetic (exact float scan vs integer scan over
+    // the INT8 encode bank), independent of the gather-side bank.
+    if (resolveEncode(arena, encode) == EncodePrecision::Int8) {
         arena.ensureInt8EncodeBank();
         arena.encodeBatchInt8(x, rows, scratch.codes, scratch.encode,
                               width);
         return;
     }
     arena.encodeBatch(x, rows, scratch.codes, scratch.encode, width);
+}
+
+void
+KernelBackend::gatherAccumulate(const LutTableArena &arena,
+                                KernelScratch &scratch, float *y) const
+{
+    switch (precision_) {
+      case TablePrecision::Int8:
+        arena.gatherAccumulateInt8(scratch.codes, y, scratch.gather);
+        return;
+      case TablePrecision::Int4:
+        arena.gatherAccumulateInt4(scratch.codes, y, scratch.gather);
+        return;
+      default:
+        arena.gatherAccumulate(scratch.codes, y, scratch.gather);
+    }
 }
 
 void
@@ -79,141 +116,56 @@ KernelBackend::forwardTile(const LutTableArena &arena, const float *x,
 }
 
 int64_t
-KernelBackend::gatherGranuleRows(const LutTableArena &) const
+KernelBackend::gatherGranuleRows(const LutTableArena &arena) const
 {
-    // Float grouped sweep: one table pass per kRowBlock rows.
-    return LutTableArena::kRowBlock;
+    // The float bank's grouped sweep makes one table pass per kRowBlock
+    // rows; the quantized banks one per shuffle chunk of their tier.
+    switch (precision_) {
+      case TablePrecision::Int8:
+        return chunkOrRowBlock(arena.int8GatherLevel());
+      case TablePrecision::Int4:
+        return chunkOrRowBlock(arena.int4GatherLevel());
+      default:
+        return LutTableArena::kRowBlock;
+    }
+}
+
+int64_t
+KernelBackend::tableBytes(const LutTableArena &arena) const
+{
+    switch (precision_) {
+      case TablePrecision::Int8:
+        return arena.int8TableBytes();
+      case TablePrecision::Int4:
+        return arena.int4TableBytes();
+      default:
+        return arena.sizeBytes();
+    }
+}
+
+int64_t
+KernelBackend::residentBytes(const LutTableArena &arena) const
+{
+    switch (precision_) {
+      case TablePrecision::Int8:
+        return arena.int8ResidentBytes();
+      case TablePrecision::Int4:
+        return arena.int4ResidentBytes();
+      default:
+        return arena.sizeBytes();
+    }
 }
 
 void
-KernelBackend::prepare(const LutTableArena &) const
+KernelBackend::prepare(const LutTableArena &arena,
+                       EncodePrecision encode) const
 {
-}
-
-namespace {
-
-/** Float-bank gather: bit-exact with LutTableArena::forwardBatch. */
-class ReferenceBackend final : public KernelBackend
-{
-  public:
-    std::string name() const override { return "float32"; }
-    bool bitExact() const override { return true; }
-
-    void
-    gatherAccumulate(const LutTableArena &arena, KernelScratch &scratch,
-                     float *y) const override
-    {
-        arena.gatherAccumulate(scratch.codes, y, scratch.gather);
-    }
-
-    int64_t
-    tableBytes(const LutTableArena &arena) const override
-    {
-        return arena.sizeBytes();
-    }
-};
-
-/** INT8-bank gather: ~4x less table traffic, approximate. The tier
- * (shuffle vs scalar) resolves per arena + CPU at run time. */
-class QuantizedBackend final : public KernelBackend
-{
-  public:
-    std::string name() const override { return "int8"; }
-    bool bitExact() const override { return false; }
-
-    void
-    gatherAccumulate(const LutTableArena &arena, KernelScratch &scratch,
-                     float *y) const override
-    {
-        arena.gatherAccumulateInt8(scratch.codes, y, scratch.gather);
-    }
-
-    int64_t
-    tableBytes(const LutTableArena &arena) const override
-    {
-        return arena.int8TableBytes();
-    }
-
-    int64_t
-    gatherGranuleRows(const LutTableArena &arena) const override
-    {
-        return chunkOrRowBlock(arena.int8GatherLevel());
-    }
-
-    int64_t
-    residentBytes(const LutTableArena &arena) const override
-    {
-        return arena.int8ResidentBytes();
-    }
-
-    void
-    prepare(const LutTableArena &arena) const override
-    {
+    if (resolveEncode(arena, encode) == EncodePrecision::Int8)
+        arena.ensureInt8EncodeBank();
+    if (precision_ == TablePrecision::Int8)
         arena.ensureInt8Bank();
-    }
-};
-
-/** INT4-bank gather: nibble-packed tables, ~8x less traffic than float
- * and half the INT8 bank; coarser quantization (see docs/SERVING.md). */
-class Int4Backend final : public KernelBackend
-{
-  public:
-    std::string name() const override { return "int4"; }
-    bool bitExact() const override { return false; }
-
-    void
-    gatherAccumulate(const LutTableArena &arena, KernelScratch &scratch,
-                     float *y) const override
-    {
-        arena.gatherAccumulateInt4(scratch.codes, y, scratch.gather);
-    }
-
-    int64_t
-    tableBytes(const LutTableArena &arena) const override
-    {
-        return arena.int4TableBytes();
-    }
-
-    int64_t
-    gatherGranuleRows(const LutTableArena &arena) const override
-    {
-        return chunkOrRowBlock(arena.int4GatherLevel());
-    }
-
-    int64_t
-    residentBytes(const LutTableArena &arena) const override
-    {
-        return arena.int4ResidentBytes();
-    }
-
-    void
-    prepare(const LutTableArena &arena) const override
-    {
+    if (precision_ == TablePrecision::Int4)
         arena.ensureInt4Bank();
-    }
-};
-
-} // namespace
-
-const KernelBackend &
-referenceBackend()
-{
-    static const ReferenceBackend backend;
-    return backend;
-}
-
-const KernelBackend &
-quantizedBackend()
-{
-    static const QuantizedBackend backend;
-    return backend;
-}
-
-const KernelBackend &
-int4Backend()
-{
-    static const Int4Backend backend;
-    return backend;
 }
 
 } // namespace lutdla::lutboost

@@ -9,17 +9,17 @@
  * subvectors against the codebooks, producing planar centroid indices)
  * and gather (accumulate the indexed PSum table rows into the output) —
  * and KernelBackend is the seam where the precision of each phase is
- * chosen:
+ * chosen. There is one backend per TablePrecision, KernelBackend::of():
  *
- *  - referenceBackend(): float table bank; with the default Float32
- *    encode it is bit-exact with eval-mode LutLinear::forward (the
- *    numerics contract every serving test pins).
- *  - quantizedBackend(): gather over the arena's INT8-quantized bank
- *    (per-(subspace, output-block) symmetric scales, ~4x less table
- *    traffic). Approximate — docs/SERVING.md documents the error
- *    envelope, and tests bound top-1 disagreement.
- *  - int4Backend(): gather over the nibble-packed INT4 bank (two output
- *    columns per byte, ~8x less traffic than float). Coarser still; the
+ *  - Float32: float table bank; with the default Float32 encode it is
+ *    bit-exact with eval-mode LutLinear::forward (the numerics contract
+ *    every serving test pins).
+ *  - Int8: gather over the arena's INT8-quantized bank (per-(subspace,
+ *    output-block) symmetric scales, ~4x less table traffic).
+ *    Approximate — docs/SERVING.md documents the error envelope, and
+ *    tests bound top-1 disagreement.
+ *  - Int4: gather over the nibble-packed INT4 bank (two output columns
+ *    per byte, ~8x less traffic than float). Coarser still; the
  *    per-stage mixed-precision auto-tuner (serve/autotune.h) decides
  *    where it is safe.
  *
@@ -29,8 +29,8 @@
  * the arena's quantized encode bank — the planner picks per stage, and
  * the auto-tuner searches the joint (table, encode) space.
  *
- * Backends are stateless singletons; all mutable per-batch state lives in
- * the caller-owned KernelScratch, so one backend serves every worker
+ * Backends are immutable singletons; all mutable per-batch state lives
+ * in the caller-owned KernelScratch, so one backend serves every worker
  * thread concurrently. Serving stages (serve/stage.h) hold a backend
  * pointer chosen by the lowering-time planner (serve/plan.h) and emit
  * encodeBatch/gatherAccumulate calls instead of doing inline math.
@@ -104,45 +104,70 @@ enum class EncodePrecision
 const char *encodePrecisionName(EncodePrecision precision);
 
 /**
- * One precision choice for the encode -> gather execution of a frozen LUT
- * layer. Implementations are stateless and thread-safe; per-batch state
- * lives in the caller's KernelScratch.
+ * Precision of the GATHER phase: which of the arena's table banks a LUT
+ * layer reads. Lives here, next to EncodePrecision, so the lutboost layer
+ * needs no serve dependency; the serving planner re-exports it
+ * (serve::TablePrecision) and binds it per stage.
+ */
+enum class TablePrecision
+{
+    Float32,  ///< bit-exact float bank
+    Int8,     ///< INT8 bank with per-(subspace, block) scales
+    Int4      ///< nibble-packed INT4 bank, two columns per byte
+};
+
+/** Stable tag for plans and reports: "float32" / "int8" / "int4". */
+const char *tablePrecisionName(TablePrecision precision);
+
+/**
+ * The encode precision `arena` runs for a `requested` one: Int8 only when
+ * the arena supports the quantized encode bank (L2 metric), Float32
+ * otherwise. Unsupported requests fall back to the exact float argmin
+ * rather than faulting; serving stages resolve their binding with it,
+ * and encodeBatch routes every call through it.
+ */
+EncodePrecision resolveEncode(const LutTableArena &arena,
+                              EncodePrecision requested);
+
+/**
+ * The encode -> gather execution of a frozen LUT layer at one table
+ * precision. One immutable instance exists per TablePrecision
+ * (KernelBackend::of); per-batch state lives in the caller's
+ * KernelScratch, so every method is thread-safe.
  */
 class KernelBackend
 {
   public:
-    virtual ~KernelBackend() = default;
+    /** The backend that gathers from `precision`'s table bank. */
+    static const KernelBackend &of(TablePrecision precision);
 
     /** Stable backend tag for plans and reports, e.g. "float32". */
-    virtual std::string name() const = 0;
+    std::string name() const { return tablePrecisionName(precision_); }
 
     /** True when gather runs over the bit-exact float bank. */
-    virtual bool bitExact() const = 0;
+    bool bitExact() const { return precision_ == TablePrecision::Float32; }
 
     /**
      * Encode phase: argmin-encode `rows` rows of `x` (`width` floats,
      * 0 = K, read as LutTableArena::encodeBatch does) into scratch.codes
      * at the arena's code width. Applies the arena's BF16 input rounding
      * via scratch.encode.staging. `encode` selects the argmin
-     * arithmetic: Float32 is the exact scan; Int8 routes through the
-     * arena's quantized encode bank when the arena supports it (L2
-     * metric) and silently falls back to the exact scan otherwise,
-     * mirroring how the planner resolves the choice.
+     * arithmetic, resolved against the arena (resolveEncode): Float32 is
+     * the exact scan; Int8 routes through the arena's quantized encode
+     * bank. The same for every table precision.
      */
-    virtual void encodeBatch(
-        const LutTableArena &arena, const float *x, int64_t rows,
-        KernelScratch &scratch,
-        EncodePrecision encode = EncodePrecision::Float32,
-        int64_t width = 0) const;
+    void encodeBatch(const LutTableArena &arena, const float *x,
+                     int64_t rows, KernelScratch &scratch,
+                     EncodePrecision encode = EncodePrecision::Float32,
+                     int64_t width = 0) const;
 
     /**
      * Gather phase: accumulate the table rows scratch.codes selects into
      * `y` ([scratch.codes.rows(), arena.outFeatures()]), bias included,
      * over this backend's table bank.
      */
-    virtual void gatherAccumulate(const LutTableArena &arena,
-                                  KernelScratch &scratch,
-                                  float *y) const = 0;
+    void gatherAccumulate(const LutTableArena &arena, KernelScratch &scratch,
+                          float *y) const;
 
     /**
      * Fused tile entry point, the one unit of serving work: encode `rows`
@@ -171,38 +196,34 @@ class KernelBackend
      * multiple of this granule add NO extra table traffic versus the
      * untiled sweep — the planner's tile-size model rounds to it.
      */
-    virtual int64_t gatherGranuleRows(const LutTableArena &arena) const;
+    int64_t gatherGranuleRows(const LutTableArena &arena) const;
 
     /** Bytes the gather phase streams per full table sweep. */
-    virtual int64_t tableBytes(const LutTableArena &arena) const = 0;
+    int64_t tableBytes(const LutTableArena &arena) const;
 
     /**
      * Bytes the backend keeps RESIDENT for this arena — the gather
      * stream plus any CPU-capability-gated mirror layouts (interleaved
-     * shuffle banks, VNNI quads). Defaults to tableBytes(); quantized
-     * backends override with their bank's resident accounting.
+     * shuffle banks, VNNI quads). == tableBytes() for the float bank.
      */
-    virtual int64_t
-    residentBytes(const LutTableArena &arena) const
-    {
-        return tableBytes(arena);
-    }
+    int64_t residentBytes(const LutTableArena &arena) const;
 
     /**
-     * One-time lowering hook: build whatever derived tables the gather
-     * phase needs (e.g. the INT8 bank) so serving never pays the cost.
+     * One-time lowering hook: build the table bank the gather phase
+     * reads and, when `encode` resolves to Int8 on this arena, the INT8
+     * encode bank, so serving never pays either cost.
      */
-    virtual void prepare(const LutTableArena &arena) const;
+    void prepare(const LutTableArena &arena,
+                 EncodePrecision encode = EncodePrecision::Float32) const;
+
+  private:
+    explicit KernelBackend(TablePrecision precision)
+        : precision_(precision)
+    {
+    }
+
+    TablePrecision precision_;
 };
-
-/** The bit-exact float-bank backend (today's semantics). */
-const KernelBackend &referenceBackend();
-
-/** The INT8-table backend. */
-const KernelBackend &quantizedBackend();
-
-/** The nibble-packed INT4-table backend. */
-const KernelBackend &int4Backend();
 
 } // namespace lutdla::lutboost
 

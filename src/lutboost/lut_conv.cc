@@ -109,7 +109,8 @@ LutConv2d::forwardBatch(const Tensor &x) const
     ConvScratch scratch;
     KernelScratch kscratch;
     convArenaForward(*inferenceArena(), geom_, x.data(), N, H, W, y.data(),
-                     scratch, referenceBackend(), kscratch);
+                     scratch, KernelBackend::of(TablePrecision::Float32),
+                     kscratch);
     return y;
 }
 

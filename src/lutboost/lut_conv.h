@@ -41,14 +41,14 @@ struct ConvScratch
 /**
  * Batched frozen-conv kernel: lower NCHW `x` ([n, C_in, h, w] contiguous)
  * through im2col into `scratch.cols`, run the lowered GEMM as an explicit
- * encode -> gather pair through `backend` (reference float or quantized;
- * see lutboost/kernels.h) with code planes in `kscratch` into
+ * encode -> gather pair through `backend` (KernelBackend::of any table
+ * precision; see lutboost/kernels.h) with code planes in `kscratch` into
  * `scratch.flat`, and transpose the result into NCHW `y`
  * ([n, C_out, Ho, Wo], caller-allocated). When `encode_ns` / `gather_ns`
  * are non-null, the im2col + encode and gather + NCHW-reshape phase times
  * are accumulated into them — the serving engine's encode/gather stat
  * split. `encode` selects the argmin arithmetic for the lowered GEMM (see
- * KernelBackend::encodeBatch). Thread-safe; with the reference backend
+ * KernelBackend::encodeBatch). Thread-safe; with the Float32 backend
  * and Float32 encode, bit-exact with eval-mode LutConv2d::forward(x,
  * false) on a frozen layer.
  */

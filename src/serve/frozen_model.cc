@@ -630,7 +630,7 @@ FrozenModel::numLutStages() const
 {
     int64_t count = 0;
     for (const StagePtr &stage : stages_)
-        if (stage->tableBytes() > 0)
+        if (stage->planArena() != nullptr)
             ++count;
     return count;
 }

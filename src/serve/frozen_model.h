@@ -138,7 +138,9 @@ class FrozenModel
         return static_cast<int64_t>(stages_.size());
     }
 
-    /** Number of LUT-backed stages (arena GEMM + conv + attention). */
+    /** Number of LUT stages (arena GEMM, conv, attention: every stage
+     * with a FrozenStage::planArena()), in the order
+     * PlanOptions::stage_precision indexes them. */
     int64_t numLutStages() const;
 
     /**

@@ -8,34 +8,7 @@
 
 namespace lutdla::serve {
 
-const char *
-tablePrecisionName(TablePrecision precision)
-{
-    switch (precision) {
-      case TablePrecision::Int8:
-        return "int8";
-      case TablePrecision::Int4:
-        return "int4";
-      default:
-        return "float32";
-    }
-}
-
 namespace {
-
-/** Backend singleton implementing one table precision. */
-const lutboost::KernelBackend *
-backendFor(TablePrecision precision)
-{
-    switch (precision) {
-      case TablePrecision::Int8:
-        return &lutboost::quantizedBackend();
-      case TablePrecision::Int4:
-        return &lutboost::int4Backend();
-      default:
-        return &lutboost::referenceBackend();
-    }
-}
 
 /** Precision of the `lut_index`-th LUT stage in chain order: explicit
  * per-stage binding when present, else the global default. */
@@ -210,7 +183,7 @@ planTiles(const std::vector<StagePtr> &stages, const PlanOptions &options,
         int64_t interior = 0;
         while (j < stages.size() && stages[j]->rowTileable()) {
             const FrozenStage &s = *stages[j];
-            has_lut = has_lut || s.tableBytes() > 0;
+            has_lut = has_lut || s.planArena() != nullptr;
             granule = std::max(granule, s.tileGranuleRows());
             row_bytes = std::max(
                 row_bytes,
@@ -303,9 +276,9 @@ planStages(std::vector<StagePtr> &stages, const PlanOptions &options,
         std::vector<std::string> fused;
         const size_t next = collectEpilogue(stages, i + 1, epilogue, fused);
         const TablePrecision prec = stagePrecisionAt(options, lut_index);
-        StagePtr planned = stage.rebind(
-            *backendFor(prec), stageEncodePrecisionAt(options, lut_index),
-            epilogue);
+        StagePtr planned =
+            stage.rebind(lutboost::KernelBackend::of(prec),
+                         stageEncodePrecisionAt(options, lut_index), epilogue);
         ++lut_index;
         plan.push_back(lutPlan(*planned, std::move(fused), prec));
         out.push_back(std::move(planned));

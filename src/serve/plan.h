@@ -10,16 +10,17 @@
  * FrozenStage::rebind() copy and every glue stage passes through. A
  * rebind applies two decisions:
  *
- *  - precision selection: the stage is bound to a lutboost::KernelBackend
- *    (bit-exact float32 reference, INT8-table, or nibble-packed
- *    INT4-table) and an encode precision — globally via
+ *  - precision selection: the stage is bound to the
+ *    lutboost::KernelBackend of its TablePrecision (bit-exact float32,
+ *    INT8 tables, or nibble-packed INT4 tables) and an encode
+ *    precision — globally via
  *    PlanOptions::table_precision / encode_precision or heterogeneously
  *    via the per-stage lists — and each bound quantized bank is built
  *    eagerly so serving never pays the cost;
  *  - epilogue fusion (always on): pointwise activation stages directly
  *    following a LUT stage fold into that stage's arena-sweep epilogue
  *    (the same float ops run while the output slab is cache-hot, so the
- *    fused chain stays bit-exact under the reference backend). Skip edges
+ *    fused chain stays bit-exact under the Float32 backend). Skip edges
  *    are fusion barriers: SkipSaveStage / ResidualAddStage / SoftmaxStage
  *    are not PointwiseStages, so epilogue collection stops at them and no
  *    op is ever folded across a skip edge (which would change what the
@@ -40,16 +41,15 @@
 
 namespace lutdla::serve {
 
-/** Gather-phase table precision the planner binds LUT stages to. */
-enum class TablePrecision
-{
-    Float32,  ///< bit-exact float bank (reference backend)
-    Int8,     ///< INT8 bank with per-(subspace, block) scales
-    Int4      ///< nibble-packed INT4 bank, two columns per byte
-};
+/**
+ * Gather-phase table precision, re-exported from lutboost: the float
+ * bank (bit-exact), the INT8 bank, or the nibble-packed INT4 bank. The
+ * planner binds each LUT stage to lutboost::KernelBackend::of(precision).
+ */
+using TablePrecision = lutboost::TablePrecision;
 
 /** Stable name for a table precision ("float32" / "int8" / "int4"). */
-const char *tablePrecisionName(TablePrecision precision);
+using lutboost::tablePrecisionName;
 
 /**
  * Encode-phase argmin precision, re-exported from lutboost: Float32 is

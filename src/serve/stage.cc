@@ -26,60 +26,6 @@ nanosSince(Clock::time_point start)
             .count());
 }
 
-/** "+relu+gelu"-style suffix for fused epilogues. */
-std::string
-epilogueSuffix(const std::vector<PointwiseOp> &ops)
-{
-    std::string out;
-    for (PointwiseOp op : ops)
-        out += op == PointwiseOp::Relu ? "+relu" : "+gelu";
-    return out;
-}
-
-/** Resolve a requested encode precision against the arena's capability
- * (Int8 needs the L2-metric quantized encode bank), mirroring the
- * planner's per-stage resolution. Int8 eagerly builds the bank so the
- * first serving batch never pays the lazy cost. */
-lutboost::EncodePrecision
-resolveEncode(const lutboost::LutTableArena &arena,
-              lutboost::EncodePrecision encode)
-{
-    if (encode != lutboost::EncodePrecision::Int8 ||
-        !arena.int8EncodeSupported())
-        return lutboost::EncodePrecision::Float32;
-    arena.ensureInt8EncodeBank();
-    return lutboost::EncodePrecision::Int8;
-}
-
-/** "[enc:int8]" decoration for describe(); empty under Float32 so the
- * default plan's strings stay exactly as tests pin them. */
-std::string
-encodeSuffix(lutboost::EncodePrecision encode)
-{
-    return encode == lutboost::EncodePrecision::Int8 ? "[enc:int8]" : "";
-}
-
-/** Bytes one full sweep of the stage's encode phase streams: the
- * transposed float codebooks, or the INT8 encode bank's table bytes. */
-int64_t
-encodeSweepBytes(const lutboost::LutTableArena &arena,
-                 lutboost::EncodePrecision encode)
-{
-    if (encode == lutboost::EncodePrecision::Int8)
-        return arena.int8EncodeTableBytes();
-    return arena.inFeatures() * arena.numCentroids() *
-           static_cast<int64_t>(sizeof(float));
-}
-
-/** `own` followed by `appended`: a rebound stage's fused epilogue. */
-std::vector<PointwiseOp>
-appendOps(std::vector<PointwiseOp> own,
-          const std::vector<PointwiseOp> &appended)
-{
-    own.insert(own.end(), appended.begin(), appended.end());
-    return own;
-}
-
 } // namespace
 
 float *
@@ -131,28 +77,105 @@ FrozenStage::forwardInPlace(float *, int64_t, StageScratch &) const
     panic("stage '", kind(), "' is not an in-place stage");
 }
 
+template <size_t N>
+LutStage<N>::LutStage(ArenaArray arenas,
+                      const lutboost::KernelBackend *backend,
+                      std::vector<PointwiseOp> epilogue,
+                      lutboost::EncodePrecision encode)
+    : arenas_(std::move(arenas)),
+      backend_(backend != nullptr
+                   ? backend
+                   : &lutboost::KernelBackend::of(
+                         lutboost::TablePrecision::Float32)),
+      epilogue_(std::move(epilogue)), encode_(encode)
+{
+    // One plan unit, one encode choice: Int8 survives only if every
+    // arena honors it (Float32 resolves to itself).
+    for (const auto &arena : arenas_) {
+        LUTDLA_CHECK(arena != nullptr, "a LUT stage arena is null");
+        encode_ = lutboost::resolveEncode(*arena, encode_);
+    }
+    for (const auto &arena : arenas_)
+        backend_->prepare(*arena, encode_);
+}
+
+template <size_t N>
+std::string
+LutStage<N>::describe(std::string base) const
+{
+    if (!backend_->bitExact())
+        base += "[" + backend_->name() + "]";
+    if (encode_ == lutboost::EncodePrecision::Int8)
+        base += "[enc:int8]";
+    for (PointwiseOp op : epilogue_)
+        base += op == PointwiseOp::Relu ? "+relu" : "+gelu";
+    return base;
+}
+
+template <size_t N>
+std::vector<PointwiseOp>
+LutStage<N>::epilogueWith(const std::vector<PointwiseOp> &appended) const
+{
+    std::vector<PointwiseOp> ops = epilogue_;
+    ops.insert(ops.end(), appended.begin(), appended.end());
+    return ops;
+}
+
+template <size_t N>
+int64_t
+LutStage<N>::tableBytes() const
+{
+    int64_t bytes = 0;
+    for (const auto &arena : arenas_)
+        bytes += backend_->tableBytes(*arena);
+    return bytes;
+}
+
+template <size_t N>
+int64_t
+LutStage<N>::encodeBytes() const
+{
+    // One full encode sweep streams the transposed float codebooks, or
+    // the INT8 encode bank in their place.
+    int64_t bytes = 0;
+    for (const auto &arena : arenas_)
+        bytes += encode_ == lutboost::EncodePrecision::Int8
+                     ? arena->int8EncodeTableBytes()
+                     : arena->inFeatures() * arena->numCentroids() *
+                           static_cast<int64_t>(sizeof(float));
+    return bytes;
+}
+
+template <size_t N>
+int64_t
+LutStage<N>::residentBytes() const
+{
+    int64_t bytes = 0;
+    for (const auto &arena : arenas_) {
+        bytes += backend_->residentBytes(*arena);
+        if (encode_ == lutboost::EncodePrecision::Int8)
+            bytes += arena->int8EncodeResidentBytes();
+    }
+    return bytes;
+}
+
+template class LutStage<1>;
+template class LutStage<4>;
+
 ArenaStage::ArenaStage(std::shared_ptr<const lutboost::LutTableArena> arena,
                        const lutboost::KernelBackend *backend,
                        std::vector<PointwiseOp> epilogue,
                        int64_t adapt_in_width,
                        lutboost::EncodePrecision encode)
-    : arena_(std::move(arena)),
-      backend_(backend != nullptr ? backend
-                                  : &lutboost::referenceBackend()),
-      epilogue_(std::move(epilogue)),
-      adapt_in_(adapt_in_width),
-      encode_(resolveEncode(*arena_, encode))
+    : LutStage({std::move(arena)}, backend, std::move(epilogue), encode),
+      adapt_in_(adapt_in_width)
 {
-    backend_->prepare(*arena_);
 }
 
 std::string
 ArenaStage::description() const
 {
-    std::string out = adapt_in_ > 0 ? "adapt+lut-gemm" : "lut-gemm";
-    if (!backend_->bitExact())
-        out += "[" + backend_->name() + "]";
-    return out + encodeSuffix(encode_) + epilogueSuffix(epilogue_);
+    return describe(adapt_in_ > 0 ? "adapt+lut-gemm" : "lut-gemm");
 }
 
 StagePtr
@@ -160,30 +183,15 @@ ArenaStage::rebind(const lutboost::KernelBackend &backend,
                    lutboost::EncodePrecision encode,
                    const std::vector<PointwiseOp> &epilogue) const
 {
-    return std::make_shared<ArenaStage>(arena_, &backend,
-                                        appendOps(epilogue_, epilogue),
-                                        adapt_in_, encode);
-}
-
-int64_t
-ArenaStage::encodeBytes() const
-{
-    return encodeSweepBytes(*arena_, encode_);
-}
-
-int64_t
-ArenaStage::residentBytes() const
-{
-    int64_t bytes = backend_->residentBytes(*arena_);
-    if (encode_ == lutboost::EncodePrecision::Int8)
-        bytes += arena_->int8EncodeResidentBytes();
-    return bytes;
+    return std::make_shared<ArenaStage>(arena(), &backend,
+                                        epilogueWith(epilogue), adapt_in_,
+                                        encode);
 }
 
 int64_t
 ArenaStage::tileGranuleRows() const
 {
-    return backend_->gatherGranuleRows(*arena_);
+    return backend_->gatherGranuleRows(*arena());
 }
 
 int64_t
@@ -192,8 +200,8 @@ ArenaStage::tileScratchBytesPerRow() const
     // Centroid codes the tile carries between encode and gather (one
     // plane byte per code, two above 256 centroids). A width-adapted
     // stage adds nothing: its encode reads the in-plane in place.
-    return arena_->numSubspaces() *
-           (vq::codeBitsFor(arena_->numCentroids()) / 8);
+    return arena()->numSubspaces() *
+           (vq::codeBitsFor(arena()->numCentroids()) / 8);
 }
 
 void
@@ -276,7 +284,7 @@ ArenaStage::forward(const float *in, int64_t rows, float *out,
 {
     // A width-adapted stage's rows are inWidth() wide; the encode reads
     // them through the cyclic adapt in place.
-    arenaGemmForward(*arena_, *backend_, in, rows, out, epilogue_, scratch,
+    arenaGemmForward(*arena(), *backend_, in, rows, out, epilogue_, scratch,
                      encode_, inWidth());
 }
 
@@ -285,13 +293,9 @@ ConvStage::ConvStage(ConvGeometry geom, int64_t height, int64_t width,
                      const lutboost::KernelBackend *backend,
                      std::vector<PointwiseOp> epilogue,
                      lutboost::EncodePrecision encode)
-    : geom_(geom), h_(height), w_(width), arena_(std::move(arena)),
-      backend_(backend != nullptr ? backend
-                                  : &lutboost::referenceBackend()),
-      epilogue_(std::move(epilogue)),
-      encode_(resolveEncode(*arena_, encode))
+    : LutStage({std::move(arena)}, backend, std::move(epilogue), encode),
+      geom_(geom), h_(height), w_(width)
 {
-    backend_->prepare(*arena_);
 }
 
 StagePtr
@@ -299,41 +303,23 @@ ConvStage::rebind(const lutboost::KernelBackend &backend,
                   lutboost::EncodePrecision encode,
                   const std::vector<PointwiseOp> &epilogue) const
 {
-    return std::make_shared<ConvStage>(geom_, h_, w_, arena_, &backend,
-                                       appendOps(epilogue_, epilogue),
+    return std::make_shared<ConvStage>(geom_, h_, w_, arenas_.front(),
+                                       &backend, epilogueWith(epilogue),
                                        encode);
 }
 
 std::string
 ConvStage::description() const
 {
-    std::string out = "conv";
-    if (!backend_->bitExact())
-        out += "[" + backend_->name() + "]";
-    return out + encodeSuffix(encode_) + epilogueSuffix(epilogue_);
-}
-
-int64_t
-ConvStage::encodeBytes() const
-{
-    return encodeSweepBytes(*arena_, encode_);
-}
-
-int64_t
-ConvStage::residentBytes() const
-{
-    int64_t bytes = backend_->residentBytes(*arena_);
-    if (encode_ == lutboost::EncodePrecision::Int8)
-        bytes += arena_->int8EncodeResidentBytes();
-    return bytes;
+    return describe("conv");
 }
 
 void
 ConvStage::forward(const float *in, int64_t rows, float *out,
                    StageScratch &scratch) const
 {
-    lutboost::convArenaForward(*arena_, geom_, in, rows, h_, w_, out,
-                               scratch.conv, *backend_, scratch.kernel,
+    lutboost::convArenaForward(*arenas_.front(), geom_, in, rows, h_, w_,
+                               out, scratch.conv, *backend_, scratch.kernel,
                                &scratch.encode_ns, &scratch.gather_ns,
                                encode_);
     if (!epilogue_.empty()) {

@@ -20,8 +20,9 @@
  * centroid indices) straight into gatherAccumulate (indices ->
  * accumulated table rows) on the executing worker's own KernelScratch,
  * with no barrier between the phases — dispatched through the
- * lutboost::KernelBackend chosen at plan time (reference float =
- * bit-exact, quantized = INT8 or INT4 tables), and then applies any
+ * lutboost::KernelBackend of the table precision chosen at plan time
+ * (Float32 = bit-exact, Int8 / Int4 = quantized tables; held with the
+ * rest of the stage's binding in LutStage), and then applies any
  * pointwise epilogue ops the planner fused in while the block's output is
  * still cache-hot. The two phase times are accumulated into StageScratch
  * for the per-lane stats (LaneStats encode/gather split); a block run by
@@ -34,17 +35,18 @@
  * identity stage and conv/pool stages never reshape the batch dimension.
  *
  * Numerics contract: every stage reuses the nn:: eval-path math (shared
- * free functions, not copies) or the arena kernels behind the reference
+ * free functions, not copies) or the arena kernels behind the Float32
  * backend, so a lowered chain under the default plan is bit-exact with
  * eval-mode model->forward() — epilogue fusion reorders nothing, it only
  * moves where the same float ops run. Tests enforce this across
- * precisions. Quantized-backend stages are deterministic but approximate.
+ * precisions. Int8 / Int4 table stages are deterministic but approximate.
  *
  * Thread safety: stages are immutable after construction; all mutable
  * state lives in the caller-owned StageScratch, so one FrozenModel can
  * run concurrent batches from many workers.
  */
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -343,6 +345,71 @@ void arenaGemmForward(
     int64_t in_width = 0);
 
 /**
+ * The binding every LUT stage kind shares, over the stage's `N` frozen
+ * arenas (one for ArenaStage and ConvStage; Q, K, V and output for
+ * AttentionStage): the kernel backend and RESOLVED encode precision the
+ * planner bound them to, and the fused pointwise epilogue. The encode
+ * request resolves all-or-nothing across the arenas
+ * (lutboost::resolveEncode on each): Int8 only when every arena supports
+ * the quantized encode bank, Float32 otherwise, exactly as the planner
+ * records it. Construction prepares every arena for the binding
+ * (KernelBackend::prepare), so serving never pays a lazy bank build. The
+ * description suffix and the byte accounting are defined here once,
+ * summed over the arenas. The arenas live inline, so a stage is one
+ * allocation.
+ */
+template <size_t N>
+class LutStage : public FrozenStage
+{
+  public:
+    int64_t tableBytes() const override;
+    int64_t encodeBytes() const override;
+    int64_t residentBytes() const override;
+    const lutboost::LutTableArena *
+    planArena() const override
+    {
+        return arenas_.front().get();
+    }
+    lutboost::EncodePrecision
+    encodePrecision() const override
+    {
+        return encode_;
+    }
+
+    /** The kernel backend the planner chose. */
+    const lutboost::KernelBackend &backend() const { return *backend_; }
+
+  protected:
+    /** The stage's arenas, none null. */
+    using ArenaArray =
+        std::array<std::shared_ptr<const lutboost::LutTableArena>, N>;
+
+    /** Bind `arenas` to `backend` (null = the bit-exact float32
+     * backend), `epilogue` and `encode`. */
+    LutStage(ArenaArray arenas, const lutboost::KernelBackend *backend,
+             std::vector<PointwiseOp> epilogue,
+             lutboost::EncodePrecision encode);
+
+    /** `base` plus the binding suffix: "[int8]" / "[int4]" off the float
+     * bank, "[enc:int8]" under Int8 encode, then "+relu" / "+gelu" per
+     * fused epilogue op, e.g. "lut-gemm[int8][enc:int8]+relu". */
+    std::string describe(std::string base) const;
+
+    /** This stage's fused epilogue followed by `appended` (rebind). */
+    std::vector<PointwiseOp>
+    epilogueWith(const std::vector<PointwiseOp> &appended) const;
+
+    ArenaArray arenas_;
+    const lutboost::KernelBackend *backend_;
+    std::vector<PointwiseOp> epilogue_;
+    lutboost::EncodePrecision encode_;
+};
+
+// Defined in stage.cc for the two arena counts the stage kinds use.
+extern template class LutStage<1>;
+extern template class LutStage<4>;
+
+/**
  * Arena-backed LUT-GEMM stage (lowered LutLinear): encode -> gather
  * through the planned kernel backend, then any fused epilogue. The
  * optional `adapt_in_width` is the trace models' width adapt
@@ -357,13 +424,10 @@ void arenaGemmForward(
  * their worker's own scratch (see arenaGemmForward) — bit-exact with the
  * single-thread sweep because rows are independent.
  *
- * `encode` picks the encode-phase arithmetic (lutboost::EncodePrecision):
- * Int8 is honored only when the arena supports the quantized encode bank
- * (L2 metric); otherwise the stage silently resolves to Float32, exactly
- * as the planner would. The bank is built eagerly at construction so
- * serving never pays the lazy-build cost.
+ * `encode` picks the encode-phase arithmetic, resolved as LutStage
+ * describes.
  */
-class ArenaStage : public FrozenStage
+class ArenaStage : public LutStage<1>
 {
   public:
     explicit ArenaStage(
@@ -379,16 +443,9 @@ class ArenaStage : public FrozenStage
     int64_t
     inWidth() const override
     {
-        return adapt_in_ > 0 ? adapt_in_ : arena_->inFeatures();
+        return adapt_in_ > 0 ? adapt_in_ : arena()->inFeatures();
     }
-    int64_t outWidth() const override { return arena_->outFeatures(); }
-    int64_t
-    tableBytes() const override
-    {
-        return backend_->tableBytes(*arena_);
-    }
-    int64_t encodeBytes() const override;
-    int64_t residentBytes() const override;
+    int64_t outWidth() const override { return arena()->outFeatures(); }
     void forward(const float *in, int64_t rows, float *out,
                  StageScratch &scratch) const override;
 
@@ -400,37 +457,20 @@ class ArenaStage : public FrozenStage
     StagePtr rebind(const lutboost::KernelBackend &backend,
                     lutboost::EncodePrecision encode,
                     const std::vector<PointwiseOp> &epilogue) const override;
-    const lutboost::LutTableArena *
-    planArena() const override
-    {
-        return arena_.get();
-    }
-    lutboost::EncodePrecision
-    encodePrecision() const override
-    {
-        return encode_;
-    }
     int64_t blockRows() const override { return intraBatchBlockRows(); }
 
     /** The frozen arena this stage gathers from. */
     const std::shared_ptr<const lutboost::LutTableArena> &
     arena() const
     {
-        return arena_;
+        return arenas_.front();
     }
-
-    /** The kernel backend the planner chose. */
-    const lutboost::KernelBackend &backend() const { return *backend_; }
 
     /** Width-adapt input width (0 when absent). */
     int64_t adaptInWidth() const { return adapt_in_; }
 
   private:
-    std::shared_ptr<const lutboost::LutTableArena> arena_;
-    const lutboost::KernelBackend *backend_;
-    std::vector<PointwiseOp> epilogue_;
     int64_t adapt_in_;
-    lutboost::EncodePrecision encode_;
 };
 
 /**
@@ -440,7 +480,7 @@ class ArenaStage : public FrozenStage
  * then any fused epilogue (elementwise, so it commutes with the
  * reshape). Rows are flattened NCHW images.
  */
-class ConvStage : public FrozenStage
+class ConvStage : public LutStage<1>
 {
   public:
     ConvStage(ConvGeometry geom, int64_t height, int64_t width,
@@ -462,13 +502,6 @@ class ConvStage : public FrozenStage
     {
         return geom_.out_channels * geom_.outSize(h_) * geom_.outSize(w_);
     }
-    int64_t
-    tableBytes() const override
-    {
-        return backend_->tableBytes(*arena_);
-    }
-    int64_t encodeBytes() const override;
-    int64_t residentBytes() const override;
     void forward(const float *in, int64_t rows, float *out,
                  StageScratch &scratch) const override;
 
@@ -482,24 +515,10 @@ class ConvStage : public FrozenStage
     StagePtr rebind(const lutboost::KernelBackend &backend,
                     lutboost::EncodePrecision encode,
                     const std::vector<PointwiseOp> &epilogue) const override;
-    const lutboost::LutTableArena *
-    planArena() const override
-    {
-        return arena_.get();
-    }
-    lutboost::EncodePrecision
-    encodePrecision() const override
-    {
-        return encode_;
-    }
 
   private:
     ConvGeometry geom_;
     int64_t h_, w_;
-    std::shared_ptr<const lutboost::LutTableArena> arena_;
-    const lutboost::KernelBackend *backend_;
-    std::vector<PointwiseOp> epilogue_;
-    lutboost::EncodePrecision encode_;
 };
 
 /** Pointwise activation stage (lowered ReLU / GELU); in place. */

@@ -23,15 +23,6 @@ nanosSince(Clock::time_point start)
             .count());
 }
 
-std::string
-epilogueSuffix(const std::vector<PointwiseOp> &ops)
-{
-    std::string out;
-    for (PointwiseOp op : ops)
-        out += op == PointwiseOp::Relu ? "+relu" : "+gelu";
-    return out;
-}
-
 /** Size a skip slot's plane, growing the slot vector on first use. */
 float *
 skipPlane(StageScratch &scratch, int64_t slot, int64_t total)
@@ -92,49 +83,22 @@ AttentionStage::AttentionStage(Arenas arenas, int64_t seq_len,
                                const lutboost::KernelBackend *backend,
                                std::vector<PointwiseOp> epilogue,
                                lutboost::EncodePrecision encode)
-    : arenas_(std::move(arenas)), seq_len_(seq_len), heads_(heads),
-      d_model_(arenas_.q->outFeatures()),
-      backend_(backend != nullptr ? backend
-                                  : &lutboost::referenceBackend()),
-      epilogue_(std::move(epilogue)),
-      encode_(lutboost::EncodePrecision::Float32)
+    : LutStage({std::move(arenas.q), std::move(arenas.k),
+                std::move(arenas.v), std::move(arenas.o)},
+               backend, std::move(epilogue), encode),
+      seq_len_(seq_len), heads_(heads),
+      d_model_(arenas_[kQ]->outFeatures())
 {
-    LUTDLA_CHECK(arenas_.q && arenas_.k && arenas_.v && arenas_.o,
-                 "AttentionStage needs all four projection arenas");
     LUTDLA_CHECK(seq_len_ >= 1, "seq_len must be >= 1");
     LUTDLA_CHECK(heads_ >= 1 && d_model_ % heads_ == 0,
                  "heads must divide d_model");
-    backend_->prepare(*arenas_.q);
-    backend_->prepare(*arenas_.k);
-    backend_->prepare(*arenas_.v);
-    backend_->prepare(*arenas_.o);
-    // The stage is one plan unit, so the encode choice is all-or-nothing
-    // across the four projections: Int8 resolves only when every arena
-    // carries the quantized encode bank (they share metric and geometry
-    // in practice, so this is not restrictive).
-    if (encode == lutboost::EncodePrecision::Int8 &&
-        arenas_.q->int8EncodeSupported() &&
-        arenas_.k->int8EncodeSupported() &&
-        arenas_.v->int8EncodeSupported() &&
-        arenas_.o->int8EncodeSupported()) {
-        arenas_.q->ensureInt8EncodeBank();
-        arenas_.k->ensureInt8EncodeBank();
-        arenas_.v->ensureInt8EncodeBank();
-        arenas_.o->ensureInt8EncodeBank();
-        encode_ = lutboost::EncodePrecision::Int8;
-    }
 }
 
 std::string
 AttentionStage::description() const
 {
-    std::string out = "attention(h" + std::to_string(heads_) + ",t" +
-                      std::to_string(seq_len_) + ")";
-    if (!backend_->bitExact())
-        out += "[" + backend_->name() + "]";
-    if (encode_ == lutboost::EncodePrecision::Int8)
-        out += "[enc:int8]";
-    return out + epilogueSuffix(epilogue_);
+    return describe("attention(h" + std::to_string(heads_) + ",t" +
+                    std::to_string(seq_len_) + ")");
 }
 
 StagePtr
@@ -142,49 +106,9 @@ AttentionStage::rebind(const lutboost::KernelBackend &backend,
                        lutboost::EncodePrecision encode,
                        const std::vector<PointwiseOp> &epilogue) const
 {
-    std::vector<PointwiseOp> ops = epilogue_;
-    ops.insert(ops.end(), epilogue.begin(), epilogue.end());
-    return std::make_shared<AttentionStage>(arenas_, seq_len_, heads_,
-                                            &backend, std::move(ops),
-                                            encode);
-}
-
-int64_t
-AttentionStage::tableBytes() const
-{
-    return backend_->tableBytes(*arenas_.q) +
-           backend_->tableBytes(*arenas_.k) +
-           backend_->tableBytes(*arenas_.v) +
-           backend_->tableBytes(*arenas_.o);
-}
-
-int64_t
-AttentionStage::encodeBytes() const
-{
-    const auto arena_encode_bytes =
-        [&](const lutboost::LutTableArena &arena) {
-            if (encode_ == lutboost::EncodePrecision::Int8)
-                return arena.int8EncodeTableBytes();
-            return arena.inFeatures() * arena.numCentroids() *
-                   static_cast<int64_t>(sizeof(float));
-        };
-    return arena_encode_bytes(*arenas_.q) + arena_encode_bytes(*arenas_.k) +
-           arena_encode_bytes(*arenas_.v) + arena_encode_bytes(*arenas_.o);
-}
-
-int64_t
-AttentionStage::residentBytes() const
-{
-    int64_t bytes = backend_->residentBytes(*arenas_.q) +
-                    backend_->residentBytes(*arenas_.k) +
-                    backend_->residentBytes(*arenas_.v) +
-                    backend_->residentBytes(*arenas_.o);
-    if (encode_ == lutboost::EncodePrecision::Int8)
-        bytes += arenas_.q->int8EncodeResidentBytes() +
-                 arenas_.k->int8EncodeResidentBytes() +
-                 arenas_.v->int8EncodeResidentBytes() +
-                 arenas_.o->int8EncodeResidentBytes();
-    return bytes;
+    return std::make_shared<AttentionStage>(
+        Arenas{arenas_[kQ], arenas_[kK], arenas_[kV], arenas_[kO]},
+        seq_len_, heads_, &backend, epilogueWith(epilogue), encode);
 }
 
 void
@@ -204,11 +128,11 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
     // shared arena body splits them into row blocks exactly like
     // ArenaStage.
     static const std::vector<PointwiseOp> kNoEpilogue;
-    arenaGemmForward(*arenas_.q, *backend_, in, rows, q, kNoEpilogue,
+    arenaGemmForward(*arenas_[kQ], *backend_, in, rows, q, kNoEpilogue,
                      scratch, encode_);
-    arenaGemmForward(*arenas_.k, *backend_, in, rows, k, kNoEpilogue,
+    arenaGemmForward(*arenas_[kK], *backend_, in, rows, k, kNoEpilogue,
                      scratch, encode_);
-    arenaGemmForward(*arenas_.v, *backend_, in, rows, v, kNoEpilogue,
+    arenaGemmForward(*arenas_[kV], *backend_, in, rows, v, kNoEpilogue,
                      scratch, encode_);
 
     // Scaled-dot-product core: the shared eval kernel per sequence, into
@@ -232,7 +156,7 @@ AttentionStage::forward(const float *in, int64_t rows, float *out,
     scratch.gather_ns += nanosSince(t0);
 
     // Output projection (with any fused epilogue) into the stage output.
-    arenaGemmForward(*arenas_.o, *backend_, ctx, rows, out, epilogue_,
+    arenaGemmForward(*arenas_[kO], *backend_, ctx, rows, out, epilogue_,
                      scratch, encode_);
 }
 

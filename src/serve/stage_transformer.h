@@ -33,7 +33,7 @@
  * nn::attentionSequenceContext kernel — stable softmax included, and
  * SIMD-tiered with identical bits at every tier — that eval-mode
  * MultiHeadSelfAttention runs, so a lowered block is bit-exact
- * with the training graph under the reference backend. Sequences are
+ * with the training graph under the Float32 backend. Sequences are
  * independent, so the sdpa core shards over sequences (disjoint context
  * rows) and stays bit-exact under any worker count.
  */
@@ -155,7 +155,7 @@ class SoftmaxStage : public FrozenStage
  * single-thread sweep. The planner may fuse a pointwise epilogue into
  * the output projection.
  */
-class AttentionStage : public FrozenStage
+class AttentionStage : public LutStage<4>
 {
   public:
     /** One frozen projection arena per Q/K/V/output. */
@@ -172,43 +172,34 @@ class AttentionStage : public FrozenStage
 
     std::string kind() const override { return "attention"; }
     std::string description() const override;
-    int64_t inWidth() const override { return arenas_.q->inFeatures(); }
-    int64_t outWidth() const override { return arenas_.o->outFeatures(); }
+    int64_t inWidth() const override { return arenas_[kQ]->inFeatures(); }
+    int64_t outWidth() const override { return arenas_[kO]->outFeatures(); }
     /** Segment barrier: the sdpa core couples all rowGroup() == seq_len
      * rows of a sequence (every context row reads every K/V row), so the
      * stage needs whole sequences and full-batch projection planes — it
      * executes between tiled segments, never inside one. */
     bool rowTileable() const override { return false; }
-    int64_t tableBytes() const override;
-    int64_t encodeBytes() const override;
-    int64_t residentBytes() const override;
     void forward(const float *in, int64_t rows, float *out,
                  StageScratch &scratch) const override;
     StagePtr rebind(const lutboost::KernelBackend &backend,
                     lutboost::EncodePrecision encode,
                     const std::vector<PointwiseOp> &epilogue) const override;
-    const lutboost::LutTableArena *
-    planArena() const override
-    {
-        return arenas_.q.get();
-    }
-    /** Shared by all four projection GEMMs: Int8 only when EVERY
-     * projection arena supports the quantized encode bank. */
-    lutboost::EncodePrecision
-    encodePrecision() const override
-    {
-        return encode_;
-    }
     int64_t blockRows() const override { return intraBatchBlockRows(); }
 
   private:
-    Arenas arenas_;
+    /** Index of each projection in the bound arenas (planArena() is Q;
+     * the four share shape and dispatch). */
+    enum Projection : size_t
+    {
+        kQ,
+        kK,
+        kV,
+        kO
+    };
+
     int64_t seq_len_;
     int64_t heads_;
     int64_t d_model_;
-    const lutboost::KernelBackend *backend_;
-    std::vector<PointwiseOp> epilogue_;
-    lutboost::EncodePrecision encode_;
 };
 
 } // namespace lutdla::serve

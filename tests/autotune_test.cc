@@ -133,8 +133,9 @@ TEST(AutoTune, SyntheticProbeForcesRevertOfOverBudgetMoves)
         EXPECT_EQ(p, serve::TablePrecision::Int8);
     EXPECT_EQ(tuned.agreement, 1.0);
     for (const serve::AutoTuneMove &move : tuned.moves) {
-        if (move.precision == serve::TablePrecision::Int4)
+        if (move.precision == serve::TablePrecision::Int4) {
             EXPECT_FALSE(move.applied);
+        }
     }
 
     // allow_int4=false must reach the same assignment without ever
@@ -277,9 +278,11 @@ TEST(AutoTuneJoint, SyntheticProbeRevertsEncodeMovesIndependently)
         EXPECT_NE(p, serve::TablePrecision::Float32)
             << "free table moves must all apply";
     EXPECT_EQ(tuned.agreement, 1.0);
-    for (const serve::AutoTuneMove &move : tuned.moves)
-        if (move.encode_move)
+    for (const serve::AutoTuneMove &move : tuned.moves) {
+        if (move.encode_move) {
             EXPECT_FALSE(move.applied);
+        }
+    }
 
     // The mirror landscape: encode is free, INT4 tables tank. Encode
     // moves must survive alongside the INT8 table moves.
@@ -316,9 +319,11 @@ TEST(AutoTuneJoint, FacadeAppliesJointAssignmentDeterministically)
     // The plan records a resolved encode precision for every LUT stage;
     // whatever the search chose must reproduce exactly across builds.
     const serve::FrozenModel &model = engine.value()->model();
-    for (const serve::StagePlan &plan : model.plan())
-        if (plan.code_bits > 0)
+    for (const serve::StagePlan &plan : model.plan()) {
+        if (plan.code_bits > 0) {
             EXPECT_GT(plan.encode_bytes, 0) << model.planSummary();
+        }
+    }
 
     auto again = api::makeTraceEngine(gemms, pq, options);
     ASSERT_TRUE(again.ok());

@@ -746,8 +746,8 @@ TEST_P(Int8GatherTiers, ShuffleBitExactVsScalar)
         x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
 
     lutboost::KernelScratch scratch;
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                             scratch);
+    lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+        .encodeBatch(*arena, x.data(), rows, scratch);
 
     Tensor scalar(Shape{rows, n});
     arena->gatherAccumulateInt8(scratch.codes, scalar.data(),
@@ -759,9 +759,9 @@ TEST_P(Int8GatherTiers, ShuffleBitExactVsScalar)
     Tensor blocks(Shape{rows, n});
     lutboost::KernelScratch local;
     forEachUnalignedBlock(rows, [&](int64_t r0, int64_t bn) {
-        lutboost::quantizedBackend().forwardTile(
-            *arena, x.data() + r0 * k, bn, blocks.data() + r0 * n, local,
-            nullptr, nullptr);
+        lutboost::KernelBackend::of(lutboost::TablePrecision::Int8)
+            .forwardTile(*arena, x.data() + r0 * k, bn,
+                         blocks.data() + r0 * n, local, nullptr, nullptr);
     });
     EXPECT_TRUE(blocks.equals(scalar))
         << "block seams changed the INT8 gather result";
@@ -831,8 +831,8 @@ expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
 {
     const int64_t rows = x.dim(0), n = arena.outFeatures();
     lutboost::KernelScratch scratch;
-    lutboost::referenceBackend().encodeBatch(arena, x.data(), rows,
-                                             scratch);
+    lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+        .encodeBatch(arena, x.data(), rows, scratch);
     scalar = Tensor(Shape{rows, n});
     arena.gatherAccumulateInt4(scratch.codes, scalar.data(), scratch.gather,
                                util::SimdLevel::Generic);
@@ -842,9 +842,9 @@ expectInt4TiersMatchScalar(const lutboost::LutTableArena &arena,
     lutboost::KernelScratch local;
     const int64_t k = arena.inFeatures();
     forEachUnalignedBlock(rows, [&](int64_t r0, int64_t bn) {
-        lutboost::int4Backend().forwardTile(arena, x.data() + r0 * k, bn,
-                                            blocks.data() + r0 * n, local,
-                                            nullptr, nullptr);
+        lutboost::KernelBackend::of(lutboost::TablePrecision::Int4)
+            .forwardTile(arena, x.data() + r0 * k, bn,
+                         blocks.data() + r0 * n, local, nullptr, nullptr);
     });
     EXPECT_TRUE(blocks.equals(scalar))
         << "block seams changed the INT4 gather result: " << what;
@@ -1386,8 +1386,8 @@ TEST(TierCaps, SimdCapOnShapeWithoutSimdTierRunsScalar)
         for (int64_t i = 0; i < x.numel(); ++i)
             x.at(i) = static_cast<float>(rng.gaussian(0.0, 1.0));
         lutboost::KernelScratch scratch;
-        lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                                 scratch);
+        lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+            .encodeBatch(*arena, x.data(), rows, scratch);
         Tensor want8(Shape{rows, n}), want4(Shape{rows, n});
         arena->gatherAccumulateInt8(scratch.codes, want8.data(),
                                     scratch.gather, util::SimdLevel::Generic);
@@ -1451,7 +1451,8 @@ TEST(TierCapsDeathTest, CapAboveHostPanics)
     arena->ensureInt4Bank();
     lutboost::KernelScratch scratch;
     Tensor x(Shape{4, 16}, 0.5f);
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), 4, scratch);
+    lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+        .encodeBatch(*arena, x.data(), 4, scratch);
     Tensor y(Shape{4, 8});
     EXPECT_DEATH(arena->gatherAccumulateInt4(scratch.codes, y.data(),
                                              scratch.gather,
@@ -1629,22 +1630,23 @@ TEST_P(AwkwardShapeServing, ReferenceBackendMatchesEvalForward)
     const auto arena = layer.inferenceArena();
     lutboost::KernelScratch scratch;
     Tensor y(Shape{rows, 9});
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                             scratch);
+    lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+        .encodeBatch(*arena, x.data(), rows, scratch);
     EXPECT_EQ(scratch.codes.rows(), rows);
     EXPECT_EQ(scratch.codes.subspaces(), arena->numSubspaces());
-    lutboost::referenceBackend().gatherAccumulate(*arena, scratch,
-                                                  y.data());
+    lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+        .gatherAccumulate(*arena, scratch, y.data());
     EXPECT_TRUE(y.equals(reference))
         << "k=" << k << " v=" << v << " c=" << c << " rows=" << rows
         << " maxdiff=" << Tensor::maxAbsDiff(y, reference);
 
     // The quantized backend must stay finite and within the INT8 error
     // envelope on the same shapes (exactness is not required).
-    lutboost::quantizedBackend().prepare(*arena);
+    const lutboost::KernelBackend &int8 =
+        lutboost::KernelBackend::of(lutboost::TablePrecision::Int8);
+    int8.prepare(*arena);
     Tensor q(Shape{rows, 9});
-    lutboost::quantizedBackend().gatherAccumulate(*arena, scratch,
-                                                  q.data());
+    int8.gatherAccumulate(*arena, scratch, q.data());
     double worst = 0.0, scale = 0.0;
     for (int64_t i = 0; i < q.numel(); ++i) {
         ASSERT_TRUE(std::isfinite(q.at(i)));
@@ -1700,8 +1702,8 @@ TEST_P(Int4ErrorEnvelope, QuantizationErrorBounded)
     const Tensor reference = layer.forward(x, /*train=*/false);
 
     lutboost::KernelScratch scratch;
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                             scratch);
+    lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+        .encodeBatch(*arena, x.data(), rows, scratch);
     Tensor q(Shape{rows, 9});
     arena->gatherAccumulateInt4(scratch.codes, q.data(), scratch.gather);
     double worst = 0.0, scale = 0.0;

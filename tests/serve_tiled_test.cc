@@ -123,7 +123,8 @@ TEST(TiledExecutor, ForcedGatherLevelsBitExactUnderTiling)
     const Tensor x = randomRows(rows, k, 23);
 
     lutboost::KernelScratch full;
-    lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows, full);
+    lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+        .encodeBatch(*arena, x.data(), rows, full);
 
     const util::SimdLevel level = util::simdLevel();
     const int64_t chunk = lutboost::simd::shuffleGatherChunkRows(level);
@@ -147,8 +148,9 @@ TEST(TiledExecutor, ForcedGatherLevelsBitExactUnderTiling)
             lutboost::KernelScratch local;
             for (int64_t r0 = 0; r0 < rows; r0 += tile) {
                 const int64_t rn = std::min(tile, rows - r0);
-                lutboost::referenceBackend().encodeBatch(
-                    *arena, x.data() + r0 * k, rn, local);
+                lutboost::KernelBackend::of(
+                    lutboost::TablePrecision::Float32)
+                    .encodeBatch(*arena, x.data() + r0 * k, rn, local);
                 arena->gatherAccumulateInt8(local.codes,
                                             tiled.data() + r0 * n,
                                             local.gather, cap);
@@ -173,8 +175,9 @@ TEST(TiledExecutor, ForcedGatherLevelsBitExactUnderTiling)
             lutboost::KernelScratch local;
             for (int64_t r0 = 0; r0 < rows; r0 += tile) {
                 const int64_t rn = std::min(tile, rows - r0);
-                lutboost::referenceBackend().encodeBatch(
-                    *arena, x.data() + r0 * k, rn, local);
+                lutboost::KernelBackend::of(
+                    lutboost::TablePrecision::Float32)
+                    .encodeBatch(*arena, x.data() + r0 * k, rn, local);
                 arena->gatherAccumulateInt4(local.codes,
                                             tiled.data() + r0 * n,
                                             local.gather, cap);

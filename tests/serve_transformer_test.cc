@@ -549,8 +549,8 @@ TEST(AttentionArenas, Int8GatherLevelsBitIdenticalAcrossSimdTiers)
         const Tensor x = randomRows(rows, arena->inFeatures(),
                                     static_cast<uint64_t>(122 + checked));
         lutboost::KernelScratch scratch;
-        lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                                 scratch);
+        lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+            .encodeBatch(*arena, x.data(), rows, scratch);
         Tensor scalar(Shape{rows, n});
         arena->gatherAccumulateInt8(scratch.codes, scalar.data(),
                                     scratch.gather, util::SimdLevel::Generic);
@@ -595,8 +595,8 @@ TEST(AttentionArenas, Int4GatherLevelsBitIdenticalAcrossSimdTiers)
         const Tensor x = randomRows(rows, arena->inFeatures(),
                                     static_cast<uint64_t>(222 + checked));
         lutboost::KernelScratch scratch;
-        lutboost::referenceBackend().encodeBatch(*arena, x.data(), rows,
-                                                 scratch);
+        lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+            .encodeBatch(*arena, x.data(), rows, scratch);
         Tensor scalar(Shape{rows, n});
         arena->gatherAccumulateInt4(scratch.codes, scalar.data(),
                                     scratch.gather, util::SimdLevel::Generic);
