@@ -3,7 +3,9 @@
  * Google-benchmark microbenchmarks: exact GEMM vs LUT-GEMM (encode +
  * lookup) software kernels, the encode and lookup phases separately, and
  * the serving arena's split data-plane kernels (planar-code encodeBatch,
- * the INT8 argmin-encode at every forced SIMD level — scalar integer
+ * the float argmin-encode at every forced SIMD level — scalar scan vs
+ * the AVX2 and AVX-512 row-lane tiers, identical codes — the INT8
+ * argmin-encode at every forced SIMD level — scalar integer
  * reference vs VPMADDUBSW/VPMADDWD vs VPDPBUSD, identical codes across
  * all three — float-bank gather, INT8-bank gather with both kernel
  * tiers forced (scalar group sweep vs VPERMB+VPDPBUSD dot), and the
@@ -177,6 +179,48 @@ skipAboveHost(benchmark::State &state, util::SimdLevel level)
         return false;
     state.SkipWithError("SIMD tier not available on this CPU");
     return true;
+}
+
+/**
+ * Float L2 argmin-encode (c = 16) capped at a forced SIMD level: the
+ * scalar scan, the AVX2 and the AVX-512 `genc` tiers, identical codes.
+ * Args are (rows, K, v): bert's d_ff -> d and d -> d projections at one
+ * 64-row block (v = 4, K = 1024 and 256) and at 512 rows, resnet18's
+ * widest stage (K = 4608, v = 8; multitenant-swap's bulk lane runs it on
+ * this encode), and 5- and 13-row batches at K = 1024, which are all
+ * per-row tail at AVX-512 (and 5 at AVX2). Levels above the host's skip.
+ */
+void
+encodeFloatVariant(benchmark::State &state, util::SimdLevel level)
+{
+    if (skipAboveHost(state, level))
+        return;
+    ArenaFixture ax(state.range(0), state.range(1), 64, state.range(2),
+                    16);
+    for (auto _ : state) {
+        ax.arena.encodeBatch(ax.fx.a.data(), ax.fx.a.dim(0),
+                             ax.scratch.codes, ax.scratch.encode, 0, level);
+        benchmark::DoNotOptimize(ax.scratch.codes.sizeBytes());
+    }
+    state.SetItemsProcessed(state.iterations() * ax.fx.a.dim(0));
+}
+
+void
+BM_ArenaEncodeFloatScalar(benchmark::State &state)
+{
+    encodeFloatVariant(state, util::SimdLevel::Generic);
+}
+
+void
+BM_ArenaEncodeFloatAvx2(benchmark::State &state)
+{
+    encodeFloatVariant(state, util::SimdLevel::Avx2);
+}
+
+void
+BM_ArenaEncodeFloatAvx512(benchmark::State &state)
+{
+    encodeFloatVariant(state, util::SimdLevel::Avx512);
 }
 
 /**
@@ -419,6 +463,21 @@ BENCHMARK(BM_ArenaEncodeBatch)
     ->Args({256, 512, 4})
     ->Args({256, 512, 8})
     ->Unit(benchmark::kMicrosecond);
+/** Float encode args: (rows, K, v); see encodeFloatVariant. */
+void
+floatEncodeArgs(benchmark::internal::Benchmark *b)
+{
+    b->Args({64, 256, 4})
+        ->Args({64, 1024, 4})
+        ->Args({64, 4608, 8})
+        ->Args({512, 1024, 4})
+        ->Args({5, 1024, 4})
+        ->Args({13, 1024, 4})
+        ->Unit(benchmark::kMicrosecond);
+}
+BENCHMARK(BM_ArenaEncodeFloatScalar)->Apply(floatEncodeArgs);
+BENCHMARK(BM_ArenaEncodeFloatAvx2)->Apply(floatEncodeArgs);
+BENCHMARK(BM_ArenaEncodeFloatAvx512)->Apply(floatEncodeArgs);
 BENCHMARK(BM_ArenaEncodeInt8)
     ->Args({256, 512, 4})
     ->Args({256, 512, 8})

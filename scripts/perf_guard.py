@@ -26,7 +26,7 @@ from pathlib import Path
 
 PAIRS = 5
 SECONDS = 2
-WORKLOADS = ["resnet18-bulk", "bert-encoder"]
+WORKLOADS = ["resnet18-bulk", "bert-encoder", "multitenant-swap"]
 FLOOR = 0.85
 SEED = 1
 GATED = "rows_per_s"

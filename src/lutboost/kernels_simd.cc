@@ -4,7 +4,8 @@
 // one at run time. Keep intrinsics inside attributed functions only.
 //
 // Numerics: encode kernels use explicit mul + add (never FMA) and exact
-// min/tie-break reductions, so they are bit-exact with the scalar encode.
+// min/tie-break reductions or strict-compare scans, so they are bit-exact
+// with the scalar encode.
 // Gather kernels accumulate in integer lanes and dequantize with one
 // mul + add per (scale group, column) — the identical float op sequence
 // the scalar group sweep performs, so shuffle and scalar paths agree bit
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "lutboost/table_arena.h"
 #include "util/logging.h"
@@ -169,8 +171,183 @@ argminL2GenericAvx2(const float *__restrict__ sub,
                            _mm256_cmp_ps(d[NB - 1], m, _CMP_EQ_OQ)))));
 }
 
-/** Encode `rows` subvectors with the fewest 16-lane blocks that cover c
- * (at most NB), all-full blocks taking the mask-free kernel. */
+/** Subvector lengths the row-lane float kernels hold in registers. */
+constexpr int64_t kRowLaneMaxV = 16;
+
+/** One dim-quad of a subvector: `lanes` (1..4) floats at p, zeros above.
+ * A partial quad is a VMASKMOVPS load, so no float past the subvector is
+ * read. */
+__attribute__((target("avx2"), always_inline)) inline __m128
+loadQuad(const float *p, int64_t lanes)
+{
+    static const int32_t kQuadMask[8] = {-1, -1, -1, -1, 0, 0, 0, 0};
+    if (lanes == 4)
+        return _mm_loadu_ps(p);
+    return _mm_maskload_ps(
+        p, _mm_loadu_si128(
+               reinterpret_cast<const __m128i *>(kQuadMask + 4 - lanes)));
+}
+
+/** Squared L2 distance of the rows held in `d` (one register per
+ * dimension) to centroid j of a transposed [v, c] codebook: the scalar
+ * op sequence, per lane. */
+__attribute__((target("avx512f"), always_inline)) inline __m512
+distanceLanesAvx512(const __m512 *d, const float *cbt, int64_t v, int64_t c,
+                    int64_t j)
+{
+    __m512 diff = _mm512_sub_ps(d[0], _mm512_set1_ps(cbt[j]));
+    __m512 acc = _mm512_mul_ps(diff, diff);
+    for (int64_t t = 1; t < v; ++t) {
+        diff = _mm512_sub_ps(d[t], _mm512_set1_ps(cbt[t * c + j]));
+        acc = _mm512_add_ps(acc, _mm512_mul_ps(diff, diff));
+    }
+    return acc;
+}
+
+/** AVX2 twin of distanceLanesAvx512. */
+__attribute__((target("avx2"), always_inline)) inline __m256
+distanceLanesAvx2(const __m256 *d, const float *cbt, int64_t v, int64_t c,
+                  int64_t j)
+{
+    __m256 diff = _mm256_sub_ps(d[0], _mm256_set1_ps(cbt[j]));
+    __m256 acc = _mm256_mul_ps(diff, diff);
+    for (int64_t t = 1; t < v; ++t) {
+        diff = _mm256_sub_ps(d[t], _mm256_set1_ps(cbt[t * c + j]));
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
+    }
+    return acc;
+}
+
+/**
+ * Float L2 argmin of ONE 16-row block, rows in lanes: lane r of every
+ * vector belongs to row r. Each dim-quad of the 16 subvectors is read as
+ * 16 128-bit loads (row 4L + i into 128-bit lane L of r[i]) and turned by
+ * an in-lane 4 x 4 transpose into four registers that each hold one
+ * dimension of all 16 rows. Then, for each centroid j in ascending order,
+ * every lane runs the scalar scan's op sequence on its own row: sub, mul
+ * and add per ascending t (seeding with the t = 0 square equals the
+ * scalar's zeroed accumulator bit for bit, since 0 + s == s for every
+ * square s, NaN included, and no square is -0), then a strict
+ * _CMP_LT_OQ compare against the running best and two masked moves, with
+ * j = 0 seeding best and code. A NaN distance never compares below and
+ * never gets beaten, exactly as in the scalar scan, so there is no
+ * horizontal reduction and no NaN fallback. kV > 0 fixes v at compile
+ * time (the dims unroll and stay in registers); kV == 0 reads v at run
+ * time (v <= kRowLaneMaxV).
+ */
+template <int kV>
+__attribute__((target("avx512f"))) void
+encodeL2LanesAvx512(const float *x, int64_t stride, const float *cbt,
+                    int64_t v_rt, int64_t c, int32_t *codes)
+{
+    const int64_t v = kV > 0 ? kV : v_rt;
+    __m512 d[kRowLaneMaxV];
+    for (int64_t q = 0; 4 * q < v; ++q) {
+        const int64_t lanes = std::min<int64_t>(4, v - 4 * q);
+        __m512 r[4];
+        for (int64_t i = 0; i < 4; ++i) {
+            const float *p = x + i * stride + 4 * q;
+            __m512 g = _mm512_castps128_ps512(loadQuad(p, lanes));
+            g = _mm512_insertf32x4(g, loadQuad(p + 4 * stride, lanes), 1);
+            g = _mm512_insertf32x4(g, loadQuad(p + 8 * stride, lanes), 2);
+            r[i] = _mm512_insertf32x4(g, loadQuad(p + 12 * stride, lanes),
+                                      3);
+        }
+        const __m512 lo01 = _mm512_shuffle_ps(r[0], r[1], 0x44);
+        const __m512 hi01 = _mm512_shuffle_ps(r[0], r[1], 0xEE);
+        const __m512 lo23 = _mm512_shuffle_ps(r[2], r[3], 0x44);
+        const __m512 hi23 = _mm512_shuffle_ps(r[2], r[3], 0xEE);
+        d[4 * q] = _mm512_shuffle_ps(lo01, lo23, 0x88);
+        d[4 * q + 1] = _mm512_shuffle_ps(lo01, lo23, 0xDD);
+        d[4 * q + 2] = _mm512_shuffle_ps(hi01, hi23, 0x88);
+        d[4 * q + 3] = _mm512_shuffle_ps(hi01, hi23, 0xDD);
+    }
+    __m512 best = distanceLanesAvx512(d, cbt, v, c, 0);
+    __m512i code = _mm512_setzero_si512();
+    for (int64_t j = 1; j < c; ++j) {
+        const __m512 acc = distanceLanesAvx512(d, cbt, v, c, j);
+        const __mmask16 lt = _mm512_cmp_ps_mask(acc, best, _CMP_LT_OQ);
+        best = _mm512_mask_mov_ps(best, lt, acc);
+        code = _mm512_mask_set1_epi32(code, lt, static_cast<int>(j));
+    }
+    _mm512_storeu_si512(codes, code);
+}
+
+/** AVX2 twin of encodeL2LanesAvx512: ONE 8-row block, 128-bit lane L of
+ * r[i] holding row 4L + i, and VBLENDVPS/VPBLENDVB as the masked moves. */
+template <int kV>
+__attribute__((target("avx2"))) void
+encodeL2LanesAvx2(const float *x, int64_t stride, const float *cbt,
+                  int64_t v_rt, int64_t c, int32_t *codes)
+{
+    const int64_t v = kV > 0 ? kV : v_rt;
+    __m256 d[kRowLaneMaxV];
+    for (int64_t q = 0; 4 * q < v; ++q) {
+        const int64_t lanes = std::min<int64_t>(4, v - 4 * q);
+        __m256 r[4];
+        for (int64_t i = 0; i < 4; ++i) {
+            const float *p = x + i * stride + 4 * q;
+            r[i] = _mm256_insertf128_ps(
+                _mm256_castps128_ps256(loadQuad(p, lanes)),
+                loadQuad(p + 4 * stride, lanes), 1);
+        }
+        const __m256 lo01 = _mm256_shuffle_ps(r[0], r[1], 0x44);
+        const __m256 hi01 = _mm256_shuffle_ps(r[0], r[1], 0xEE);
+        const __m256 lo23 = _mm256_shuffle_ps(r[2], r[3], 0x44);
+        const __m256 hi23 = _mm256_shuffle_ps(r[2], r[3], 0xEE);
+        d[4 * q] = _mm256_shuffle_ps(lo01, lo23, 0x88);
+        d[4 * q + 1] = _mm256_shuffle_ps(lo01, lo23, 0xDD);
+        d[4 * q + 2] = _mm256_shuffle_ps(hi01, hi23, 0x88);
+        d[4 * q + 3] = _mm256_shuffle_ps(hi01, hi23, 0xDD);
+    }
+    __m256 best = distanceLanesAvx2(d, cbt, v, c, 0);
+    __m256i code = _mm256_setzero_si256();
+    for (int64_t j = 1; j < c; ++j) {
+        const __m256 acc = distanceLanesAvx2(d, cbt, v, c, j);
+        const __m256 lt = _mm256_cmp_ps(acc, best, _CMP_LT_OQ);
+        best = _mm256_blendv_ps(best, acc, lt);
+        code = _mm256_blendv_epi8(code, _mm256_set1_epi32(static_cast<int>(j)),
+                                  _mm256_castps_si256(lt));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(codes), code);
+}
+
+/** Call `lanes(std::integral_constant<int, kV>{}, xi, codes_i)` on every
+ * whole Block-row block of `rows` (row i at x + i * stride), with v a
+ * compile-time kV at the common 3, 4 and 8 and kV = 0 otherwise; returns
+ * the rows encoded (0 when v > kRowLaneMaxV, which the per-row kernel
+ * keeps). */
+template <int64_t Block, typename Lanes>
+int64_t
+encodeL2RowLanes(const float *x, int64_t rows, int64_t stride, int64_t v,
+                 int32_t *codes, Lanes &&lanes)
+{
+    if (v > kRowLaneMaxV)
+        return 0;
+    const int64_t whole = rows - rows % Block;
+    for (int64_t i = 0; i < whole; i += Block) {
+        const float *xi = x + i * stride;
+        switch (v) {
+          case 3:
+            lanes(std::integral_constant<int, 3>{}, xi, codes + i);
+            break;
+          case 4:
+            lanes(std::integral_constant<int, 4>{}, xi, codes + i);
+            break;
+          case 8:
+            lanes(std::integral_constant<int, 8>{}, xi, codes + i);
+            break;
+          default:
+            lanes(std::integral_constant<int, 0>{}, xi, codes + i);
+            break;
+        }
+    }
+    return whole;
+}
+
+/** Encode `rows` subvectors one row at a time (the per-row tail of
+ * encodeL2GenericRows) with the fewest 16-lane blocks that cover c (at
+ * most NB), all-full blocks taking the mask-free kernel. */
 template <int NB, bool kFull = false>
 __attribute__((target("avx512f"))) void
 encodeL2GenericRowsAvx512(const float *x, int64_t rows, int64_t stride,
@@ -1104,12 +1281,26 @@ encodeL2GenericRows(util::SimdLevel level, const float *x, int64_t rows,
     LUTDLA_CHECK(c >= 2 && c <= 64,
                  "encodeL2GenericRows supports 2..64 centroids");
     if (level >= util::SimdLevel::Avx512) {
-        encodeL2GenericRowsAvx512<4>(x, rows, stride, cbt, v, c, codes);
+        const int64_t done = encodeL2RowLanes<16>(
+            x, rows, stride, v, codes,
+            [&](auto kv, const float *xi, int32_t *out) {
+                encodeL2LanesAvx512<decltype(kv)::value>(xi, stride, cbt, v,
+                                                         c, out);
+            });
+        encodeL2GenericRowsAvx512<4>(x + done * stride, rows - done, stride,
+                                     cbt, v, c, codes + done);
         return;
     }
     LUTDLA_CHECK(level == util::SimdLevel::Avx2,
                  "encodeL2GenericRows requires AVX2 or AVX-512");
-    encodeL2GenericRowsAvx2<8>(x, rows, stride, cbt, v, c, codes);
+    const int64_t done = encodeL2RowLanes<8>(
+        x, rows, stride, v, codes,
+        [&](auto kv, const float *xi, int32_t *out) {
+            encodeL2LanesAvx2<decltype(kv)::value>(xi, stride, cbt, v, c,
+                                                   out);
+        });
+    encodeL2GenericRowsAvx2<8>(x + done * stride, rows - done, stride, cbt,
+                               v, c, codes + done);
 }
 
 void

@@ -14,12 +14,19 @@
  *
  * Kernel families:
  *
- *  - float encode: fused L2 distance + argmin for any 2 <= c <= 64,
- *    keeping the per-centroid accumulators in registers as blocks of
- *    16 (AVX-512) / 8 (AVX2) lanes, pad lanes of a ragged last block
- *    parked at +inf. Bit-exact with the scalar distance + ascending
- *    argmin scan (explicit mul + add, never FMA; lowest-index
- *    tie-break; NaN rows fall back to the scalar scan).
+ *  - float encode: fused L2 distance + argmin for any 2 <= c <= 64.
+ *    Whole blocks of 16 (AVX-512) / 8 (AVX2) rows with v <= 16 run
+ *    row-lane, like the INT8 encode: the subvectors' dim-quads are
+ *    transposed into one register per dimension, each centroid's
+ *    coordinates are broadcast in ascending order, and every lane runs
+ *    the scalar scan on its own row (sub, mul, add per ascending t, then
+ *    a strict-< compare and two masked moves against the running best),
+ *    so there is no horizontal reduction and no NaN special case. The
+ *    leftover rows and v > 16 run per row with the centroids in the
+ *    lanes (blocks of 16 / 8, pad lanes of a ragged last block parked
+ *    at +inf, NaN rows falling back to the scalar scan). Both are
+ *    bit-exact with the scalar distance + ascending argmin scan
+ *    (explicit mul + add, never FMA; lowest-index tie-break).
  *
  *  - INT8 encode: integer argmin over the quantized encode bank.
  *    Input subvectors are quantized onto the SAME per-subspace 7-bit
@@ -85,12 +92,21 @@ namespace lutdla::lutboost::simd {
 /**
  * Fused L2 distance + argmin: encode `rows` subvectors (row i at x + i *
  * stride, `v` floats each) against one transposed [v, c] codebook for any
- * 2 <= c <= 64, writing one code per row. Centroids are
- * processed in masked blocks of 16 (AVX-512) / 8 (AVX2) lanes with pad
- * lanes parked at +inf; the cross-block argmin scans blocks in ascending
- * order and breaks ties toward the lowest index, so the result is
- * bit-exact with the scalar distance + ascending argmin scan (NaN rows
- * fall back to the scalar scan).
+ * 2 <= c <= 64, writing one code per row, at `level` (Avx2 or above).
+ *
+ * When v <= 16, every whole block of 16 rows (AVX-512) or 8 rows (AVX2)
+ * runs row-lane: each dim-quad of the block is read with one 128-bit load
+ * per row (the last quad masked, so nothing past the subvector is read)
+ * and transposed in-lane so one register holds one dimension of every
+ * row; each centroid j in ascending order is then scored in all lanes
+ * with the scalar op sequence and kept by a strict _CMP_LT_OQ compare and
+ * two masked moves, j = 0 seeding the best. v = 3, 4 and 8 run
+ * compile-time-unrolled kernels. The leftover rows, and every row when
+ * v > 16, run per row with the centroids in masked blocks of 16 / 8
+ * lanes, pad lanes parked at +inf, ascending block scan and NaN rows
+ * falling back to the scalar scan. Both paths give the codes of the
+ * scalar distance + ascending argmin scan bit for bit, on NaN, +/-Inf,
+ * overflow and -0 too.
  */
 void encodeL2GenericRows(util::SimdLevel level, const float *x,
                          int64_t rows, int64_t stride, const float *cbt,

@@ -331,7 +331,8 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows, int64_t width,
 {
     const int64_t v = subvector_len_, c = num_centroids_;
     // Register-resident fast path, dispatched on the RUNNING CPU (cpuid,
-    // not compile flags): the masked generic-c tier.
+    // not compile flags): the generic-c tier (row-lane blocks, per-row
+    // tail).
     if constexpr (M == vq::Metric::L2) {
         if (level != util::SimdLevel::Generic) {
             encodeBySubspace(

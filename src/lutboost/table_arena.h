@@ -172,7 +172,7 @@ class LutTableArena
 
     /**
      * Level the float encode runs at under the cap `level`: Avx512 or
-     * Avx2 (the masked generic-c L2 tier, "avx512-genc" / "avx2-genc")
+     * Avx2 (the generic-c L2 tier, "avx512-genc" / "avx2-genc")
      * for an L2 arena with 2 <= c <= 64, else Generic (the scalar
      * distance scan, "generic"). Panics when `level` is above
      * util::simdLevel().

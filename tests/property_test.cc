@@ -614,12 +614,56 @@ hostileRows(int64_t rows, int64_t width, uint64_t seed)
 }
 
 /**
- * The masked generic-c float encode must select the code of the scalar
- * distance + ascending argmin scan (zeroed accumulators, ascending t,
- * strict < from centroid 0) on hostile rows, at every SIMD level this
- * host runs: NaN rows take the scalar fallback, overflowed (+inf)
- * distances tie to the lowest index, and -0 and denormals score as the
- * finite values they are.
+ * Codes of the scalar distance + ascending argmin scan the float encode
+ * tiers must reproduce: zeroed accumulators, ascending t, explicit mul +
+ * add (this TU builds without -march, so no FMA contraction), and a
+ * strict-< scan seeded with centroid 0, so the lowest index keeps a tie
+ * and a NaN distance at centroid 0 is never beaten. Row r is at x + r *
+ * stride; cbt is the transposed [v, c] codebook.
+ */
+std::vector<int32_t>
+scalarL2Codes(const std::vector<float> &x, int64_t rows, int64_t stride,
+              const std::vector<float> &cbt, int64_t v, int64_t c)
+{
+    std::vector<int32_t> codes(static_cast<size_t>(rows));
+    std::vector<float> d(static_cast<size_t>(c));
+    for (int64_t r = 0; r < rows; ++r) {
+        const float *sub = x.data() + r * stride;
+        for (int64_t j = 0; j < c; ++j) {
+            float dist = 0.0f;
+            for (int64_t t = 0; t < v; ++t) {
+                const float diff =
+                    sub[t] - cbt[static_cast<size_t>(t * c + j)];
+                dist += diff * diff;
+            }
+            d[static_cast<size_t>(j)] = dist;
+        }
+        int32_t best = 0;
+        for (int64_t j = 1; j < c; ++j)
+            if (d[static_cast<size_t>(j)] < d[static_cast<size_t>(best)])
+                best = static_cast<int32_t>(j);
+        codes[static_cast<size_t>(r)] = best;
+    }
+    return codes;
+}
+
+/**
+ * The generic-c float encode must select the code of the scalar scan
+ * (scalarL2Codes) at every SIMD level this host runs, on row counts on
+ * both sides of the 8- (AVX2) and 16-row (AVX-512) row-lane blocks, so
+ * whole blocks and per-row tails both run, and on every subvector length
+ * shape the row-lane kernel reads: v = 1, 3, 5 and 9 end in a masked
+ * dim-quad, v = 3, 4 and 8 take the compile-time kernels, v = 16 is its
+ * largest and v = 17 runs per-row at any row count. Two inputs per
+ * shape:
+ *  - hostile rows (NaN, +/-Inf, +/-FLT_MAX, denormals, -0): overflowed
+ *    (+inf) distances tie to the lowest index, -0 and denormals score as
+ *    the finite values they are, and an all-NaN distance row keeps code
+ *    0 in a lane exactly as in the scalar scan;
+ *  - Gaussian rows over a codebook whose last centroid duplicates
+ *    centroid 1: row 0 sits exactly on both, so the exact tie must go to
+ *    index 1; row 6 carries one NaN in its last dimension inside an
+ *    otherwise finite block; and row 21 is all NaN.
  */
 TEST(HostileInputs, GenericCFloatEncodeMatchesScalarScan)
 {
@@ -632,50 +676,56 @@ TEST(HostileInputs, GenericCFloatEncodeMatchesScalarScan)
     if (levels.empty())
         GTEST_SKIP() << "no SIMD level on this host; scalar-only";
 
-    constexpr int64_t kRows = 48;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
     int64_t checked = 0;
     for (const int64_t c : {4, 11, 16, 33, 64}) {
-        for (const int64_t v : {3, 8, 16}) {
+        for (const int64_t v : {1, 3, 4, 5, 8, 9, 16, 17}) {
             const int64_t stride = v + 2;
             Rng rng(3 + static_cast<uint64_t>(c * 100 + v));
             std::vector<float> cbt(static_cast<size_t>(v * c));
             for (float &e : cbt)
                 e = static_cast<float>(rng.gaussian(0.0, 1.0));
-            const std::vector<float> x =
-                hostileRows(kRows, stride, static_cast<uint64_t>(c + v));
-
-            std::vector<int32_t> want(static_cast<size_t>(kRows));
-            std::vector<float> d(static_cast<size_t>(c));
-            for (int64_t r = 0; r < kRows; ++r) {
-                const float *sub = x.data() + r * stride;
-                for (int64_t j = 0; j < c; ++j) {
-                    float dist = 0.0f;
-                    for (int64_t t = 0; t < v; ++t) {
-                        const float diff =
-                            sub[t] - cbt[static_cast<size_t>(t * c + j)];
-                        dist += diff * diff;
+            for (int64_t t = 0; t < v; ++t)
+                cbt[static_cast<size_t>(t * c + c - 1)] =
+                    cbt[static_cast<size_t>(t * c + 1)];
+            for (const int64_t rows : {1, 5, 8, 15, 16, 17, 31, 48, 65}) {
+                std::vector<float> tie(static_cast<size_t>(rows * stride));
+                for (float &e : tie)
+                    e = static_cast<float>(rng.gaussian(0.0, 1.0));
+                for (int64_t t = 0; t < v; ++t)
+                    tie[static_cast<size_t>(t)] =
+                        cbt[static_cast<size_t>(t * c + 1)];
+                if (rows > 6)
+                    tie[static_cast<size_t>(6 * stride + v - 1)] = nan;
+                if (rows > 21)
+                    std::fill_n(tie.begin() + 21 * stride, v, nan);
+                const std::vector<float> inputs[2] = {
+                    hostileRows(rows, stride,
+                                static_cast<uint64_t>(c + v + rows)),
+                    tie};
+                for (int64_t in = 0; in < 2; ++in) {
+                    const std::vector<float> &x = inputs[in];
+                    const std::vector<int32_t> want =
+                        scalarL2Codes(x, rows, stride, cbt, v, c);
+                    if (in == 1) {
+                        ASSERT_EQ(want[0], 1) << "c=" << c << " v=" << v;
                     }
-                    d[static_cast<size_t>(j)] = dist;
+                    for (const util::SimdLevel level : levels) {
+                        std::vector<int32_t> got(static_cast<size_t>(rows),
+                                                 -1);
+                        lutboost::simd::encodeL2GenericRows(
+                            level, x.data(), rows, stride, cbt.data(), v, c,
+                            got.data());
+                        for (int64_t r = 0; r < rows; ++r)
+                            ASSERT_EQ(got[static_cast<size_t>(r)],
+                                      want[static_cast<size_t>(r)])
+                                << util::simdLevelName(level)
+                                << (in == 0 ? " hostile" : " tie")
+                                << " c=" << c << " v=" << v
+                                << " rows=" << rows << " r=" << r;
+                        checked += rows;
+                    }
                 }
-                int32_t best = 0;
-                for (int64_t j = 1; j < c; ++j)
-                    if (d[static_cast<size_t>(j)] <
-                        d[static_cast<size_t>(best)])
-                        best = static_cast<int32_t>(j);
-                want[static_cast<size_t>(r)] = best;
-            }
-
-            for (const util::SimdLevel level : levels) {
-                std::vector<int32_t> got(static_cast<size_t>(kRows), -1);
-                lutboost::simd::encodeL2GenericRows(level, x.data(), kRows,
-                                                    stride, cbt.data(), v,
-                                                    c, got.data());
-                for (int64_t r = 0; r < kRows; ++r)
-                    ASSERT_EQ(got[static_cast<size_t>(r)],
-                              want[static_cast<size_t>(r)])
-                        << util::simdLevelName(level) << " c=" << c
-                        << " v=" << v << " r=" << r;
-                checked += kRows;
             }
         }
     }
@@ -1183,10 +1233,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- Property: generic-c float SIMD encode is bit-exact vs scalar ------
 
 /**
- * The masked generic-c float encode tier (c <= 64, any v) must select
+ * The generic-c float encode tier (c <= 64, any v) must select
  * bit-identical codes to the scalar distance + ascending argmin scan:
- * pad lanes park at +inf, blocks scan in ascending order, ties break to
- * the lowest index, and NaN rows fall back to the scalar scan. Exercised
+ * row-lane blocks and per-row tails both break ties to the lowest index
+ * and keep code 0 on a NaN row, as the scalar scan does. Exercised
  * at every SIMD level this host can run, over ragged row strides, from
  * ragged masks (4, 11) through the full-block shapes (8, 16, 32) to the
  * upper edge c = 64.
@@ -1221,32 +1271,13 @@ TEST(GenericCFloatEncode, MaskedSimdBitExactVsScalarScan)
                     x[static_cast<size_t>(d)] =
                         cbt[static_cast<size_t>(d * c)];
                 }
-                // A NaN row must take the scalar fallback (argmin 0).
+                // A NaN row keeps code 0, as in the scalar scan.
                 if (rows > 2)
                     x[static_cast<size_t>(2 * stride + 1)] =
                         std::numeric_limits<float>::quiet_NaN();
 
-                // Scalar reference: explicit mul + add (this TU builds
-                // without -march, so no FMA contraction), strict < scan.
-                std::vector<int32_t> want(static_cast<size_t>(rows), 0);
-                for (int64_t r = 0; r < rows; ++r) {
-                    const float *sub = x.data() + r * stride;
-                    int32_t best = 0;
-                    float best_d = std::numeric_limits<float>::infinity();
-                    for (int64_t j = 0; j < c; ++j) {
-                        float dist = 0.0f;
-                        for (int64_t d = 0; d < v; ++d) {
-                            const float diff =
-                                sub[d] - cbt[static_cast<size_t>(d * c + j)];
-                            dist += diff * diff;
-                        }
-                        if (dist < best_d) {
-                            best_d = dist;
-                            best = static_cast<int32_t>(j);
-                        }
-                    }
-                    want[static_cast<size_t>(r)] = best;
-                }
+                const std::vector<int32_t> want =
+                    scalarL2Codes(x, rows, stride, cbt, v, c);
 
                 for (const util::SimdLevel level : levels) {
                     std::vector<int32_t> got(static_cast<size_t>(rows), -1);
@@ -1266,7 +1297,7 @@ TEST(GenericCFloatEncode, MaskedSimdBitExactVsScalarScan)
 }
 
 /** With no dedicated c = 16 kernel, an L2 arena at the flagship c = 16
- * dispatches its float encode to the masked generic-c tier. */
+ * dispatches its float encode to the generic-c tier. */
 TEST(GenericCFloatEncode, ArenaAtSixteenCentroidsUsesGenericTier)
 {
     vq::PQConfig pq;
@@ -1299,18 +1330,19 @@ levelsUpToHost()
  * every cap runs the scalar scan), K % v != 0 (a zero-padded ragged
  * tail subspace), K-wide rows and width-adapted reads (w = 6 and 30,
  * where subspaces wrap and the period truncates), plain and BF16-input
- * arenas, and Gaussian and hostile rows (NaN, +/-Inf, +/-FLT_MAX,
- * denormals, -0).
+ * arenas, Gaussian and hostile rows (NaN, +/-Inf, +/-FLT_MAX,
+ * denormals, -0), and 15, 16, 17 and 65 rows (under, at and over one
+ * 16-row row-lane block, and several blocks plus a tail).
  */
 class FloatEncodeTiers
-    : public ::testing::TestWithParam<std::tuple<int64_t, bool>>
+    : public ::testing::TestWithParam<std::tuple<int64_t, bool, int64_t>>
 {
 };
 
 TEST_P(FloatEncodeTiers, EveryLevelMatchesGenericCodes)
 {
-    const auto [c, bf16] = GetParam();
-    const int64_t k = 23, rows = 65;
+    const auto [c, bf16, rows] = GetParam();
+    const int64_t k = 23;
     vq::PQConfig pq;
     pq.v = 4;
     pq.c = c;
@@ -1349,6 +1381,7 @@ TEST_P(FloatEncodeTiers, EveryLevelMatchesGenericCodes)
                         " c=" + std::to_string(c) +
                         " bf16=" + std::to_string(bf16) +
                         " w=" + std::to_string(w) +
+                        " rows=" + std::to_string(rows) +
                         " hostile=" + std::to_string(hostile));
             }
         }
@@ -1358,7 +1391,8 @@ TEST_P(FloatEncodeTiers, EveryLevelMatchesGenericCodes)
 INSTANTIATE_TEST_SUITE_P(
     CentroidCounts, FloatEncodeTiers,
     ::testing::Combine(::testing::Values<int64_t>(2, 5, 16, 17, 64, 65),
-                       ::testing::Bool()));
+                       ::testing::Bool(),
+                       ::testing::Values<int64_t>(15, 16, 17, 65)));
 
 // ---- Property: a level cap is a ceiling, not a demand ------------------
 
