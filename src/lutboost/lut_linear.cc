@@ -343,15 +343,4 @@ LutLinear::inferenceArena() const
     return infer_arena_;
 }
 
-Tensor
-LutLinear::forwardBatch(const Tensor &x) const
-{
-    LUTDLA_CHECK(use_inference_lut_,
-                 "forwardBatch requires refreshInferenceLut() first");
-    LUTDLA_CHECK(x.rank() == 2 && x.dim(1) == in_features_,
-                 "LutLinear::forwardBatch expects [rows, ", in_features_,
-                 "], got ", shapeStr(x.shape()));
-    return inferenceArena()->forwardBatch(x);
-}
-
 } // namespace lutdla::lutboost

@@ -60,9 +60,10 @@ class LutLinear : public nn::Layer
      * flow (drive one forward(), then read it). The store/load pair is
      * atomic so concurrent readers never see a torn value, but the probe is
      * NOT a per-call result: interleaved forward() calls from several
-     * threads leave whichever row count was stored last. forwardBatch()
-     * deliberately never updates it — batched callers take the row count
-     * from the returned tensor (`result.dim(0)`) instead.
+     * threads leave whichever row count was stored last. Serving runs the
+     * frozen arena (inferenceArena()) and never updates it — batched
+     * callers take the row count from the returned tensor
+     * (`result.dim(0)`) instead.
      */
     int64_t
     lastForwardRows() const
@@ -114,25 +115,16 @@ class LutLinear : public nn::Layer
     const vq::LutPrecision &precision() const { return precision_; }
 
     /**
-     * Batched frozen-LUT inference through the flat table arena.
-     *
-     * Bit-exact with calling eval-mode forward() row by row on a frozen
-     * layer, but row-blocked so table banks stay cache-resident across the
-     * batch. Thread-safe: const, touches only the immutable arena, and does
-     * not update lastForwardRows() or auxLoss(). Requires
-     * refreshInferenceLut() first (panics otherwise — serving code guards
-     * this via inferenceLutReady()).
-     */
-    Tensor forwardBatch(const Tensor &x) const;
-
-    /**
-     * Shared handle to the frozen arena; panics before
-     * refreshInferenceLut(). Built lazily on first use (forwardBatch or
-     * this accessor), so freeze-only flows — deployPrecision accuracy
-     * evals that never serve — pay no extra table memory. The serving
-     * layer aliases the returned pointer, so an engine keeps working even
-     * if the layer is later re-trained or re-frozen. Safe to call
-     * concurrently with forwardBatch(); NOT safe concurrently with
+     * Shared handle to the frozen arena, the tables batched inference
+     * runs on: serving lowers the layer to a stage that drives it through
+     * KernelBackend::forwardTile (lutboost/kernels.h), bit-exact with
+     * eval-mode forward() under the Float32 backend and encode. Panics
+     * before refreshInferenceLut(). Built lazily on the first call, so
+     * freeze-only flows — deployPrecision accuracy evals that never
+     * serve — pay no extra table memory. The serving layer aliases the
+     * returned pointer, so an engine keeps working even if the layer is
+     * later re-trained or re-frozen. Safe to call concurrently with
+     * itself; NOT safe concurrently with
      * refreshInferenceLut()/clearInferenceLut().
      */
     std::shared_ptr<const LutTableArena> inferenceArena() const;
@@ -174,7 +166,7 @@ class LutLinear : public nn::Layer
     std::vector<float> calib_rows_;
     int64_t calib_count_ = 0;
 
-    // Inference LUT (reference path) + flat arena (batched path). The
+    // Inference LUT (reference path) + flat arena (serving path). The
     // arena duplicates the frozen tables in serving layout, so it is
     // built lazily under arena_mu_ the first time serving asks for it.
     vq::LutPrecision precision_;

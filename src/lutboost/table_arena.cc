@@ -288,11 +288,11 @@ sweepInt4ColOuter(const uint8_t *__restrict__ qbank,
 
 } // namespace
 
-template <typename Kernel, typename Sink>
+template <typename Kernel>
 void
 LutTableArena::encodeBySubspace(const float *x, int64_t rows, int64_t width,
-                                EncodeScratch &scratch, Kernel &&kernel,
-                                Sink &&sink) const
+                                EncodeScratch &scratch, vq::CodeBuffer &codes,
+                                Kernel &&kernel) const
 {
     // Subspace-outer: one subspace's codebook stays L1-resident across the
     // whole batch, and its codes come out as one contiguous block — the
@@ -302,6 +302,7 @@ LutTableArena::encodeBySubspace(const float *x, int64_t rows, int64_t width,
     // one that wraps or runs past K is gathered into a zero-padded
     // [rows, v] plane, exactly like ProductQuantizer::extractSubvector.
     const int64_t v = subvector_len_;
+    codes.reset(rows, num_subspaces_, num_centroids_);
     scratch.block.resize(static_cast<size_t>(rows));
     int32_t *block = scratch.block.data();
     for (int64_t s = 0, col = 0; s < num_subspaces_;
@@ -319,15 +320,15 @@ LutTableArena::encodeBySubspace(const float *x, int64_t rows, int64_t width,
             }
             kernel(static_cast<const float *>(padded), v, s, block);
         }
-        sink(s, static_cast<const int32_t *>(block));
+        codes.storeCodes(s, 0, block, rows);
     }
 }
 
-template <vq::Metric M, typename Sink>
+template <vq::Metric M>
 void
 LutTableArena::encodeRowsImpl(const float *x, int64_t rows, int64_t width,
                               util::SimdLevel level, EncodeScratch &scratch,
-                              Sink &&sink) const
+                              vq::CodeBuffer &codes) const
 {
     const int64_t v = subvector_len_, c = num_centroids_;
     // Register-resident fast path, dispatched on the RUNNING CPU (cpuid,
@@ -336,49 +337,25 @@ LutTableArena::encodeRowsImpl(const float *x, int64_t rows, int64_t width,
     if constexpr (M == vq::Metric::L2) {
         if (level != util::SimdLevel::Generic) {
             encodeBySubspace(
-                x, rows, width, scratch,
+                x, rows, width, scratch, codes,
                 [&](const float *xs, int64_t stride, int64_t s,
                     int32_t *out) {
                     simd::encodeL2GenericRows(level, xs, rows, stride,
                                               codebookT(s), v, c, out);
-                },
-                sink);
+                });
             return;
         }
     }
     scratch.dist.resize(static_cast<size_t>(c));
     float *dist = scratch.dist.data();
     encodeBySubspace(
-        x, rows, width, scratch,
+        x, rows, width, scratch, codes,
         [&](const float *xs, int64_t stride, int64_t s, int32_t *out) {
             for (int64_t i = 0; i < rows; ++i) {
                 distanceAll<M>(xs + i * stride, codebookT(s), c, v, dist);
                 out[i] = argminScan(dist, c);
             }
-        },
-        sink);
-}
-
-template <typename Sink>
-void
-LutTableArena::encodeDispatch(const float *x, int64_t rows, int64_t width,
-                              util::SimdLevel level, EncodeScratch &scratch,
-                              Sink &&sink) const
-{
-    switch (metric_) {
-      case vq::Metric::L2:
-        encodeRowsImpl<vq::Metric::L2>(x, rows, width, level, scratch,
-                                       sink);
-        return;
-      case vq::Metric::L1:
-        encodeRowsImpl<vq::Metric::L1>(x, rows, width, level, scratch,
-                                       sink);
-        return;
-      case vq::Metric::Chebyshev:
-        encodeRowsImpl<vq::Metric::Chebyshev>(x, rows, width, level,
-                                              scratch, sink);
-        return;
-    }
+        });
 }
 
 const float *
@@ -400,12 +377,22 @@ LutTableArena::encodeBatch(const float *x, int64_t rows,
 {
     if (width <= 0)
         width = in_features_;
-    codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeDispatch(stageRows(x, rows, width, scratch.staging), rows, width,
-                   encodeLevel(level), scratch,
-                   [&codes, rows](int64_t s, const int32_t *block) {
-                       codes.storeCodes(s, 0, block, rows);
-                   });
+    const float *staged = stageRows(x, rows, width, scratch.staging);
+    const util::SimdLevel tier = encodeLevel(level);
+    switch (metric_) {
+      case vq::Metric::L2:
+        encodeRowsImpl<vq::Metric::L2>(staged, rows, width, tier, scratch,
+                                       codes);
+        return;
+      case vq::Metric::L1:
+        encodeRowsImpl<vq::Metric::L1>(staged, rows, width, tier, scratch,
+                                       codes);
+        return;
+      case vq::Metric::Chebyshev:
+        encodeRowsImpl<vq::Metric::Chebyshev>(staged, rows, width, tier,
+                                              scratch, codes);
+        return;
+    }
 }
 
 util::SimdLevel
@@ -419,12 +406,17 @@ LutTableArena::encodeLevel(util::SimdLevel level) const
                                             : util::SimdLevel::Avx2;
 }
 
-template <typename Sink>
 void
-LutTableArena::encodeRowsInt8(const float *x, int64_t rows, int64_t width,
-                              util::SimdLevel level, EncodeScratch &scratch,
-                              Sink &&sink) const
+LutTableArena::encodeBatchInt8(const float *x, int64_t rows,
+                               vq::CodeBuffer &codes,
+                               EncodeScratch &scratch, int64_t width,
+                               util::SimdLevel level) const
 {
+    LUTDLA_CHECK(int8_encode_bank_ != nullptr,
+                 "encodeBatchInt8 requires ensureInt8EncodeBank() first");
+    if (width <= 0)
+        width = in_features_;
+    const util::SimdLevel tier = int8EncodeLevel(level);
     const Int8EncodeBank &bank = *int8_encode_bank_;
     const int64_t v = subvector_len_, c = num_centroids_;
     // The scalar integer reference shares quantizeEncodeLevel, the int32
@@ -433,14 +425,15 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows, int64_t width,
     scratch.xq.resize(static_cast<size_t>(v));
     int32_t *xq = scratch.xq.data();
     encodeBySubspace(
-        x, rows, width, scratch,
+        stageRows(x, rows, width, scratch.staging), rows, width, scratch,
+        codes,
         [&](const float *xs, int64_t stride, int64_t s, int32_t *out) {
             const int32_t *norms = bank.norms.data() + s * bank.norm_stride;
             const float lo = bank.lo[static_cast<size_t>(s)];
             const float inv = bank.inv[static_cast<size_t>(s)];
-            if (level != util::SimdLevel::Generic) {
+            if (tier != util::SimdLevel::Generic) {
                 simd::encodeInt8C16Rows(
-                    level, xs, rows, stride,
+                    tier, xs, rows, stride,
                     bank.cs_quad.data() + s * bank.vq4 * 64, norms, lo,
                     inv, v, out);
                 return;
@@ -465,26 +458,7 @@ LutTableArena::encodeRowsInt8(const float *x, int64_t rows, int64_t width,
                 }
                 out[i] = best;
             }
-        },
-        sink);
-}
-
-void
-LutTableArena::encodeBatchInt8(const float *x, int64_t rows,
-                               vq::CodeBuffer &codes,
-                               EncodeScratch &scratch, int64_t width,
-                               util::SimdLevel level) const
-{
-    LUTDLA_CHECK(int8_encode_bank_ != nullptr,
-                 "encodeBatchInt8 requires ensureInt8EncodeBank() first");
-    if (width <= 0)
-        width = in_features_;
-    codes.reset(rows, num_subspaces_, num_centroids_);
-    encodeRowsInt8(stageRows(x, rows, width, scratch.staging), rows, width,
-                   int8EncodeLevel(level), scratch,
-                   [&codes, rows](int64_t s, const int32_t *block) {
-                       codes.storeCodes(s, 0, block, rows);
-                   });
+        });
 }
 
 void
@@ -522,9 +496,10 @@ LutTableArena::gatherAccumulate(const vq::CodeBuffer &codes, float *y,
         codes.unpackRows(b0, bn, unpacked);
         float *yb = y + b0 * n;
         std::fill(yb, yb + bn * n, 0.0f);
-        // Same ascending-subspace accumulation as forwardBatch: the code
-        // buffer round-trips codes exactly, so this phase split stays
-        // bit-exact with the fused reference kernel.
+        // The grouped sweep accumulates each output element's partial
+        // sums in ascending subspace order into a zero-initialized
+        // accumulator, and the code buffer round-trips codes exactly, so
+        // the result matches eval-mode LutLinear::forward bit for bit.
         sweepBlockGrouped(unpacked, bn, yb);
         addBias(yb, bn);
     }
@@ -1013,40 +988,6 @@ LutTableArena::int8EncodeLevel(util::SimdLevel level) const
 }
 
 void
-LutTableArena::forwardBatch(const float *x, int64_t rows, float *y) const
-{
-    const int64_t n = out_features_;
-    const util::SimdLevel level = encodeLevel();
-    std::vector<int32_t> codes;
-    EncodeScratch scratch;  // reused across blocks
-
-    for (int64_t b0 = 0; b0 < rows; b0 += kRowBlock) {
-        const int64_t bn = std::min(kRowBlock, rows - b0);
-        codes.resize(static_cast<size_t>(bn * num_subspaces_));
-        encodeDispatch(stageRows(x + b0 * in_features_, bn, in_features_,
-                                 scratch.staging),
-                       bn, in_features_, level, scratch,
-                       [&codes, bn, this](int64_t s, const int32_t *block) {
-                           for (int64_t i = 0; i < bn; ++i)
-                               codes[static_cast<size_t>(
-                                   i * num_subspaces_ + s)] = block[i];
-                       });
-
-        float *yb = y + b0 * n;
-        std::fill(yb, yb + bn * n, 0.0f);
-
-        // The grouped sweep accumulates each output element's partial
-        // sums in ascending subspace order into a zero-initialized
-        // accumulator — float addition is never reassociated without
-        // -ffast-math — so the result matches the reference row-major
-        // path bit for bit.
-        sweepBlockGrouped(codes.data(), bn, yb);
-
-        addBias(yb, bn);
-    }
-}
-
-void
 LutTableArena::sweepBlockGrouped(const int32_t *codes, int64_t bn,
                                  float *yb) const
 {
@@ -1083,17 +1024,6 @@ LutTableArena::sweepBlockGrouped(const int32_t *codes, int64_t bn,
             }
         }
     }
-}
-
-Tensor
-LutTableArena::forwardBatch(const Tensor &x) const
-{
-    LUTDLA_CHECK(x.rank() == 2 && x.dim(1) == in_features_,
-                 "LutTableArena expects [rows, ", in_features_, "], got ",
-                 shapeStr(x.shape()));
-    Tensor y(Shape{x.dim(0), out_features_});
-    forwardBatch(x.data(), x.dim(0), y.data());
-    return y;
 }
 
 } // namespace lutdla::lutboost

@@ -5,8 +5,8 @@
  * @file
  * LutTableArena: one frozen LUT layer packed into a single contiguous
  * allocation — per-subspace codebooks, the precomputed PSum table, and the
- * bias, in that order — plus the row-blocked batched inference kernels that
- * run on it.
+ * bias, in that order — plus the encode and gather kernels that run on
+ * it.
  *
  * Rationale: LutLinear's training-time state scatters the tables the
  * inference path needs across several heap objects (one Tensor per codebook
@@ -57,14 +57,15 @@
  * by handing each worker its own contiguous block of input rows, its own
  * CodeBuffer and its own slice of the output, never a span of a shared
  * buffer.
- * The fused `forwardBatch` composes encode + float gather and is the
- * bit-exact reference everything else is tested against.
+ * KernelBackend::forwardTile (lutboost/kernels.h) fuses one encode and one
+ * gather per row tile; it is the only caller the serving stages use.
  *
- * Numerics contract: `forwardBatch` (and the encode + float-gather split)
- * is bit-exact with the reference eval-mode path in LutLinear::forward
- * (encode with the same argminCentroid, accumulate partial sums in
- * ascending subspace order into a zero-initialized output, add the bias
- * last). Tests enforce this.
+ * Numerics contract: the reference is eval-mode LutLinear::forward. A
+ * float encode followed by the float gather is bit-exact with it (encode
+ * with the same argminCentroid, accumulate partial sums in ascending
+ * subspace order into a zero-initialized output, add the bias last).
+ * Tests enforce this through KernelBackend::forwardTile and the serving
+ * stages.
  */
 
 #include <cstdint>
@@ -243,8 +244,11 @@ class LutTableArena
 
     /**
      * Gather phase over the bit-exact float bank:
-     * y[rows, N] = gather(codes) + bias. Identical numerics to
-     * forwardBatch. Thread-safe with distinct scratch.
+     * y[rows, N] = gather(codes) + bias, each output element's partial
+     * sums accumulated in ascending subspace order into a zero-initialized
+     * accumulator, in kRowBlock-row blocks. After a Float32 encode this is
+     * bit-exact with eval-mode LutLinear::forward. Thread-safe with
+     * distinct scratch; `y` must not alias the codes' source rows.
      */
     void gatherAccumulate(const vq::CodeBuffer &codes, float *y,
                           GatherScratch &scratch) const;
@@ -358,20 +362,11 @@ class LutTableArena
         util::SimdLevel level = util::simdLevel()) const;
 
     /**
-     * Batched lookup-accumulate: y[rows, N] = gather(x) + bias.
-     *
-     * Rows are processed in blocks (kRowBlock) and, within a block, the
-     * accumulation walks kSubspaceGroup subspaces at a time so their
-     * table banks stay cache-resident across the whole block — at every
-     * batch size, one row included. Thread-safe; `x` and `y` must not
-     * alias.
+     * Rows per block of the gather sweeps: within a block the float
+     * gather walks kSubspaceGroup subspaces at a time so their table
+     * banks stay cache-resident across the whole block, and the
+     * quantized gathers transpose and bias one block at a time.
      */
-    void forwardBatch(const float *x, int64_t rows, float *y) const;
-
-    /** Tensor-typed convenience wrapper over the raw kernel. */
-    Tensor forwardBatch(const Tensor &x) const;
-
-    /** Rows per internal block of the batched kernel. */
     static constexpr int64_t kRowBlock = 256;
 
     /**
@@ -505,37 +500,25 @@ class LutTableArena
         int64_t norm_stride = 0;      ///< max(c, 16)
     };
 
-    /** Subspace-outer encode driver shared by every encode path: calls
+    /** Subspace-outer encode driver shared by every encode path: resets
+     * `codes` for [rows, Nc] at this arena's code width, calls
      * `kernel(xs, stride, s, out)` once per subspace to write `rows`
      * codes into `out` (in place at stride `width` when the subspace
      * lies in one input period, else from a zero-padded [rows, v] plane
-     * at stride v), then hands that subspace's whole code block to
-     * `sink(s, block)` once. Works out of `scratch.block` /
+     * at stride v), then stores that subspace's whole code block into
+     * plane `s` of `codes`. Works out of `scratch.block` /
      * `scratch.padded`. */
-    template <typename Kernel, typename Sink>
+    template <typename Kernel>
     void encodeBySubspace(const float *x, int64_t rows, int64_t width,
-                          EncodeScratch &scratch, Kernel &&kernel,
-                          Sink &&sink) const;
+                          EncodeScratch &scratch, vq::CodeBuffer &codes,
+                          Kernel &&kernel) const;
 
     /** Float encode at the resolved `level` (the SIMD L2 tier unless
-     * Generic); encodeDispatch picks M from the arena's metric. */
-    template <vq::Metric M, typename Sink>
+     * Generic); encodeBatch picks M from the arena's metric. */
+    template <vq::Metric M>
     void encodeRowsImpl(const float *x, int64_t rows, int64_t width,
                         util::SimdLevel level, EncodeScratch &scratch,
-                        Sink &&sink) const;
-
-    template <typename Sink>
-    void encodeDispatch(const float *x, int64_t rows, int64_t width,
-                        util::SimdLevel level, EncodeScratch &scratch,
-                        Sink &&sink) const;
-
-    /** INT8 encode over `rows` already-staged rows: per-subspace scalar
-     * integer reference (Generic) or SIMD kernel at the resolved
-     * `level`; encodeBatchInt8's body. */
-    template <typename Sink>
-    void encodeRowsInt8(const float *x, int64_t rows, int64_t width,
-                        util::SimdLevel level, EncodeScratch &scratch,
-                        Sink &&sink) const;
+                        vq::CodeBuffer &codes) const;
 
     /** BF16-round `rows` rows of `width` floats into `staging` when the
      * arena demands it; returns the rows the encode should read. */

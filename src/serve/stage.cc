@@ -296,6 +296,11 @@ ConvStage::ConvStage(ConvGeometry geom, int64_t height, int64_t width,
     : LutStage({std::move(arena)}, backend, std::move(epilogue), encode),
       geom_(geom), h_(height), w_(width)
 {
+    LUTDLA_CHECK(geom_.outSize(h_) > 0 && geom_.outSize(w_) > 0,
+                 "conv output collapsed to zero");
+    LUTDLA_CHECK(arenas_.front()->inFeatures() == geom_.patchSize(),
+                 "arena width ", arenas_.front()->inFeatures(),
+                 " != conv patch size ", geom_.patchSize());
 }
 
 StagePtr
@@ -318,17 +323,34 @@ void
 ConvStage::forward(const float *in, int64_t rows, float *out,
                    StageScratch &scratch) const
 {
-    lutboost::convArenaForward(*arenas_.front(), geom_, in, rows, h_, w_,
-                               out, scratch.conv, *backend_, scratch.kernel,
-                               &scratch.encode_ns, &scratch.gather_ns,
-                               encode_);
-    if (!epilogue_.empty()) {
-        // Elementwise, so it commutes with the NCHW reshape; applying it
-        // on the final plane keeps it a single cache-hot sweep.
-        const auto t1 = Clock::now();
-        applyPointwiseOps(epilogue_, out, rows * outWidth());
-        scratch.gather_ns += nanosSince(t1);
-    }
+    // One fused tile over the whole batch's patch rows, between the
+    // im2col (credited to encode) and the NCHW reshape plus epilogue
+    // (credited to gather). im2colInto writes every element, padding
+    // included, so the grow-only planes need no zeroing.
+    const lutboost::LutTableArena &arena = *arenas_.front();
+    const int64_t pixels = geom_.outSize(h_) * geom_.outSize(w_);
+    const int64_t patch_rows = rows * pixels;
+    const int64_t co_dim = arena.outFeatures();
+    const auto t0 = Clock::now();
+    float *cols =
+        growPlane(scratch.conv_cols, patch_rows * geom_.patchSize());
+    float *flat = growPlane(scratch.conv_flat, patch_rows * co_dim);
+    im2colInto(in, rows, h_, w_, geom_, cols);
+    scratch.encode_ns += nanosSince(t0);
+    backend_->forwardTile(arena, cols, patch_rows, flat, scratch.kernel,
+                          &scratch.encode_ns, &scratch.gather_ns, encode_);
+
+    // [rows * Ho * Wo, C_out] -> NCHW, same traversal as
+    // LutConv2d::forward. The epilogue is elementwise, so it commutes
+    // with the reshape; applying it on the final plane keeps it a single
+    // cache-hot sweep.
+    const auto t1 = Clock::now();
+    for (int64_t b = 0, row = 0; b < rows; ++b)
+        for (int64_t p = 0; p < pixels; ++p, ++row)
+            for (int64_t co = 0; co < co_dim; ++co)
+                out[(b * co_dim + co) * pixels + p] = flat[row * co_dim + co];
+    applyPointwiseOps(epilogue_, out, rows * outWidth());
+    scratch.gather_ns += nanosSince(t1);
 }
 
 void

@@ -54,7 +54,6 @@
 #include <vector>
 
 #include "lutboost/kernels.h"
-#include "lutboost/lut_conv.h"
 #include "lutboost/table_arena.h"
 #include "tensor/im2col.h"
 
@@ -99,8 +98,8 @@ enum class PointwiseOp
 
 /**
  * Per-worker reusable buffers for one in-flight batch: the ping-pong
- * activation planes the stage chain alternates between, the conv path's
- * im2col/GEMM scratch, the kernel backend's code buffers, and the
+ * activation planes the stage chain alternates between, the conv stage's
+ * im2col and GEMM-output planes, the kernel backend's code buffers, and the
  * encode/gather phase-time accumulators the front door folds into each
  * batch's lane stats. Every pool worker owns one, so steady-state serving
  * performs no per-batch allocations once the buffers have grown to the
@@ -110,7 +109,10 @@ struct StageScratch
 {
     std::vector<float> ping;           ///< activation buffer A
     std::vector<float> pong;           ///< activation buffer B
-    lutboost::ConvScratch conv;        ///< im2col + flat-GEMM scratch
+    /** ConvStage planes, grow-only like ping/pong: the im2col patch rows
+     * [rows * Ho * Wo, patchSize] and their LUT-GEMM output
+     * [rows * Ho * Wo, C_out] before the NCHW reshape. */
+    std::vector<float> conv_cols, conv_flat;
     lutboost::KernelScratch kernel;    ///< code planes + staging planes
     /**
      * Skip-edge planes, indexed by the slot a SkipSaveStage was lowered
@@ -475,10 +477,12 @@ class ArenaStage : public LutStage<1>
 
 /**
  * Im2col-lowered convolution stage (lowered LutConv2d): fixed input
- * geometry (C, H, W baked in at lowering time), batched im2col into
- * scratch, encode -> gather through the planned backend, NCHW reshape,
- * then any fused epilogue (elementwise, so it commutes with the
- * reshape). Rows are flattened NCHW images.
+ * geometry (C, H, W baked in at lowering time), batched im2col into the
+ * scratch's conv planes, one KernelBackend::forwardTile over every patch
+ * row of the batch through the planned backend, NCHW reshape, then any
+ * fused epilogue (elementwise, so it commutes with the reshape). Rows
+ * are flattened NCHW images. Phase times: im2col counts as encode,
+ * reshape and epilogue as gather.
  */
 class ConvStage : public LutStage<1>
 {
@@ -509,9 +513,9 @@ class ConvStage : public LutStage<1>
      * inherited rowTileable() == false): the im2col expansion reshapes
      * the working set into a batch-shaped scratch plane whose patch rows
      * outnumber the batch rows, so the planner's row-tile size model does
-     * not describe it. The conv path keeps its own internal blocking and
-     * never splits a batch over the pool (the inherited blockRows() == 0:
-     * the im2col plane is shared). */
+     * not describe it. The stage runs one tile per batch and never
+     * splits a batch over the pool (the inherited blockRows() == 0: the
+     * im2col plane is shared). */
     StagePtr rebind(const lutboost::KernelBackend &backend,
                     lutboost::EncodePrecision encode,
                     const std::vector<PointwiseOp> &epilogue) const override;

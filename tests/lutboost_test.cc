@@ -11,6 +11,8 @@
 #include "lutboost/lut_linear.h"
 #include "nn/models.h"
 #include "nn/optimizer.h"
+#include "nn/sequential.h"
+#include "serve/frozen_model.h"
 #include "tensor/gemm.h"
 #include "util/rng.h"
 
@@ -269,8 +271,10 @@ TEST(LutConv2d, BackwardRejectsMismatchedGradShape)
                  "does not match the last train forward");
 }
 
-TEST(LutConv2d, ForwardBatchBitExactWithEvalForward)
+TEST(LutConv2d, ServedConvBitExactWithEvalForward)
 {
+    // The batched path is the serving one: a one-conv model lowered to a
+    // ConvStage must answer bit-exactly with eval-mode forward().
     ConvGeometry g;
     g.in_channels = 2;
     g.out_channels = 3;
@@ -278,17 +282,24 @@ TEST(LutConv2d, ForwardBatchBitExactWithEvalForward)
     g.stride = 1;
     g.padding = 1;
     for (bool bf16 : {false, true}) {
-        LutConv2d conv(g, smallPq(3, 8), /*bias=*/true, 28);
-        conv.inner().setPrecision(vq::LutPrecision{bf16, false});
-        conv.inner().refreshInferenceLut();
+        auto conv =
+            std::make_shared<LutConv2d>(g, smallPq(3, 8), /*bias=*/true, 28);
+        conv->inner().setPrecision(vq::LutPrecision{bf16, false});
+        conv->inner().refreshInferenceLut();
+        auto frozen = serve::FrozenModel::fromModel(
+            std::make_shared<nn::Sequential>(std::vector<nn::LayerPtr>{conv}),
+            serve::ServeInputShape{5, 5});
+        ASSERT_TRUE(frozen.ok()) << frozen.status().toString();
 
         Tensor x(Shape{3, 2, 5, 5});
         Rng rng(29);
         for (int64_t i = 0; i < x.numel(); ++i)
             x.at(i) = static_cast<float>(rng.gaussian(0, 1));
 
-        const Tensor batched = conv.forwardBatch(x);
-        const Tensor reference = conv.forward(x, false);
+        const Tensor batched =
+            frozen->forwardBatch(x.reshaped(Shape{3, 2 * 5 * 5}));
+        const Tensor reference =
+            conv->forward(x, false).reshaped(Shape{3, 3 * 5 * 5});
         EXPECT_TRUE(batched.equals(reference))
             << "bf16=" << bf16 << " maxdiff="
             << Tensor::maxAbsDiff(batched, reference);

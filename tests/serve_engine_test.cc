@@ -1,9 +1,12 @@
-// Tests for the serving layer: bit-exactness of the batched arena kernel
-// against the reference eval path, dynamic batching, shutdown semantics,
-// and the typed error paths of the engine facade.
+// Tests for the serving layer: bit-exactness of the fused arena tile and
+// the lowered stage graphs against the reference eval path, dynamic
+// batching, shutdown semantics, and the typed error paths of the engine
+// facade.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <limits>
@@ -11,6 +14,7 @@
 #include <vector>
 
 #include "api/lutdla.h"
+#include "lutboost/kernels.h"
 #include "lutboost/kernels_simd.h"
 #include "lutboost/lut_conv.h"
 #include "lutboost/lut_linear.h"
@@ -64,10 +68,25 @@ makeFrozenMlp(vq::LutPrecision precision = {})
     return fx;
 }
 
-// ---------------------------------------------------------------------------
-// forwardBatch vs forward: bit-exact.
+/**
+ * The LUT GEMM every serving stage runs, on a frozen layer's arena: one
+ * fused KernelBackend::forwardTile over the bit-exact float bank.
+ */
+Tensor
+forwardTile(const lutboost::LutLinear &layer, const Tensor &x)
+{
+    Tensor y(Shape{x.dim(0), layer.outFeatures()});
+    lutboost::KernelScratch scratch;
+    lutboost::KernelBackend::of(lutboost::TablePrecision::Float32)
+        .forwardTile(*layer.inferenceArena(), x.data(), x.dim(0), y.data(),
+                     scratch, nullptr, nullptr);
+    return y;
+}
 
-TEST(LutTableArena, ForwardBatchBitExactWithEvalForward)
+// ---------------------------------------------------------------------------
+// forwardTile vs forward: bit-exact.
+
+TEST(LutTableArena, ForwardTileBitExactWithEvalForward)
 {
     for (bool bf16 : {false, true}) {
         for (bool int8 : {false, true}) {
@@ -83,7 +102,7 @@ TEST(LutTableArena, ForwardBatchBitExactWithEvalForward)
             // sweep serves every batch size.
             for (int64_t rows : {1, 3, 7, 300}) {
                 const Tensor x = randomRows(rows, 22, 7);
-                const Tensor batched = layer.forwardBatch(x);
+                const Tensor batched = forwardTile(layer, x);
                 const Tensor reference =
                     layer.forward(x, /*train=*/false);
                 EXPECT_TRUE(batched.equals(reference))
@@ -95,7 +114,7 @@ TEST(LutTableArena, ForwardBatchBitExactWithEvalForward)
     }
 }
 
-TEST(LutTableArena, RowByRowForwardMatchesBatch)
+TEST(LutTableArena, RowByRowForwardMatchesForwardTile)
 {
     vq::PQConfig pq;
     pq.v = 4;
@@ -104,7 +123,7 @@ TEST(LutTableArena, RowByRowForwardMatchesBatch)
     layer.refreshInferenceLut();
 
     const Tensor x = randomRows(9, 17, 3);
-    const Tensor batched = layer.forwardBatch(x);
+    const Tensor batched = forwardTile(layer, x);
     for (int64_t r = 0; r < x.dim(0); ++r) {
         Tensor row(Shape{1, 17});
         std::copy(x.data() + r * 17, x.data() + (r + 1) * 17, row.data());
@@ -119,17 +138,20 @@ TEST(LutLinear, LastForwardRowsIsATraceProbeOnly)
     vq::PQConfig pq;
     pq.v = 4;
     pq.c = 8;
-    lutboost::LutLinear layer(12, 4, pq, true, 3);
-    layer.refreshInferenceLut();
+    auto layer = std::make_shared<lutboost::LutLinear>(12, 4, pq, true, 3);
+    layer->refreshInferenceLut();
 
-    EXPECT_EQ(layer.lastForwardRows(), 0);
-    layer.forward(randomRows(5, 12, 1), false);
-    EXPECT_EQ(layer.lastForwardRows(), 5);
-    // The batched path is per-call (rows come from the result), and must
-    // not disturb the single-threaded trace probe.
-    const Tensor y = layer.forwardBatch(randomRows(9, 12, 2));
+    EXPECT_EQ(layer->lastForwardRows(), 0);
+    layer->forward(randomRows(5, 12, 1), false);
+    EXPECT_EQ(layer->lastForwardRows(), 5);
+    // Serving is per-call (rows come from the result), and must not
+    // disturb the single-threaded trace probe.
+    auto frozen = serve::FrozenModel::fromModel(
+        std::make_shared<nn::Sequential>(std::vector<nn::LayerPtr>{layer}));
+    ASSERT_TRUE(frozen.ok()) << frozen.status().toString();
+    const Tensor y = frozen->forwardBatch(randomRows(9, 12, 2));
     EXPECT_EQ(y.dim(0), 9);
-    EXPECT_EQ(layer.lastForwardRows(), 5);
+    EXPECT_EQ(layer->lastForwardRows(), 5);
 }
 
 TEST(FrozenModel, MatchesModelEvalBitExact)
@@ -574,6 +596,108 @@ TEST(ServingFacade, CnnViaMakeEngineBitExact)
             << "bf16=" << precision.bf16_similarity
             << " maxdiff=" << Tensor::maxAbsDiff(*result, reference);
     }
+}
+
+TEST(ConvStage, ServesVaryingBatchesBitExactWithPhaseStats)
+{
+    // The conv stage alone: the model's one LUT stage is the conv, on a
+    // 1-worker engine, so every batch runs through one worker's scratch.
+    // Growing, shrinking and regrowing batches reuse its grow-only conv
+    // planes; each answer must still be bit-exact.
+    vq::PQConfig pq;
+    pq.v = 3;
+    pq.c = 8;
+    ConvGeometry g;
+    g.in_channels = 2;
+    g.out_channels = 4;
+    g.kernel = 3;
+    g.stride = 1;
+    g.padding = 1;
+    auto model = std::make_shared<nn::Sequential>(std::vector<nn::LayerPtr>{
+        std::make_shared<lutboost::LutConv2d>(g, pq, /*bias=*/true, 71),
+        std::make_shared<nn::ReLU>(), std::make_shared<nn::Flatten>()});
+    for (lutboost::LutLinear *layer : lutboost::findLutLayers(model))
+        layer->refreshInferenceLut();
+
+    auto frozen =
+        serve::FrozenModel::fromModel(model, serve::ServeInputShape{6, 6});
+    ASSERT_TRUE(frozen.ok()) << frozen.status().toString();
+    EXPECT_EQ(frozen->describe(), "conv+relu -> flatten");
+    EXPECT_EQ(frozen->numLutStages(), 1);
+    serve::EngineOptions options;
+    options.threads = 1;
+    options.max_batch = 32;
+    auto engine = serve::InferenceEngine::create(frozen.take(), options);
+    ASSERT_TRUE(engine.ok()) << engine.status().toString();
+
+    uint64_t seed = 72;
+    int64_t rows = 0;
+    for (int64_t images_in_batch : {1, 32, 3, 32}) {
+        const Tensor images = randomImages(images_in_batch, 2, 6, 6, seed++);
+        const Tensor reference = model->forward(images, false);
+        auto result = engine.value()->submit(flattenImages(images));
+        ASSERT_TRUE(result.ok()) << result.status().toString();
+        EXPECT_TRUE(result->equals(flattenImages(reference)))
+            << "batch of " << images_in_batch << " maxdiff="
+            << Tensor::maxAbsDiff(*result, flattenImages(reference));
+        rows += images_in_batch;
+    }
+    engine.value()->shutdown();
+
+    // Conv is the only LUT stage, so the lane's phase split is all its
+    // own: im2col and the encode on one side, the gather, NCHW reshape
+    // and fused relu on the other.
+    const serve::EngineStats stats = engine.value()->stats();
+    EXPECT_EQ(stats.served, 4u);
+    EXPECT_EQ(stats.rows, static_cast<uint64_t>(rows));
+    EXPECT_GT(stats.encode_seconds, 0.0);
+    EXPECT_GT(stats.gather_seconds, 0.0);
+}
+
+TEST(ConvStage, PhaseTimesCoverItsWallTime)
+{
+    // The lane stats split LUT-stage time into encode and gather; a conv
+    // stage credits its im2col to encode and its NCHW reshape and fused
+    // epilogue to gather, so the two phases add up to its whole wall
+    // time. Two centroids and one output channel keep the encode and
+    // gather cheap, leaving the im2col a large share: a stage that
+    // stopped crediting it would fall well short. The best of five runs
+    // rides out a preemption between the stage's clock reads.
+    vq::PQConfig pq;
+    pq.v = 9;
+    pq.c = 2;
+    ConvGeometry g;
+    g.in_channels = 2;
+    g.out_channels = 1;
+    g.kernel = 3;
+    g.stride = 1;
+    g.padding = 1;
+    lutboost::LutConv2d conv(g, pq, /*bias=*/true, 81);
+    conv.inner().refreshInferenceLut();
+    const serve::ConvStage stage(g, 16, 16, conv.inferenceArena(), nullptr,
+                                 {serve::PointwiseOp::Relu});
+    constexpr int64_t kImages = 32;
+    const Tensor images = randomImages(kImages, 2, 16, 16, 82);
+    std::vector<float> out(static_cast<size_t>(kImages * stage.outWidth()));
+    serve::StageScratch scratch;
+    stage.forward(images.data(), kImages, out.data(), scratch);  // grow
+
+    double best = 0.0;
+    for (int run = 0; run < 5; ++run) {
+        scratch.encode_ns = 0;
+        scratch.gather_ns = 0;
+        const auto t0 = std::chrono::steady_clock::now();
+        stage.forward(images.data(), kImages, out.data(), scratch);
+        const double wall_ns = static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+        best = std::max(
+            best, static_cast<double>(scratch.encode_ns + scratch.gather_ns) /
+                      wall_ns);
+    }
+    EXPECT_GT(best, 0.9) << "encode + gather cover only " << best
+                         << " of the conv stage's wall time";
 }
 
 TEST(FrozenModel, ErrorPathsNameFirstOffendingLayer)
